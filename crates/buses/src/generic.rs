@@ -16,10 +16,7 @@
 use crate::plb::{channel, ChannelHandle, PlbCpuMaster, PlbSignals, PlbSisAdapter};
 use crate::timing::BusTiming;
 use splice_driver::program::BusOp;
-use splice_sim::{
-    Component, LazyCounter, LazyHistogram, Sensitivity, SignalDecl, SignalId, SimulatorBuilder,
-    TickCtx, Word,
-};
+use splice_sim::{Component, Sensitivity, SignalDecl, SignalId, SimulatorBuilder, TickCtx, Word};
 use splice_sis::SisBus;
 
 /// The native APB signal bundle (AMBA 2 nomenclature).
@@ -108,11 +105,6 @@ pub struct ApbMaster {
     pub bus_txns: u64,
     /// Cycle the outstanding transfer began (for latency histograms).
     req_start: Option<u64>,
-    m_txns: LazyCounter,
-    m_polls: LazyCounter,
-    m_wait: LazyCounter,
-    m_busy: LazyCounter,
-    h_latency: LazyHistogram,
 }
 
 impl ApbMaster {
@@ -129,11 +121,6 @@ impl ApbMaster {
             finished_cycle: None,
             bus_txns: 0,
             req_start: None,
-            m_txns: LazyCounter::new("apb.master.txns"),
-            m_polls: LazyCounter::new("apb.master.poll_reads"),
-            m_wait: LazyCounter::new("apb.master.wait_cycles"),
-            m_busy: LazyCounter::new("apb.master.busy_cycles"),
-            h_latency: LazyHistogram::new("apb.master.req_ack_latency"),
         }
     }
 
@@ -186,7 +173,7 @@ impl ApbMaster {
         }
         self.bus_txns += 1;
         self.req_start = Some(ctx.cycle());
-        self.m_txns.add(ctx, 1);
+        ctx.metric_add("apb.master.txns", 1);
         if ctx.metrics_enabled() {
             ctx.protocol_event(
                 "apb-master",
@@ -201,7 +188,7 @@ impl ApbMaster {
     fn observe_done(&mut self, ctx: &mut TickCtx<'_>) {
         if let Some(start) = self.req_start.take() {
             let delta = ctx.cycle() - start;
-            self.h_latency.observe(ctx, delta);
+            ctx.metric_observe("apb.master.req_ack_latency", delta);
         }
     }
 
@@ -275,7 +262,7 @@ impl Component for ApbMaster {
                                 self.next_op(cycle);
                             } else {
                                 // Poll again: a fresh APB read transfer.
-                                self.m_polls.add(ctx, 1);
+                                ctx.metric_add("apb.master.poll_reads", 1);
                                 self.setup(ctx, addr, None);
                                 self.state =
                                     AmState::Enable { is_read: true, remaining_reads: bit + 1 };
@@ -287,12 +274,12 @@ impl Component for ApbMaster {
                         }
                     }
                 } else {
-                    self.m_wait.add(ctx, 1);
+                    ctx.metric_add("apb.master.wait_cycles", 1);
                     self.state = AmState::AwaitData { remaining: remaining - 1, poll };
                 }
             }
             AmState::Busy { remaining } => {
-                self.m_busy.add(ctx, 1);
+                ctx.metric_add("apb.master.busy_cycles", 1);
                 if remaining <= 1 {
                     self.next_op(cycle);
                 } else {
@@ -315,11 +302,12 @@ impl Component for ApbMaster {
                 self.idle(ctx);
             }
         }
-        // Self-clocked: the fixed-schedule APB machine re-arms a one-cycle
-        // wake in every active state (ticking every cycle exactly as the
-        // eager scheduler would, so its per-cycle wait/busy counters stay
-        // exact) and sleeps once the op list is done. The early return on
-        // op-list exhaustion above deliberately skips this.
+        // Self-clocked: the fixed-schedule APB machine counts its
+        // `remaining` cycles down one tick at a time, so it re-arms a
+        // one-cycle wake in every active state and sleeps once the op list
+        // is done. Ticking every active cycle is also what keeps its
+        // per-tick wait/busy counters exact. The early return on op-list
+        // exhaustion above deliberately skips this.
         if !matches!(self.state, AmState::Done) {
             ctx.wake_after(1);
         }
@@ -416,7 +404,6 @@ pub struct ApbAdapter {
     prev_req: bool,
     /// SIS beats moved (diagnostics).
     pub sis_beats: u64,
-    a_sis_beats: LazyCounter,
 }
 
 impl ApbAdapter {
@@ -430,7 +417,6 @@ impl ApbAdapter {
             lower_enable: false,
             prev_req: false,
             sis_beats: 0,
-            a_sis_beats: LazyCounter::new("apb.adapter.sis_beats"),
         }
     }
 
@@ -465,14 +451,14 @@ impl Component for ApbAdapter {
                 ctx.set_bool(self.sis.io_enable, true);
                 self.lower_enable = true;
                 self.sis_beats += 1;
-                self.a_sis_beats.add(ctx, 1);
+                ctx.metric_add("apb.adapter.sis_beats", 1);
             } else {
                 ctx.set_bool(self.sis.data_in_valid, false);
                 ctx.set(self.sis.func_id, func_id);
                 ctx.set_bool(self.sis.io_enable, true);
                 self.lower_enable = true;
                 self.sis_beats += 1;
-                self.a_sis_beats.add(ctx, 1);
+                ctx.metric_add("apb.adapter.sis_beats", 1);
             }
         }
     }
@@ -532,30 +518,6 @@ impl PseudoAsyncSystem {
         bridge_stall: u32,
         direct_addressing: bool,
     ) -> Self {
-        Self::attach_with_dma_gap(
-            b,
-            prefix,
-            sis,
-            bus_width,
-            base_addr,
-            bridge_stall,
-            direct_addressing,
-            0,
-        )
-    }
-
-    /// [`PseudoAsyncSystem::attach`] with explicit DMA-engine beat pacing.
-    #[allow(clippy::too_many_arguments)]
-    pub fn attach_with_dma_gap(
-        b: &mut SimulatorBuilder,
-        prefix: &str,
-        sis: SisBus,
-        bus_width: u32,
-        base_addr: u64,
-        bridge_stall: u32,
-        direct_addressing: bool,
-        dma_gap: u32,
-    ) -> Self {
         let signals = PlbSignals::declare(b, prefix, bus_width);
         let chan = channel();
         let mut adapter = PlbSisAdapter::new(
@@ -568,7 +530,7 @@ impl PseudoAsyncSystem {
         if direct_addressing {
             adapter = adapter.with_direct_addressing();
         }
-        adapter = adapter.with_stall(bridge_stall).with_dma_gap(dma_gap);
+        adapter = adapter.with_stall(bridge_stall);
         let adapter_idx = b.component(Box::new(adapter));
         PseudoAsyncSystem { signals, chan, adapter: adapter_idx }
     }

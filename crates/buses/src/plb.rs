@@ -23,10 +23,7 @@
 
 use crate::timing::BusTiming;
 use splice_driver::program::BusOp;
-use splice_sim::{
-    Component, LazyCounter, LazyHistogram, Sensitivity, SignalDecl, SignalId, SimulatorBuilder,
-    TickCtx, Word,
-};
+use splice_sim::{Component, Sensitivity, SignalDecl, SignalId, SimulatorBuilder, TickCtx, Word};
 use splice_sis::SisBus;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -132,9 +129,10 @@ enum MState {
         addr: u64,
         bit: u32,
     },
-    /// DMA programmed; waiting for DMA_DONE.
+    /// DMA programmed; waiting for DMA_DONE since the given cycle.
     WaitDma {
         is_read: bool,
+        since: u64,
     },
     /// Sleeping until a completion interrupt (the CPU's wait-for-interrupt
     /// state; no bus traffic).
@@ -171,13 +169,6 @@ pub struct PlbCpuMaster {
     pub bus_txns: u64,
     /// Cycle the outstanding request was asserted (for latency histograms).
     req_start: Option<u64>,
-    m_txns: LazyCounter,
-    m_wait: LazyCounter,
-    m_busy: LazyCounter,
-    m_dma_wait: LazyCounter,
-    m_polls: LazyCounter,
-    h_ack_latency: LazyHistogram,
-    h_burst_beats: LazyHistogram,
 }
 
 impl PlbCpuMaster {
@@ -197,13 +188,6 @@ impl PlbCpuMaster {
             finished_cycle: None,
             bus_txns: 0,
             req_start: None,
-            m_txns: LazyCounter::new("plb.master.txns"),
-            m_wait: LazyCounter::new("plb.master.wait_cycles"),
-            m_busy: LazyCounter::new("plb.master.busy_cycles"),
-            m_dma_wait: LazyCounter::new("plb.master.dma_wait_cycles"),
-            m_polls: LazyCounter::new("plb.master.poll_reads"),
-            h_ack_latency: LazyHistogram::new("plb.master.req_ack_latency"),
-            h_burst_beats: LazyHistogram::new("plb.master.burst_beats"),
         }
     }
 
@@ -232,11 +216,14 @@ impl PlbCpuMaster {
         self.req_start = None;
     }
 
-    /// A native request just completed: record its request→ack latency.
+    /// A native request just completed: record its request→ack latency,
+    /// and credit the `latency − 1` cycles strictly between request and
+    /// acknowledge as master wait cycles.
     fn observe_ack(&mut self, ctx: &mut TickCtx<'_>, which: &str) {
         if let Some(start) = self.req_start.take() {
             let latency = ctx.cycle() - start;
-            self.h_ack_latency.observe(ctx, latency);
+            ctx.metric_observe("plb.master.req_ack_latency", latency);
+            ctx.metric_add("plb.master.wait_cycles", latency - 1);
         }
         if ctx.metrics_enabled() {
             ctx.protocol_event("plb-cpu-master", which, "");
@@ -273,9 +260,9 @@ impl PlbCpuMaster {
         ctx.set(self.sig.burst_len, beats as Word);
         self.bus_txns += 1;
         self.req_start = Some(ctx.cycle());
-        self.m_txns.add(ctx, 1);
+        ctx.metric_add("plb.master.txns", 1);
         if ctx.metrics_enabled() {
-            self.h_burst_beats.observe(ctx, beats as u64);
+            ctx.metric_observe("plb.master.burst_beats", beats as u64);
             ctx.protocol_event(
                 "plb-cpu-master",
                 "wr_req",
@@ -294,9 +281,9 @@ impl PlbCpuMaster {
         ctx.set(self.sig.burst_len, beats as Word);
         self.bus_txns += 1;
         self.req_start = Some(ctx.cycle());
-        self.m_txns.add(ctx, 1);
+        ctx.metric_add("plb.master.txns", 1);
         if ctx.metrics_enabled() {
-            self.h_burst_beats.observe(ctx, beats as u64);
+            ctx.metric_observe("plb.master.burst_beats", beats as u64);
             ctx.protocol_event(
                 "plb-cpu-master",
                 "rd_req",
@@ -347,6 +334,7 @@ impl PlbCpuMaster {
                 if bus == 0 {
                     self.next_op(ctx.cycle());
                 } else {
+                    ctx.metric_add("plb.master.busy_cycles", bus as u64);
                     self.state = MState::Busy { until: ctx.cycle() + bus as u64 };
                 }
             }
@@ -412,12 +400,11 @@ impl Component for PlbCpuMaster {
                         let armed = self.pending_dma.take().expect("DMA op armed");
                         let is_read = !armed.0;
                         self.chan.borrow_mut().dma_pending = Some(armed);
-                        self.state = MState::WaitDma { is_read };
+                        self.state = MState::WaitDma { is_read, since: cycle };
                     } else {
                         self.next_op(cycle);
                     }
                 } else {
-                    self.m_wait.add(ctx, 1);
                     self.state = MState::WaitWrAck;
                 }
             }
@@ -440,7 +427,6 @@ impl Component for PlbCpuMaster {
                     }
                     self.next_op(cycle);
                 } else {
-                    self.m_wait.add(ctx, 1);
                     self.state = MState::WaitRdAck { beats };
                 }
             }
@@ -454,19 +440,18 @@ impl Component for PlbCpuMaster {
                         self.next_op(cycle);
                     } else {
                         // Poll again: a fresh read transaction.
-                        self.m_polls.add(ctx, 1);
+                        ctx.metric_add("plb.master.poll_reads", 1);
                         self.assert_read(ctx, addr, 1);
                         self.state = MState::PollWait { addr, bit };
                     }
                 } else {
-                    self.m_wait.add(ctx, 1);
                     self.state = MState::PollWait { addr, bit };
                 }
             }
-            MState::WaitDma { is_read } => {
+            MState::WaitDma { is_read, since } => {
                 self.idle_lines(ctx);
-                self.m_dma_wait.add(ctx, 1);
                 if ctx.get_bool(self.sig.dma_done) {
+                    ctx.metric_add("plb.master.dma_wait_cycles", cycle - since);
                     if is_read {
                         let mut ch = self.chan.borrow_mut();
                         while let Some(v) = ch.from_slave.pop_front() {
@@ -475,11 +460,10 @@ impl Component for PlbCpuMaster {
                     }
                     self.next_op(cycle);
                 } else {
-                    self.state = MState::WaitDma { is_read };
+                    self.state = MState::WaitDma { is_read, since };
                 }
             }
             MState::Busy { until } => {
-                self.m_busy.add(ctx, 1);
                 if cycle >= until {
                     self.next_op(cycle);
                 } else {
@@ -590,13 +574,6 @@ enum AState {
         func_addr: u64,
         asserted: bool,
     },
-    /// Inter-beat pacing gap of the DMA engine, until an absolute cycle.
-    DmaGap {
-        until: u64,
-        is_write: bool,
-        beats_left: u32,
-        func_addr: u64,
-    },
 }
 
 /// The generated PLB→SIS native interface adapter (§4.3.2), with the
@@ -617,17 +594,10 @@ pub struct PlbSisAdapter {
     pub addr_window: Option<u64>,
     /// Extra per-transaction stall cycles (0 for Splice-generated output).
     pub stall_cycles: u32,
-    /// Extra cycles between DMA-streamed beats (engine pacing beyond the
-    /// SIS handshake; derived from [`crate::timing::BusTiming::dma_beat`]).
-    pub dma_beat_gap: u32,
     state: AState,
     lower: LowerFlags,
     /// Completed SIS beats (diagnostics).
     pub sis_beats: u64,
-    a_wait_states: LazyCounter,
-    a_sis_beats: LazyCounter,
-    a_dma_beats: LazyCounter,
-    a_dma_gap: LazyCounter,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -656,14 +626,9 @@ impl PlbSisAdapter {
             direct_addressing: false,
             addr_window: None,
             stall_cycles: 0,
-            dma_beat_gap: 0,
             state: AState::Idle,
             lower: LowerFlags::default(),
             sis_beats: 0,
-            a_wait_states: LazyCounter::new("plb.adapter.wait_state_cycles"),
-            a_sis_beats: LazyCounter::new("plb.adapter.sis_beats"),
-            a_dma_beats: LazyCounter::new("plb.adapter.dma_beats"),
-            a_dma_gap: LazyCounter::new("plb.adapter.dma_gap_cycles"),
         }
     }
 
@@ -678,12 +643,6 @@ impl PlbSisAdapter {
     /// function id itself, with no base-relative decode.
     pub fn with_direct_addressing(mut self) -> Self {
         self.direct_addressing = true;
-        self
-    }
-
-    /// Pace the DMA engine: `gap` extra cycles between streamed beats.
-    pub fn with_dma_gap(mut self, gap: u32) -> Self {
-        self.dma_beat_gap = gap;
         self
     }
 
@@ -726,6 +685,14 @@ impl PlbSisAdapter {
         ctx.set(self.sis.func_id, func_id);
         ctx.set_bool(self.sis.io_enable, true);
         self.lower.io_enable = true;
+    }
+
+    /// Hold the transaction for `n` dead cycles. They are credited as wait
+    /// states here, once, because a sleeping adapter does not tick through
+    /// them.
+    fn stall(&mut self, ctx: &mut TickCtx<'_>, n: u32, then_write: bool, beats: u32) {
+        ctx.metric_add("plb.adapter.wait_state_cycles", n as u64);
+        self.state = AState::Stall { until: ctx.cycle() + n as u64, then_write, beats };
     }
 }
 
@@ -786,39 +753,27 @@ impl Component for PlbSisAdapter {
                             // same request/acknowledge round trip as any other
                             // peripheral register (this is why DMA "does not
                             // benefit transactions of four or fewer data
-                            // values", §9.2.1).
-                            self.state = AState::Stall {
-                                until: ctx.cycle() + DMA_CTRL_ACK_DELAY as u64,
-                                then_write: true,
-                                beats: 0, // sentinel: ctrl ack, no SIS traffic
-                            };
+                            // values", §9.2.1). `beats: 0` is the sentinel
+                            // for a controller ack with no SIS traffic.
+                            self.stall(ctx, DMA_CTRL_ACK_DELAY, true, 0);
                             break 'arms;
                         }
                         let beats = ctx.get(self.sig.burst_len).max(1) as u32;
                         if self.stall_cycles > 0 {
-                            self.state = AState::Stall {
-                                until: ctx.cycle() + self.stall_cycles as u64,
-                                then_write: true,
-                                beats,
-                            };
+                            self.stall(ctx, self.stall_cycles, true, beats);
                         } else {
                             self.begin_write(ctx, beats);
                         }
                     } else if ctx.get_bool(self.sig.rd_req) && ctx.get_bool(self.sig.rd_ce) {
                         let beats = ctx.get(self.sig.burst_len).max(1) as u32;
                         if self.stall_cycles > 0 {
-                            self.state = AState::Stall {
-                                until: ctx.cycle() + self.stall_cycles as u64,
-                                then_write: false,
-                                beats,
-                            };
+                            self.stall(ctx, self.stall_cycles, false, beats);
                         } else {
                             self.begin_read(ctx, beats);
                         }
                     }
                 }
                 AState::Stall { until, then_write, beats } => {
-                    self.a_wait_states.add(ctx, 1);
                     if ctx.cycle() >= until {
                         if beats == 0 {
                             // DMA-controller register ack (no SIS traffic).
@@ -835,7 +790,7 @@ impl Component for PlbSisAdapter {
                 AState::SisWriteWait { beats_left } => {
                     if ctx.get_bool(self.sis.io_done) {
                         self.sis_beats += 1;
-                        self.a_sis_beats.add(ctx, 1);
+                        ctx.metric_add("plb.adapter.sis_beats", 1);
                         if beats_left <= 1 {
                             ctx.set_bool(self.sis.data_in_valid, false);
                             ctx.set_bool(self.sig.wr_ack, true);
@@ -853,7 +808,7 @@ impl Component for PlbSisAdapter {
                 AState::SisReadWait { beats_left, ack_deferred } => {
                     if ctx.get_bool(self.sis.data_out_valid) && ctx.get_bool(self.sis.io_done) {
                         self.sis_beats += 1;
-                        self.a_sis_beats.add(ctx, 1);
+                        ctx.metric_add("plb.adapter.sis_beats", 1);
                         let data = ctx.get(self.sis.data_out);
                         if beats_left <= 1 {
                             ctx.set(self.sig.s_data, data);
@@ -883,8 +838,8 @@ impl Component for PlbSisAdapter {
                         self.state = AState::DmaWritePump { beats_left, func_addr, asserted: true };
                     } else if ctx.get_bool(self.sis.io_done) {
                         self.sis_beats += 1;
-                        self.a_sis_beats.add(ctx, 1);
-                        self.a_dma_beats.add(ctx, 1);
+                        ctx.metric_add("plb.adapter.sis_beats", 1);
+                        ctx.metric_add("plb.adapter.dma_beats", 1);
                         if beats_left <= 1 {
                             ctx.set_bool(self.sis.data_in_valid, false);
                             ctx.set_bool(self.sig.dma_done, true);
@@ -893,14 +848,6 @@ impl Component for PlbSisAdapter {
                                 ctx.protocol_event("plb-sis-adapter", "dma_done", "write stream");
                             }
                             self.state = AState::Idle;
-                        } else if self.dma_beat_gap > 0 {
-                            ctx.set_bool(self.sis.data_in_valid, false);
-                            self.state = AState::DmaGap {
-                                until: ctx.cycle() + self.dma_beat_gap as u64,
-                                is_write: true,
-                                beats_left: beats_left - 1,
-                                func_addr,
-                            };
                         } else {
                             let beat = self.chan.borrow_mut().to_slave.pop_front().unwrap_or(0);
                             self.sis_write_beat(ctx, func_addr, beat);
@@ -920,8 +867,8 @@ impl Component for PlbSisAdapter {
                         && ctx.get_bool(self.sis.io_done)
                     {
                         self.sis_beats += 1;
-                        self.a_sis_beats.add(ctx, 1);
-                        self.a_dma_beats.add(ctx, 1);
+                        ctx.metric_add("plb.adapter.sis_beats", 1);
+                        ctx.metric_add("plb.adapter.dma_beats", 1);
                         self.chan.borrow_mut().from_slave.push_back(ctx.get(self.sis.data_out));
                         if beats_left <= 1 {
                             ctx.set_bool(self.sig.dma_done, true);
@@ -931,13 +878,6 @@ impl Component for PlbSisAdapter {
                                 ctx.protocol_event("plb-sis-adapter", "dma_done", "read stream");
                             }
                             self.state = AState::Idle;
-                        } else if self.dma_beat_gap > 0 {
-                            self.state = AState::DmaGap {
-                                until: ctx.cycle() + self.dma_beat_gap as u64,
-                                is_write: false,
-                                beats_left: beats_left - 1,
-                                func_addr,
-                            };
                         } else {
                             self.sis_read_req(ctx, func_addr);
                             self.state = AState::DmaReadPump {
@@ -948,21 +888,11 @@ impl Component for PlbSisAdapter {
                         }
                     }
                 }
-                AState::DmaGap { until, is_write, beats_left, func_addr } => {
-                    self.a_dma_gap.add(ctx, 1);
-                    if ctx.cycle() >= until {
-                        self.state = if is_write {
-                            AState::DmaWritePump { beats_left, func_addr, asserted: false }
-                        } else {
-                            AState::DmaReadPump { beats_left, func_addr, asserted: false }
-                        };
-                    }
-                }
             }
         }
         // Timed wakes for states that advance without a watched-signal edge.
         match self.state {
-            AState::Stall { until, .. } | AState::DmaGap { until, .. } => {
+            AState::Stall { until, .. } => {
                 ctx.wake_after(until.saturating_sub(ctx.cycle()).max(1));
             }
             AState::DmaWritePump { asserted: false, .. }
@@ -974,7 +904,7 @@ impl Component for PlbSisAdapter {
     fn sensitivity(&self) -> Sensitivity {
         // Watches both sides of the bridge (PLB requests, SIS handshakes)
         // plus its own strobes, whose raise-edge triggers the tick that
-        // lowers them again; Stall/DmaGap re-arm timed wakes per tick.
+        // lowers them again; Stall re-arms a timed wake per tick.
         Sensitivity::Signals(vec![
             self.sig.wr_req,
             self.sig.rd_req,

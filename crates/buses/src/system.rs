@@ -139,7 +139,7 @@ impl SplicedSystem {
                 (idx, MasterKind::Apb)
             }
             SyncClass::PseudoAsynchronous => {
-                let sys = PseudoAsyncSystem::attach_with_dma_gap(
+                let sys = PseudoAsyncSystem::attach(
                     &mut b,
                     "native.",
                     handles.bus,
@@ -147,7 +147,6 @@ impl SplicedSystem {
                     p.base_address,
                     p.bus.bridge_latency + extra_stall,
                     p.bus.opcode_coupled,
-                    timing.dma_beat.saturating_sub(2),
                 );
                 let mut master = sys.master(timing, Vec::new());
                 if let (Some(v), Some(a)) = (handles.irq_vector, handles.irq_ack) {
@@ -205,7 +204,7 @@ impl SplicedSystem {
                     (b.component(Box::new(master)), MasterKind::Apb)
                 }
                 SyncClass::PseudoAsynchronous => {
-                    let sys = PseudoAsyncSystem::attach_with_dma_gap(
+                    let sys = PseudoAsyncSystem::attach(
                         &mut b,
                         "native.",
                         handles.bus,
@@ -213,7 +212,6 @@ impl SplicedSystem {
                         p.base_address,
                         p.bus.bridge_latency,
                         p.bus.opcode_coupled,
-                        timing.dma_beat.saturating_sub(2),
                     );
                     let mut master = sys.master(timing, Vec::new());
                     if let (Some(v), Some(a)) = (handles.irq_vector, handles.irq_ack) {

@@ -29,8 +29,6 @@ pub struct BusTiming {
     /// Full bus transactions needed to set up *and* tear down one DMA
     /// transfer ("a minimum of four bus transactions", §9.2.1).
     pub dma_setup_txns: u32,
-    /// Cycles per DMA-streamed beat once running.
-    pub dma_beat: u32,
     /// Strictly synchronous: no per-beat acknowledge, reads complete on a
     /// fixed schedule and readiness is discovered by polling (APB).
     pub strict_sync: bool,
@@ -53,7 +51,6 @@ impl BusTiming {
                 bridge_latency: 0,
                 burst_beat: 1,
                 dma_setup_txns: 4,
-                dma_beat: 2,
                 strict_sync: false,
             },
             // Behind the PLB→OPB bridge: every access pays the hop.
@@ -63,7 +60,6 @@ impl BusTiming {
                 bridge_latency: 2,
                 burst_beat: 1,
                 dma_setup_txns: 0,
-                dma_beat: 0,
                 strict_sync: false,
             },
             // Co-processor opcodes: no memory-system arbitration, but the
@@ -75,7 +71,6 @@ impl BusTiming {
                 bridge_latency: 0,
                 burst_beat: 1,
                 dma_setup_txns: 0,
-                dma_beat: 0,
                 strict_sync: false,
             },
             // AHB→APB bridge plus the strictly synchronous protocol.
@@ -85,7 +80,6 @@ impl BusTiming {
                 bridge_latency: 2,
                 burst_beat: 0,
                 dma_setup_txns: 0,
-                dma_beat: 0,
                 strict_sync: true,
             },
             BusKind::Ahb => BusTiming {
@@ -94,7 +88,6 @@ impl BusTiming {
                 bridge_latency: 0,
                 burst_beat: 1,
                 dma_setup_txns: 4,
-                dma_beat: 1,
                 strict_sync: false,
             },
             BusKind::Wishbone => BusTiming {
@@ -103,7 +96,6 @@ impl BusTiming {
                 bridge_latency: 0,
                 burst_beat: 1,
                 dma_setup_txns: 0,
-                dma_beat: 0,
                 strict_sync: false,
             },
             BusKind::Avalon => BusTiming {
@@ -112,7 +104,6 @@ impl BusTiming {
                 bridge_latency: 1,
                 burst_beat: 1,
                 dma_setup_txns: 4,
-                dma_beat: 1,
                 strict_sync: false,
             },
         }

@@ -4,7 +4,7 @@
 //! this crate verifies their *behaviour*: every generated HDL module is
 //! compiled into an explicit transition relation over a ternary 0/1/X
 //! domain ([`compile`]), composed with a model of the SIS master
-//! ([`env`]) or a fully nondeterministic environment ([`explore`]), and
+//! ([`mod@env`]) or a fully nondeterministic environment ([`explore`]), and
 //! exhaustively explored from reset. The properties checked:
 //!
 //! * **SL0401** — after a complete driver round the FSM returns to a state

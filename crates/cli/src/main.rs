@@ -493,7 +493,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
     // Generation-pipeline metrics: the same registry the simulator uses,
     // here tallying what the front/back end just produced.
     if let Some(path) = &opts.metrics {
-        let mut reg = splice_sim::MetricsRegistry::new();
+        let mut reg = splice_obs::metrics::MetricsRegistry::new();
         reg.enable();
         reg.gauge_set("gen.functions", module.functions.len() as u64);
         reg.gauge_set("gen.instances", ir.total_instances() as u64);
@@ -652,9 +652,8 @@ fn run_profile(source: &str, spec_path: &str, opts: &Options) -> Result<ExitCode
 
     let _workload = trace::span("workload");
     let mut sys = SplicedSystem::build(module, |_, _| Box::new(DefaultCalc));
-    // The backend flag is shared with check mode; the profiler forces
-    // `compiled` down to the gated interpreter (per-component attribution
-    // needs the tick loop), which `Simulator::effective_backend` handles.
+    // The backend flag is shared with check mode; the profiler times each
+    // tick under whichever backend it selects.
     sys.sim_mut().set_backend(opts.check_opts.backend);
     sys.sim_mut().enable_profiler();
 

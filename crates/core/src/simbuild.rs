@@ -15,9 +15,7 @@
 use crate::ir::{BeatCount, DesignIr, FunctionStub, StubState};
 use splice_driver::lower::TransferShape;
 use splice_driver::program::{decode_with, ResultLayout};
-use splice_sim::{
-    Component, LazyCounter, Sensitivity, SignalDecl, SignalId, SimulatorBuilder, TickCtx, Word,
-};
+use splice_sim::{Component, Sensitivity, SignalDecl, SignalId, SimulatorBuilder, TickCtx, Word};
 use splice_sis::{SisBus, STATUS_FUNC_ID};
 use splice_spec::validate::{IoBound, ValidatedFunction, ValidatedIo};
 
@@ -131,7 +129,6 @@ pub struct GeneratedStub {
     pending_read: bool,
     /// Completed input→output rounds.
     pub rounds: u64,
-    c_calc_cycles: LazyCounter,
 }
 
 impl GeneratedStub {
@@ -168,7 +165,6 @@ impl GeneratedStub {
             lower_dov: false,
             pending_read: false,
             rounds: 0,
-            c_calc_cycles: LazyCounter::new("stub.calc_cycles"),
         };
         s.enter_state(0);
         s
@@ -392,13 +388,17 @@ impl Component for GeneratedStub {
                 }
             }
             Phase::Calc => {
-                self.c_calc_cycles.add(ctx, 1);
-                // First calc tick fixes the completion cycle; a sleeping
-                // stub wakes straight at it (per-cycle metric counts stay
-                // exact because enabled metrics force eager scheduling).
-                let until = *self
-                    .calc_until
-                    .get_or_insert(ctx.cycle() + (self.calc_remaining.max(1) - 1) as u64);
+                // First calc tick fixes the completion cycle, so a sleeping
+                // stub wakes straight at it, and credits the whole
+                // calculation to `stub.calc_cycles` once.
+                let until = match self.calc_until {
+                    Some(until) => until,
+                    None => {
+                        let n = self.calc_remaining.max(1) as u64;
+                        ctx.metric_add("stub.calc_cycles", n);
+                        *self.calc_until.insert(ctx.cycle() + n - 1)
+                    }
+                };
                 if ctx.cycle() >= until {
                     self.calc_until = None;
                     if self.stub.nowait {
@@ -493,8 +493,6 @@ pub struct GeneratedArbiter {
     irq_ack_sig: Option<SignalId>,
     irq_latch: Word,
     lower_strobes: bool,
-    c_irq_latched: LazyCounter,
-    c_status_reads: LazyCounter,
 }
 
 impl Component for GeneratedArbiter {
@@ -517,7 +515,7 @@ impl Component for GeneratedArbiter {
             for &(id, line) in &self.irq_lines {
                 if ctx.get_bool(line) {
                     self.irq_latch |= 1 << id;
-                    self.c_irq_latched.add(ctx, 1);
+                    ctx.metric_add("arbiter.irq_latched", 1);
                 }
             }
             ctx.set(vsig, self.irq_latch);
@@ -533,7 +531,7 @@ impl Component for GeneratedArbiter {
             && !ctx.get_bool(self.bus.data_in_valid)
             && ctx.get(self.bus.func_id) == STATUS_FUNC_ID as Word;
         if read_req {
-            self.c_status_reads.add(ctx, 1);
+            ctx.metric_add("arbiter.status_reads", 1);
             ctx.set(self.bus.data_out, vec);
             ctx.set_bool(self.bus.data_out_valid, true);
             ctx.set_bool(self.bus.io_done, true);
@@ -653,8 +651,6 @@ pub fn build_peripheral(
         irq_ack_sig: irq_ack,
         irq_latch: 0,
         lower_strobes: false,
-        c_irq_latched: LazyCounter::new("arbiter.irq_latched"),
-        c_status_reads: LazyCounter::new("arbiter.status_reads"),
     }));
     PeripheralHandles { bus, stub_components, arbiter_component, irq_vector, irq_ack }
 }

@@ -169,7 +169,7 @@ pub enum FindingKind {
 /// A program-walk finding, anchored to the node it came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchFinding {
-    /// Site label of the node ([`CNode::site`]).
+    /// Site label of the node ([`CNode::site`](crate::flat::CNode::site)).
     pub site: String,
     /// What was proved.
     pub kind: FindingKind,

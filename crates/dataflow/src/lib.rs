@@ -13,7 +13,7 @@
 //!
 //! The engine's results are packaged as a [`facts::FactTable`]
 //! (per-signal constancy, value ranges, output-reachability) consumed by
-//! the SL05xx lint rules in `splice-lint` and by the [`fold`] pre-pass
+//! the SL05xx lint rules in `splice-lint` and by the [`mod@fold`] pre-pass
 //! that shrinks the transition relation before model checking.
 //!
 //! A third domain backs the compiled simulation backend: [`lower`] fixes

@@ -2,7 +2,7 @@
 //! [`CompiledDesign`] into a bit-packed straight-line *step function*.
 //!
 //! The model checker and the replay engine interpret the design tree over
-//! ternary [`TWord`]s. That is the right tool for exploring unknowns, but
+//! ternary [`TWord`](crate::tv::TWord)s. That is the right tool for exploring unknowns, but
 //! it is slow for long concrete runs: every statement walks boxed
 //! expression trees and dispatches on its kind, and every write goes
 //! through a pending-write table. This module trades the ternary domain

@@ -23,7 +23,7 @@ use splice_buses::timing::BusTiming;
 use splice_driver::lower::CALL_PROLOGUE_CPU_CYCLES;
 use splice_driver::program::BusOp;
 use splice_resources::{ResourceReport, Resources};
-use splice_sim::{Component, LazyCounter, Sensitivity, Simulator, SimulatorBuilder, TickCtx, Word};
+use splice_sim::{Component, Sensitivity, Simulator, SimulatorBuilder, TickCtx, Word};
 use splice_spec::bus::BusKind;
 use std::rc::Rc;
 
@@ -56,8 +56,6 @@ pub struct HandCodedSlave {
     lower_rd_ack: bool,
     /// Completed calculation rounds.
     pub rounds: u64,
-    c_wait_states: LazyCounter,
-    c_burst_beats: LazyCounter,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,8 +89,6 @@ impl HandCodedSlave {
             lower_wr_ack: false,
             lower_rd_ack: false,
             rounds: 0,
-            c_wait_states: LazyCounter::new("slave.wait_state_cycles"),
-            c_burst_beats: LazyCounter::new("slave.burst_beats"),
         }
     }
 }
@@ -146,13 +142,13 @@ impl Component for HandCodedSlave {
                     self.lower_wr_ack = true;
                     self.state = SlaveState::Idle;
                 } else {
-                    self.c_wait_states.add(ctx, 1);
+                    ctx.metric_add("slave.wait_state_cycles", 1);
                     self.state = SlaveState::AckWriteIn { remaining: remaining - 1, beats };
                 }
             }
             SlaveState::StreamBurst { remaining } => {
                 // One beat per cycle straight out of the staging queue.
-                self.c_burst_beats.add(ctx, 1);
+                ctx.metric_add("slave.burst_beats", 1);
                 if let Some(v) = self.chan.borrow_mut().to_slave.pop_front() {
                     self.words.push(v);
                 }
@@ -181,14 +177,16 @@ impl Component for HandCodedSlave {
                     self.lower_rd_ack = true;
                     self.state = SlaveState::Idle;
                 } else {
-                    self.c_wait_states.add(ctx, 1);
+                    ctx.metric_add("slave.wait_state_cycles", 1);
                     self.state = SlaveState::AckReadIn { remaining: remaining - 1 };
                 }
             }
         }
-        // Self-clock through every active countdown (per-cycle metrics and
-        // staging-queue pops happen tick by tick); only Idle sleeps, woken
-        // by the next request edge.
+        // Self-clock through every active countdown: each state counts its
+        // `remaining` cycles down one tick at a time and streamed bursts pop
+        // one staged beat per tick. Only Idle sleeps, woken by the next
+        // request edge. (Ticking every active cycle is also what keeps the
+        // per-tick wait-state and burst-beat counters exact.)
         if self.state != SlaveState::Idle {
             ctx.wake_after(1);
         }

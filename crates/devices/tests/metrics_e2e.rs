@@ -28,6 +28,13 @@ fn fig_9_2_runs_fill_the_metrics_registry() {
             .unwrap_or_else(|| panic!("{imp:?}: no req_ack_latency histogram"));
         assert!(h.count() > 0, "{imp:?}: empty latency histogram");
         assert!(h.sum() > 0, "{imp:?}: zero latency sum");
+        // Each request's latency is its request cycle plus the cycles the
+        // master waited for the acknowledge.
+        assert_eq!(
+            m.counter("plb.master.wait_cycles") + h.count(),
+            h.sum(),
+            "{imp:?}: wait cycles disagree with the request→ack latencies"
+        );
 
         // Bus utilization derived the same way metrics_report does it.
         let util = h.sum() as f64 / total_cycles as f64 * 100.0;

@@ -19,6 +19,10 @@
 //!   (escape/quote helpers, a comma-tracking [`json::JsonWriter`], and a
 //!   [`json::JsonValue`] parser), replacing the per-crate copies that
 //!   metrics snapshots, lint reports, and bench bins used to carry.
+//! * [`metrics`] — the one metrics registry: named counters, gauges and
+//!   log2 histograms plus a cycle-stamped event log. Every simulation
+//!   carries one, and the generator CLI and the serve supervisor record
+//!   into it too.
 //!
 //! The per-component simulation profiler lives in `splice-sim` (it needs
 //! kernel internals) and renders through this crate's Chrome writer; see
@@ -27,6 +31,7 @@
 pub mod chrome;
 pub mod interrupt;
 pub mod json;
+pub mod metrics;
 pub mod trace;
 
 pub use chrome::ChromeTrace;

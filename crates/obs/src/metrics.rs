@@ -1,16 +1,17 @@
-//! # Observability: metrics registry and cycle-stamped event log
+//! # Metrics registry and cycle-stamped event log
 //!
 //! The thesis's evaluation is entirely about *observing* cycle-level
 //! behaviour (wait-states, handshake latencies, bus utilization). This
-//! module gives every simulation a lightweight measurement layer:
+//! module is the one registry every measured part of the workspace
+//! records into — simulated components, the generator CLI and the serve
+//! supervisor:
 //!
 //! * [`MetricsRegistry`] — named monotonic **counters**, last-value
 //!   **gauges**, and log2-bucketed latency **histograms**, registered
 //!   lazily by name on first touch;
 //! * [`EventLog`] — a bounded, cycle-stamped stream of structured
-//!   [`Event`]s (`TickBegin`/`TickEnd`, `SignalEdge`, `ProtocolEvent`,
-//!   `Violation`) that components append to through
-//!   [`TickCtx`](crate::TickCtx).
+//!   [`Event`]s (`SignalEdge`, `ProtocolEvent`, `Violation`) that
+//!   simulation components append to through `splice_sim::TickCtx`.
 //!
 //! The registry is **disabled by default** and every recording call
 //! early-returns on a single boolean in that state, so instrumented hot
@@ -19,15 +20,14 @@
 //! via the `SPLICE_TRACE` environment variable:
 //!
 //! * `SPLICE_TRACE=1` — metrics + protocol/violation events;
-//! * `SPLICE_TRACE=2` — additionally `TickBegin`/`TickEnd` and
-//!   `SignalEdge` events (verbose; meant for short diagnostic runs).
+//! * `SPLICE_TRACE=2` — additionally `SignalEdge` events (verbose; meant
+//!   for short diagnostic runs).
 //!
 //! Snapshots serialize to JSON with [`MetricsRegistry::to_json`] — no
 //! external serialization crate involved, so the schema documented in
 //! `docs/observability.md` is exactly what this file emits.
 
-use crate::signal::Word;
-use splice_obs::json::escape;
+use crate::json::escape;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -70,7 +70,8 @@ impl Histogram {
         }
     }
 
-    pub(crate) fn observe(&mut self, value: u64) {
+    /// Record one sample.
+    pub fn observe(&mut self, value: u64) {
         self.count += 1;
         self.sum += value;
         self.min = self.min.min(value);
@@ -162,12 +163,8 @@ impl Histogram {
 /// One cycle-stamped observation in the [`EventLog`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
-    /// A simulation tick is about to evaluate components (trace level 2).
-    TickBegin { cycle: u64 },
-    /// All components of a tick have been evaluated (trace level 2).
-    TickEnd { cycle: u64 },
-    /// A traced signal changed value across a clock edge (trace level 2).
-    SignalEdge { cycle: u64, signal: String, from: Word, to: Word },
+    /// A signal changed value across a clock edge (trace level 2).
+    SignalEdge { cycle: u64, signal: String, from: u64, to: u64 },
     /// A component-defined protocol milestone (request issued, ack seen,
     /// DMA beat, grant, …).
     ProtocolEvent { cycle: u64, source: String, kind: String, detail: String },
@@ -179,9 +176,7 @@ impl Event {
     /// The cycle this event was stamped with.
     pub fn cycle(&self) -> u64 {
         match self {
-            Event::TickBegin { cycle }
-            | Event::TickEnd { cycle }
-            | Event::SignalEdge { cycle, .. }
+            Event::SignalEdge { cycle, .. }
             | Event::ProtocolEvent { cycle, .. }
             | Event::Violation { cycle, .. } => *cycle,
         }
@@ -190,8 +185,6 @@ impl Event {
     /// A short tag naming the variant.
     pub fn kind_tag(&self) -> &'static str {
         match self {
-            Event::TickBegin { .. } => "tick_begin",
-            Event::TickEnd { .. } => "tick_end",
             Event::SignalEdge { .. } => "signal_edge",
             Event::ProtocolEvent { .. } => "protocol",
             Event::Violation { .. } => "violation",
@@ -248,56 +241,22 @@ impl EventLog {
     }
 }
 
-/// Stable handle to an interned counter, resolved once via
-/// [`MetricsRegistry::counter_id`] and then usable every tick without a
-/// string lookup. Handles survive [`MetricsRegistry::reset`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CounterId(pub(crate) usize);
-
-/// Stable handle to an interned histogram (see [`CounterId`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct HistogramId(pub(crate) usize);
-
-/// An interned counter slot. `live` marks whether it was touched while the
-/// registry was enabled — only live slots appear in snapshots, mirroring
-/// the string API's touch-to-create semantics.
-#[derive(Debug, Clone)]
-struct InternedCounter {
-    name: String,
-    value: u64,
-    live: bool,
-}
-
-/// An interned histogram slot (see [`InternedCounter`]).
-#[derive(Debug, Clone)]
-struct InternedHistogram {
-    name: String,
-    hist: Histogram,
-    live: bool,
-}
-
 /// Named counters, gauges, and histograms plus the event log — the
 /// simulation's whole observability surface.
 ///
-/// All recording methods are no-ops while `enabled` is false; ids are
-/// resolved lazily by name so instrumentation sites never pre-register.
-/// Hot per-tick sites can intern a name once ([`counter_id`]/
-/// [`histogram_id`](Self::histogram_id)) and record through the id — a
-/// vector index instead of a `HashMap` probe.
-///
-/// [`counter_id`]: Self::counter_id
+/// All recording methods are no-ops while `enabled` is false; names are
+/// registered lazily on first touch so instrumentation sites never
+/// pre-register.
 #[derive(Debug, Default, Clone)]
 pub struct MetricsRegistry {
     enabled: bool,
     trace_level: u8,
     counters: Vec<(String, u64)>,
-    counter_idx: HashMap<String, usize>,
+    counter_by_name: HashMap<String, usize>,
     gauges: Vec<(String, u64)>,
-    gauge_idx: HashMap<String, usize>,
+    gauge_by_name: HashMap<String, usize>,
     histograms: Vec<(String, Histogram)>,
-    histogram_idx: HashMap<String, usize>,
-    interned_counters: Vec<InternedCounter>,
-    interned_histograms: Vec<InternedHistogram>,
+    histogram_by_name: HashMap<String, usize>,
     events: EventLog,
 }
 
@@ -308,8 +267,8 @@ impl MetricsRegistry {
     }
 
     /// A registry configured from the `SPLICE_TRACE` environment variable:
-    /// unset/`0` → disabled, `1` → metrics + protocol events, `2`+ → full
-    /// tick/edge tracing.
+    /// unset/`0` → disabled, `1` → metrics + protocol events, `2`+ → also
+    /// signal-edge tracing.
     pub fn from_env() -> Self {
         let level = std::env::var("SPLICE_TRACE")
             .ok()
@@ -337,11 +296,13 @@ impl MetricsRegistry {
     }
 
     /// Whether recording is on.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
 
     /// The active trace level (0 disabled, 1 events, 2 verbose).
+    #[inline]
     pub fn trace_level(&self) -> u8 {
         if self.enabled {
             self.trace_level
@@ -350,7 +311,7 @@ impl MetricsRegistry {
         }
     }
 
-    /// Set the trace level explicitly (2 enables tick/edge events).
+    /// Set the trace level explicitly (2 enables signal-edge events).
     pub fn set_trace_level(&mut self, level: u8) {
         self.trace_level = level;
         self.enabled = level > 0;
@@ -362,12 +323,12 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        let i = match self.counter_idx.get(name) {
+        let i = match self.counter_by_name.get(name) {
             Some(&i) => i,
             None => {
                 let i = self.counters.len();
                 self.counters.push((name.to_owned(), 0));
-                self.counter_idx.insert(name.to_owned(), i);
+                self.counter_by_name.insert(name.to_owned(), i);
                 i
             }
         };
@@ -380,12 +341,12 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        let i = match self.gauge_idx.get(name) {
+        let i = match self.gauge_by_name.get(name) {
             Some(&i) => i,
             None => {
                 let i = self.gauges.len();
                 self.gauges.push((name.to_owned(), 0));
-                self.gauge_idx.insert(name.to_owned(), i);
+                self.gauge_by_name.insert(name.to_owned(), i);
                 i
             }
         };
@@ -398,72 +359,20 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        let i = match self.histogram_idx.get(name) {
+        let i = match self.histogram_by_name.get(name) {
             Some(&i) => i,
             None => {
                 let i = self.histograms.len();
                 self.histograms.push((name.to_owned(), Histogram::default()));
-                self.histogram_idx.insert(name.to_owned(), i);
+                self.histogram_by_name.insert(name.to_owned(), i);
                 i
             }
         };
         self.histograms[i].1.observe(value);
     }
 
-    /// Resolve `name` to a stable [`CounterId`], creating an (empty,
-    /// non-live) slot on first use. Works while disabled, so components can
-    /// intern at construction or on their first tick either way.
-    pub fn counter_id(&mut self, name: &str) -> CounterId {
-        if let Some(i) = self.interned_counters.iter().position(|c| c.name == name) {
-            return CounterId(i);
-        }
-        self.interned_counters.push(InternedCounter {
-            name: name.to_owned(),
-            value: 0,
-            live: false,
-        });
-        CounterId(self.interned_counters.len() - 1)
-    }
-
-    /// Resolve `name` to a stable [`HistogramId`] (see [`counter_id`]).
-    ///
-    /// [`counter_id`]: Self::counter_id
-    pub fn histogram_id(&mut self, name: &str) -> HistogramId {
-        if let Some(i) = self.interned_histograms.iter().position(|h| h.name == name) {
-            return HistogramId(i);
-        }
-        self.interned_histograms.push(InternedHistogram {
-            name: name.to_owned(),
-            hist: Histogram::default(),
-            live: false,
-        });
-        HistogramId(self.interned_histograms.len() - 1)
-    }
-
-    /// Add `delta` to an interned counter — no name lookup.
-    #[inline]
-    pub fn counter_add_id(&mut self, id: CounterId, delta: u64) {
-        if !self.enabled {
-            return;
-        }
-        let c = &mut self.interned_counters[id.0];
-        c.live = true;
-        c.value += delta;
-    }
-
-    /// Record `value` into an interned histogram — no name lookup.
-    #[inline]
-    pub fn observe_id(&mut self, id: HistogramId, value: u64) {
-        if !self.enabled {
-            return;
-        }
-        let h = &mut self.interned_histograms[id.0];
-        h.live = true;
-        h.hist.observe(value);
-    }
-
     /// Append an event (respects the enabled flag but not the level — the
-    /// caller decides what level a variant needs; see `TickCtx`).
+    /// caller decides what level a variant needs).
     #[inline]
     pub fn record_event(&mut self, ev: Event) {
         if !self.enabled {
@@ -472,42 +381,24 @@ impl MetricsRegistry {
         self.events.push(ev);
     }
 
-    /// Value of a counter (0 if never touched). Sums the string-keyed and
-    /// interned slots if both exist for the name.
+    /// Value of a counter (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        let by_name = self.counter_idx.get(name).map(|&i| self.counters[i].1).unwrap_or(0);
-        let interned: u64 = self
-            .interned_counters
-            .iter()
-            .filter(|c| c.live && c.name == name)
-            .map(|c| c.value)
-            .sum();
-        by_name + interned
+        self.counter_by_name.get(name).map_or(0, |&i| self.counters[i].1)
     }
 
     /// Value of a gauge, if ever set.
     pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauge_idx.get(name).map(|&i| self.gauges[i].1)
+        self.gauge_by_name.get(name).map(|&i| self.gauges[i].1)
     }
 
     /// The named histogram, if any sample was recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        if let Some(&i) = self.histogram_idx.get(name) {
-            return Some(&self.histograms[i].1);
-        }
-        self.interned_histograms.iter().find(|h| h.live && h.name == name).map(|h| &h.hist)
+        self.histogram_by_name.get(name).map(|&i| &self.histograms[i].1)
     }
 
-    /// All counters, sorted by name (string-keyed and live interned slots
-    /// merged — a name recorded through both sums into one row).
+    /// All counters, sorted by name.
     pub fn counters(&self) -> Vec<(&str, u64)> {
         let mut v: Vec<(&str, u64)> = self.counters.iter().map(|(n, c)| (n.as_str(), *c)).collect();
-        for c in self.interned_counters.iter().filter(|c| c.live) {
-            match v.iter_mut().find(|(n, _)| *n == c.name) {
-                Some(row) => row.1 += c.value,
-                None => v.push((c.name.as_str(), c.value)),
-            }
-        }
         v.sort_unstable_by_key(|&(n, _)| n);
         v
     }
@@ -519,16 +410,10 @@ impl MetricsRegistry {
         v
     }
 
-    /// All histograms, sorted by name (live interned slots included; if a
-    /// name was recorded through both APIs the string-keyed one wins).
+    /// All histograms, sorted by name.
     pub fn histograms(&self) -> Vec<(&str, &Histogram)> {
         let mut v: Vec<(&str, &Histogram)> =
             self.histograms.iter().map(|(n, h)| (n.as_str(), h)).collect();
-        for h in self.interned_histograms.iter().filter(|h| h.live) {
-            if !v.iter().any(|(n, _)| *n == h.name) {
-                v.push((h.name.as_str(), &h.hist));
-            }
-        }
         v.sort_unstable_by_key(|&(n, _)| n);
         v
     }
@@ -543,24 +428,14 @@ impl MetricsRegistry {
         &mut self.events
     }
 
-    /// Drop all recorded data, keeping the enabled state. Interned slots
-    /// are zeroed but keep their names, so previously resolved
-    /// [`CounterId`]/[`HistogramId`] handles stay valid.
+    /// Drop all recorded data, keeping the enabled state.
     pub fn reset(&mut self) {
         self.counters.clear();
-        self.counter_idx.clear();
+        self.counter_by_name.clear();
         self.gauges.clear();
-        self.gauge_idx.clear();
+        self.gauge_by_name.clear();
         self.histograms.clear();
-        self.histogram_idx.clear();
-        for c in &mut self.interned_counters {
-            c.value = 0;
-            c.live = false;
-        }
-        for h in &mut self.interned_histograms {
-            h.hist = Histogram::default();
-            h.live = false;
-        }
+        self.histogram_by_name.clear();
         self.events = EventLog { cap: self.events.cap, ..EventLog::default() };
     }
 
@@ -633,7 +508,6 @@ impl MetricsRegistry {
 fn event_json(out: &mut String, ev: &Event) {
     let _ = write!(out, "{{\"kind\":\"{}\",\"cycle\":{}", ev.kind_tag(), ev.cycle());
     match ev {
-        Event::TickBegin { .. } | Event::TickEnd { .. } => {}
         Event::SignalEdge { signal, from, to, .. } => {
             let _ = write!(out, ",\"signal\":\"{}\",\"from\":{from},\"to\":{to}", escape(signal));
         }
@@ -684,7 +558,7 @@ mod tests {
         m.counter_add("c", 5);
         m.gauge_set("g", 7);
         m.observe("h", 9);
-        m.record_event(Event::TickBegin { cycle: 0 });
+        m.record_event(Event::SignalEdge { cycle: 0, signal: "s".into(), from: 0, to: 1 });
         assert_eq!(m.counter("c"), 0);
         assert_eq!(m.gauge("g"), None);
         assert!(m.histogram("h").is_none());
@@ -743,7 +617,7 @@ mod tests {
         m.enable();
         m.events_mut().set_cap(3);
         for c in 0..5 {
-            m.record_event(Event::TickBegin { cycle: c });
+            m.record_event(Event::SignalEdge { cycle: c, signal: "s".into(), from: 0, to: 1 });
         }
         assert_eq!(m.events().events().len(), 3);
         assert_eq!(m.events().dropped(), 2);
@@ -779,62 +653,6 @@ mod tests {
         // Must parse as one object at minimum structurally: balanced braces.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert!(j.starts_with('{') && j.ends_with('}'));
-    }
-
-    #[test]
-    fn interned_handles_match_string_api_semantics() {
-        let mut m = MetricsRegistry::new();
-        // Interning works while disabled, but recording is a no-op...
-        let c = m.counter_id("hot.counter");
-        let h = m.histogram_id("hot.lat");
-        m.counter_add_id(c, 5);
-        m.observe_id(h, 9);
-        assert_eq!(m.counter("hot.counter"), 0);
-        assert!(m.histogram("hot.lat").is_none());
-        assert!(m.counters().is_empty()); // untouched-while-enabled = invisible
-                                          // ...and ids are stable: re-interning returns the same handle.
-        assert_eq!(m.counter_id("hot.counter"), c);
-        assert_eq!(m.histogram_id("hot.lat"), h);
-        m.enable();
-        m.counter_add_id(c, 5);
-        m.counter_add_id(c, 2);
-        m.observe_id(h, 9);
-        assert_eq!(m.counter("hot.counter"), 7);
-        assert_eq!(m.histogram("hot.lat").unwrap().count(), 1);
-        assert_eq!(m.counters(), vec![("hot.counter", 7)]);
-        let j = m.to_json();
-        assert!(j.contains("\"hot.counter\":7"), "{j}");
-        assert!(j.contains("\"hot.lat\":{\"count\":1"), "{j}");
-    }
-
-    #[test]
-    fn interned_and_string_apis_merge_by_name() {
-        let mut m = MetricsRegistry::new();
-        m.enable();
-        let c = m.counter_id("shared");
-        m.counter_add_id(c, 3);
-        m.counter_add("shared", 4);
-        assert_eq!(m.counter("shared"), 7);
-        assert_eq!(m.counters(), vec![("shared", 7)]);
-    }
-
-    #[test]
-    fn reset_keeps_interned_ids_valid() {
-        let mut m = MetricsRegistry::new();
-        m.enable();
-        let c = m.counter_id("c");
-        let h = m.histogram_id("h");
-        m.counter_add_id(c, 9);
-        m.observe_id(h, 3);
-        m.reset();
-        assert_eq!(m.counter("c"), 0);
-        assert!(m.histogram("h").is_none());
-        // Old handles still point at the right (zeroed) slots.
-        m.counter_add_id(c, 1);
-        m.observe_id(h, 2);
-        assert_eq!(m.counter("c"), 1);
-        assert_eq!(m.histogram("h").unwrap().sum(), 2);
-        assert_eq!(m.counter_id("c"), c);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::protocol::{
     write_frame, JobErrorKind, JobMsg, JobOptions, JobVerdict, OverloadReason, WorkerMsg,
 };
 use splice_obs::json::JsonWriter;
-use splice_sim::metrics::MetricsRegistry;
+use splice_obs::metrics::MetricsRegistry;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::process::{Child, ChildStdin, Command, Stdio};

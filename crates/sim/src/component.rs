@@ -1,8 +1,8 @@
 //! The component trait and per-tick context.
 
 use crate::kernel::Backend;
-use crate::metrics::{CounterId, Event, HistogramId, MetricsRegistry};
 use crate::signal::{mask, SignalId, Word};
+use splice_obs::metrics::{Event, MetricsRegistry};
 
 /// When the scheduler re-evaluates a component.
 ///
@@ -106,7 +106,7 @@ impl<'a> TickCtx<'a> {
         self.cycle
     }
 
-    /// The execution [`Backend`] in effect for this tick. Components that
+    /// The execution [`Backend`] the simulator was set to. Components that
     /// host a compiled HDL design dispatch on this: `Compiled` means "run
     /// your bit-packed step tape", anything else means the interpreted
     /// tree-walk. Plain behavioural components can ignore it.
@@ -134,7 +134,10 @@ impl<'a> TickCtx<'a> {
     // All recording is a no-op while the simulation's metrics registry is
     // disabled; instrumented components should guard any *expensive*
     // argument construction (string formatting) behind
-    // [`metrics_enabled`](Self::metrics_enabled).
+    // [`metrics_enabled`](Self::metrics_enabled). Metrics never change the
+    // schedule, so a component that sleeps through cycles must credit a
+    // multi-cycle count (wait states, busy time) once, from the interval's
+    // start and end cycles, rather than `+1` per tick.
 
     /// Whether the metrics registry is recording.
     #[inline]
@@ -158,32 +161,6 @@ impl<'a> TickCtx<'a> {
     #[inline]
     pub fn metric_observe(&mut self, name: &str, value: u64) {
         self.metrics.observe(name, value);
-    }
-
-    /// Resolve a counter name to a stable interned handle (see
-    /// [`MetricsRegistry::counter_id`]). Hot per-tick sites resolve once and
-    /// then use [`metric_add_id`](Self::metric_add_id).
-    #[inline]
-    pub fn intern_counter(&mut self, name: &str) -> CounterId {
-        self.metrics.counter_id(name)
-    }
-
-    /// Resolve a histogram name to a stable interned handle.
-    #[inline]
-    pub fn intern_histogram(&mut self, name: &str) -> HistogramId {
-        self.metrics.histogram_id(name)
-    }
-
-    /// Add `delta` to an interned counter (no name lookup).
-    #[inline]
-    pub fn metric_add_id(&mut self, id: CounterId, delta: u64) {
-        self.metrics.counter_add_id(id, delta);
-    }
-
-    /// Record a sample into an interned histogram (no name lookup).
-    #[inline]
-    pub fn metric_observe_id(&mut self, id: HistogramId, value: u64) {
-        self.metrics.observe_id(id, value);
     }
 
     /// Append a cycle-stamped protocol milestone to the event log.
@@ -212,57 +189,6 @@ impl<'a> TickCtx<'a> {
             axiom: axiom.to_owned(),
             detail: detail.into(),
         });
-    }
-}
-
-/// A counter handle resolved lazily on first use, then reused every tick.
-///
-/// Components hold one of these per hot counter so steady-state recording is
-/// a bounds-checked vector index instead of a `HashMap` string lookup.
-#[derive(Debug, Clone)]
-pub struct LazyCounter {
-    name: &'static str,
-    id: Option<CounterId>,
-}
-
-impl LazyCounter {
-    /// A handle for `name`, not yet resolved.
-    pub const fn new(name: &'static str) -> Self {
-        LazyCounter { name, id: None }
-    }
-
-    /// Add `delta`, resolving the handle on first call.
-    #[inline]
-    pub fn add(&mut self, ctx: &mut TickCtx<'_>, delta: u64) {
-        let id = match self.id {
-            Some(id) => id,
-            None => *self.id.insert(ctx.intern_counter(self.name)),
-        };
-        ctx.metric_add_id(id, delta);
-    }
-}
-
-/// A histogram handle resolved lazily on first use (see [`LazyCounter`]).
-#[derive(Debug, Clone)]
-pub struct LazyHistogram {
-    name: &'static str,
-    id: Option<HistogramId>,
-}
-
-impl LazyHistogram {
-    /// A handle for `name`, not yet resolved.
-    pub const fn new(name: &'static str) -> Self {
-        LazyHistogram { name, id: None }
-    }
-
-    /// Record `value`, resolving the handle on first call.
-    #[inline]
-    pub fn observe(&mut self, ctx: &mut TickCtx<'_>, value: u64) {
-        let id = match self.id {
-            Some(id) => id,
-            None => *self.id.insert(ctx.intern_histogram(self.name)),
-        };
-        ctx.metric_observe_id(id, value);
     }
 }
 

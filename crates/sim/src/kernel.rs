@@ -8,13 +8,14 @@
 //! Because reads always see pre-edge values, skipping a component whose
 //! inputs did not change (and which requested no wake) cannot alter any
 //! signal — results are identical to ticking everything every cycle, which
-//! the `--eager` fallback ([`Simulator::set_eager`]) still does.
+//! [`Backend::Eager`] still does. The backend that is set is the backend
+//! that runs: neither the metrics registry nor the profiler changes it.
 
 use crate::component::{Component, Sensitivity, TickCtx};
-use crate::metrics::{Event, MetricsRegistry};
 use crate::profile::{SimProfile, WakeCause};
 use crate::signal::{SignalDecl, SignalId, Word};
 use crate::trace::Trace;
+use splice_obs::metrics::{Event, MetricsRegistry};
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
@@ -217,8 +218,8 @@ pub struct Simulator {
     wake_cause: Vec<u8>,
     /// Minimum over `wake_at` — gate for the idle fast path.
     min_wake: u64,
-    /// Selected execution backend (see [`Backend`]); `Eager` forces every
-    /// component to tick every cycle.
+    /// Selected execution backend (see [`Backend`]); `Eager` ticks every
+    /// component every cycle.
     backend: Backend,
     cycle: u64,
     /// Lifetime `tick` invocations (always on; feeds [`RunStats`]).
@@ -252,50 +253,16 @@ impl Simulator {
         self.cycle
     }
 
-    /// Disable (or re-enable) sensitivity-gated scheduling: when eager,
-    /// every component ticks every cycle exactly like the original kernel.
-    /// Results are identical either way; eager mode exists for performance
-    /// comparison (`splice-bench --bin perf -- --eager`).
-    ///
-    /// Note that enabling metrics also forces eager evaluation, because
-    /// instrumented components count per-cycle occupancy (wait states, busy
-    /// cycles) from inside their tick.
-    pub fn set_eager(&mut self, eager: bool) {
-        self.backend = if eager { Backend::Eager } else { Backend::Gated };
-    }
-
     /// Select the execution [`Backend`]. `Compiled` keeps gated scheduling
     /// but asks design-hosting components to run their bit-packed step
-    /// tape; metrics collection still forces the eager interpreted path
-    /// (see [`effective_backend`](Self::effective_backend)).
+    /// tape.
     pub fn set_backend(&mut self, backend: Backend) {
         self.backend = backend;
     }
 
-    /// The selected execution backend (as set, before any forcing).
+    /// The selected execution backend.
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    /// The backend actually in effect for the next step. Enabling metrics
-    /// forces the eager interpreted path (instrumented components count
-    /// per-cycle occupancy from inside their tick); enabling the profiler
-    /// keeps gated scheduling but forces the interpreted tree-walk so
-    /// per-tick costs stay comparable across components.
-    pub fn effective_backend(&self) -> Backend {
-        if self.metrics.is_enabled() {
-            Backend::Eager
-        } else if self.profiler.is_some() && self.backend == Backend::Compiled {
-            Backend::Gated
-        } else {
-            self.backend
-        }
-    }
-
-    /// Whether the scheduler is running eagerly (explicitly, or implicitly
-    /// because metrics collection is enabled).
-    pub fn is_eager(&self) -> bool {
-        self.effective_backend() == Backend::Eager
     }
 
     /// Force a gated component to tick on the next step, as if one of its
@@ -314,8 +281,7 @@ impl Simulator {
     }
 
     /// Start per-component profiling from the current cycle (see
-    /// [`SimProfile`]). Unlike metrics collection this does *not* force
-    /// eager evaluation — the profiler observes the gated scheduler as-is.
+    /// [`SimProfile`]). The profiler observes the selected backend as-is.
     /// Enabling again discards any profile collected so far.
     pub fn enable_profiler(&mut self) {
         let names = self.components.iter().map(|c| c.name().to_owned()).collect();
@@ -381,7 +347,7 @@ impl Simulator {
             t.sample(self.cycle, &self.cur);
         }
 
-        let backend = self.effective_backend();
+        let backend = self.backend;
         let eager = backend == Backend::Eager;
         // Idle fast path: every component is asleep and none is due — no
         // tick can write anything, so the cycle is a counter increment.
@@ -403,10 +369,6 @@ impl Simulator {
         }
         self.written.clear();
 
-        let verbose = self.metrics.trace_level() >= 2;
-        if verbose {
-            self.metrics.record_event(Event::TickBegin { cycle: self.cycle });
-        }
         let mut conflict: Option<(SignalId, u32, u32)> = None;
         let cycle = self.cycle;
         let mut ticked = 0u64;
@@ -472,7 +434,7 @@ impl Simulator {
             }
         }
         self.total_ticks += ticked;
-        if verbose {
+        if self.metrics.trace_level() >= 2 {
             // Only written signals can have changed; emit edges in signal
             // order, exactly as the eager kernel's full diff did.
             let mut changed: Vec<u32> = self
@@ -491,7 +453,6 @@ impl Simulator {
                     to: self.next[i],
                 });
             }
-            self.metrics.record_event(Event::TickEnd { cycle: self.cycle });
         }
         if let Some((sig, a, b)) = conflict {
             return Err(SimError::MultipleDrivers {
@@ -915,19 +876,19 @@ mod tests {
 
     #[test]
     fn gated_timing_matches_eager_timing() {
-        let run = |eager: bool| {
+        let run = |backend: Backend| {
             let mut b = SimulatorBuilder::new();
             let pulse = b.sig("pulse", 1);
             let echo = b.sig("echo", 1);
             b.component(Box::new(OneShot { out: pulse, at: 7, fired_at: None }));
             b.component(Box::new(GatedReg { input: pulse, output: echo, ticks: 0 }));
             let mut sim = b.build();
-            sim.set_eager(eager);
+            sim.set_backend(backend);
             let t = sim.attach_trace(&[pulse, echo]);
             sim.run(12).unwrap();
             (sim.trace(t).values("pulse").unwrap(), sim.trace(t).values("echo").unwrap())
         };
-        assert_eq!(run(false), run(true));
+        assert_eq!(run(Backend::Gated), run(Backend::Eager));
     }
 
     #[test]
@@ -1027,7 +988,7 @@ mod tests {
         let echo = b.sig("echo", 1);
         let idx = b.component(Box::new(GatedReg { input: pulse, output: echo, ticks: 0 }));
         let mut sim = b.build();
-        sim.set_eager(true);
+        sim.set_backend(Backend::Eager);
         sim.run(10).unwrap();
         assert_eq!(sim.component::<GatedReg>(idx).unwrap().ticks, 10);
     }
@@ -1124,47 +1085,65 @@ mod tests {
         assert_eq!(p.idle_cycles, 0);
     }
 
+    /// Records the backend each of its ticks ran under.
+    struct BackendProbe {
+        seen: Vec<Backend>,
+    }
+
+    impl Component for BackendProbe {
+        fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+            self.seen.push(ctx.backend());
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
     #[test]
-    fn profiler_does_not_force_eager_and_take_is_one_shot() {
+    fn backend_selection() {
+        let mut sim = pulse_echo_sim();
+        assert_eq!(sim.backend(), Backend::Gated);
+        for backend in [Backend::Eager, Backend::Compiled, Backend::Gated] {
+            sim.set_backend(backend);
+            assert_eq!(sim.backend(), backend);
+        }
+    }
+
+    #[test]
+    fn profiler_and_metrics_keep_the_selected_backend() {
+        for backend in [Backend::Eager, Backend::Gated, Backend::Compiled] {
+            for (profile, metrics) in [(true, false), (false, true), (true, true)] {
+                let mut b = SimulatorBuilder::new();
+                let idx = b.component(Box::new(BackendProbe { seen: Vec::new() }));
+                let mut sim = b.build();
+                sim.set_backend(backend);
+                if profile {
+                    sim.enable_profiler();
+                }
+                if metrics {
+                    sim.metrics_mut().enable();
+                }
+                sim.run(3).unwrap();
+                assert_eq!(sim.backend(), backend);
+                let seen = &sim.component::<BackendProbe>(idx).unwrap().seen;
+                assert_eq!(seen, &vec![backend; 3], "profile={profile} metrics={metrics}");
+            }
+        }
+    }
+
+    #[test]
+    fn profiler_take_is_one_shot() {
         let mut sim = pulse_echo_sim();
         sim.enable_profiler();
         assert!(sim.profiler_enabled());
-        assert!(!sim.is_eager(), "profiling must not force eager evaluation");
         sim.run(3).unwrap();
         let p = sim.take_profile().unwrap();
         assert!(p.idle_cycles > 0, "gated scheduler stayed gated under profiling");
         assert!(sim.take_profile().is_none());
         assert!(!sim.profiler_enabled());
-    }
-
-    #[test]
-    fn backend_selection_and_forcing_rules() {
-        let mut sim = pulse_echo_sim();
-        assert_eq!(sim.backend(), Backend::Gated);
-        assert_eq!(sim.effective_backend(), Backend::Gated);
-
-        // The legacy eager toggle is a shim over the backend enum.
-        sim.set_eager(true);
-        assert_eq!(sim.backend(), Backend::Eager);
-        assert!(sim.is_eager());
-        sim.set_eager(false);
-        assert_eq!(sim.backend(), Backend::Gated);
-
-        // Compiled schedules like Gated; the profiler forces the
-        // interpreted tree-walk but keeps gated scheduling.
-        sim.set_backend(Backend::Compiled);
-        assert_eq!(sim.effective_backend(), Backend::Compiled);
-        assert!(!sim.is_eager());
-        sim.enable_profiler();
-        assert_eq!(sim.effective_backend(), Backend::Gated);
-        sim.run(3).unwrap();
-        sim.take_profile();
-        assert_eq!(sim.effective_backend(), Backend::Compiled);
-
-        // Metrics force the eager interpreted path outright.
-        sim.metrics_mut().enable();
-        assert_eq!(sim.effective_backend(), Backend::Eager);
-        assert!(sim.is_eager());
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //! The scheduler is **event-driven**: components declare a
 //! [`Sensitivity`] set and sleep through cycles on which none of their
 //! watched signals changed (timed behaviour uses
-//! [`TickCtx::wake_after`]). Results are cycle-exact either way — see
-//! `docs/performance.md` for the scheduling model and the
-//! [`Simulator::set_eager`] escape hatch.
+//! [`TickCtx::wake_after`]). Results are cycle-exact under every
+//! [`Backend`] — see `docs/performance.md` for the scheduling model.
 //!
 //! Multi-driver errors — two components scheduling the same signal in one
 //! cycle — are detected at runtime and reported with both signal and cycle.
@@ -28,10 +27,13 @@
 //! (used to regenerate the thesis's timing diagrams) and a VCD writer for
 //! offline waveform inspection.
 
-//! A [`metrics::MetricsRegistry`] rides along with every simulation:
-//! counters, gauges, latency histograms, and a cycle-stamped event log
-//! that components reach through [`TickCtx`] (near-zero cost while
-//! disabled; see `docs/observability.md`). For scheduler-level questions —
+//! A `splice_obs::metrics::MetricsRegistry` rides along with every
+//! simulation: counters, gauges, latency histograms, and a cycle-stamped
+//! event log that components reach through [`TickCtx`] (near-zero cost
+//! while disabled; see `docs/observability.md`). Components credit
+//! occupancy counters from interval timestamps, so the numbers are exact
+//! under every backend and enabling them never changes which ticks run.
+//! For scheduler-level questions —
 //! which components are awake, why, and what each tick costs — enable the
 //! per-component [`profile::SimProfile`] profiler
 //! ([`Simulator::enable_profiler`]); every `run*` call also returns cheap
@@ -39,15 +41,13 @@
 
 pub mod component;
 pub mod kernel;
-pub mod metrics;
 pub mod profile;
 pub mod signal;
 pub mod trace;
 pub mod vcd;
 
-pub use component::{Component, LazyCounter, LazyHistogram, Sensitivity, TickCtx};
+pub use component::{Component, Sensitivity, TickCtx};
 pub use kernel::{Backend, RunStats, SimError, Simulator, SimulatorBuilder};
-pub use metrics::{CounterId, Event, EventLog, Histogram, HistogramId, MetricsRegistry};
 pub use profile::{ComponentProfile, SimProfile, WakeCause};
 pub use signal::{SignalDecl, SignalId, Word};
 pub use trace::Trace;

@@ -1,8 +1,8 @@
 //! Per-component kernel profiler.
 //!
-//! Where [`crate::metrics`] counts *protocol-level* observations that
-//! components record about themselves, the profiler measures the **kernel
-//! from the outside**: for every component, how many cycles it was awake
+//! Where the metrics registry (`splice_obs::metrics`) counts
+//! *protocol-level* observations that components record about themselves,
+//! the profiler measures the **kernel from the outside**: for every component, how many cycles it was awake
 //! vs asleep, *why* each tick happened (a watched signal edged, a
 //! [`wake_after`](crate::TickCtx::wake_after) timer fired, eager/`Always`
 //! scheduling, or an external [`wake_component`]
@@ -11,10 +11,11 @@
 //! idle fast-path hits.
 //!
 //! Profiling is opt-in ([`Simulator::enable_profiler`]); when off, the
-//! kernel's only cost is one `Option` test per step. Unlike metrics
-//! collection, profiling does **not** force eager evaluation — it observes
-//! the gated scheduler doing whatever it would have done anyway, which is
-//! exactly what makes the awake/asleep attribution meaningful.
+//! kernel's only cost is one `Option` test per step. Profiling does not
+//! change the backend: it times each tick under whichever backend was set
+//! (the compiled step tape included) and observes the scheduler doing
+//! whatever it would have done anyway, which is exactly what makes the
+//! awake/asleep attribution meaningful.
 //!
 //! Awake stretches are kept as `[start, end)` cycle intervals (capped, see
 //! [`MAX_INTERVALS_PER_COMPONENT`]) so each component can be drawn as a
@@ -22,9 +23,10 @@
 //! [`SimProfile::add_chrome_lanes`].
 //!
 //! [`wake_component`]: crate::Simulator::wake_component
+//! [`Simulator::enable_profiler`]: crate::Simulator::enable_profiler
 
-use crate::metrics::Histogram;
 use splice_obs::chrome::ChromeTrace;
+use splice_obs::metrics::Histogram;
 use splice_obs::trace::AttrValue;
 use std::fmt::Write as _;
 
@@ -43,8 +45,9 @@ pub enum WakeCause {
     Signal = 1,
     /// The component's own [`crate::TickCtx::wake_after`] timer came due.
     Timer = 2,
-    /// Eager scheduling: `Sensitivity::Always`, explicit eager mode, or
-    /// metrics-forced eager evaluation.
+    /// Eager scheduling: `Sensitivity::Always` or [`Backend::Eager`].
+    ///
+    /// [`Backend::Eager`]: crate::Backend::Eager
     Eager = 3,
 }
 

@@ -340,7 +340,7 @@ mod tests {
         let events: Vec<_> = sim.metrics().events().violations().collect();
         assert_eq!(events.len(), n);
         match events[0] {
-            splice_sim::Event::Violation { cycle, source, axiom, detail } => {
+            splice_obs::metrics::Event::Violation { cycle, source, axiom, detail } => {
                 assert!(*cycle > 0);
                 assert_eq!(source, "sis-checker");
                 assert_eq!(axiom, "write_stability");

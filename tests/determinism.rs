@@ -7,10 +7,14 @@
 //! On top of that, the headline Fig 9.2 numbers are pinned to the exact
 //! values the seed reproduced, so any scheduler change that shifts timing
 //! by even one cycle fails loudly here rather than drifting silently.
+//! Observation is held to the same standard: metrics dumps are identical
+//! under every backend, and enabling them changes no scheduling decision.
 
 use splice::prelude::*;
 use splice_devices::eval::{fig_9_2, InterpImpl, InterpRunner};
 use splice_devices::interp::{reference_result, Scenario};
+use splice_obs::metrics::MetricsRegistry;
+use splice_sim::{Backend, RunStats, Simulator};
 
 /// Fig 9.2 cycle counts (per-scenario, per-implementation) as reproduced
 /// by the seed's eager kernel. Totals: 680 / 298 / 508 / 344 / 488.
@@ -39,9 +43,8 @@ fn gated_and_eager_schedulers_agree_cycle_for_cycle() {
     for imp in InterpImpl::all() {
         let mut gated = InterpRunner::build(imp);
         let mut eager = InterpRunner::build(imp);
-        eager.sim_mut().set_eager(true);
-        assert!(!gated.sim().is_eager(), "{imp:?}: gated runner unexpectedly eager");
-        assert!(eager.sim().is_eager());
+        eager.sim_mut().set_backend(Backend::Eager);
+        assert_eq!(gated.sim().backend(), Backend::Gated, "{imp:?}: gated runner not gated");
 
         for s in Scenario::all() {
             let (gc, gr) = gated.run(s);
@@ -61,7 +64,6 @@ fn compiled_backend_preserves_the_pinned_fig_9_2_table() {
     // their ticks (the behavioural Fig 9.2 components have none), and it
     // schedules exactly like the gated kernel — so the headline table
     // must stay byte-identical: 680 / 298 / 508 / 344 / 488.
-    use splice_sim::Backend;
     for (imp, pinned_row) in PINNED {
         let mut compiled = InterpRunner::build(imp);
         compiled.sim_mut().set_backend(Backend::Compiled);
@@ -73,21 +75,133 @@ fn compiled_backend_preserves_the_pinned_fig_9_2_table() {
     }
 }
 
-#[test]
-fn metrics_enabled_runs_preserve_cycle_counts() {
-    // Metrics force eager stepping (per-cycle counters must see every
-    // cycle) — but the observable timing must not change.
-    for imp in [InterpImpl::SplicePlbSimple, InterpImpl::SplicePlbDma] {
-        let mut plain = InterpRunner::build(imp);
-        let mut metered = InterpRunner::build(imp);
-        metered.sim_mut().metrics_mut().enable();
+const BACKENDS: [Backend; 3] = [Backend::Eager, Backend::Gated, Backend::Compiled];
+
+/// What one run leaves to compare: its scheduler stats and its registry.
+type Observed = (RunStats, MetricsRegistry);
+
+/// Select `backend` and trace `level` (0 = metrics off); mark the stats.
+fn arm(sim: &mut Simulator, backend: Backend, level: u8) -> RunStats {
+    sim.set_backend(backend);
+    sim.metrics_mut().set_trace_level(level);
+    sim.stats_mark()
+}
+
+fn observed(sim: &Simulator, mark: RunStats) -> Observed {
+    (sim.stats_since(mark), sim.metrics().clone())
+}
+
+/// One Fig 9.2 implementation over all four scenarios.
+fn fig_9_2_run(imp: InterpImpl) -> impl Fn(Backend, u8) -> Observed {
+    move |backend, level| {
+        let mut runner = InterpRunner::build(imp);
+        let mark = arm(runner.sim_mut(), backend, level);
         for s in Scenario::all() {
-            let (pc, pr) = plain.run(s);
-            let (mc, mr) = metered.run(s);
-            assert_eq!(pc, mc, "{imp:?} {s:?}: metrics changed the cycle count");
-            assert_eq!(pr, mr);
+            assert_eq!(runner.run(s).1, reference_result(s), "{imp:?} {s:?}");
+        }
+        observed(runner.sim(), mark)
+    }
+}
+
+/// Calculation latencies of [`idle_irq_run`]'s device, one per call in turn.
+struct LongCalc(usize);
+impl CalcLogic for LongCalc {
+    fn run(&mut self, inputs: &FuncInputs) -> CalcResult {
+        let cycles = [512, 777, 1024, 1499, 2000][self.0 % 5];
+        self.0 += 1;
+        CalcResult { cycles, output: vec![inputs.scalar(0) * 2] }
+    }
+}
+
+/// A `nowait` + IRQ PLB device: ten calls whose calculations leave the bus
+/// idle for 512–2000 cycles each, every one waited out on the interrupt.
+fn idle_irq_run(backend: Backend, level: u8) -> Observed {
+    let spec = "%device_name idle\n%bus_type plb\n%bus_width 32\n\
+                %base_address 0x80000000\n%irq_support true\n\
+                nowait crunch(int x);";
+    let module = parse_and_validate(spec).unwrap().module;
+    let mut sys = SplicedSystem::build(&module, |_, _| Box::new(LongCalc(0)));
+    let vector = sys.sim().signal_id("sis.IRQ_VECTOR").unwrap();
+    let mark = arm(sys.sim_mut(), backend, level);
+    for x in 0..10 {
+        let fire = sys.call("crunch", &CallArgs::scalars(&[x])).unwrap();
+        assert!(fire.bus_cycles < 50, "nowait returned in {}", fire.bus_cycles);
+        sys.sim_mut().run_until_high("completion irq", vector, 5_000).unwrap();
+        sys.wait_irq("crunch", 0).unwrap();
+    }
+    observed(sys.sim(), mark)
+}
+
+/// An OPB device: every transaction crosses the bridge, which the adapter
+/// models as two stall cycles.
+fn opb_run(backend: Backend, level: u8) -> Observed {
+    let spec = "%device_name opbdev\n%bus_type opb\n%bus_width 32\n\
+                %base_address 0x80000000\n\
+                long accumulate(int n, int*:n xs);\nlong add3(int a, int b, int c);";
+    let module = parse_and_validate(spec).unwrap().module;
+    let mut sys = SplicedSystem::build(&module, |_, _| Box::new(Sum(3)));
+    let mark = arm(sys.sim_mut(), backend, level);
+    let xs = CallArgs::new(vec![CallValue::Scalar(4), CallValue::Array(vec![10, 20, 30, 40])]);
+    assert_eq!(sys.call("accumulate", &xs).unwrap().result, vec![104]);
+    assert_eq!(sys.call("add3", &CallArgs::scalars(&[7, 8, 9])).unwrap().result, vec![24]);
+    observed(sys.sim(), mark)
+}
+
+/// Run `run` under every backend with metrics off and at trace levels 1
+/// and 2. Metrics must leave [`RunStats`] exactly as the unmetered run of
+/// the same backend had them, and each level's `to_json()` dump must be
+/// byte-identical across backends. Returns the gated level-1 registry.
+fn assert_unperturbed(what: &str, run: impl Fn(Backend, u8) -> Observed) -> MetricsRegistry {
+    for level in [1u8, 2] {
+        let dumps: Vec<String> = BACKENDS
+            .iter()
+            .map(|&backend| {
+                let (stats, metrics) = run(backend, level);
+                let unmetered = run(backend, 0).0;
+                assert_eq!(
+                    stats, unmetered,
+                    "{what} {backend:?}: level-{level} metrics moved a tick"
+                );
+                metrics.to_json()
+            })
+            .collect();
+        for (backend, json) in BACKENDS.iter().zip(&dumps).skip(1) {
+            assert!(*json == dumps[0], "{what}: level-{level} dump differs, Eager vs {backend:?}");
         }
     }
+    run(Backend::Gated, 1).1
+}
+
+#[test]
+fn metrics_are_exact_and_unperturbing_under_every_backend() {
+    // Every pinned count below is the one the eager kernel reached by
+    // ticking each component through every cycle and adding 1 per tick.
+    // Fig 9.2 order.
+    const WAIT: [u64; 5] = [444, 164, 268, 227, 250];
+    const BUSY: [u64; 5] = [8, 44, 8, 8, 8];
+    for (i, imp) in InterpImpl::all().into_iter().enumerate() {
+        let m = assert_unperturbed(imp.label(), fig_9_2_run(imp));
+        assert_eq!(m.counter("plb.master.wait_cycles"), WAIT[i], "{imp:?}");
+        assert_eq!(m.counter("plb.master.busy_cycles"), BUSY[i], "{imp:?}");
+        let calc = if imp.is_generated() { 64 } else { 0 };
+        assert_eq!(m.counter("stub.calc_cycles"), calc, "{imp:?}");
+        if imp == InterpImpl::SplicePlbDma {
+            assert_eq!(m.counter("plb.master.dma_wait_cycles"), 88);
+            assert_eq!(m.counter("plb.adapter.wait_state_cycles"), 80);
+        }
+    }
+
+    // Two passes over the five latencies: 2 × (512+777+1024+1499+2000).
+    let m = assert_unperturbed("nowait+IRQ device", idle_irq_run);
+    assert_eq!(m.counter("stub.calc_cycles"), 11_624);
+    assert_eq!(m.counter("plb.master.wait_cycles"), 30);
+    assert_eq!(m.counter("plb.master.busy_cycles"), 20);
+
+    let m = assert_unperturbed("OPB device", opb_run);
+    assert_eq!(m.counter("plb.adapter.wait_state_cycles"), 20);
+    assert_eq!(m.counter("plb.master.wait_cycles"), 50);
+    assert_eq!(m.counter("plb.master.busy_cycles"), 4);
+    assert_eq!(m.counter("stub.calc_cycles"), 6);
 }
 
 struct Sum(u32);
@@ -109,7 +223,7 @@ fn protocol_checker_verdicts_match_gated_vs_eager() {
 
     let mut gated = SplicedSystem::build_checked(&module, |_, _| Box::new(Sum(3)));
     let mut eager = SplicedSystem::build_checked(&module, |_, _| Box::new(Sum(3)));
-    eager.sim_mut().set_eager(true);
+    eager.sim_mut().set_backend(Backend::Eager);
 
     for sys in [&mut gated, &mut eager] {
         let out = sys.call("add", &CallArgs::scalars(&[4, 5])).unwrap();
