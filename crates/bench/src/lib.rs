@@ -6,8 +6,6 @@
 
 use std::fmt::Write as _;
 
-pub mod compare;
-
 /// Escape a string for embedding in a JSON document (the workspace-shared
 /// implementation from `splice-obs`, re-exported for the bench bins).
 pub use splice_obs::json::escape as json_escape;
@@ -59,22 +57,6 @@ pub fn json_rows(name: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     }
     out.push_str("]}");
     out
-}
-
-/// Minimal wall-clock micro-benchmark: warm up, then time `iters`
-/// invocations and print mean ns/iter. Used by the `benches/` harnesses
-/// (`harness = false`) in place of an external benchmarking framework.
-pub fn time_case<R>(label: &str, iters: u32, mut f: impl FnMut() -> R) {
-    for _ in 0..iters.div_ceil(10) {
-        std::hint::black_box(f());
-    }
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    let total = start.elapsed();
-    let per = total.as_nanos() / u128::from(iters.max(1));
-    println!("{label:<44} {per:>12} ns/iter   ({iters} iters, {total:.2?} total)");
 }
 
 /// Write the JSON record next to the binary's working directory when the

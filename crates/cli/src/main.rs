@@ -143,8 +143,8 @@ TIMING OPTIONS (timing mode):
 PROFILE OPTIONS (profile mode):
       --calls <n>       workload rounds (one driver call per function each
                         round; default 1)
-      --backend <b>     as in check mode; note the per-component profiler
-                        forces compiled down to the gated interpreter
+      --backend <b>     as in check mode; the profiler times every tick
+                        under the selected backend, compiled included
 
 Lint rule codes are catalogued in docs/lint.md; the model-checking
 properties (SL04xx) in docs/model-checking.md; tracing and profiling in
@@ -231,12 +231,17 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         }
         _ => args,
     };
-    let num = |it: &mut std::slice::Iter<String>, opt: &str| -> Result<u64, String> {
+    // Each option parses straight into its field's type, so an
+    // out-of-range value is a usage error rather than a silent wrap.
+    fn num<T: std::str::FromStr<Err = std::num::ParseIntError>>(
+        it: &mut std::slice::Iter<String>,
+        opt: &str,
+    ) -> Result<T, String> {
         it.next()
             .ok_or_else(|| format!("{opt} needs a numeric argument"))?
-            .parse::<u64>()
+            .parse::<T>()
             .map_err(|e| format!("{opt}: {e}"))
-    };
+    }
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -270,13 +275,13 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                     )),
                 };
             }
-            "--bound" => check_opts.response_bound = num(&mut it, "--bound")? as u32,
-            "--max-states" => check_opts.max_states = num(&mut it, "--max-states")? as usize,
-            "--max-depth" => check_opts.max_depth = num(&mut it, "--max-depth")? as u32,
+            "--bound" => check_opts.response_bound = num(&mut it, "--bound")?,
+            "--max-states" => check_opts.max_states = num(&mut it, "--max-states")?,
+            "--max-depth" => check_opts.max_depth = num(&mut it, "--max-depth")?,
             "--deny-warnings" => deny_warnings = true,
             "--json" => json = true,
-            "--calls" => calls = num(&mut it, "--calls")?.max(1),
-            "--top" => top_paths = num(&mut it, "--top")? as usize,
+            "--calls" => calls = num::<u64>(&mut it, "--calls")?.max(1),
+            "--top" => top_paths = num(&mut it, "--top")?,
             "-h" | "--help" => {
                 print!("{USAGE}");
                 return Ok(None);

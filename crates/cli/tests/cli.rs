@@ -288,6 +288,11 @@ fn exit_codes_are_pinned() {
     assert_eq!(out.status.code(), Some(2), "unreadable input must exit 2");
     let out = splice_bin().args(["serve", "--no-such-flag", "x"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2), "unknown serve flag must exit 2");
+    // 2: a u32 budget past its range is rejected, not wrapped to 0.
+    for flag in ["--bound", "--max-depth"] {
+        let out = splice_bin().args(["check", flag, "4294967296"]).arg(&good).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "out-of-range {flag} must exit 2");
+    }
 
     // 3: internal failure — output dir collides with a regular file.
     let blocker = dir.join("blocked");

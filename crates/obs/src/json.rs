@@ -6,9 +6,9 @@
 //! them carried its own private escape routine — this module is the single
 //! shared implementation: [`escape`]/[`push_escaped`] plus [`quote`] for
 //! writers, a comma-tracking [`JsonWriter`] for structured emitters, and a
-//! small recursive-descent [`JsonValue`] parser so tools (the perf
-//! regression gate, trace validators) can *read* the documents the
-//! workspace writes without external dependencies.
+//! small recursive-descent [`JsonValue`] parser so tools (the daemon's
+//! wire protocol, trace validators, the benchmark) can *read* the
+//! documents the workspace writes without external dependencies.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

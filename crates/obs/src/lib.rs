@@ -7,8 +7,7 @@
 //!   wall-clock durations, simulated-cycle windows, and key/value
 //!   attributes; thread-local, zero-overhead while disabled. The
 //!   generation pipeline (parse → elaborate → hdlgen → lint → check →
-//!   drivergen), the model checker's exploration, and the benchmark
-//!   harness all report through it.
+//!   drivergen) and the model checker's exploration report through it.
 //! * [`chrome`] — export of span trees and simulation-kernel component
 //!   lanes as Chrome trace-event JSON, loadable in Perfetto or
 //!   `chrome://tracing`.

@@ -121,8 +121,8 @@ impl Histogram {
     /// the cumulative counts to the bucket holding the `q`-th sample and
     /// returns that bucket's floor, clamped into `[min, max]` so the tails
     /// stay exact. Resolution is therefore one power of two — good enough
-    /// for p50/p99 latency reporting, which is what the serve daemon and
-    /// the bench harness use it for. Returns 0 when empty.
+    /// for p50/p99 latency reporting, which is what the serve daemon's
+    /// status document uses it for. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;

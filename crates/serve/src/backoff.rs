@@ -8,7 +8,7 @@
 //! slot) decorrelates the slots so they do not thundering-herd back, and
 //! the first *successfully completed job* resets the series.
 
-use splice_testutil::Rng;
+use crate::rng::Rng;
 use std::time::Duration;
 
 /// Restart-delay series: `base * 2^n + jitter`, capped.

@@ -6,9 +6,9 @@
 //! ```
 //!
 //! The `splice` CLI's `serve` subcommand drives the same library; this
-//! binary exists so the integration tests and the bench harness have a
-//! self-contained executable (`CARGO_BIN_EXE_splice-serve`) whose
-//! re-exec'd workers are itself.
+//! binary exists so the integration tests have a self-contained
+//! executable (`CARGO_BIN_EXE_splice-serve`) whose re-exec'd workers are
+//! itself.
 
 use splice_serve::supervisor::ServeConfig;
 use splice_serve::{apply_config_flag, default_socket_path, run_worker, serve};

@@ -25,7 +25,7 @@
 //! worker re-draws on the next, so random faults do not pin a spec down
 //! the way `bomb:` does.
 
-use splice_testutil::Rng;
+use crate::rng::Rng;
 
 /// Parsed `SPLICE_FAULT` plan.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -104,7 +104,7 @@ impl FaultPlan {
 
     /// Decide the fate of one job. Advances `rng` a fixed number of draws
     /// regardless of outcome so fault streams stay aligned across plans.
-    pub fn decide(&self, rng: &mut Rng, spec: &str) -> FaultAction {
+    pub(crate) fn decide(&self, rng: &mut Rng, spec: &str) -> FaultAction {
         let crash_draw = rng.unit_f64();
         let hang_draw = rng.unit_f64();
         let slow_draw = rng.unit_f64();

@@ -34,6 +34,7 @@ pub mod client;
 pub mod fault;
 pub mod hash;
 pub mod protocol;
+mod rng;
 pub mod server;
 pub mod supervisor;
 pub mod worker;

@@ -17,9 +17,9 @@ use crate::hash::fnv64_update;
 use crate::protocol::{
     read_frame, write_frame, FrameError, JobMsg, JobOptions, JobVerdict, WorkerMsg,
 };
+use crate::rng::Rng;
 use splice::pipeline::{run_pipeline, PipelineError, PipelineOptions};
 use splice_check::CheckOptions;
-use splice_testutil::Rng;
 use std::io::{self, Write};
 use std::time::Duration;
 
