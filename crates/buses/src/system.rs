@@ -10,12 +10,13 @@ use crate::generic::{ApbAdapter, ApbMaster, ApbSignals, PseudoAsyncSystem};
 use crate::plb::PlbCpuMaster;
 use crate::timing::BusTiming;
 use splice_core::elaborate::elaborate;
-use splice_core::ir::DesignIr;
+use splice_core::ir::{sis_mode_for, DesignIr};
 use splice_core::simbuild::{build_peripheral, CalcLogic};
 use splice_driver::lower::{lower_call, LowerError};
 use splice_driver::program::{BusOp, CallArgs};
 use splice_sim::{SimError, Simulator, SimulatorBuilder, Word};
 use splice_sis::checker::SisChecker;
+use splice_sis::SisBus;
 use splice_spec::bus::SyncClass;
 use splice_spec::validate::ModuleSpec;
 use std::fmt;
@@ -104,17 +105,17 @@ impl SplicedSystem {
         calc_factory: impl FnMut(&str, u32) -> Box<dyn CalcLogic>,
         extra_stall: u32,
     ) -> Self {
-        Self::build_full(module, calc_factory, extra_stall, |_| {})
+        Self::build_full(module, calc_factory, extra_stall, |_, _| {})
     }
 
-    /// Full-control build: `extra` may add device-internal components
-    /// (free-running counters, monitors, ...) to the simulation before it
-    /// is sealed.
+    /// Full-control build: `extra` gets the builder and the peripheral's
+    /// [`SisBus`], and may add device-internal components (free-running
+    /// counters, SIS monitors, ...) before the simulation is sealed.
     pub fn build_full(
         module: &ModuleSpec,
         calc_factory: impl FnMut(&str, u32) -> Box<dyn CalcLogic>,
         extra_stall: u32,
-        extra: impl FnOnce(&mut SimulatorBuilder),
+        extra: impl FnOnce(&mut SimulatorBuilder, SisBus),
     ) -> Self {
         let ir: DesignIr = elaborate(module);
         let p = &module.params;
@@ -157,7 +158,7 @@ impl SplicedSystem {
             }
         };
 
-        extra(&mut b);
+        extra(&mut b, handles.bus);
         SplicedSystem {
             sim: b.build(),
             module: module.clone(),
@@ -176,61 +177,12 @@ impl SplicedSystem {
         module: &ModuleSpec,
         calc_factory: impl FnMut(&str, u32) -> Box<dyn CalcLogic>,
     ) -> Self {
-        let ir: DesignIr = elaborate(module);
-        let mode = ir.sis_mode;
-        let mut checker_slot = None;
-        let mut sys = {
-            let checker_ref = &mut checker_slot;
-            // Rebuild through build_full, arming the checker in the extra
-            // hook is impossible (it has no SIS handle), so build manually:
-            let p = &module.params;
-            let timing = BusTiming::for_bus(p.bus.kind);
-            let mut b = SimulatorBuilder::new();
-            let handles = build_peripheral(&mut b, &ir, "sis.", calc_factory);
-            *checker_ref = Some(b.component(Box::new(SisChecker::new(handles.bus, mode))));
-            let (master_idx, kind) = match p.bus.sync {
-                SyncClass::StrictlySynchronous => {
-                    let sig = ApbSignals::declare(&mut b, "apb.", p.bus_width);
-                    b.component(Box::new(ApbAdapter::new(
-                        sig,
-                        handles.bus,
-                        p.base_address,
-                        p.bus_width,
-                    )));
-                    let mut master = ApbMaster::new(sig, timing, Vec::new());
-                    if let (Some(v), Some(a)) = (handles.irq_vector, handles.irq_ack) {
-                        master = master.with_irq(v, a);
-                    }
-                    (b.component(Box::new(master)), MasterKind::Apb)
-                }
-                SyncClass::PseudoAsynchronous => {
-                    let sys = PseudoAsyncSystem::attach(
-                        &mut b,
-                        "native.",
-                        handles.bus,
-                        p.bus_width,
-                        p.base_address,
-                        p.bus.bridge_latency,
-                        p.bus.opcode_coupled,
-                    );
-                    let mut master = sys.master(timing, Vec::new());
-                    if let (Some(v), Some(a)) = (handles.irq_vector, handles.irq_ack) {
-                        master = master.with_irq(v, a);
-                    }
-                    (b.component(Box::new(master)), MasterKind::PlbLike)
-                }
-            };
-            SplicedSystem {
-                sim: b.build(),
-                module: module.clone(),
-                master_idx,
-                kind,
-                stub_components: handles.stub_components,
-                checker: None,
-                call_budget: 5_000_000,
-            }
-        };
-        sys.checker = checker_slot;
+        let mode = sis_mode_for(module.params.bus.sync);
+        let mut checker = None;
+        let mut sys = Self::build_full(module, calc_factory, 0, |b, bus| {
+            checker = Some(b.component(Box::new(SisChecker::new(bus, mode))));
+        });
+        sys.checker = checker;
         sys
     }
 

@@ -23,7 +23,6 @@
 use crate::compile::CompiledDesign;
 use crate::tv::TWord;
 use splice_core::{BeatCount, FunctionStub, StubState};
-use splice_driver::lower::TransferShape;
 use splice_sis::SisMode;
 
 /// Resolved SIS pin positions of a compiled stub or arbiter module: input
@@ -91,14 +90,6 @@ pub enum Op {
     RoundEnd,
 }
 
-fn shape_beats(shape: TransferShape, elems: u64) -> u64 {
-    match shape {
-        TransferShape::Direct => elems,
-        TransferShape::Packed { per_beat } => elems.div_ceil(per_beat as u64),
-        TransferShape::Split { beats_per_elem } => elems * beats_per_elem as u64,
-    }
-}
-
 /// Derive the driver's transaction script for `stub`: `rounds` complete
 /// input→calc→output rounds. `bound_choice` is the element count written
 /// for every implicit-bound index parameter (and hence the beat count the
@@ -123,7 +114,7 @@ pub fn stub_script(
         .collect();
     let beats_of = |beats: &BeatCount| match beats {
         BeatCount::Static(n) => *n,
-        BeatCount::Dynamic { shape, .. } => shape_beats(*shape, bound_choice),
+        BeatCount::Dynamic { shape, .. } => shape.beats(bound_choice),
     };
     let mut ops = Vec::new();
     for _ in 0..rounds {
@@ -514,6 +505,7 @@ pub fn run_script(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use splice_driver::lower::TransferShape;
 
     fn stub(states: Vec<StubState>) -> FunctionStub {
         FunctionStub {

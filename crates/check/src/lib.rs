@@ -19,9 +19,9 @@
 //!   set closed.
 //!
 //! Every violation comes with a concrete input trace. When
-//! [`CheckOptions::replay`] is set the trace is replayed against the
-//! event-driven `splice-sim` kernel and the [`Counterexample`] is marked
-//! confirmed only if the violation reproduces dynamically.
+//! [`CheckOptions::replay`] is set the trace is replayed on the compiled
+//! two-state step tape ([`replay`]) and the [`Counterexample`] is marked
+//! confirmed only if the violation reproduces there.
 //!
 //! A second, orthogonal pass ([`driver_check`]) cross-checks the generated
 //! C driver text against the IR and the HDL address decode (SL0407–SL0410).
@@ -39,7 +39,6 @@ pub use splice_dataflow::tv;
 
 pub use compile::{CompileError, CompiledDesign};
 pub use driver_check::cross_check;
-pub use splice_sim::Backend;
 
 use explore::{BfsOutcome, BfsViolation, ExploreSpec, MutexGroup};
 use splice_core::{BeatCount, DesignIr, StubState};
@@ -59,20 +58,13 @@ pub struct CheckOptions {
     pub max_states: usize,
     /// Exploration horizon in steps past reset.
     pub max_depth: u32,
-    /// Replay every counterexample against `splice-sim`.
+    /// Replay every counterexample on the compiled two-state step tape.
     pub replay: bool,
     /// Run the dataflow constant-folding / dead-logic pre-pass before the
     /// exhaustive exploration. Sound (verdicts and reachable-state counts
     /// are unchanged); `--no-fold` exists as an escape hatch and as the
     /// parity baseline in CI.
     pub fold: bool,
-    /// Execution backend for counterexample replay. `Compiled` runs the
-    /// bit-packed two-state step tape instead of the interpreted
-    /// tree-walk (verdicts are identical by construction) and emits an
-    /// SL0508 audit warning for any register the ternary analysis proves
-    /// may still read as X after reset — the lowering pins such bits to
-    /// an arbitrary fill value.
-    pub backend: Backend,
     /// Polled at state-expansion and module boundaries: when it returns
     /// true (the CLI wires it to the SIGINT flag in
     /// `splice_obs::interrupt`), exploration stops where it is, the
@@ -89,7 +81,6 @@ impl Default for CheckOptions {
             max_depth: 64,
             replay: true,
             fold: true,
-            backend: Backend::Gated,
             stop: None,
         }
     }
@@ -159,7 +150,7 @@ pub struct Counterexample {
     pub trace: Vec<Vec<u64>>,
     /// The checkable claim the trace demonstrates.
     pub witness: Witness,
-    /// `Some(true)` once the violation reproduced in `splice-sim`,
+    /// `Some(true)` once the violation reproduced on the step tape,
     /// `Some(false)` if replay could not reproduce it, `None` before replay.
     pub confirmed: Option<bool>,
 }
@@ -690,63 +681,15 @@ pub fn check_modules(
         compiled.insert(arb_name, d);
     }
 
-    // Compiled-backend X audit: the two-state lowering pins any residual
-    // post-reset X to a fill bit, so surface exactly which registers that
-    // touches before anything executes on the tape.
-    if opts.backend == Backend::Compiled {
-        let mut names: Vec<&String> = compiled.keys().collect();
-        names.sort_unstable();
-        for name in names {
-            warn_two_state_lowering(name, &compiled[name], &mut report);
-        }
-    }
-
     if opts.replay {
         for cex in &mut cexs {
             if let Some(d) = compiled.get(&cex.module) {
-                cex.confirmed = Some(replay::confirm(d, cex, opts.backend));
+                cex.confirmed = Some(replay::confirm(d, cex));
             }
         }
     }
 
     Ok(CheckOutcome { report, counterexamples: cexs, stats })
-}
-
-/// SL0508: audit a module about to execute on the compiled two-state
-/// backend. Any register the ternary analysis proves may still read as X
-/// after the checker's reset phase (the SL0505 condition) is pinned by the
-/// lowering to an arbitrary fill pattern, so its two-state behaviour is
-/// one possible universe rather than the whole ternary envelope.
-fn warn_two_state_lowering(name: &str, d: &CompiledDesign, report: &mut LintReport) {
-    let Ok(pins) = env::resolve_pins(d) else { return };
-    let cfg = AnalysisConfig {
-        reset: Some(ResetPhase { slot: pins.rst, steps: 2 }),
-        ..AnalysisConfig::default()
-    };
-    let analysis = analyze(d, &cfg);
-    let facts = FactTable::build(d, &analysis, &[]);
-    for &id in &d.registers {
-        let xmask = facts.signals[id].xmask;
-        if xmask != 0 {
-            report.push(
-                Diagnostic::warning(
-                    "SL0508",
-                    Layer::Hdl,
-                    Location::signal(name, &d.signals[id].name),
-                    format!(
-                        "register `{}` may still read as X after reset (bit mask {xmask:#x}); \
-                         the compiled two-state backend fixes these bits to an arbitrary \
-                         fill value at power-on",
-                        d.signals[id].name
-                    ),
-                )
-                .suggest(
-                    "add a reset assignment or an initial value so every backend sees the \
-                     same concrete power-up state",
-                ),
-            );
-        }
-    }
 }
 
 /// Check specification text end to end: parse, validate, elaborate,

@@ -59,8 +59,10 @@ use splice_core::api::BusLibraryRegistry;
 use splice_driver::program::CallValue;
 use splice_obs::trace;
 use splice_resources::design_cost;
+use splice_sim::Backend;
 use splice_spec::validate::{IoBound, ValidatedFunction};
 use std::io::{BufRead, Write};
+use std::num::{NonZeroU32, NonZeroUsize};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -78,6 +80,8 @@ struct Options {
     profile_only: bool,
     check: bool,
     check_opts: splice_check::CheckOptions,
+    /// Kernel scheduling for `splice profile`.
+    backend: Backend,
     deny_warnings: bool,
     json: bool,
     trace_out: Option<PathBuf>,
@@ -125,14 +129,12 @@ OPTIONS:
 CHECK OPTIONS (check mode / --check):
       --bound <n>       handshake response bound in steps (default 16)
       --max-states <n>  distinct-state budget per exploration (default 50000)
-      --max-depth <n>   exploration horizon past reset (default 64)
-      --no-replay       skip replaying counterexamples against splice-sim
+      --max-depth <n>   exploration horizon past reset (default 64); the
+                        three budgets must be at least 1
+      --no-replay       skip replaying each counterexample on the generated
+                        HDL's two-state step tape
       --no-fold         skip the dataflow constant-folding pre-pass before
                         exploration (escape hatch; verdicts are identical)
-      --backend <b>     simulation backend: gated (default), eager, or
-                        compiled — the bit-packed two-state step tape. All
-                        three produce identical verdicts; compiled also
-                        audits X-to-fill lowering (SL0508)
 
 TIMING OPTIONS (timing mode):
       --top <n>         critical paths reported per module (default 3);
@@ -143,8 +145,8 @@ TIMING OPTIONS (timing mode):
 PROFILE OPTIONS (profile mode):
       --calls <n>       workload rounds (one driver call per function each
                         round; default 1)
-      --backend <b>     as in check mode; the profiler times every tick
-                        under the selected backend, compiled included
+      --backend <b>     kernel scheduling: gated (default) or eager; the
+                        profiler times every tick under the selected one
 
 Lint rule codes are catalogued in docs/lint.md; the model-checking
 properties (SL04xx) in docs/model-checking.md; tracing and profiling in
@@ -205,6 +207,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut profile_only = false;
     let mut check = false;
     let mut check_opts = splice_check::CheckOptions::default();
+    let mut backend = Backend::Gated;
     let mut deny_warnings = false;
     let mut json = false;
     let mut trace_out = None;
@@ -232,7 +235,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         _ => args,
     };
     // Each option parses straight into its field's type, so an
-    // out-of-range value is a usage error rather than a silent wrap.
+    // out-of-range value is a usage error rather than a silent wrap; the
+    // checker budgets parse as non-zero types, so a zero budget is one too.
     fn num<T: std::str::FromStr<Err = std::num::ParseIntError>>(
         it: &mut std::slice::Iter<String>,
         opt: &str,
@@ -249,17 +253,11 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--check" => check = true,
             "--no-replay" => check_opts.replay = false,
             "--no-fold" => check_opts.fold = false,
-            "--backend" => {
-                let b = it.next().ok_or("--backend needs one of eager|gated|compiled")?;
-                check_opts.backend = match b.as_str() {
-                    "eager" => splice_check::Backend::Eager,
-                    "gated" => splice_check::Backend::Gated,
-                    "compiled" => splice_check::Backend::Compiled,
-                    other => {
-                        return Err(format!(
-                            "unknown backend `{other}` (expected eager, gated, or compiled)"
-                        ));
-                    }
+            "--backend" if profile_only => {
+                backend = match it.next().map(String::as_str) {
+                    Some("eager") => Backend::Eager,
+                    Some("gated") => Backend::Gated,
+                    _ => return Err("--backend needs one of eager|gated".into()),
                 };
             }
             "--explain" => {
@@ -275,9 +273,13 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                     )),
                 };
             }
-            "--bound" => check_opts.response_bound = num(&mut it, "--bound")?,
-            "--max-states" => check_opts.max_states = num(&mut it, "--max-states")?,
-            "--max-depth" => check_opts.max_depth = num(&mut it, "--max-depth")?,
+            "--bound" => check_opts.response_bound = num::<NonZeroU32>(&mut it, "--bound")?.get(),
+            "--max-states" => {
+                check_opts.max_states = num::<NonZeroUsize>(&mut it, "--max-states")?.get();
+            }
+            "--max-depth" => {
+                check_opts.max_depth = num::<NonZeroU32>(&mut it, "--max-depth")?.get();
+            }
             "--deny-warnings" => deny_warnings = true,
             "--json" => json = true,
             "--calls" => calls = num::<u64>(&mut it, "--calls")?.max(1),
@@ -335,6 +337,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         profile_only,
         check,
         check_opts,
+        backend,
         deny_warnings,
         json,
         trace_out,
@@ -657,9 +660,7 @@ fn run_profile(source: &str, spec_path: &str, opts: &Options) -> Result<ExitCode
 
     let _workload = trace::span("workload");
     let mut sys = SplicedSystem::build(module, |_, _| Box::new(DefaultCalc));
-    // The backend flag is shared with check mode; the profiler times each
-    // tick under whichever backend it selects.
-    sys.sim_mut().set_backend(opts.check_opts.backend);
+    sys.sim_mut().set_backend(opts.backend);
     sys.sim_mut().enable_profiler();
 
     let irq = module.params.irq;
@@ -739,52 +740,23 @@ fn write_file(path: &Path, text: &str) -> Result<(), CliError> {
 }
 
 /// `splice serve …`: run the generation daemon (or, with the hidden
-/// `--worker` flag, the worker loop the daemon re-execs). All supervision
-/// flags are shared with the standalone `splice-serve` binary.
+/// `--worker` flag, the worker loop the daemon re-execs). The flags are
+/// parsed by `splice-serve`, shared with its standalone binary.
 fn run_serve(args: &[String]) -> Result<ExitCode, CliError> {
     if args.first().map(String::as_str) == Some("--worker") {
         return Ok(ExitCode::from(splice_serve::run_worker() as u8));
     }
-    let mut config = splice_serve::ServeConfig::default();
-    let mut socket: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = &args[i];
-        if flag == "-h" || flag == "--help" {
-            println!(
-                "usage: splice serve --socket PATH [--workers N] [--queue-cap N] \
-                 [--per-client N] [--deadline-ms N] [--max-attempts N] \
-                 [--breaker-threshold N] [--breaker-cooldown-ms N] \
-                 [--backoff-base-ms N] [--backoff-cap-ms N] [--cache-cap N] [--seed N]"
-            );
-            return Ok(ExitCode::SUCCESS);
-        }
-        let Some(value) = args.get(i + 1) else {
-            return Err(CliError::Usage(format!("serve: flag `{flag}` needs a value")));
-        };
-        if flag == "--socket" {
-            socket = Some(value.clone());
-        } else {
-            match splice_serve::apply_config_flag(&mut config, flag, value) {
-                Ok(true) => {}
-                Ok(false) => {
-                    return Err(CliError::Usage(format!("serve: unknown flag `{flag}`")));
-                }
-                Err(e) => return Err(CliError::Usage(format!("serve: {e}"))),
-            }
-        }
-        i += 2;
-    }
+    let Some((socket, mut config)) = splice_serve::parse_args(args).map_err(|e| {
+        CliError::Usage(format!("serve: {e}\nusage: splice serve {}", splice_serve::USAGE))
+    })?
+    else {
+        println!("usage: splice serve {}", splice_serve::USAGE);
+        return Ok(ExitCode::SUCCESS);
+    };
     // Workers are this same binary re-exec'd in worker mode.
     let exe = std::env::current_exe()
         .map_err(|e| CliError::Internal(format!("cannot locate own binary: {e}")))?;
     config.worker_cmd = vec![exe.to_string_lossy().into_owned(), "serve".into(), "--worker".into()];
-    match splice_serve::fault::FaultPlan::from_env() {
-        Ok(Some(_)) => config.fault = std::env::var("SPLICE_FAULT").ok(),
-        Ok(None) => {}
-        Err(e) => return Err(CliError::Usage(format!("bad SPLICE_FAULT: {e}"))),
-    }
-    let socket = socket.unwrap_or_else(splice_serve::default_socket_path);
     splice_serve::serve(&socket, config).map_err(|e| CliError::Internal(format!("serve: {e}")))?;
     Ok(ExitCode::SUCCESS)
 }

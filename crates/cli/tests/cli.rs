@@ -270,6 +270,11 @@ fn exit_codes_are_pinned() {
     // 0: clean generation.
     let out = splice_bin().arg("-n").arg("-o").arg(&dir).arg(&good).output().unwrap();
     assert_eq!(out.status.code(), Some(0), "clean run must exit 0");
+    // 0: profiling under either kernel schedule.
+    for backend in ["eager", "gated"] {
+        let out = splice_bin().args(["profile", "--backend", backend]).arg(&good).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "profile --backend {backend} must exit 0");
+    }
 
     // 1: spec diagnostics denied (lint error aborts generation).
     let out = splice_bin().arg("-o").arg(&dir).arg("--force").arg(&dirty).output().unwrap();
@@ -292,6 +297,18 @@ fn exit_codes_are_pinned() {
     for flag in ["--bound", "--max-depth"] {
         let out = splice_bin().args(["check", flag, "4294967296"]).arg(&good).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "out-of-range {flag} must exit 2");
+    }
+    // 2: a zero checker budget would give a vacuous or false verdict, the
+    // checker has no backend to select, and profiling has no compiled one.
+    for args in [
+        ["check", "--bound", "0"],
+        ["check", "--max-depth", "0"],
+        ["check", "--max-states", "0"],
+        ["check", "--backend", "compiled"],
+        ["profile", "--backend", "compiled"],
+    ] {
+        let out = splice_bin().args(args).arg(&good).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
     }
 
     // 3: internal failure — output dir collides with a regular file.

@@ -193,14 +193,14 @@ impl GeneratedStub {
                 BeatCount::Static(n) => *n,
                 BeatCount::Dynamic { shape, .. } => {
                     let elems = self.elems_for(self.io_of(*io));
-                    shape_beats(*shape, elems)
+                    shape.beats(elems)
                 }
             },
             StubState::Output { beats, .. } => match beats {
                 BeatCount::Static(n) => *n,
                 BeatCount::Dynamic { shape, .. } => {
                     let out = self.func.output.as_ref().expect("output");
-                    shape_beats(*shape, self.elems_for(out))
+                    shape.beats(self.elems_for(out))
                 }
             },
             StubState::PseudoOutput => 1,
@@ -290,14 +290,6 @@ impl GeneratedStub {
     pub fn with_irq(mut self, line: SignalId) -> Self {
         self.irq_line = Some(line);
         self
-    }
-}
-
-fn shape_beats(shape: TransferShape, elems: u64) -> u64 {
-    match shape {
-        TransferShape::Direct => elems,
-        TransferShape::Packed { per_beat } => elems.div_ceil(per_beat as u64),
-        TransferShape::Split { beats_per_elem } => elems * beats_per_elem as u64,
     }
 }
 

@@ -16,10 +16,10 @@
 //! the SL05xx lint rules in `splice-lint` and by the [`mod@fold`] pre-pass
 //! that shrinks the transition relation before model checking.
 //!
-//! A third domain backs the compiled simulation backend: [`lower`] fixes
-//! every X to a concrete fill bit ([`lower::TwoState`]) and compiles the
-//! design into a bit-packed straight-line step function
-//! ([`lower::StepFn`]) for fast concrete replay and benchmarking.
+//! A third domain backs concrete execution: [`lower`] fixes every X to a
+//! concrete fill bit ([`lower::TwoState`]) and compiles the design into a
+//! bit-packed straight-line step function ([`lower::StepFn`]), on which
+//! the model checker replays its counterexamples.
 
 pub mod domain;
 pub mod engine;

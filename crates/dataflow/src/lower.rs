@@ -1,8 +1,9 @@
-//! The compiled two-state simulation backend: lower a flattened
-//! [`CompiledDesign`] into a bit-packed straight-line *step function*.
+//! The compiled two-state step tape: lower a flattened [`CompiledDesign`]
+//! into a bit-packed straight-line *step function*. `splice check` replays
+//! every counterexample on it.
 //!
-//! The model checker and the replay engine interpret the design tree over
-//! ternary [`TWord`](crate::tv::TWord)s. That is the right tool for exploring unknowns, but
+//! The model checker interprets the design tree over ternary
+//! [`TWord`](crate::tv::TWord)s. That is the right tool for exploring unknowns, but
 //! it is slow for long concrete runs: every statement walks boxed
 //! expression trees and dispatches on its kind, and every write goes
 //! through a pending-write table. This module trades the ternary domain
@@ -40,8 +41,8 @@
 //! [`CompiledDesign::step_values`]/[`eval_values`] over `TwoState`.
 //! Registers that may still hold X in reachable post-reset states
 //! (`SignalFacts::xmask`, the SL0505 condition) are the ones whose lowered
-//! value is *arbitrary* — `splice check --backend compiled` reports them
-//! as SL0508.
+//! value is *arbitrary*: lint reports them as SL0505, and counterexample
+//! replay runs both fills to tell a real X from one reset masks.
 //!
 //! [`eval_values`]: CompiledDesign::eval_values
 

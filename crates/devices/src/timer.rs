@@ -250,7 +250,7 @@ impl TimerDevice {
                 Box::new(TimerFunctionCalc { op, core: Rc::clone(&core_for_funcs) })
             },
             0,
-            move |b| {
+            move |b, _| {
                 b.component(Box::new(TimerTicker { core: core_for_ticker }));
             },
         );

@@ -72,6 +72,17 @@ pub enum TransferShape {
     Split { beats_per_elem: u32 },
 }
 
+impl TransferShape {
+    /// Beats needed to move `elems` elements in this shape.
+    pub fn beats(self, elems: u64) -> u64 {
+        match self {
+            TransferShape::Direct => elems,
+            TransferShape::Packed { per_beat } => elems.div_ceil(per_beat as u64),
+            TransferShape::Split { beats_per_elem } => elems * beats_per_elem as u64,
+        }
+    }
+}
+
 /// Determine how `io` moves over a `bus_width`-bit bus.
 pub fn transfer_shape(io: &ValidatedIo, bus_width: u32) -> TransferShape {
     let bits = io.ty.bits.max(1);
@@ -86,11 +97,7 @@ pub fn transfer_shape(io: &ValidatedIo, bus_width: u32) -> TransferShape {
 
 /// Beats needed to move `elems` elements of `io`.
 pub fn beats_for(io: &ValidatedIo, bus_width: u32, elems: u64) -> u64 {
-    match transfer_shape(io, bus_width) {
-        TransferShape::Direct => elems,
-        TransferShape::Packed { per_beat } => elems.div_ceil(per_beat as u64),
-        TransferShape::Split { beats_per_elem } => elems * beats_per_elem as u64,
-    }
+    transfer_shape(io, bus_width).beats(elems)
 }
 
 /// Encode `elems` as bus beats per `io`'s transfer shape.

@@ -41,7 +41,7 @@ pub use diag::{Diagnostic, Layer, LintReport, Location, Severity};
 pub use hdl_rules::lint_modules;
 pub use ir_rules::lint_ir;
 pub use spec_rules::lint_spec;
-pub use timing_rules::{lint_estimate, lint_timing, TimingLimits};
+pub use timing_rules::{lint_estimate, lint_timing};
 
 use splice_core::hdlgen::design_modules;
 use splice_core::DesignIr;
@@ -99,7 +99,6 @@ pub const CODES: &[(&str, &str)] = &[
     ("SL0505", "register may still hold X in a reachable post-reset state"),
     ("SL0506", "logic cone has no path to an output or checked property"),
     ("SL0507", "register is only ever assigned its own value"),
-    ("SL0508", "compiled two-state backend pins a possibly-X register to a fill value"),
     ("SL0600", "critical path exceeds the logic-depth budget"),
     ("SL0601", "net fans out to more nodes than the budget allows"),
     ("SL0602", "output is driven from an input with no register on the path"),

@@ -22,41 +22,28 @@ use splice_hdl::Module;
 use splice_resources::{design_cost, netlist_cost, pct_str, Resources};
 use std::collections::HashMap;
 
-/// Budgets for the structural timing rules. The defaults are calibrated
-/// against the generated example designs (deepest endpoint: 6 levels;
-/// busiest non-input net: 2 readers; netlist/estimate slice ratio:
-/// 1.2–2.4×) with roughly 2× headroom, so a clean generator stays clean
-/// and a structural regression trips the gate.
-#[derive(Debug, Clone, Copy)]
-pub struct TimingLimits {
-    /// SL0600: maximum allowed endpoint depth in unit-delay levels.
-    pub max_depth: u32,
-    /// SL0601: maximum allowed fan-out of a non-input net.
-    pub max_fanout: u32,
-    /// SL0604: maximum allowed slice-count ratio (larger ÷ smaller)
-    /// between the netlist-grade bill and the IR estimate.
-    pub estimate_tolerance: f64,
-}
+// Budgets for the structural timing rules, calibrated against the
+// generated example designs (deepest endpoint: 6 levels; busiest
+// non-input net: 2 readers; netlist/estimate slice ratio: 1.2–2.4×) with
+// roughly 2× headroom, so a clean generator stays clean and a structural
+// regression trips the gate.
 
-impl Default for TimingLimits {
-    fn default() -> Self {
-        TimingLimits { max_depth: 12, max_fanout: 8, estimate_tolerance: 4.0 }
-    }
-}
+/// SL0600: maximum allowed endpoint depth in unit-delay levels.
+pub const MAX_DEPTH: u32 = 12;
+/// SL0601: maximum allowed fan-out of a non-input net.
+pub const MAX_FANOUT: u32 = 8;
+/// SL0604: maximum allowed slice-count ratio (larger ÷ smaller) between
+/// the netlist-grade bill and the IR estimate.
+pub const ESTIMATE_TOLERANCE: f64 = 4.0;
 
 /// Run the structural timing rules (`SL0600`–`SL0603`) over a set of
-/// modules that are emitted together, under the default budgets.
+/// modules that are emitted together.
 pub fn lint_timing(modules: &[Module], report: &mut LintReport) {
-    lint_timing_with(modules, &TimingLimits::default(), report);
-}
-
-/// [`lint_timing`] with explicit budgets.
-pub fn lint_timing_with(modules: &[Module], limits: &TimingLimits, report: &mut LintReport) {
     for m in modules {
         // Compile failures are already reported as SL0500 by the dataflow
         // pass; structure cannot be measured without a netlist.
         if let Ok(d) = CompiledDesign::compile(modules, &m.name) {
-            lint_timing_design(&d, limits, report);
+            lint_timing_design(&d, report);
         }
     }
 }
@@ -66,7 +53,7 @@ fn render_path(d: &CompiledDesign, t: &Timing, e: &splice_dataflow::Endpoint) ->
     t.path(e).iter().map(|&s| d.signals[s].name.as_str()).collect::<Vec<_>>().join(" -> ")
 }
 
-fn lint_timing_design(d: &CompiledDesign, limits: &TimingLimits, report: &mut LintReport) {
+fn lint_timing_design(d: &CompiledDesign, report: &mut LintReport) {
     let module = d.name.as_str();
     let local = |id: usize| !d.signals[id].name.contains('.');
     let t = analyze_timing(d);
@@ -74,7 +61,7 @@ fn lint_timing_design(d: &CompiledDesign, limits: &TimingLimits, report: &mut Li
     // SL0600 — an endpoint (register D pin or output port) sits behind
     // more logic levels than the depth budget allows.
     for e in &t.endpoints {
-        if local(e.signal) && e.depth > limits.max_depth {
+        if local(e.signal) && e.depth > MAX_DEPTH {
             report.push(
                 Diagnostic::warning(
                     "SL0600",
@@ -84,7 +71,7 @@ fn lint_timing_design(d: &CompiledDesign, limits: &TimingLimits, report: &mut Li
                         "critical path into `{}` is {} levels deep (budget {}): {}",
                         d.signals[e.signal].name,
                         e.depth,
-                        limits.max_depth,
+                        MAX_DEPTH,
                         render_path(d, &t, e)
                     ),
                 )
@@ -99,7 +86,7 @@ fn lint_timing_design(d: &CompiledDesign, limits: &TimingLimits, report: &mut Li
     // Top-level input ports are exempt: the environment (clock enables,
     // reset, decoded selects) legitimately reaches everything.
     for (id, s) in d.signals.iter().enumerate() {
-        if local(id) && !matches!(s.kind, Kind::Input) && t.fanout[id] > limits.max_fanout {
+        if local(id) && !matches!(s.kind, Kind::Input) && t.fanout[id] > MAX_FANOUT {
             report.push(
                 Diagnostic::warning(
                     "SL0601",
@@ -107,7 +94,7 @@ fn lint_timing_design(d: &CompiledDesign, limits: &TimingLimits, report: &mut Li
                     Location::signal(module, &s.name),
                     format!(
                         "net `{}` fans out to {} nodes (budget {})",
-                        s.name, t.fanout[id], limits.max_fanout
+                        s.name, t.fanout[id], MAX_FANOUT
                     ),
                 )
                 .suggest("duplicate the driving logic or register the net before distribution"),
@@ -233,22 +220,12 @@ fn scan_width_blowup(
 }
 
 /// `SL0604` — cross-check the netlist-grade bill of the flattened design
-/// against the IR-heuristic estimate, under the default tolerance.
+/// against the IR-heuristic estimate.
 ///
 /// The comparison covers the arbiter and the function stubs — the logic
 /// that exists as module ASTs. The bus interface adapter is template text
 /// with no AST, so its estimate item is excluded from the baseline.
 pub fn lint_estimate(ir: &DesignIr, modules: &[Module], report: &mut LintReport) {
-    lint_estimate_with(ir, modules, &TimingLimits::default(), report);
-}
-
-/// [`lint_estimate`] with an explicit tolerance.
-pub fn lint_estimate_with(
-    ir: &DesignIr,
-    modules: &[Module],
-    limits: &TimingLimits,
-    report: &mut LintReport,
-) {
     let top = format!("user_{}", ir.module.params.device_name);
     let Ok(d) = CompiledDesign::compile(modules, &top) else {
         return; // SL0500 covers uncompilable designs.
@@ -267,7 +244,7 @@ pub fn lint_estimate_with(
     } else if a == 0.0 || b == 0.0 {
         true
     } else {
-        (a / b).max(b / a) > limits.estimate_tolerance
+        (a / b).max(b / a) > ESTIMATE_TOLERANCE
     };
     if diverged {
         report.push(
@@ -279,7 +256,7 @@ pub fn lint_estimate_with(
                     "netlist-grade bill for `{top}` ({actual}) diverges from the IR estimate \
                      ({estimate}) by {} — beyond the {}x tolerance",
                     pct_str(actual.pct_vs(&estimate)),
-                    limits.estimate_tolerance
+                    ESTIMATE_TOLERANCE
                 ),
             )
             .suggest("recalibrate the estimate model or investigate what the generator emits"),

@@ -41,6 +41,6 @@ pub mod worker;
 
 pub use client::Client;
 pub use protocol::{JobOptions, JobVerdict, Request, Response};
-pub use server::{apply_config_flag, default_socket_path, serve};
+pub use server::{parse_args, serve, USAGE};
 pub use supervisor::{JobOutcome, ServeConfig, Supervisor};
 pub use worker::run_worker;

@@ -13,6 +13,7 @@
 //! answered with a `protocol_error` response and a closed connection;
 //! the daemon itself never dies on client input.
 
+use crate::fault::FaultPlan;
 use crate::protocol::{read_frame, write_frame, FrameError, Request, Response};
 use crate::supervisor::{JobOutcome, ServeConfig, Supervisor};
 use splice_obs::interrupt;
@@ -174,9 +175,43 @@ fn send_response(writer: &Arc<Mutex<UnixStream>>, response: &Response) {
     let _ = write_frame(&mut *guard, &frame);
 }
 
+/// The daemon's flags, as both `splice serve` and `splice-serve` take
+/// them (the program name is the caller's to prepend).
+pub const USAGE: &str = "--socket PATH [--workers N] [--queue-cap N] [--per-client N] \
+[--deadline-ms N] [--max-attempts N] [--breaker-threshold N] [--breaker-cooldown-ms N] \
+[--backoff-base-ms N] [--backoff-cap-ms N] [--cache-cap N] [--seed N]";
+
+/// Parse a daemon command line (program name excluded) into the socket
+/// path and the pool configuration. Every flag takes one value; a
+/// `SPLICE_FAULT` plan in the environment is validated and handed to the
+/// workers. Returns `Ok(None)` when help was asked for, and an error
+/// naming the bad flag or value otherwise.
+pub fn parse_args(args: &[String]) -> Result<Option<(String, ServeConfig)>, String> {
+    let mut config = ServeConfig::default();
+    let mut socket = None;
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        if flag == "-h" || flag == "--help" {
+            return Ok(None);
+        }
+        let value = it.next().ok_or_else(|| format!("flag `{flag}` needs a value"))?;
+        if flag == "--socket" {
+            socket = Some(value.clone());
+        } else if !apply_config_flag(&mut config, flag, value)? {
+            return Err(format!("unknown flag `{flag}`"));
+        }
+    }
+    // The supervisor forwards the plan to workers explicitly; they never
+    // inherit it from the daemon's environment.
+    if FaultPlan::from_env().map_err(|e| format!("bad SPLICE_FAULT: {e}"))?.is_some() {
+        config.fault = std::env::var("SPLICE_FAULT").ok();
+    }
+    Ok(Some((socket.unwrap_or_else(default_socket_path), config)))
+}
+
 /// Default socket path: honor `SPLICE_SERVE_SOCKET`, else a per-uid name
 /// under the system temp directory.
-pub fn default_socket_path() -> String {
+fn default_socket_path() -> String {
     if let Ok(p) = std::env::var("SPLICE_SERVE_SOCKET") {
         if !p.trim().is_empty() {
             return p;
@@ -185,13 +220,9 @@ pub fn default_socket_path() -> String {
     std::env::temp_dir().join("splice-serve.sock").to_string_lossy().into_owned()
 }
 
-/// Convenience: options shared by all serve-related argument parsers.
-/// Returns an updated config or an error string naming the bad flag.
-pub fn apply_config_flag(
-    config: &mut ServeConfig,
-    flag: &str,
-    value: &str,
-) -> Result<bool, String> {
+/// Apply one tuning flag to `config`: `Ok(false)` when `flag` is not a
+/// tuning flag, an error naming the flag when its value does not parse.
+fn apply_config_flag(config: &mut ServeConfig, flag: &str, value: &str) -> Result<bool, String> {
     let parse_u64 =
         |v: &str| v.parse::<u64>().map_err(|e| format!("invalid value `{v}` for {flag}: {e}"));
     let parse_usize =

@@ -1,6 +1,5 @@
 //! The component trait and per-tick context.
 
-use crate::kernel::Backend;
 use crate::signal::{mask, SignalId, Word};
 use splice_obs::metrics::{Event, MetricsRegistry};
 
@@ -48,7 +47,6 @@ pub struct TickCtx<'a> {
     pub(crate) written: &'a mut Vec<u32>,
     pub(crate) component: u32,
     pub(crate) cycle: u64,
-    pub(crate) backend: Backend,
     pub(crate) conflict: &'a mut Option<(SignalId, u32, u32)>,
     pub(crate) metrics: &'a mut MetricsRegistry,
     /// This component's earliest pending timed wake (absolute cycle).
@@ -104,15 +102,6 @@ impl<'a> TickCtx<'a> {
     #[inline]
     pub fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    /// The execution [`Backend`] the simulator was set to. Components that
-    /// host a compiled HDL design dispatch on this: `Compiled` means "run
-    /// your bit-packed step tape", anything else means the interpreted
-    /// tree-walk. Plain behavioural components can ignore it.
-    #[inline]
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Ask the scheduler to tick this component again in `n` cycles (`n` is

@@ -12,17 +12,18 @@
 //! 3. **Detection**: deliberately corrupted designs (an uninitialized
 //!    state register, a dead acknowledge line, a disabled per-instance
 //!    FUNC_ID remap) each produce the right SL04xx finding with a
-//!    counterexample that **reproduces in the independent `splice-sim`
-//!    kernel**. Two of them pin every counterexample's trace and witness
+//!    counterexample that **reproduces on the independent two-state step
+//!    tape**. Two of them pin every counterexample's trace and witness
 //!    exactly, so a change of script or exploration order fails here too.
 //! 4. **Driver agreement**: for every bus backend the generated C driver
 //!    cross-checks clean against the generated HDL, and injected
 //!    driver/hardware mismatches are flagged.
-//! 5. **Tape parity on generated HDL**: the compiled step tape computes
-//!    the same signals and registers as the two-state tree-walk on every
-//!    module the examples generate, not only on random designs.
+//! 5. **Tape parity on generated HDL**: the compiled step tape that
+//!    replays counterexamples computes the same signals and registers as
+//!    the two-state tree-walk on every module the examples generate, not
+//!    only on random designs.
 
-use splice_check::{check_modules, check_source, cross_check, Backend, CheckOptions, Witness};
+use splice_check::{check_modules, check_source, cross_check, CheckOptions, Witness};
 use splice_core::elaborate::elaborate;
 use splice_core::hdlgen::design_modules;
 use splice_core::DesignIr;
@@ -202,68 +203,6 @@ fn fold_prepass_preserves_every_verdict() {
     }
 }
 
-/// Replaying counterexamples on the compiled two-state step tape must
-/// change nothing observable: exploration statistics, report, and every
-/// confirmed/unconfirmed verdict match the interpreted default backend
-/// exactly on every example spec. (All examples are SL0505-clean, so the
-/// compiled backend's SL0508 audit adds nothing to the report either.)
-#[test]
-fn compiled_backend_replay_preserves_every_verdict() {
-    for stem in ["apb_sensor", "dma_stream", "fir_filter", "hw_timer", "mac"] {
-        let spec = example_spec(stem);
-        let gated = check_source(&spec, &CheckOptions::default()).expect("check runs");
-        let compiled = check_source(
-            &spec,
-            &CheckOptions { backend: Backend::Compiled, ..CheckOptions::default() },
-        )
-        .expect("check runs");
-        assert_eq!(gated.stats, compiled.stats, "{stem}: backend perturbed exploration stats");
-        assert_eq!(gated.report, compiled.report, "{stem}: backend perturbed the verdict");
-        assert_eq!(
-            gated.counterexamples, compiled.counterexamples,
-            "{stem}: backend perturbed counterexamples"
-        );
-    }
-}
-
-/// The corrupted designs from the detection tests must confirm (or stay
-/// unconfirmed) identically when replay runs on the compiled tape, and
-/// the compiled backend's SL0508 audit must flag exactly the registers
-/// the ternary analysis proves can still read X after reset.
-#[test]
-fn compiled_backend_confirms_corrupted_designs_and_audits_x_lowering() {
-    let (ir, mut modules) = generated(&example_spec("mac"));
-    let stub = module_mut(&mut modules, "func_mac");
-    stub.decls.push(Decl::Signal { name: "shadow_mode".into(), width: 1, init: None });
-    stub.items.push(Item::Process(splice_hdl::ast::Process {
-        label: "shadow".into(),
-        clocked: true,
-        body: vec![Stmt::assign("shadow_mode", Expr::sig("shadow_mode"))],
-    }));
-
-    let opts = CheckOptions { backend: Backend::Compiled, ..CheckOptions::default() };
-    let out = check_modules(&ir, &modules, &opts).expect("check runs");
-    let cex = out
-        .counterexamples
-        .iter()
-        .find(|c| c.code == "SL0404")
-        .expect("an X counterexample is produced");
-    assert_eq!(cex.confirmed, Some(true), "X witness must reproduce on the compiled tape");
-    assert!(
-        out.report.has("SL0508"),
-        "lowering shadow_mode to two-state must be audited: {}",
-        out.render_text()
-    );
-    let audit = out.report.render_text();
-    assert!(audit.contains("shadow_mode"), "the audit names the pinned register: {audit}");
-
-    // The same design on the default backend gets no SL0508: the
-    // interpreted replay still reasons about the lowering only when the
-    // tape will actually execute.
-    let gated = check_modules(&ir, &modules, &CheckOptions::default()).expect("check runs");
-    assert!(!gated.report.has("SL0508"), "{}", gated.render_text());
-}
-
 /// 512 seeded stimulus rows in `d.inputs` slot order: two reset rows (RST
 /// high, everything else low), then RST low and every other input free.
 fn tape_stimulus(d: &CompiledDesign) -> Vec<Vec<u64>> {
@@ -286,10 +225,10 @@ fn tape_stimulus(d: &CompiledDesign) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// The compiled step tape is pinned against the two-state tree-walk on
-/// random designs (`crates/dataflow/tests/lower_parity.rs`), but clean
-/// examples produce no counterexamples, so checker replay never runs it on
-/// generated HDL. Here every `func_*` unit and `user_*` top of every
+/// Counterexample replay runs the compiled step tape, which is pinned
+/// against the two-state tree-walk on random designs
+/// (`crates/dataflow/tests/lower_parity.rs`). Clean examples produce no
+/// counterexamples, so here every `func_*` unit and `user_*` top of every
 /// example is lowered under both fills and driven with 512 seeded rows:
 /// after each eval the settled signals agree, after each step the
 /// registers do.
@@ -354,7 +293,7 @@ fn fold_prepass_shrinks_the_dma_arbiter_relation() {
 
 // ---------------------------------------------------------------------------
 // Corrupted designs: each defect is found AND its counterexample
-// reproduces in the independent simulator.
+// reproduces on the step tape.
 // ---------------------------------------------------------------------------
 
 /// A reset row and an idle row, in the generated modules' input order
@@ -402,7 +341,7 @@ fn unreset_register_yields_confirmed_x_counterexample() {
         "{:?}",
         cex.witness
     );
-    assert_eq!(cex.confirmed, Some(true), "X witness must reproduce in splice-sim");
+    assert_eq!(cex.confirmed, Some(true), "X witness must reproduce on the tape");
 
     // Every trace is pinned row by row: the first driver script that
     // observes the X, then the stub's and the arbiter's free BFS, which
@@ -467,7 +406,7 @@ fn dead_acknowledge_line_yields_confirmed_stall_counterexample() {
         "{:?}",
         cex.witness
     );
-    assert_eq!(cex.confirmed, Some(true), "the stall must reproduce in splice-sim");
+    assert_eq!(cex.confirmed, Some(true), "the stall must reproduce on the tape");
 }
 
 /// Reintroduce a historical generator defect: without the arbiter's
@@ -495,7 +434,7 @@ fn disabled_func_id_remap_yields_confirmed_mutex_counterexample() {
         "{:?}",
         cex.witness
     );
-    assert_eq!(cex.confirmed, Some(true), "the overlap must reproduce in splice-sim");
+    assert_eq!(cex.confirmed, Some(true), "the overlap must reproduce on the tape");
 
     // The only counterexample is the BFS edge out of the post-reset state
     // that first strobes a write to FUNC_ID 1, which both unremapped

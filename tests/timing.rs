@@ -16,7 +16,7 @@
 
 use splice::TimingReport;
 use splice_core::elaborate::elaborate;
-use splice_lint::TimingLimits;
+use splice_lint::timing_rules::{ESTIMATE_TOLERANCE, MAX_DEPTH};
 use std::path::{Path, PathBuf};
 
 fn repo_path(rel: &str) -> PathBuf {
@@ -89,7 +89,7 @@ fn example_depths_fit_the_default_budget() {
     // The SL0600 budget was calibrated against the generator's own output;
     // if a generator change deepens the logic past it, `--deny-warnings`
     // CI runs start failing, so pin the headroom explicitly.
-    let budget = TimingLimits::default().max_depth;
+    let budget = MAX_DEPTH;
     for (stem, source) in example_specs() {
         let report = report_for(&source);
         for m in &report.modules {
@@ -105,7 +105,7 @@ fn example_depths_fit_the_default_budget() {
 
 #[test]
 fn netlist_bill_tracks_ir_estimate_within_tolerance() {
-    let tolerance = TimingLimits::default().estimate_tolerance;
+    let tolerance = ESTIMATE_TOLERANCE;
     for (stem, source) in example_specs() {
         let report = report_for(&source);
         let (actual, estimate) = (report.netlist.slices(), report.estimate.slices());
