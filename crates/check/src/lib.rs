@@ -18,10 +18,10 @@
 //! * **SL0406** — (warning) the state budget ran out before the reachable
 //!   set closed.
 //!
-//! Every violation comes with a concrete input trace. When
-//! [`CheckOptions::replay`] is set the trace is replayed on the compiled
-//! two-state step tape ([`replay`]) and the [`Counterexample`] is marked
-//! confirmed only if the violation reproduces there.
+//! Every module is explored exactly as generated. Every violation comes
+//! with a concrete input trace, which is replayed on the compiled
+//! two-state step tape ([`replay`]) as the [`Counterexample`] is built; it
+//! is marked confirmed only if the violation reproduces there.
 //!
 //! A second, orthogonal pass ([`driver_check`]) cross-checks the generated
 //! C driver text against the IR and the HDL address decode (SL0407–SL0410).
@@ -42,10 +42,8 @@ pub use driver_check::cross_check;
 
 use explore::{BfsOutcome, BfsViolation, ExploreSpec, MutexGroup};
 use splice_core::{BeatCount, DesignIr, StubState};
-use splice_dataflow::{analyze, AnalysisConfig, FactTable, ResetPhase};
 use splice_hdl::Module;
 use splice_lint::{Diagnostic, Layer, LintReport, Location};
-use std::collections::HashMap;
 use std::fmt;
 
 /// How hard to check.
@@ -58,13 +56,6 @@ pub struct CheckOptions {
     pub max_states: usize,
     /// Exploration horizon in steps past reset.
     pub max_depth: u32,
-    /// Replay every counterexample on the compiled two-state step tape.
-    pub replay: bool,
-    /// Run the dataflow constant-folding / dead-logic pre-pass before the
-    /// exhaustive exploration. Sound (verdicts and reachable-state counts
-    /// are unchanged); `--no-fold` exists as an escape hatch and as the
-    /// parity baseline in CI.
-    pub fold: bool,
     /// Polled at state-expansion and module boundaries: when it returns
     /// true (the CLI wires it to the SIGINT flag in
     /// `splice_obs::interrupt`), exploration stops where it is, the
@@ -75,14 +66,7 @@ pub struct CheckOptions {
 
 impl Default for CheckOptions {
     fn default() -> CheckOptions {
-        CheckOptions {
-            response_bound: 16,
-            max_states: 50_000,
-            max_depth: 64,
-            replay: true,
-            fold: true,
-            stop: None,
-        }
+        CheckOptions { response_bound: 16, max_states: 50_000, max_depth: 64, stop: None }
     }
 }
 
@@ -150,9 +134,8 @@ pub struct Counterexample {
     pub trace: Vec<Vec<u64>>,
     /// The checkable claim the trace demonstrates.
     pub witness: Witness,
-    /// `Some(true)` once the violation reproduced on the step tape,
-    /// `Some(false)` if replay could not reproduce it, `None` before replay.
-    pub confirmed: Option<bool>,
+    /// Whether the violation reproduced on the step tape.
+    pub confirmed: bool,
 }
 
 impl Counterexample {
@@ -163,10 +146,10 @@ impl Counterexample {
             self.code,
             self.module,
             self.message,
-            match self.confirmed {
-                Some(true) => " (reproduced in simulation)",
-                Some(false) => " (NOT reproduced in simulation)",
-                None => "",
+            if self.confirmed {
+                " (reproduced in simulation)"
+            } else {
+                " (NOT reproduced in simulation)"
             }
         );
         let widths: Vec<usize> = self.inputs.iter().map(|n| n.len().max(4)).collect();
@@ -249,10 +232,7 @@ impl CheckOutcome {
                 splice_obs::json::quote(&cex.module),
                 splice_obs::json::quote(cex.code),
                 splice_obs::json::quote(&cex.message),
-                match cex.confirmed {
-                    Some(b) => b.to_string(),
-                    None => "null".to_owned(),
-                },
+                cex.confirmed,
                 cex.inputs.iter().map(|n| format!("\"{n}\"")).collect::<Vec<_>>().join(", "),
                 cex.trace
                     .iter()
@@ -287,7 +267,7 @@ impl CheckOutcome {
 #[derive(Debug)]
 pub enum CheckError {
     /// The specification did not parse or validate.
-    Spec(String),
+    Spec(Vec<splice_spec::SpecError>),
     /// HDL generation failed.
     Gen(String),
     /// A generated module could not be compiled to a transition relation.
@@ -299,7 +279,10 @@ pub enum CheckError {
 impl fmt::Display for CheckError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckError::Spec(e) => write!(f, "specification error: {e}"),
+            CheckError::Spec(errors) => {
+                let kinds: Vec<String> = errors.iter().map(|e| e.kind.to_string()).collect();
+                write!(f, "specification error: {}", kinds.join("; "))
+            }
             CheckError::Gen(e) => write!(f, "generation error: {e}"),
             CheckError::Compile(e) => write!(f, "cannot compile generated HDL: {e}"),
             CheckError::Pins(e) => write!(f, "SIS contract incomplete: {e}"),
@@ -309,8 +292,27 @@ impl fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
-fn input_names(d: &CompiledDesign) -> Vec<String> {
-    d.inputs.iter().map(|&id| d.signals[id].name.clone()).collect()
+/// Build the counterexample for one violation of `d` and confirm it by
+/// replay on the step tape.
+fn counterexample(
+    d: &CompiledDesign,
+    module: &str,
+    code: &'static str,
+    message: String,
+    trace: Vec<Vec<u64>>,
+    witness: Witness,
+) -> Counterexample {
+    let mut cex = Counterexample {
+        module: module.to_owned(),
+        code,
+        message,
+        inputs: d.inputs.iter().map(|&id| d.signals[id].name.clone()).collect(),
+        trace,
+        witness,
+        confirmed: false,
+    };
+    cex.confirmed = replay::confirm(d, &cex);
+    cex
 }
 
 /// Map a script violation to (code, message, witness).
@@ -383,15 +385,7 @@ fn record_bfs(
             ),
         };
         report.push(Diagnostic::error(code, Layer::Hdl, Location::path(module), message.clone()));
-        cexs.push(Counterexample {
-            module: module.to_owned(),
-            code,
-            message,
-            inputs: input_names(d),
-            trace,
-            witness,
-            confirmed: None,
-        });
+        cexs.push(counterexample(d, module, code, message, trace, witness));
     }
     if out.budget_exhausted {
         report.push(Diagnostic::warning(
@@ -457,33 +451,6 @@ fn compile_or_report(
     }
 }
 
-/// Abstract-interpret `d` and fold the proven-constant reads and dead
-/// combinational cones out of the transition relation, inside a
-/// `check.dataflow` span carrying the fact counts and the structural
-/// depth/fan-out of the relation. Exploration runs on the
-/// folded relation; scripts and replay keep the original design.
-fn fold_for_explore(d: &CompiledDesign, pins: &env::EnvPins, keep: &[usize]) -> CompiledDesign {
-    let _sp = splice_obs::trace::span("check.dataflow");
-    splice_obs::trace::attr("module", d.name.as_str());
-    let cfg = AnalysisConfig {
-        reset: Some(ResetPhase { slot: pins.rst, steps: 2 }),
-        ..AnalysisConfig::default()
-    };
-    let analysis = analyze(d, &cfg);
-    let facts = FactTable::build(d, &analysis, keep);
-    let (folded, st) = splice_dataflow::fold(d, &facts, keep);
-    splice_obs::trace::attr("converged", u64::from(analysis.converged));
-    splice_obs::trace::attr("const_signals", facts.const_count(d) as u64);
-    splice_obs::trace::attr("folded_reads", st.folded_reads as u64);
-    splice_obs::trace::attr("dropped_nodes", st.dropped_nodes as u64);
-    splice_obs::trace::attr("stmts_before", st.stmts_before as u64);
-    splice_obs::trace::attr("stmts_after", st.stmts_after as u64);
-    let timing = splice_dataflow::analyze_timing(d);
-    splice_obs::trace::attr("max_depth", u64::from(timing.max_depth));
-    splice_obs::trace::attr("max_fanout", u64::from(timing.max_fanout().map_or(0, |(_, n)| n)));
-    folded
-}
-
 /// Model-check the generated HDL of `ir`. `modules` must be the module set
 /// `design_modules` emitted for this IR.
 pub fn check_modules(
@@ -494,7 +461,6 @@ pub fn check_modules(
     let mut report = LintReport::new();
     let mut cexs: Vec<Counterexample> = Vec::new();
     let mut stats: Vec<ModuleStats> = Vec::new();
-    let mut compiled: HashMap<String, CompiledDesign> = HashMap::new();
     let id_mask = (1u64 << ir.func_id_width().min(63)) - 1;
 
     for stub in &ir.stubs {
@@ -532,15 +498,7 @@ pub fn check_modules(
                         Location::path(format!("{mod_name} (pacing {pacing}, bound {bound})")),
                         message.clone(),
                     ));
-                    cexs.push(Counterexample {
-                        module: mod_name.clone(),
-                        code,
-                        message,
-                        inputs: input_names(&d),
-                        trace: out.trace,
-                        witness,
-                        confirmed: None,
-                    });
+                    cexs.push(counterexample(&d, &mod_name, code, message, out.trace, witness));
                     // One counterexample per stub: further pacings would
                     // near-certainly rediscover the same defect.
                     break 'scripts;
@@ -559,24 +517,18 @@ pub fn check_modules(
             max_depth: opts.max_depth,
             stop: opts.stop,
         };
-        // X-safety checks every register and the observed outputs, so the
-        // fold must keep the whole contract surface observable.
-        let mut keep = vec![pins.io_done, pins.dov, pins.data_out];
-        keep.extend(pins.calc_done);
-        let dx = if opts.fold { fold_for_explore(&d, &pins, &keep) } else { d.clone() };
         let out = {
             let _sp = splice_obs::trace::span("check.explore");
             splice_obs::trace::attr("module", mod_name.as_str());
-            splice_obs::trace::attr("comb_nodes", dx.comb_order.len() as u64);
-            splice_obs::trace::attr("expr_nodes", dx.expr_node_count() as u64);
-            let out = explore::explore(&dx, &pins, &spec, &[]);
+            splice_obs::trace::attr("comb_nodes", d.comb_order.len() as u64);
+            splice_obs::trace::attr("expr_nodes", d.expr_node_count() as u64);
+            let out = explore::explore(&d, &pins, &spec, &[]);
             splice_obs::trace::attr("reachable", out.reachable as u64);
             splice_obs::trace::attr("frontier_peak", out.frontier_peak as u64);
             out
         };
         let interrupted = out.interrupted;
         record_bfs(&mod_name, &d, out, opts, &mut report, &mut cexs, &mut stats);
-        compiled.insert(mod_name, d);
         if interrupted {
             // SIGINT: skip the remaining per-stub explorations (each would
             // observe the same flag immediately anyway) and fall through so
@@ -631,10 +583,6 @@ pub fn check_modules(
             all.dedup();
             id_sets.push(all);
         }
-        let mut keep = vec![pins.io_done, pins.dov, pins.data_out];
-        keep.extend(pins.calc_done);
-        keep.extend(groups.iter().flat_map(|g| g.members.iter().copied()));
-        let dx = if opts.fold { fold_for_explore(&d, &pins, &keep) } else { d.clone() };
         let mut total = BfsOutcome {
             reachable: 0,
             complete: true,
@@ -646,8 +594,8 @@ pub fn check_modules(
         };
         let _sp = splice_obs::trace::span("check.explore");
         splice_obs::trace::attr("module", arb_name.as_str());
-        splice_obs::trace::attr("comb_nodes", dx.comb_order.len() as u64);
-        splice_obs::trace::attr("expr_nodes", dx.expr_node_count() as u64);
+        splice_obs::trace::attr("comb_nodes", d.comb_order.len() as u64);
+        splice_obs::trace::attr("expr_nodes", d.expr_node_count() as u64);
         for func_ids in id_sets {
             let spec = ExploreSpec {
                 func_ids,
@@ -656,7 +604,7 @@ pub fn check_modules(
                 max_depth: opts.max_depth,
                 stop: opts.stop,
             };
-            let out = explore::explore(&dx, &pins, &spec, &groups);
+            let out = explore::explore(&d, &pins, &spec, &groups);
             // Aggregate: reachable counts sum over pair runs (their state
             // sets overlap on the common idle background, so this is a
             // determinism metric, not a distinct-state count).
@@ -678,15 +626,6 @@ pub fn check_modules(
         splice_obs::trace::attr("frontier_peak", total.frontier_peak as u64);
         drop(_sp);
         record_bfs(&arb_name, &d, total, opts, &mut report, &mut cexs, &mut stats);
-        compiled.insert(arb_name, d);
-    }
-
-    if opts.replay {
-        for cex in &mut cexs {
-            if let Some(d) = compiled.get(&cex.module) {
-                cex.confirmed = Some(replay::confirm(d, cex));
-            }
-        }
     }
 
     Ok(CheckOutcome { report, counterexamples: cexs, stats })
@@ -696,9 +635,7 @@ pub fn check_modules(
 /// generate, model-check the HDL, then cross-check the generated driver
 /// against it.
 pub fn check_source(source: &str, opts: &CheckOptions) -> Result<CheckOutcome, CheckError> {
-    let validated = splice_spec::parse_and_validate(source).map_err(|errors| {
-        CheckError::Spec(errors.iter().map(|e| e.kind.to_string()).collect::<Vec<_>>().join("; "))
-    })?;
+    let validated = splice_spec::parse_and_validate(source).map_err(CheckError::Spec)?;
     let ir = splice_core::elaborate(&validated.module);
     let modules = splice_core::hdlgen::design_modules(&ir, "check")
         .map_err(|e| CheckError::Gen(e.to_string()))?;

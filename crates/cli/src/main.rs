@@ -62,7 +62,7 @@ use splice_resources::design_cost;
 use splice_sim::Backend;
 use splice_spec::validate::{IoBound, ValidatedFunction};
 use std::io::{BufRead, Write};
-use std::num::{NonZeroU32, NonZeroUsize};
+use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -130,11 +130,9 @@ CHECK OPTIONS (check mode / --check):
       --bound <n>       handshake response bound in steps (default 16)
       --max-states <n>  distinct-state budget per exploration (default 50000)
       --max-depth <n>   exploration horizon past reset (default 64); the
-                        three budgets must be at least 1
-      --no-replay       skip replaying each counterexample on the generated
-                        HDL's two-state step tape
-      --no-fold         skip the dataflow constant-folding pre-pass before
-                        exploration (escape hatch; verdicts are identical)
+                        three budgets must be at least 1. Every module is
+                        explored as generated, and every counterexample is
+                        replayed on its two-state step tape
 
 TIMING OPTIONS (timing mode):
       --top <n>         critical paths reported per module (default 3);
@@ -144,7 +142,7 @@ TIMING OPTIONS (timing mode):
 
 PROFILE OPTIONS (profile mode):
       --calls <n>       workload rounds (one driver call per function each
-                        round; default 1)
+                        round; default 1, at least 1)
       --backend <b>     kernel scheduling: gated (default) or eager; the
                         profiler times every tick under the selected one
 
@@ -236,7 +234,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     };
     // Each option parses straight into its field's type, so an
     // out-of-range value is a usage error rather than a silent wrap; the
-    // checker budgets parse as non-zero types, so a zero budget is one too.
+    // checker budgets and `--calls` parse as non-zero types, so a zero is
+    // one too.
     fn num<T: std::str::FromStr<Err = std::num::ParseIntError>>(
         it: &mut std::slice::Iter<String>,
         opt: &str,
@@ -251,8 +250,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         match a.as_str() {
             "--lint" => lint_only = true,
             "--check" => check = true,
-            "--no-replay" => check_opts.replay = false,
-            "--no-fold" => check_opts.fold = false,
             "--backend" if profile_only => {
                 backend = match it.next().map(String::as_str) {
                     Some("eager") => Backend::Eager,
@@ -282,7 +279,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             }
             "--deny-warnings" => deny_warnings = true,
             "--json" => json = true,
-            "--calls" => calls = num::<u64>(&mut it, "--calls")?.max(1),
+            "--calls" => calls = num::<NonZeroU64>(&mut it, "--calls")?.get(),
             "--top" => top_paths = num(&mut it, "--top")?,
             "-h" | "--help" => {
                 print!("{USAGE}");
@@ -346,28 +343,25 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     }))
 }
 
-/// Run the model checker over spec text and render its outcome. Returns the
-/// process exit code: success, failure (findings), or 3 when the run could
-/// not start at all.
-fn run_check(source: &str, opts: &Options) -> ExitCode {
-    match splice_check::check_source(source, &opts.check_opts) {
-        Ok(outcome) => {
-            if opts.json {
-                print!("{}", outcome.render_json());
-            } else {
-                print!("{}", outcome.render_text());
+/// Run the model checker over spec text and render its outcome. A spec
+/// error is rendered with its location and denies the run, like every
+/// other mode; a run that cannot start past the spec is an internal failure.
+fn run_check(source: &str, spec_path: &str, opts: &Options) -> Result<ExitCode, CliError> {
+    let outcome = splice_check::check_source(source, &opts.check_opts).map_err(|e| match e {
+        splice_check::CheckError::Spec(errors) => {
+            for e in &errors {
+                eprintln!("{}", e.render_at(source, spec_path));
             }
-            if outcome.report.fails(opts.deny_warnings) {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
+            CliError::Diag(format!("{} specification error(s); nothing checked", errors.len()))
         }
-        Err(e) => {
-            eprintln!("splice check: {e}");
-            ExitCode::from(3)
-        }
+        e => CliError::Internal(format!("model check failed to run: {e}")),
+    })?;
+    if opts.json {
+        print!("{}", outcome.render_json());
+    } else {
+        print!("{}", outcome.render_text());
     }
+    Ok(if outcome.report.fails(opts.deny_warnings) { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
 /// Run the pipeline, translating its error shape into the CLI's
@@ -428,6 +422,11 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
     if args.first().map(String::as_str) == Some("serve") {
         return run_serve(&args[1..]);
     }
+    // Every other mode is a filter over stdout: when the reader hangs up
+    // (`splice lint … | head`), end quietly on SIGPIPE instead of
+    // panicking on EPIPE. The daemon and its workers, dispatched above,
+    // keep the runtime's SIG_IGN so a client hang-up stays an error.
+    splice_obs::interrupt::default_sigpipe();
 
     let Some(mut opts) = parse_args(args).map_err(CliError::Usage)? else {
         return Ok(ExitCode::SUCCESS);
@@ -463,7 +462,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
 
     // Check-only mode: model-check the generated design and report.
     if opts.check_only {
-        return Ok(run_check(&source, &opts));
+        return run_check(&source, &spec_path, &opts);
     }
 
     // Timing mode: structural timing report over the generated design.

@@ -1,7 +1,7 @@
 //! Integration tests of the `splice` binary itself.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn splice_bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_splice"))
@@ -285,6 +285,11 @@ fn exit_codes_are_pinned() {
     std::fs::write(&bad, "%bus_type plb\nvoid f(int*:x y, int x);\n").unwrap();
     let out = splice_bin().arg("-o").arg(&dir).arg(&bad).output().unwrap();
     assert_eq!(out.status.code(), Some(1), "parse errors must exit 1");
+    // …in check mode too, with the same located diagnostic.
+    let out = splice_bin().arg("check").arg(&bad).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "check on a spec error must exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("bad.splice:1:1: error:"), "{stderr}");
 
     // 2: usage errors — unknown flag, missing input file.
     let out = splice_bin().arg("--no-such-flag").output().unwrap();
@@ -298,12 +303,14 @@ fn exit_codes_are_pinned() {
         let out = splice_bin().args(["check", flag, "4294967296"]).arg(&good).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "out-of-range {flag} must exit 2");
     }
-    // 2: a zero checker budget would give a vacuous or false verdict, the
-    // checker has no backend to select, and profiling has no compiled one.
+    // 2: a zero checker budget would give a vacuous or false verdict, a
+    // zero call count an empty profile, the checker has no backend to
+    // select, and profiling has no compiled one.
     for args in [
         ["check", "--bound", "0"],
         ["check", "--max-depth", "0"],
         ["check", "--max-states", "0"],
+        ["profile", "--calls", "0"],
         ["check", "--backend", "compiled"],
         ["profile", "--backend", "compiled"],
     ] {
@@ -318,6 +325,24 @@ fn exit_codes_are_pinned() {
     assert_eq!(out.status.code(), Some(3), "write failure must exit 3");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A reader that hangs up early (`splice lint --explain SL0501 | head -c 1`)
+/// must end the run quietly, as it would any Unix filter, not panic on the
+/// broken pipe.
+#[test]
+fn closed_stdout_does_not_panic() {
+    let mut child = splice_bin()
+        .args(["lint", "--explain", "SL0501"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
 }
 
 #[test]

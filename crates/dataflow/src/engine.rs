@@ -1,54 +1,32 @@
 //! Fixed-point abstract interpretation over a [`CompiledDesign`].
 //!
-//! The engine mirrors the model checker's protocol exactly: an optional
-//! reset phase (all inputs known-0 except the reset line held at 1, run
-//! for a fixed number of edges from the power-on state), then a *free*
-//! phase where every input — the reset line included — is [`AbsVal::top`]
-//! and the register state is iterated to a fixed point with widening.
+//! The engine mirrors the model checker's protocol exactly: a reset phase
+//! when the design has a `RST` input (all inputs known-0 except the reset
+//! line held at 1, run for two edges from the power-on state), then a
+//! *free* phase where every input — the reset line included — is
+//! [`AbsVal::top`] and the register state is iterated to a fixed point
+//! with widening.
 //!
 //! Because abstract operations over-approximate the concrete ternary
 //! semantics, the fixpoint register state contains **every** state the
-//! checker's BFS can reach, and the settled signal values contain every
-//! value any signal can take in any reachable state under any input. Two
-//! state joins are kept:
-//!
-//! * post-reset (`regs` / `values`) — what the SL05xx lint rules reason
-//!   about ("after reset, this signal is always 3");
-//! * any-phase (`any_regs` / `any_values`) — additionally covering the
-//!   power-on state and the reset transient, which is what the fold
-//!   pre-pass needs (a folded constant must hold during reset too).
+//! checker's BFS can reach after reset, and the settled signal values
+//! contain every value any signal can take in any such state under any
+//! input. That post-reset join is what the SL05xx lint rules reason about
+//! ("after reset, this signal is always 3").
 
 use crate::domain::AbsVal;
 use crate::flat::{CExpr, CStmt, CompiledDesign, Interp, Kind, Truth};
 use crate::tv::mask;
 use splice_hdl::BinOp;
 
-/// The reset protocol to replay before the free phase.
-#[derive(Debug, Clone, Copy)]
-pub struct ResetPhase {
-    /// Input *slot* (index into `CompiledDesign::inputs`) of the reset line.
-    pub slot: usize,
-    /// Number of clock edges to hold reset asserted.
-    pub steps: u32,
-}
-
-/// Analysis tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct AnalysisConfig {
-    /// Reset protocol, if the design has a reset input.
-    pub reset: Option<ResetPhase>,
-    /// Hard iteration cap; on overrun the state falls back to top.
-    pub max_iters: u32,
-    /// Joins before widening kicks in (delaying it keeps small FSM state
-    /// intervals exact).
-    pub widen_after: u32,
-}
-
-impl Default for AnalysisConfig {
-    fn default() -> AnalysisConfig {
-        AnalysisConfig { reset: None, max_iters: 64, widen_after: 16 }
-    }
-}
+/// Clock edges the reset line is held asserted, as the checker's
+/// environment does.
+const RESET_STEPS: u32 = 2;
+/// Hard iteration cap; on overrun the state falls back to top.
+const MAX_ITERS: u32 = 64;
+/// Joins before widening kicks in (delaying it keeps small FSM state
+/// intervals exact).
+const WIDEN_AFTER: u32 = 16;
 
 /// The result of a fixpoint run.
 #[derive(Debug, Clone)]
@@ -57,22 +35,13 @@ pub struct Analysis {
     pub regs: Vec<AbsVal>,
     /// Settled per-signal values at the fixpoint under free inputs.
     pub values: Vec<AbsVal>,
-    /// Register join over *all* phases (power-on and reset included).
-    pub any_regs: Vec<AbsVal>,
-    /// Settled per-signal values over `any_regs` under free inputs.
-    pub any_values: Vec<AbsVal>,
-    /// Free-phase iterations executed.
-    pub iterations: u32,
     /// False only when the iteration cap forced the top fallback.
     pub converged: bool,
 }
 
-fn join_vec(a: &[AbsVal], b: &[AbsVal]) -> Vec<AbsVal> {
-    a.iter().zip(b).map(|(x, y)| x.join(y)).collect()
-}
-
-/// Run the abstract interpretation to a fixed point.
-pub fn analyze(d: &CompiledDesign, cfg: &AnalysisConfig) -> Analysis {
+/// Run the abstract interpretation to a fixed point, replaying the reset
+/// protocol first when the design has a `RST` input ([`reset_slot`]).
+pub fn analyze(d: &CompiledDesign) -> Analysis {
     let free: Vec<AbsVal> = d.inputs.iter().map(|&id| AbsVal::top(d.signals[id].width)).collect();
     let mut state: Vec<AbsVal> = d
         .registers
@@ -85,25 +54,21 @@ pub fn analyze(d: &CompiledDesign, cfg: &AnalysisConfig) -> Analysis {
             }
         })
         .collect();
-    let mut any = state.clone();
     let mut interp = Interp::new(d);
     let mut stepped = Vec::with_capacity(state.len());
-    if let Some(r) = &cfg.reset {
+    if let Some(slot) = reset_slot(d) {
         let mut ins: Vec<AbsVal> =
             d.inputs.iter().map(|&id| AbsVal::known(0, d.signals[id].width)).collect();
-        ins[r.slot] = AbsVal::known(1, d.signals[d.inputs[r.slot]].width);
-        for _ in 0..r.steps {
+        ins[slot] = AbsVal::known(1, d.signals[d.inputs[slot]].width);
+        for _ in 0..RESET_STEPS {
             interp.step(&state, &ins, &mut stepped);
             std::mem::swap(&mut state, &mut stepped);
-            any = join_vec(&any, &state);
         }
     }
-    let mut iterations = 0;
     let mut converged = false;
-    while iterations < cfg.max_iters {
-        iterations += 1;
+    for iteration in 1..=MAX_ITERS {
         interp.step(&state, &free, &mut stepped);
-        let next: Vec<AbsVal> = if iterations > cfg.widen_after {
+        let next: Vec<AbsVal> = if iteration > WIDEN_AFTER {
             state.iter().zip(&stepped).map(|(p, s)| p.widen(&p.join(s))).collect()
         } else {
             state.iter().zip(&stepped).map(|(p, s)| p.join(s)).collect()
@@ -126,9 +91,7 @@ pub fn analyze(d: &CompiledDesign, cfg: &AnalysisConfig) -> Analysis {
             .collect();
     }
     let values = interp.settle(&state, &free).to_vec();
-    any = join_vec(&any, &state);
-    let any_values = interp.settle(&any, &free).to_vec();
-    Analysis { regs: state, values, any_regs: any, any_values, iterations, converged }
+    Analysis { regs: state, values, converged }
 }
 
 /// One fact the final program walk proves about the design's control flow
@@ -388,10 +351,16 @@ mod tests {
 
     /// A 3-state FSM: IDLE -> RUN -> DONE -> IDLE, with a `busy` flag.
     fn fsm() -> Module {
+        fsm_cleared_by("RST")
+    }
+
+    /// The same FSM with its synchronous clear on input `clear`; any name
+    /// but `RST` hides it from the engine's reset protocol.
+    fn fsm_cleared_by(clear: &str) -> Module {
         let mut m = Module::new("fsm");
         m.ports = vec![
             Port::input("CLK", 1),
-            Port::input("RST", 1),
+            Port::input(clear, 1),
             Port::input("GO", 1),
             Port::output("BUSY", 1),
         ];
@@ -400,7 +369,7 @@ mod tests {
             label: "ctl".into(),
             clocked: true,
             body: vec![Stmt::if_else(
-                Expr::sig("RST"),
+                Expr::sig(clear),
                 vec![Stmt::assign("st", Expr::lit(0, 2))],
                 vec![Stmt::Case {
                     expr: Expr::sig("st"),
@@ -426,10 +395,7 @@ mod tests {
     fn analyze_fsm() -> (CompiledDesign, Analysis) {
         let m = fsm();
         let d = CompiledDesign::compile(std::slice::from_ref(&m), "fsm").unwrap();
-        let slot = reset_slot(&d).unwrap();
-        let cfg =
-            AnalysisConfig { reset: Some(ResetPhase { slot, steps: 2 }), ..Default::default() };
-        let a = analyze(&d, &cfg);
+        let a = analyze(&d);
         (d, a)
     }
 
@@ -452,10 +418,7 @@ mod tests {
         let Stmt::Case { arms, .. } = &mut els[0] else { panic!() };
         arms.push((3, vec![Stmt::assign("st", Expr::lit(1, 2))]));
         let d = CompiledDesign::compile(std::slice::from_ref(&m), "fsm").unwrap();
-        let slot = reset_slot(&d).unwrap();
-        let cfg =
-            AnalysisConfig { reset: Some(ResetPhase { slot, steps: 2 }), ..Default::default() };
-        let a = analyze(&d, &cfg);
+        let a = analyze(&d);
         let findings = branch_findings(&d, &a);
         assert!(
             findings.iter().any(|f| f.kind == FindingKind::DeadArm { sel: "st".into(), value: 3 }),
@@ -465,9 +428,10 @@ mod tests {
 
     #[test]
     fn without_reset_register_stays_tainted() {
-        let m = fsm();
+        let m = fsm_cleared_by("CLR");
         let d = CompiledDesign::compile(std::slice::from_ref(&m), "fsm").unwrap();
-        let a = analyze(&d, &AnalysisConfig::default());
+        assert_eq!(reset_slot(&d), None, "no `RST` input, so no reset phase");
+        let a = analyze(&d);
         assert!(a.regs[0].is_tainted(), "no reset phase: power-on X may persist");
     }
 

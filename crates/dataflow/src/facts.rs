@@ -1,110 +1,55 @@
 //! Machine-readable dataflow facts: the bridge between the abstract
-//! engine and its consumers (the SL05xx lint rules, the model checker's
-//! fold pre-pass, and — eventually — the compiled simulation backend).
+//! engine and the SL05xx lint rules in `splice-lint`.
 
-use crate::domain::AbsVal;
 use crate::engine::Analysis;
 use crate::flat::{CompiledDesign, Kind};
-use crate::tv::TWord;
 
-/// Everything the analysis proved about one signal.
+/// What the analysis proved about one signal after reset.
 #[derive(Debug, Clone)]
 pub struct SignalFacts {
-    /// Constant in *every* phase, power-on and reset included — safe to
-    /// fold reads into a literal.
-    pub constant: Option<u64>,
-    /// Constant in every reachable post-reset state (what SL0501 reports;
-    /// weaker than `constant` because the power-on transient may differ).
+    /// Constant in every reachable post-reset state (what SL0501 reports).
     pub settled: Option<u64>,
-    /// Post-reset known-bits envelope.
-    pub known: TWord,
     /// Bits that may be an uninitialized X post-reset.
     pub xmask: u64,
-    /// Smallest post-reset value.
-    pub lo: u64,
-    /// Largest post-reset value.
-    pub hi: u64,
-    /// Whether the signal has a forward path to an output port or another
-    /// kept (checked) signal. Signals without one are dead logic.
+    /// Whether the signal has a forward path to an output port. Signals
+    /// without one are dead logic.
     pub reaches_output: bool,
 }
 
 /// Per-signal facts for one compiled design.
 #[derive(Debug, Clone)]
 pub struct FactTable {
-    /// The analyzed top module.
-    pub module: String,
     /// Facts indexed by signal id (parallel to `CompiledDesign::signals`).
     pub signals: Vec<SignalFacts>,
-    /// Whether the fixpoint converged without the top fallback.
-    pub converged: bool,
-    /// Fixpoint iterations used.
-    pub iterations: u32,
 }
 
 impl FactTable {
-    /// Build the table from an analysis. `keep` lists signal ids beyond
-    /// the output ports that count as observed (checked properties like
-    /// mutex-group members); reachability is computed against the union.
-    pub fn build(d: &CompiledDesign, a: &Analysis, keep: &[usize]) -> FactTable {
-        let reaches = reaches_output(d, keep);
+    /// Build the table from an analysis of `d`.
+    pub fn build(d: &CompiledDesign, a: &Analysis) -> FactTable {
+        let reaches = reaches_output(d);
         let signals = (0..d.signals.len())
-            .map(|id| {
-                let post: &AbsVal = &a.values[id];
-                SignalFacts {
-                    // Inputs are free: never constant, whatever the
-                    // abstract value says about a single eval context.
-                    constant: match d.signals[id].kind {
-                        Kind::Input => None,
-                        _ => a.any_values[id].as_const(),
-                    },
-                    settled: match d.signals[id].kind {
-                        Kind::Input => None,
-                        _ => post.as_const(),
-                    },
-                    known: post.kb,
-                    xmask: post.xmask,
-                    lo: post.lo,
-                    hi: post.hi,
-                    reaches_output: reaches[id],
-                }
+            .map(|id| SignalFacts {
+                // Inputs are free: never constant, whatever the abstract
+                // value says about a single eval context.
+                settled: match d.signals[id].kind {
+                    Kind::Input => None,
+                    _ => a.values[id].as_const(),
+                },
+                xmask: a.values[id].xmask,
+                reaches_output: reaches[id],
             })
             .collect();
-        FactTable {
-            module: d.name.clone(),
-            signals,
-            converged: a.converged,
-            iterations: a.iterations,
-        }
-    }
-
-    /// Signals proven constant that are not declared constants — the
-    /// interesting ones for reporting and folding.
-    pub fn const_count(&self, d: &CompiledDesign) -> usize {
-        self.signals
-            .iter()
-            .zip(&d.signals)
-            .filter(|(f, s)| f.constant.is_some() && !matches!(s.kind, Kind::Const(_)))
-            .count()
-    }
-
-    /// Driven signals with no path to an output or kept signal.
-    pub fn dead_count(&self, d: &CompiledDesign) -> usize {
-        self.signals
-            .iter()
-            .zip(&d.signals)
-            .filter(|(f, s)| !f.reaches_output && matches!(s.kind, Kind::Comb | Kind::Register))
-            .count()
+        FactTable { signals }
     }
 }
 
-/// Backward reachability from the output ports (plus `keep`): a signal is
-/// marked when some chain of node reads leads from it to an observed
-/// signal. Register state feedback counts — a register that feeds only
-/// itself does *not* reach an output.
-fn reaches_output(d: &CompiledDesign, keep: &[usize]) -> Vec<bool> {
+/// Backward reachability from the output ports: a signal is marked when
+/// some chain of node reads leads from it to an output. Register state
+/// feedback counts — a register that feeds only itself does *not* reach
+/// an output.
+fn reaches_output(d: &CompiledDesign) -> Vec<bool> {
     let mut live = vec![false; d.signals.len()];
-    for &id in d.outputs.iter().chain(keep) {
+    for &id in &d.outputs {
         live[id] = true;
     }
     loop {
@@ -129,7 +74,7 @@ fn reaches_output(d: &CompiledDesign, keep: &[usize]) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{analyze, reset_slot, AnalysisConfig, ResetPhase};
+    use crate::engine::analyze;
     use splice_hdl::{Decl, Expr, Item, Module, Port, Process, Stmt};
 
     /// `live` feeds the output; `orphan` is computed but feeds nothing;
@@ -160,30 +105,14 @@ mod tests {
     fn facts_mark_constants_and_dead_cones() {
         let m = module_with_dead_cone();
         let d = CompiledDesign::compile(std::slice::from_ref(&m), "dead").unwrap();
-        let slot = reset_slot(&d).unwrap();
-        let cfg =
-            AnalysisConfig { reset: Some(ResetPhase { slot, steps: 2 }), ..Default::default() };
-        let a = analyze(&d, &cfg);
-        let facts = FactTable::build(&d, &a, &[]);
+        let facts = FactTable::build(&d, &analyze(&d));
         let id = |n: &str| d.signal_id(n).unwrap();
-        assert_eq!(facts.signals[id("live")].constant, Some(3));
-        assert_eq!(facts.signals[id("orphan")].constant, Some(4));
+        assert_eq!(facts.signals[id("live")].settled, Some(3));
+        assert_eq!(facts.signals[id("orphan")].settled, Some(4));
+        assert_eq!(facts.signals[id("Y")].settled, Some(3));
         assert!(facts.signals[id("live")].reaches_output);
         assert!(!facts.signals[id("orphan")].reaches_output, "feeds nothing");
         assert!(!facts.signals[id("loner")].reaches_output, "self-feedback only");
         assert!(facts.signals[id("Y")].reaches_output);
-        // `live`, `orphan`, and the `Y` port that mirrors `live`.
-        assert_eq!(facts.const_count(&d), 3);
-        assert_eq!(facts.dead_count(&d), 2);
-    }
-
-    #[test]
-    fn keep_set_extends_reachability() {
-        let m = module_with_dead_cone();
-        let d = CompiledDesign::compile(std::slice::from_ref(&m), "dead").unwrap();
-        let a = analyze(&d, &AnalysisConfig::default());
-        let loner = d.signal_id("loner").unwrap();
-        let facts = FactTable::build(&d, &a, &[loner]);
-        assert!(facts.signals[loner].reaches_output, "kept signals count as observed");
     }
 }

@@ -338,32 +338,9 @@ impl CompiledDesign {
         self.by_name.get(name).copied()
     }
 
-    /// Rebuild this design with different executable nodes (the fold
-    /// pre-pass uses this; the signal table and port/register layout are
-    /// preserved so state vectors stay interchangeable).
-    pub(crate) fn with_nodes(
-        &self,
-        clocked: Vec<CNode>,
-        comb_order: Vec<CNode>,
-        cyclic: Vec<usize>,
-    ) -> CompiledDesign {
-        CompiledDesign {
-            name: self.name.clone(),
-            signals: self.signals.clone(),
-            inputs: self.inputs.clone(),
-            outputs: self.outputs.clone(),
-            registers: self.registers.clone(),
-            clocked,
-            comb_order,
-            cyclic,
-            by_name: self.by_name.clone(),
-        }
-    }
-
     /// Total expression nodes across every executable statement: the size
-    /// of the transition relation as the evaluator sees it. Statement
-    /// counts miss what constant folding actually removes — literal
-    /// subtrees that collapse — so this is the honest reduction metric.
+    /// of the transition relation as the evaluator sees it (the
+    /// `expr_nodes` attribute of the checker's `check.explore` spans).
     pub fn expr_node_count(&self) -> usize {
         fn expr(e: &CExpr) -> usize {
             match e {

@@ -12,9 +12,9 @@
 //!   states at once.
 //!
 //! The engine's results are packaged as a [`facts::FactTable`]
-//! (per-signal constancy, value ranges, output-reachability) consumed by
-//! the SL05xx lint rules in `splice-lint` and by the [`mod@fold`] pre-pass
-//! that shrinks the transition relation before model checking.
+//! (per-signal post-reset constancy, X-taint and output-reachability)
+//! consumed by the SL05xx lint rules in `splice-lint`. The model checker
+//! explores the compiled relation exactly as generated.
 //!
 //! A third domain backs concrete execution: [`lower`] fixes every X to a
 //! concrete fill bit ([`lower::TwoState`]) and compiles the design into a
@@ -25,17 +25,15 @@ pub mod domain;
 pub mod engine;
 pub mod facts;
 pub mod flat;
-pub mod fold;
 pub mod graph;
 pub mod lower;
 pub mod timing;
 pub mod tv;
 
 pub use domain::AbsVal;
-pub use engine::{analyze, Analysis, AnalysisConfig, BranchFinding, FindingKind, ResetPhase};
+pub use engine::{analyze, Analysis, BranchFinding, FindingKind};
 pub use facts::{FactTable, SignalFacts};
 pub use flat::{CompileError, CompiledDesign, Interp, Kind, SignalInfo};
-pub use fold::{fold, FoldStats};
 pub use lower::{two_state_eval, two_state_initial, two_state_step, StepFn, TwoState};
 pub use timing::{analyze_timing, Endpoint, EndpointKind, Timing};
 pub use tv::TWord;

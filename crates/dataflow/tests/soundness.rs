@@ -10,9 +10,8 @@
 //!    operands contain the concrete ones.
 //! 3. **Whole-analysis soundness**: on randomly generated clocked designs,
 //!    every register state and settled signal value reached by concrete
-//!    execution from power-on is contained in the fixpoint's `any_*`
-//!    joins, and every state reached after the reset protocol is contained
-//!    in the post-reset joins.
+//!    execution after the reset protocol is contained in the fixpoint's
+//!    post-reset joins.
 //!
 //! Abstract/concrete sample pairs are built only from constructors whose
 //! containment is immediate (known points, `top`, `undriven`) and grown
@@ -21,7 +20,7 @@
 use splice_dataflow::engine::reset_slot;
 use splice_dataflow::flat::DomainValue;
 use splice_dataflow::tv::mask;
-use splice_dataflow::{analyze, AbsVal, AnalysisConfig, CompiledDesign, ResetPhase, TWord};
+use splice_dataflow::{analyze, AbsVal, CompiledDesign, TWord};
 use splice_hdl::ast::Process;
 use splice_hdl::{BinOp, Decl, Expr, Item, Module, Port, Stmt};
 use splice_testutil::{check, Rng};
@@ -216,40 +215,37 @@ fn analysis_contains_every_concrete_run() {
         let m = random_module(rng);
         let d = CompiledDesign::compile(std::slice::from_ref(&m), "rnd").expect("compiles");
         let slot = reset_slot(&d).expect("RST input exists");
-        let cfg =
-            AnalysisConfig { reset: Some(ResetPhase { slot, steps: 2 }), ..Default::default() };
-        let a = analyze(&d, &cfg);
+        let a = analyze(&d);
 
-        let contained =
-            |regs: &[AbsVal], values: &[AbsVal], state: &[TWord], vals: &[TWord], phase: &str| {
-                for (i, t) in state.iter().enumerate() {
-                    assert!(
-                        regs[i].contains(t),
-                        "{phase}: register {} escaped: {t:?} not in {:?}\nmodule: {m:?}",
-                        d.signals[d.registers[i]].name,
-                        regs[i],
-                    );
-                }
-                for (id, t) in vals.iter().enumerate() {
-                    assert!(
-                        values[id].contains(t),
-                        "{phase}: signal {} escaped: {t:?} not in {:?}\nmodule: {m:?}",
-                        d.signals[id].name,
-                        values[id],
-                    );
-                }
-            };
+        let contained = |state: &[TWord], vals: &[TWord]| {
+            for (i, t) in state.iter().enumerate() {
+                assert!(
+                    a.regs[i].contains(t),
+                    "post-reset: register {} escaped: {t:?} not in {:?}\nmodule: {m:?}",
+                    d.signals[d.registers[i]].name,
+                    a.regs[i],
+                );
+            }
+            for (id, t) in vals.iter().enumerate() {
+                assert!(
+                    a.values[id].contains(t),
+                    "post-reset: signal {} escaped: {t:?} not in {:?}\nmodule: {m:?}",
+                    d.signals[id].name,
+                    a.values[id],
+                );
+            }
+        };
 
-        let random_inputs = |rng: &mut Rng, rst: Option<u64>| -> Vec<TWord> {
+        let random_inputs = |rng: &mut Rng, reset: bool| -> Vec<TWord> {
             d.inputs
                 .iter()
                 .enumerate()
                 .map(|(s, &id)| {
                     let w = d.signals[id].width;
-                    match rst {
-                        Some(v) if s == slot => TWord::known(v, w),
-                        Some(_) => TWord::known(0, w),
-                        None => TWord::known(rng.next_u64() & mask(w), w),
+                    if reset {
+                        TWord::known(u64::from(s == slot), w)
+                    } else {
+                        TWord::known(rng.next_u64() & mask(w), w)
                     }
                 })
                 .collect()
@@ -257,23 +253,15 @@ fn analysis_contains_every_concrete_run() {
 
         // The analysis models the checker's environment (`explore`): two
         // reset cycles — RST high, other inputs low — from power-on, then
-        // free inputs. The any-phase joins must cover the entire protocol
-        // run including the power-on state and the transient; the
-        // post-reset joins must cover everything after the transient.
+        // free inputs. The post-reset joins must cover everything after
+        // the reset transient.
         let mut state = d.initial_state();
-        let idle = random_inputs(rng, Some(0));
-        contained(&a.any_regs, &a.any_values, &state, &d.eval(&state, &idle), "power-on");
         for _ in 0..2 {
-            let inputs = random_inputs(rng, Some(1));
-            state = d.step(&state, &inputs);
-            let vals = d.eval(&state, &inputs);
-            contained(&a.any_regs, &a.any_values, &state, &vals, "reset transient");
+            state = d.step(&state, &random_inputs(rng, true));
         }
         for _ in 0..8 {
-            let inputs = random_inputs(rng, None);
-            let vals = d.eval(&state, &inputs);
-            contained(&a.regs, &a.values, &state, &vals, "post-reset");
-            contained(&a.any_regs, &a.any_values, &state, &vals, "any-phase");
+            let inputs = random_inputs(rng, false);
+            contained(&state, &d.eval(&state, &inputs));
             state = d.step(&state, &inputs);
         }
     });

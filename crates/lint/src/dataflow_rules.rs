@@ -19,9 +19,7 @@
 
 use crate::diag::{Diagnostic, Layer, LintReport, Location};
 use splice_dataflow::engine::{assign_profiles, branch_findings, reset_slot, FindingKind};
-use splice_dataflow::{
-    analyze, AnalysisConfig, CompileError, CompiledDesign, FactTable, Kind, ResetPhase,
-};
+use splice_dataflow::{analyze, CompileError, CompiledDesign, FactTable, Kind};
 use splice_hdl::Module;
 
 /// Run every dataflow rule over a set of modules that are emitted together
@@ -68,10 +66,8 @@ fn push_compile_error(module: &str, e: &CompileError, report: &mut LintReport) {
 /// everything the fixpoint proves.
 fn lint_compiled(d: &CompiledDesign, report: &mut LintReport) {
     let module = d.name.as_str();
-    let reset = reset_slot(d).map(|slot| ResetPhase { slot, steps: 2 });
-    let cfg = AnalysisConfig { reset, ..AnalysisConfig::default() };
-    let a = analyze(d, &cfg);
-    let facts = FactTable::build(d, &a, &[]);
+    let a = analyze(d);
+    let facts = FactTable::build(d, &a);
     let profiles = assign_profiles(d);
     let local = |id: usize| !d.signals[id].name.contains('.');
 
@@ -174,7 +170,7 @@ fn lint_compiled(d: &CompiledDesign, report: &mut LintReport) {
     // state (the static companion to the model checker's SL0404/SL0405,
     // which only see modules the checker explores). Needs a reset protocol
     // to be meaningful.
-    if reset.is_some() {
+    if reset_slot(d).is_some() {
         for &id in &d.registers {
             if local(id) && facts.signals[id].xmask != 0 {
                 report.push(

@@ -25,6 +25,8 @@ static TERMINATED: AtomicBool = AtomicBool::new(false);
 pub const SIGINT: i32 = 2;
 /// Signal number of `SIGKILL` (uncatchable; [`send_signal`] only).
 pub const SIGKILL: i32 = 9;
+/// Signal number of `SIGPIPE` (write to a pipe nobody reads).
+const SIGPIPE: i32 = 13;
 /// Signal number of `SIGTERM` (polite shutdown request).
 pub const SIGTERM: i32 = 15;
 
@@ -56,6 +58,14 @@ mod sys {
     pub fn send(pid: u32, sig: i32) -> bool {
         unsafe { kill(pid as i32, sig) == 0 }
     }
+
+    pub fn default_action(signum: i32) -> bool {
+        const SIG_DFL: usize = 0;
+        const SIG_ERR: usize = usize::MAX;
+        // SAFETY: `SIG_DFL` installs no handler code, and `signal` rejects
+        // an invalid signal number by returning `SIG_ERR`.
+        unsafe { signal(signum, SIG_DFL) != SIG_ERR }
+    }
 }
 
 #[cfg(not(unix))]
@@ -65,6 +75,10 @@ mod sys {
     }
 
     pub fn send(_pid: u32, _sig: i32) -> bool {
+        false
+    }
+
+    pub fn default_action(_signum: i32) -> bool {
         false
     }
 }
@@ -79,6 +93,16 @@ pub fn install_sigint() -> bool {
 /// Install the flag-setting handler for `SIGTERM`.
 pub fn install_sigterm() -> bool {
     sys::install(SIGTERM)
+}
+
+/// Restore the default `SIGPIPE` action, which the Rust runtime replaces
+/// with `SIG_IGN`. A command-line tool whose reader hangs up (`splice lint
+/// … | head`) then ends quietly, like any Unix filter, instead of
+/// panicking on the `EPIPE` its next print returns. A long-lived server
+/// must keep `SIG_IGN`: there a client hang-up has to stay an `EPIPE`
+/// error rather than kill the process.
+pub fn default_sigpipe() -> bool {
+    sys::default_action(SIGPIPE)
 }
 
 /// Has `SIGINT` arrived since startup / the last [`reset`]?

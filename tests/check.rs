@@ -183,26 +183,6 @@ fn checking_an_example_is_deterministic() {
     assert_eq!(a.report, b.report);
 }
 
-/// The dataflow constant-folding pre-pass must be invisible in every
-/// verdict: findings, counterexamples, and the pinned reachable-state
-/// statistics are byte-identical with and without it (the CI fold-parity
-/// job repeats this over every example spec via the CLI).
-#[test]
-fn fold_prepass_preserves_every_verdict() {
-    for stem in ["mac", "dma_stream", "hw_timer"] {
-        let spec = example_spec(stem);
-        let folded = check_source(&spec, &CheckOptions::default()).expect("check runs");
-        let plain = check_source(&spec, &CheckOptions { fold: false, ..CheckOptions::default() })
-            .expect("check runs");
-        assert_eq!(folded.stats, plain.stats, "{stem}: fold perturbed exploration statistics");
-        assert_eq!(folded.report, plain.report, "{stem}: fold perturbed the verdict");
-        assert_eq!(
-            folded.counterexamples, plain.counterexamples,
-            "{stem}: fold perturbed counterexamples"
-        );
-    }
-}
-
 /// 512 seeded stimulus rows in `d.inputs` slot order: two reset rows (RST
 /// high, everything else low), then RST low and every other input free.
 fn tape_stimulus(d: &CompiledDesign) -> Vec<Vec<u64>> {
@@ -264,31 +244,15 @@ fn compiled_tape_matches_the_tree_walk_on_every_generated_module() {
     assert_eq!(checked.len(), 21, "every func_* and user_* module is covered: {checked:?}");
 }
 
-/// The pre-pass must actually shrink something real: on the DMA example's
-/// composed arbiter, reads of declared constants fold into literals and
-/// their surrounding literal subtrees collapse, so the explored relation
-/// has strictly fewer expression nodes (surfaced as the `expr_nodes` attr
-/// on `check.explore` spans).
+/// The abstract fixpoint the SL05xx lints read closes on a real generated
+/// design, not only on hand-written ones: on the DMA example's composed
+/// arbiter it converges without the top fallback.
 #[test]
-fn fold_prepass_shrinks_the_dma_arbiter_relation() {
-    use splice_dataflow::{analyze, AnalysisConfig, FactTable, ResetPhase};
+fn dataflow_fixpoint_converges_on_the_dma_arbiter() {
     let (_ir, modules) = generated(&example_spec("dma_stream"));
-    let d = splice_check::CompiledDesign::compile(&modules, "user_dma_stream").expect("compiles");
-    let slot = splice_dataflow::engine::reset_slot(&d).expect("arbiter has RST");
-    let a = analyze(
-        &d,
-        &AnalysisConfig { reset: Some(ResetPhase { slot, steps: 2 }), ..Default::default() },
-    );
-    assert!(a.converged, "the abstract fixpoint closes on a real design");
-    let facts = FactTable::build(&d, &a, &[]);
-    let (folded, stats) = splice_dataflow::fold(&d, &facts, &[]);
-    assert!(stats.folded_reads > 0, "constant reads were folded");
-    assert!(
-        folded.expr_node_count() < d.expr_node_count(),
-        "folding must shrink the relation: {} -> {}",
-        d.expr_node_count(),
-        folded.expr_node_count()
-    );
+    let d = CompiledDesign::compile(&modules, "user_dma_stream").expect("compiles");
+    assert!(reset_slot(&d).is_some(), "the arbiter has RST, so the reset phase runs");
+    assert!(splice_dataflow::analyze(&d).converged, "the abstract fixpoint closes");
 }
 
 // ---------------------------------------------------------------------------
@@ -341,7 +305,7 @@ fn unreset_register_yields_confirmed_x_counterexample() {
         "{:?}",
         cex.witness
     );
-    assert_eq!(cex.confirmed, Some(true), "X witness must reproduce on the tape");
+    assert!(cex.confirmed, "X witness must reproduce on the tape");
 
     // Every trace is pinned row by row: the first driver script that
     // observes the X, then the stub's and the arbiter's free BFS, which
@@ -384,7 +348,7 @@ fn reset_covered_x_is_reported_but_marked_unconfirmed() {
         .iter()
         .find(|c| c.code == "SL0404")
         .expect("the undefined power-up value is reported");
-    assert_eq!(cex.confirmed, Some(false), "reset masks the X dynamically");
+    assert!(!cex.confirmed, "reset masks the X dynamically");
 }
 
 #[test]
@@ -406,7 +370,7 @@ fn dead_acknowledge_line_yields_confirmed_stall_counterexample() {
         "{:?}",
         cex.witness
     );
-    assert_eq!(cex.confirmed, Some(true), "the stall must reproduce on the tape");
+    assert!(cex.confirmed, "the stall must reproduce on the tape");
 }
 
 /// Reintroduce a historical generator defect: without the arbiter's
@@ -434,7 +398,7 @@ fn disabled_func_id_remap_yields_confirmed_mutex_counterexample() {
         "{:?}",
         cex.witness
     );
-    assert_eq!(cex.confirmed, Some(true), "the overlap must reproduce on the tape");
+    assert!(cex.confirmed, "the overlap must reproduce on the tape");
 
     // The only counterexample is the BFS edge out of the post-reset state
     // that first strobes a write to FUNC_ID 1, which both unremapped
