@@ -2,15 +2,13 @@
 //!
 //! Each library carries what the thesis's `lib<x>_interface.so` plugins
 //! carry (§7.1): the parameter checker, the bus-specific marker loader and
-//! the annotated native-adapter HDL template — plus the simulation-adapter
-//! factory this reproduction adds.
+//! the annotated native-adapter HDL template. The simulation adapter of a
+//! bus is picked by its synchronization class in
+//! [`crate::system::SplicedSystem`].
 
-use crate::generic::{ApbAdapter, ApbSignals, PseudoAsyncSystem};
-use splice_core::api::{AdapterHandle, BusLibrary, BusLibraryRegistry};
+use splice_core::api::{BusLibrary, BusLibraryRegistry};
 use splice_core::ir::DesignIr;
 use splice_core::template::MarkerSet;
-use splice_sim::SimulatorBuilder;
-use splice_sis::SisBus;
 use splice_spec::bus::{BusCaps, BusKind};
 use splice_spec::validate::ModuleSpec;
 
@@ -101,37 +99,6 @@ impl BusLibrary for BuiltinBusLibrary {
 
     fn interface_template(&self, _ir: &DesignIr) -> String {
         adapter_template(self.kind)
-    }
-
-    fn build_sim_adapter(
-        &self,
-        b: &mut SimulatorBuilder,
-        ir: &DesignIr,
-        sis: SisBus,
-        prefix: &str,
-    ) -> AdapterHandle {
-        let p = &ir.module.params;
-        match self.kind {
-            BusKind::Apb => {
-                let sig = ApbSignals::declare(b, prefix, p.bus_width);
-                let component =
-                    b.component(Box::new(ApbAdapter::new(sig, sis, p.base_address, p.bus_width)));
-                AdapterHandle { component }
-            }
-            kind => {
-                let caps = BusCaps::builtin(kind);
-                let sys = PseudoAsyncSystem::attach(
-                    b,
-                    prefix,
-                    sis,
-                    p.bus_width,
-                    p.base_address,
-                    caps.bridge_latency,
-                    caps.opcode_coupled,
-                );
-                AdapterHandle { component: sys.adapter }
-            }
-        }
     }
 }
 
@@ -342,19 +309,5 @@ mod tests {
         let src = "%device_name d\n%bus_type fcb\n%bus_width 32\nvoid f():17;";
         let m = parse_and_validate(src).unwrap().module;
         assert!(lib.check_params(&m).is_err());
-    }
-
-    #[test]
-    fn sim_adapters_instantiate_for_every_bus() {
-        for kind in BusKind::all() {
-            let lib = library_for(kind);
-            let ir = design(kind.name());
-            let mut b = SimulatorBuilder::new();
-            let sis = SisBus::declare(&mut b, "sis.", 32, 8);
-            let handle = lib.build_sim_adapter(&mut b, &ir, sis, "native.");
-            let mut sim = b.build();
-            assert!(handle.component < 10);
-            sim.run(5).unwrap();
-        }
     }
 }

@@ -266,10 +266,6 @@ impl CheckOutcome {
 /// diagnostics, not errors).
 #[derive(Debug)]
 pub enum CheckError {
-    /// The specification did not parse or validate.
-    Spec(Vec<splice_spec::SpecError>),
-    /// HDL generation failed.
-    Gen(String),
     /// A generated module could not be compiled to a transition relation.
     Compile(CompileError),
     /// A module is missing part of the ten-signal contract.
@@ -279,11 +275,6 @@ pub enum CheckError {
 impl fmt::Display for CheckError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckError::Spec(errors) => {
-                let kinds: Vec<String> = errors.iter().map(|e| e.kind.to_string()).collect();
-                write!(f, "specification error: {}", kinds.join("; "))
-            }
-            CheckError::Gen(e) => write!(f, "generation error: {e}"),
             CheckError::Compile(e) => write!(f, "cannot compile generated HDL: {e}"),
             CheckError::Pins(e) => write!(f, "SIS contract incomplete: {e}"),
         }
@@ -631,47 +622,12 @@ pub fn check_modules(
     Ok(CheckOutcome { report, counterexamples: cexs, stats })
 }
 
-/// Check specification text end to end: parse, validate, elaborate,
-/// generate, model-check the HDL, then cross-check the generated driver
-/// against it.
-pub fn check_source(source: &str, opts: &CheckOptions) -> Result<CheckOutcome, CheckError> {
-    let validated = splice_spec::parse_and_validate(source).map_err(CheckError::Spec)?;
-    let ir = splice_core::elaborate(&validated.module);
-    let modules = splice_core::hdlgen::design_modules(&ir, "check")
-        .map_err(|e| CheckError::Gen(e.to_string()))?;
-    let mut outcome = check_modules(&ir, &modules, opts)?;
-
-    let p = &ir.module.params;
-    let lib_h =
-        splice_driver::macros::macro_header_with_irq(&p.bus, p.bus_width, p.base_address, p.irq);
-    let driver_c = splice_driver::cgen::driver_source(&ir.module);
-    cross_check(&ir, &modules, &lib_h, &driver_c, &mut outcome.report);
-    Ok(outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const CLEAN: &str =
         "%bus_type fcb\n%bus_width 32\n%device_name check_dev\nint mac(int a, int b);\n";
-
-    #[test]
-    fn clean_spec_checks_clean_end_to_end() {
-        let out = check_source(CLEAN, &CheckOptions::default()).expect("check runs");
-        assert!(out.report.is_clean(), "{}", out.render_text());
-        assert!(out.counterexamples.is_empty());
-        assert!(!out.stats.is_empty());
-        assert!(out.stats.iter().all(|s| s.reachable > 0), "{:?}", out.stats);
-    }
-
-    #[test]
-    fn checking_is_deterministic() {
-        let a = check_source(CLEAN, &CheckOptions::default()).expect("check runs");
-        let b = check_source(CLEAN, &CheckOptions::default()).expect("check runs");
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.report, b.report);
-    }
 
     #[test]
     fn injected_id_macro_mismatch_is_flagged() {
@@ -690,11 +646,5 @@ mod tests {
         let mut report = LintReport::new();
         cross_check(&ir, &modules, &lib_h, &driver_c, &mut report);
         assert!(report.has("SL0407"), "{}", report.render_text());
-    }
-
-    #[test]
-    fn spec_errors_surface_as_check_errors() {
-        let err = check_source("%bus_type fcb\nint f(int a;\n", &CheckOptions::default());
-        assert!(matches!(err, Err(CheckError::Spec(_))), "{err:?}");
     }
 }

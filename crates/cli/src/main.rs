@@ -10,8 +10,8 @@
 //! Every run also performs a post-generation lint (`splice-lint`): the
 //! spec, the elaborated IR and the generated module ASTs are checked for
 //! semantic defects — lint errors abort generation, and `--deny-warnings`
-//! promotes warnings for CI. `splice lint <spec>` (or `--lint`) runs the
-//! analysis alone without generating anything.
+//! promotes warnings for CI. `splice lint <spec>` prints the lint report
+//! without generating anything.
 //!
 //! `splice check <spec>` (or `--check` during generation) goes further
 //! than lint: it model-checks the generated FSMs against the SIS protocol
@@ -21,8 +21,7 @@
 //! unit-delay logic depth, named critical paths (register → gates →
 //! register/port), fan-out hot spots, and the netlist-grade resource bill
 //! compared against the IR estimate. `--json` renders it as a document,
-//! `--top <n>` bounds the paths per module, and `--deny-warnings` fails
-//! the run when the SL06xx timing rules fire (CI).
+//! and `--top <n>` bounds the paths per module.
 //!
 //! `splice profile <spec>` builds the generated design into a live
 //! simulation, drives one driver call per declared function, and prints
@@ -35,6 +34,12 @@
 //! `splice serve --socket <path>` runs the generation pipeline as a
 //! long-lived daemon over a Unix socket, dispatching jobs to a supervised
 //! pool of worker processes (`splice-serve`; see `docs/serve.md`).
+//!
+//! Every mode runs the one pipeline (`splice::run_pipeline`) and prints
+//! a view of its output, so every mode gives the same verdict on a spec:
+//! one gate (`PipelineOutput::denial`) refuses a design lint refuses, or
+//! one whose model check fails, and `--deny-warnings` refuses warnings
+//! too. `check` and `timing` print their report, then apply the gate.
 //!
 //! Exit codes are structured for scripting: `0` success, `1` diagnostics
 //! denied the run (spec/lint/check findings), `2` usage errors (bad
@@ -57,16 +62,34 @@ use splice::prelude::*;
 use splice_buses::builtin_libraries;
 use splice_core::api::BusLibraryRegistry;
 use splice_driver::program::CallValue;
+use splice_lint::{Diagnostic, Layer, LintReport, Location};
 use splice_obs::trace;
 use splice_resources::design_cost;
 use splice_sim::Backend;
+use splice_spec::span::line_col;
 use splice_spec::validate::{IoBound, ValidatedFunction};
 use std::io::{BufRead, Write};
 use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+/// What a run produces; picked by the subcommand.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Write the generated HDL and drivers (no subcommand).
+    Generate,
+    /// Print the lint report.
+    Lint,
+    /// Print the model-check outcome.
+    Check,
+    /// Print the structural timing report.
+    Timing,
+    /// Simulate a workload and print the kernel profile.
+    Profile,
+}
+
 struct Options {
+    mode: Mode,
     spec_file: PathBuf,
     out_dir: PathBuf,
     force: bool,
@@ -74,10 +97,7 @@ struct Options {
     resources: bool,
     linux: bool,
     metrics: Option<PathBuf>,
-    lint_only: bool,
-    check_only: bool,
-    timing_only: bool,
-    profile_only: bool,
+    /// `--check`: model-check before generating or profiling.
     check: bool,
     check_opts: splice_check::CheckOptions,
     /// Kernel scheduling for `splice profile`.
@@ -96,7 +116,7 @@ splice — a standardized peripheral logic and interface creation engine
 
 USAGE:
   splice [OPTIONS] <spec-file>          generate HDL + drivers (lints first)
-  splice lint [OPTIONS] <spec-file>     static analysis only, no generation
+  splice lint [OPTIONS] <spec-file>     print the lint report, no generation
   splice check [OPTIONS] <spec-file>    model-check the generated design, no output
   splice timing [OPTIONS] <spec-file>   structural timing report: logic depth,
                                         critical paths, fan-out, netlist cost
@@ -111,12 +131,11 @@ OPTIONS:
   -o, --out <dir>       parent directory for the device subdirectory (default .)
   -f, --force           overwrite an existing device directory without asking
   -n, --dry-run         print what would be generated without writing files
-      --lint            lint only: report SLxxxx diagnostics, generate nothing
       --explain <code>  print the catalogue entry for one rule code and exit
                         (e.g. `splice lint --explain SL0502`; no spec needed)
       --check           model-check the design before generating (see `splice check`)
       --deny-warnings   treat lint/check warnings as errors (CI)
-      --json            render the lint/check report as JSON
+      --json            render the lint/check/timing report as JSON
       --resources       print the estimated FPGA resource bill
       --linux           also emit splice_lib_linux.h (mmap-based user-space driver)
       --metrics <f>     write generation-pipeline metrics to <f> as JSON
@@ -135,16 +154,18 @@ CHECK OPTIONS (check mode / --check):
                         replayed on its two-state step tape
 
 TIMING OPTIONS (timing mode):
-      --top <n>         critical paths reported per module (default 3);
-                        --json renders the report as a JSON document, and
-                        --deny-warnings fails the run when the SL06xx
-                        timing rules fire
+      --top <n>         critical paths reported per module (default 3)
 
 PROFILE OPTIONS (profile mode):
       --calls <n>       workload rounds (one driver call per function each
                         round; default 1, at least 1)
       --backend <b>     kernel scheduling: gated (default) or eager; the
                         profiler times every tick under the selected one
+
+Every mode lints the design and gives the same verdict on a spec: a
+spec error, a lint error or a failed model check exits 1, and so does
+any warning under --deny-warnings. check and timing print their report,
+then refuse what lint refuses.
 
 Lint rule codes are catalogued in docs/lint.md; the model-checking
 properties (SL04xx) in docs/model-checking.md; tracing and profiling in
@@ -199,10 +220,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut resources = false;
     let mut linux = false;
     let mut metrics = None;
-    let mut lint_only = false;
-    let mut check_only = false;
-    let mut timing_only = false;
-    let mut profile_only = false;
     let mut check = false;
     let mut check_opts = splice_check::CheckOptions::default();
     let mut backend = Backend::Gated;
@@ -211,26 +228,12 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut trace_out = None;
     let mut calls = 1u64;
     let mut top_paths = 3usize;
-    // `splice lint <spec>` / `splice check <spec>` / `splice timing <spec>`
-    // / `splice profile <spec>` are sugar for the flags.
-    let args = match args.first().map(String::as_str) {
-        Some("lint") => {
-            lint_only = true;
-            &args[1..]
-        }
-        Some("check") => {
-            check_only = true;
-            &args[1..]
-        }
-        Some("timing") => {
-            timing_only = true;
-            &args[1..]
-        }
-        Some("profile") => {
-            profile_only = true;
-            &args[1..]
-        }
-        _ => args,
+    let (mode, args) = match args.first().map(String::as_str) {
+        Some("lint") => (Mode::Lint, &args[1..]),
+        Some("check") => (Mode::Check, &args[1..]),
+        Some("timing") => (Mode::Timing, &args[1..]),
+        Some("profile") => (Mode::Profile, &args[1..]),
+        _ => (Mode::Generate, args),
     };
     // Each option parses straight into its field's type, so an
     // out-of-range value is a usage error rather than a silent wrap; the
@@ -248,9 +251,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--lint" => lint_only = true,
             "--check" => check = true,
-            "--backend" if profile_only => {
+            "--backend" if mode == Mode::Profile => {
                 backend = match it.next().map(String::as_str) {
                     Some("eager") => Backend::Eager,
                     Some("gated") => Backend::Gated,
@@ -321,6 +323,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     }
     let spec_file = spec_file.ok_or_else(|| format!("no spec file given\n{USAGE}"))?;
     Ok(Some(Options {
+        mode,
         spec_file,
         out_dir,
         force,
@@ -328,10 +331,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         resources,
         linux,
         metrics,
-        lint_only,
-        check_only,
-        timing_only,
-        profile_only,
         check,
         check_opts,
         backend,
@@ -343,77 +342,48 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     }))
 }
 
-/// Run the model checker over spec text and render its outcome. A spec
-/// error is rendered with its location and denies the run, like every
-/// other mode; a run that cannot start past the spec is an internal failure.
-fn run_check(source: &str, spec_path: &str, opts: &Options) -> Result<ExitCode, CliError> {
-    let outcome = splice_check::check_source(source, &opts.check_opts).map_err(|e| match e {
-        splice_check::CheckError::Spec(errors) => {
-            for e in &errors {
-                eprintln!("{}", e.render_at(source, spec_path));
-            }
-            CliError::Diag(format!("{} specification error(s); nothing checked", errors.len()))
-        }
-        e => CliError::Internal(format!("model check failed to run: {e}")),
-    })?;
-    if opts.json {
-        print!("{}", outcome.render_json());
-    } else {
-        print!("{}", outcome.render_text());
-    }
-    Ok(if outcome.report.fails(opts.deny_warnings) { ExitCode::FAILURE } else { ExitCode::SUCCESS })
-}
-
-/// Run the pipeline, translating its error shape into the CLI's
-/// stderr-plus-message convention.
-fn pipeline(source: &str, spec_path: &str, opts: &Options) -> Result<PipelineOutput, CliError> {
-    let popts = PipelineOptions {
-        gen_date: gen_date(),
-        linux: opts.linux,
-        check: opts.check.then_some(opts.check_opts),
-        deny_warnings: opts.deny_warnings,
+/// What `splice lint` prints for a run: the pipeline's lint report or, on
+/// a refused spec, its spec-layer findings then one SL0100 per error,
+/// located in the source. `None` when the pipeline failed internally.
+fn lint_view(result: &Result<PipelineOutput, PipelineError>, source: &str) -> Option<LintReport> {
+    let (lint, errors) = match result {
+        Ok(out) => return Some(out.lint.clone()),
+        Err(PipelineError::Spec { errors, lint }) => (lint, errors),
+        Err(PipelineError::Phase(_)) => return None,
     };
-    match run_pipeline(source, spec_path, &popts) {
-        Ok(out) => Ok(out),
-        Err(PipelineError::Spec(errors)) => {
-            for e in &errors {
-                eprintln!("{e}");
-            }
-            Err(CliError::Diag(format!(
-                "{} specification error(s); nothing generated",
-                errors.len()
-            )))
-        }
-        Err(PipelineError::Phase(msg)) => Err(CliError::Internal(msg)),
+    let mut report = lint.clone();
+    for e in errors {
+        let lc = line_col(source, e.span.start);
+        report.push(Diagnostic::error(
+            "SL0100",
+            Layer::Spec,
+            Location::Source { line: lc.line, col: lc.col },
+            e.kind.to_string(),
+        ));
     }
+    Some(report)
 }
 
-/// Apply the lint / check gates exactly as generation does: render findings
-/// to stderr, fail with a summary message.
-fn gate_reports(out: &PipelineOutput, opts: &Options) -> Result<(), CliError> {
-    if !out.lint.is_clean() {
+/// The one gate, as every mode applies it: show on stderr the findings
+/// this mode does not print as its product, then refuse the run if
+/// [`PipelineOutput::denial`] names a report.
+fn gate(out: &PipelineOutput, opts: &Options) -> Result<(), CliError> {
+    if opts.mode != Mode::Lint && !out.lint.is_clean() {
         eprint!("{}", out.lint.render_text());
     }
-    if out.lint.fails(opts.deny_warnings) {
-        return Err(CliError::Diag(format!(
-            "lint reported {} error(s) and {} warning(s); nothing generated",
-            out.lint.error_count(),
-            out.lint.warning_count()
-        )));
-    }
     if let Some(check) = &out.check {
-        if !check.report.is_clean() {
+        if opts.mode != Mode::Check && !check.report.is_clean() {
             eprint!("{}", check.render_text());
         }
-        if check.report.fails(opts.deny_warnings) {
-            return Err(CliError::Diag(format!(
-                "model check reported {} error(s) and {} warning(s); nothing generated",
-                check.report.error_count(),
-                check.report.warning_count()
-            )));
-        }
     }
-    Ok(())
+    match out.denial(opts.deny_warnings) {
+        None => Ok(()),
+        Some((phase, report)) => Err(CliError::Diag(format!(
+            "{phase} reported {} error(s) and {} warning(s); nothing generated",
+            report.error_count(),
+            report.warning_count()
+        ))),
+    }
 }
 
 fn run(args: &[String]) -> Result<ExitCode, CliError> {
@@ -432,10 +402,14 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
         return Ok(ExitCode::SUCCESS);
     };
 
+    // `--check` belongs to generation and profiling; lint and timing
+    // ignore it.
+    let check = opts.mode == Mode::Check
+        || (opts.check && matches!(opts.mode, Mode::Generate | Mode::Profile));
     // Long-running analysis modes honor Ctrl-C at phase boundaries: the
     // BFS polls the flag and reports an interrupted (prefix-only) result
     // instead of dying mid-exploration.
-    if opts.check_only || opts.profile_only || opts.check {
+    if check || opts.mode == Mode::Profile {
         splice_obs::interrupt::install_sigint();
         opts.check_opts.stop = Some(splice_obs::interrupt::interrupted);
     }
@@ -444,42 +418,64 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
         .map_err(|e| CliError::Usage(format!("cannot read {}: {e}", opts.spec_file.display())))?;
     let spec_path = opts.spec_file.display().to_string();
 
-    // Lint-only mode: run the full three-layer analysis and report.
-    if opts.lint_only {
-        let libs = builtin_libraries();
-        let report = splice_lint::lint_source_with(&source, &libs.spec_registry());
-        if opts.json {
-            print!("{}", report.render_json());
-        } else {
-            print!("{}", report.render_text());
-        }
-        return Ok(if report.fails(opts.deny_warnings) {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        });
-    }
-
-    // Check-only mode: model-check the generated design and report.
-    if opts.check_only {
-        return run_check(&source, &spec_path, &opts);
-    }
-
-    // Timing mode: structural timing report over the generated design.
-    if opts.timing_only {
-        return run_timing(&source, &spec_path, &opts);
-    }
-
-    // Profile mode: generate, simulate a workload, print the profile.
-    if opts.profile_only {
-        return run_profile(&source, &spec_path, &opts);
-    }
-
     if opts.trace_out.is_some() {
         trace::start();
     }
-    let out = pipeline(&source, &spec_path, &opts)?;
-    gate_reports(&out, &opts)?;
+    let popts = PipelineOptions {
+        gen_date: gen_date(),
+        linux: opts.linux,
+        check: check.then_some(opts.check_opts),
+        deny_warnings: opts.deny_warnings,
+    };
+    let result = run_pipeline(&source, &spec_path, &popts);
+
+    // The report modes print their view of the run before the gate, so a
+    // refused run still shows its report.
+    let json = opts.json;
+    if opts.mode == Mode::Lint {
+        if let Some(report) = lint_view(&result, &source) {
+            print!("{}", if json { report.render_json() } else { report.render_text() });
+        }
+    }
+    let out = match result {
+        Ok(out) => out,
+        Err(PipelineError::Spec { errors, .. }) => {
+            if opts.mode != Mode::Lint {
+                for e in &errors {
+                    eprintln!("{}", e.render_at(&source, &spec_path));
+                }
+            }
+            return Err(CliError::Diag(format!(
+                "{} specification error(s); nothing generated",
+                errors.len()
+            )));
+        }
+        Err(PipelineError::Phase(msg)) => return Err(CliError::Internal(msg)),
+    };
+    match opts.mode {
+        Mode::Check => {
+            if let Some(c) = &out.check {
+                print!("{}", if json { c.render_json() } else { c.render_text() });
+            }
+        }
+        Mode::Timing => {
+            let report = splice::timing_report(&out.ir, &out.modules, opts.top_paths)
+                .map_err(CliError::Internal)?;
+            print!("{}", if json { report.render_json() } else { report.render_text() });
+        }
+        Mode::Generate | Mode::Lint | Mode::Profile => {}
+    }
+    gate(&out, &opts)?;
+    match opts.mode {
+        Mode::Generate => generate(&out, &opts),
+        Mode::Profile => profile(&out, &opts),
+        Mode::Lint | Mode::Check | Mode::Timing => Ok(ExitCode::SUCCESS),
+    }
+}
+
+/// Generation: print the notes and requested reports, then write the
+/// device directory (or, with `--dry-run`, list what it would hold).
+fn generate(out: &PipelineOutput, opts: &Options) -> Result<ExitCode, CliError> {
     if let Some(path) = &opts.trace_out {
         if let Some(data) = trace::finish() {
             write_file(path, &data.to_chrome_json("splice pipeline"))?;
@@ -570,41 +566,6 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `splice timing <spec>`: parse, validate, elaborate, generate the module
-/// set, and print the structural timing report (text or `--json`). The
-/// SL06xx timing rules run alongside so `--deny-warnings` gates CI on the
-/// same analysis the report visualizes.
-fn run_timing(source: &str, spec_path: &str, opts: &Options) -> Result<ExitCode, CliError> {
-    let libs = builtin_libraries();
-    let spec = splice_spec::parse(source).map_err(|errors| {
-        for e in &errors {
-            eprintln!("{}", e.render_at(source, spec_path));
-        }
-        CliError::Diag(format!("{} specification error(s); no timing report", errors.len()))
-    })?;
-    let validated = splice_spec::validate::validate(&spec, &libs.spec_registry())
-        .map_err(|e| CliError::Diag(e.render_at(source, spec_path)))?;
-    let ir = elaborate(&validated.module);
-    let modules = splice_core::hdlgen::design_modules(&ir, "timing")
-        .map_err(|e| CliError::Internal(format!("HDL generation is impossible: {e}")))?;
-
-    let report =
-        splice::timing_report(&ir, &modules, opts.top_paths).map_err(CliError::Internal)?;
-    if opts.json {
-        print!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_text());
-    }
-
-    let mut lint = splice_lint::LintReport::new();
-    splice_lint::lint_timing(&modules, &mut lint);
-    splice_lint::lint_estimate(&ir, &modules, &mut lint);
-    if !lint.is_clean() {
-        eprint!("{}", lint.render_text());
-    }
-    Ok(if lint.fails(opts.deny_warnings) { ExitCode::FAILURE } else { ExitCode::SUCCESS })
-}
-
 /// Synthesize plausible arguments for one driver call to `f`: scalars get
 /// small distinct values, arrays get ramps sized from their bound (implicit
 /// bounds use a few elements, with the index parameter set to match).
@@ -643,18 +604,10 @@ fn synth_args(f: &ValidatedFunction) -> CallArgs {
     CallArgs::new(values)
 }
 
-/// `splice profile <spec>`: run the pipeline, bring the design to life with
-/// the default calculation logic, drive one call per function (times
-/// `--calls`), and print the kernel's per-component attribution.
-fn run_profile(source: &str, spec_path: &str, opts: &Options) -> Result<ExitCode, CliError> {
-    trace::start();
-    let out = pipeline(source, spec_path, opts).inspect_err(|_| {
-        trace::finish();
-    })?;
-    if let Err(e) = gate_reports(&out, opts) {
-        trace::finish();
-        return Err(e);
-    }
+/// `splice profile <spec>`: bring the design to life with the default
+/// calculation logic, drive one call per function (times `--calls`), and
+/// print the kernel's per-component attribution.
+fn profile(out: &PipelineOutput, opts: &Options) -> Result<ExitCode, CliError> {
     let module = &out.module;
 
     let _workload = trace::span("workload");
@@ -721,8 +674,8 @@ fn run_profile(source: &str, spec_path: &str, opts: &Options) -> Result<ExitCode
     );
     print!("{}", profile.render_text());
 
-    let data = trace::finish().expect("tracer was started");
     if let Some(path) = &opts.trace_out {
+        let data = trace::finish().expect("tracer was started");
         let mut t = splice_obs::ChromeTrace::new();
         t.process_name(1, "splice pipeline");
         data.add_chrome_events(&mut t, 1, 1);
@@ -765,4 +718,57 @@ fn run_serve(args: &[String]) -> Result<ExitCode, CliError> {
 fn gen_date() -> String {
     std::env::var("SPLICE_GEN_DATE")
         .unwrap_or_else(|_| format!("splice {} build", env!("CARGO_PKG_VERSION")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use splice_lint::Severity;
+
+    const CLEAN: &str =
+        "%bus_type fcb\n%bus_width 32\n%device_name lint_dev\nint mac(int a, int b);\n";
+
+    /// The report `splice lint` prints for `source`.
+    fn lint(source: &str) -> LintReport {
+        let result = run_pipeline(source, "lint.splice", &PipelineOptions::default());
+        lint_view(&result, source).expect("the pipeline ran")
+    }
+
+    #[test]
+    fn clean_spec_lints_clean_end_to_end() {
+        let r = lint(CLEAN);
+        assert!(r.is_clean(), "{}", r.render_text());
+    }
+
+    #[test]
+    fn lint_design_covers_ir_and_hdl() {
+        let result = run_pipeline(CLEAN, "lint.splice", &PipelineOptions::default());
+        let r = lint_view(&result, CLEAN).expect("the pipeline ran");
+        assert!(r.is_clean(), "{}", r.render_text());
+        let out = result.expect("valid");
+        assert!(!out.modules.is_empty(), "no HDL module reached the lint");
+    }
+
+    #[test]
+    fn parse_failure_becomes_sl0100_with_position() {
+        let r = lint("%bus_type fcb\nint f(int a;\n");
+        assert!(r.has("SL0100"), "{}", r.render_text());
+        let d = &r.diagnostics[0];
+        assert!(matches!(d.location, Location::Source { line: 2, .. }), "{:?}", d.location);
+        assert_eq!(d.severity, Severity::Error);
+    }
+
+    #[test]
+    fn validate_failure_becomes_sl0100() {
+        // FCB supports no DMA: validation rejects the `^` transfer.
+        let r = lint("%bus_type fcb\nvoid push(int^ data[8]);\n");
+        assert!(r.has("SL0100"), "{}", r.render_text());
+    }
+
+    #[test]
+    fn spec_rules_still_run_when_validation_would_pass() {
+        let src = "%bus_type plb\n%bus_width 32\n%device_name lint_dev\n%base_address 0xFFFFFFFC\nint f(int a);\nint g(int b);\n";
+        let r = lint(src);
+        assert!(r.has("SL0101"), "{}", r.render_text());
+    }
 }

@@ -137,7 +137,7 @@ fn help_prints_usage() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("USAGE"));
-    assert!(stdout.contains("--lint") && stdout.contains("--deny-warnings"), "{stdout}");
+    assert!(stdout.contains("splice lint") && stdout.contains("--deny-warnings"), "{stdout}");
 }
 
 /// Validates fine, but the register window wraps (SL0101, error) and two
@@ -185,8 +185,8 @@ fn lint_reports_structured_findings_and_fails_on_errors() {
     assert!(stdout.contains("SL0105") && stdout.contains("warning"), "{stdout}");
     assert!(stdout.contains("help:"), "{stdout}");
 
-    // --lint flag form + JSON rendering.
-    let out = splice_bin().args(["--lint", "--json"]).arg(&spec).output().unwrap();
+    // JSON rendering.
+    let out = splice_bin().args(["lint", "--json"]).arg(&spec).output().unwrap();
     assert!(!out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"diagnostics\""), "{stdout}");
@@ -318,12 +318,112 @@ fn exit_codes_are_pinned() {
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
     }
 
+    // 2: `splice lint` is the one lint mode; the `--lint` alias is gone.
+    for args in [&["--lint"][..], &["check", "--lint"]] {
+        let out = splice_bin().args(args).arg(&good).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+    }
+
     // 3: internal failure — output dir collides with a regular file.
     let blocker = dir.join("blocked");
     std::fs::write(&blocker, "in the way").unwrap();
     let out = splice_bin().arg("-o").arg(&blocker).arg("--force").arg(&good).output().unwrap();
     assert_eq!(out.status.code(), Some(3), "write failure must exit 3");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The FCB library refuses more than 16 function instances (§7.1.2).
+const FCB_REFUSED_SPEC: &str = "%device_name d\n%bus_type fcb\n%bus_width 32\nvoid f():17;\n";
+
+/// The PLB library refuses an address past 32 bits (§7.1.2).
+const PLB_REFUSED_SPEC: &str = "%device_name d\n%bus_type plb\n%bus_width 32\n\
+                                %base_address 0x100000000\nint f(int a);\n";
+
+/// Every mode gives one verdict on a spec: a design lint refuses, a spec
+/// its bus library refuses, and warnings under `--deny-warnings` exit 1
+/// from all five modes; warnings alone and the bundled examples exit 0.
+#[test]
+fn every_mode_gives_the_same_verdict() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = tmp_dir("verdicts");
+    let write = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path
+    };
+    let fcb = write("fcb.splice", FCB_REFUSED_SPEC);
+    let plb = write("plb.splice", PLB_REFUSED_SPEC);
+    let warn = write("warn.splice", WARN_ONLY_SPEC);
+    let mut cases = vec![
+        (root.join("tests/fixtures/dirty.splice"), false, 1),
+        (fcb.clone(), false, 1),
+        (plb.clone(), false, 1),
+        (warn.clone(), true, 1),
+        (warn, false, 0),
+    ];
+    for entry in std::fs::read_dir(root.join("examples/specs")).unwrap() {
+        cases.push((entry.unwrap().path(), false, 0));
+    }
+    let run_in = |args: &[&str], spec: &std::path::Path| {
+        splice_bin().current_dir(&dir).args(args).arg(spec).output().unwrap()
+    };
+
+    // Generation (dry run) and the four report modes.
+    let modes: [&[&str]; 5] =
+        [&["-n", "-o", "."], &["lint"], &["check"], &["timing"], &["profile"]];
+    for mode in modes {
+        for (spec, deny, code) in &cases {
+            let args: Vec<&str> =
+                mode.iter().copied().chain(deny.then_some("--deny-warnings")).collect();
+            let out = run_in(&args, spec);
+            assert_eq!(
+                out.status.code(),
+                Some(*code),
+                "{args:?} {} must exit {code}; stderr: {}",
+                spec.display(),
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+
+        // A bus-library refusal is a spec error located at `%bus_type`.
+        for spec in [&fcb, &plb] {
+            let out = run_in(mode, spec);
+            if mode == ["lint"] {
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                assert!(stdout.contains("SL0100 [spec] 2:1"), "{stdout}");
+            } else {
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                let located = format!("{}:2:1: error:", spec.display());
+                assert!(stderr.contains(&located), "{mode:?}: {stderr}");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spec that parses but does not validate still gets its spec-layer
+/// findings, before the SL0100 of the validation error.
+#[test]
+fn lint_reports_spec_findings_before_the_validation_error() {
+    let dir = tmp_dir("lint-sl0104");
+    let spec = dir.join("t.splice");
+    std::fs::write(
+        &spec,
+        "%device_name d\n%bus_type plb\n%bus_width 32\n%base_address 0x80000000\n\
+         void f(int*:n xs, int n);\n",
+    )
+    .unwrap();
+    for (args, first, second) in [
+        (&["lint"][..], "SL0104", "SL0100"),
+        (&["lint", "--json"], "\"code\": \"SL0104\"", "\"code\": \"SL0100\""),
+    ] {
+        let out = splice_bin().args(args).arg(&spec).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let (a, b) = (stdout.find(first), stdout.find(second));
+        assert!(a.is_some() && b.is_some() && a < b, "{args:?}: {stdout}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -13,18 +13,9 @@
 
 use crate::ir::DesignIr;
 use crate::template::MarkerSet;
-use splice_sim::SimulatorBuilder;
-use splice_sis::SisBus;
 use splice_spec::bus::BusCaps;
 use splice_spec::validate::ModuleSpec;
 use std::collections::BTreeMap;
-
-/// Handle to a native bus adapter instantiated in a simulation: the
-/// component index plus anything the harness needs to poke at it later.
-pub struct AdapterHandle {
-    /// Component index of the adapter within the simulator.
-    pub component: usize,
-}
 
 /// One native bus library (the `lib<x>_interface.so` equivalent).
 pub trait BusLibrary {
@@ -46,17 +37,6 @@ pub trait BusLibrary {
     /// The annotated HDL template for the native interface adapter
     /// (the reference file the **bus interface generator** parses, §5.1).
     fn interface_template(&self, ir: &DesignIr) -> String;
-
-    /// Instantiate the cycle-accurate native adapter into a simulation,
-    /// attached to the peripheral-side SIS `sis`. Returns a handle to the
-    /// adapter component.
-    fn build_sim_adapter(
-        &self,
-        b: &mut SimulatorBuilder,
-        ir: &DesignIr,
-        sis: SisBus,
-        prefix: &str,
-    ) -> AdapterHandle;
 }
 
 /// The library registry: `%bus_type` name → library.
@@ -106,19 +86,7 @@ impl BusLibraryRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splice_sim::Component;
     use splice_spec::bus::BusKind;
-
-    struct NullAdapter;
-    impl Component for NullAdapter {
-        fn tick(&mut self, _ctx: &mut splice_sim::TickCtx<'_>) {}
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
 
     struct ToyLib;
     impl BusLibrary for ToyLib {
@@ -142,15 +110,6 @@ mod tests {
         }
         fn interface_template(&self, _ir: &DesignIr) -> String {
             "-- %TOY% %COMP_NAME%\n".into()
-        }
-        fn build_sim_adapter(
-            &self,
-            b: &mut SimulatorBuilder,
-            _ir: &DesignIr,
-            _sis: SisBus,
-            _prefix: &str,
-        ) -> AdapterHandle {
-            AdapterHandle { component: b.component(Box::new(NullAdapter)) }
         }
     }
 

@@ -88,33 +88,33 @@ pub fn generate_hardware(
     extra_markers: &MarkerSet,
     gen_date: &str,
 ) -> Result<Vec<GeneratedFile>, HdlGenError> {
+    let modules = design_modules(ir, gen_date)?;
+    render_hardware(ir, &modules, interface_template, extra_markers, gen_date)
+}
+
+/// Render the hardware files of a design from its [`design_modules`]: the
+/// bus interface expanded from its template, then one file per module,
+/// named after the module. The emitted text is the text of exactly the
+/// ASTs that lint, check and timing analyze.
+pub fn render_hardware(
+    ir: &DesignIr,
+    modules: &[Module],
+    interface_template: &str,
+    extra_markers: &MarkerSet,
+    gen_date: &str,
+) -> Result<Vec<GeneratedFile>, HdlGenError> {
     let hdl = hdl_of(ir);
     let ext = hdl.extension();
-    let mut files = Vec::with_capacity(ir.stubs.len() + 2);
-
-    // 1. Bus interface from the template.
     let mut markers = standard_markers(ir, gen_date);
     markers.merge(extra_markers);
-    let bus_name = ir.module.params.bus.kind.name();
-    files.push(GeneratedFile {
-        name: format!("{bus_name}_interface.{ext}"),
+    let interface = GeneratedFile {
+        name: format!("{}_interface.{ext}", ir.module.params.bus.kind.name()),
         text: expand(interface_template, &markers)?,
-    });
-
-    // 2. Arbitration unit.
-    let arb = arbiter_module(ir, gen_date);
-    files.push(GeneratedFile {
-        name: format!("user_{}.{ext}", ir.module.params.device_name),
-        text: emit(&arb, hdl),
-    });
-
-    // 3. One stub per declaration.
-    for stub in &ir.stubs {
-        let m = stub_module(ir, stub, gen_date)?;
-        files
-            .push(GeneratedFile { name: format!("func_{}.{ext}", stub.name), text: emit(&m, hdl) });
-    }
-    Ok(files)
+    };
+    let rendered = modules
+        .iter()
+        .map(|m| GeneratedFile { name: format!("{}.{ext}", m.name), text: emit(m, hdl) });
+    Ok(std::iter::once(interface).chain(rendered).collect())
 }
 
 /// The Fig 7.1 standard marker set for a whole design (module-level

@@ -148,7 +148,7 @@ impl Diagnostic {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LintReport {
     /// All findings, in emission order (layer order when produced by
-    /// [`crate::lint_source`]).
+    /// `splice::run_pipeline`).
     pub diagnostics: Vec<Diagnostic>,
 }
 

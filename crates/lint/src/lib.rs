@@ -6,10 +6,10 @@
 //! * **spec** (`SL01xx`): the parsed specification — address-window
 //!   overflow, unused or shadowing user types, implicit-bound ordering,
 //!   directives the selected bus ignores.
-//! * **ir** (`SL02xx`): the elaborated [`DesignIr`] — dead or misordered
-//!   ICOB states, stubs without backing functions, function-id collisions,
-//!   dangling dynamic bounds, SIS synchronization-contract mismatches,
-//!   truncating tracker widths.
+//! * **ir** (`SL02xx`): the elaborated [`splice_core::DesignIr`] — dead or
+//!   misordered ICOB states, stubs without backing functions, function-id
+//!   collisions, dangling dynamic bounds, SIS synchronization-contract
+//!   mismatches, truncating tracker widths.
 //! * **hdl** (`SL03xx`): the generated module ASTs — multiple drivers,
 //!   undriven or unused signals, width mismatches, case-arm defects,
 //!   instantiation errors, combinational loops, inferred latches,
@@ -23,11 +23,11 @@
 //!   input→output paths, width blowups, and netlist-vs-estimate
 //!   resource divergence.
 //!
-//! Entry points: [`lint_source`] runs every layer from specification text;
-//! [`lint_design`] runs the IR and HDL layers over an elaborated design;
-//! the per-layer passes ([`lint_spec`], [`lint_ir`], [`lint_modules`]) are
-//! exported for finer-grained use. The full catalogue with triggering
-//! examples lives in `docs/lint.md`.
+//! The crate exports one pass per layer ([`lint_spec`], [`lint_ir`],
+//! [`lint_modules`], [`lint_dataflow`], [`lint_timing`],
+//! [`lint_estimate`]). `splice::run_pipeline` runs them all in that order
+//! over the design it generates, and `splice lint` prints its report. The
+//! full catalogue with triggering examples lives in `docs/lint.md`.
 
 pub mod dataflow_rules;
 pub mod diag;
@@ -43,16 +43,10 @@ pub use ir_rules::lint_ir;
 pub use spec_rules::lint_spec;
 pub use timing_rules::{lint_estimate, lint_timing};
 
-use splice_core::hdlgen::design_modules;
-use splice_core::DesignIr;
-use splice_spec::bus::BusRegistry;
-use splice_spec::span::line_col;
-use splice_spec::SpecError;
-
 /// Every rule code the linter can emit, with a one-line summary. Kept in
 /// sync with `docs/lint.md` (a test enforces it).
 pub const CODES: &[(&str, &str)] = &[
-    ("SL0100", "specification does not parse or validate"),
+    ("SL0100", "specification does not parse, validate or pass its bus library's check"),
     ("SL0101", "register window overflows the 32-bit address space"),
     ("SL0102", "user type is declared but never used"),
     ("SL0103", "user type shadows a builtin type"),
@@ -113,127 +107,14 @@ pub fn explain(code: &str) -> Option<&'static str> {
     CODES.iter().find(|(c, _)| *c == code).map(|(_, summary)| *summary)
 }
 
-/// Convert pipeline errors (parse/validate failures) into `SL0100`
-/// diagnostics so `splice lint` reports them in the same structured form.
-fn push_spec_errors(errors: &[SpecError], source: &str, report: &mut LintReport) {
-    for e in errors {
-        let lc = line_col(source, e.span.start);
-        report.push(Diagnostic::error(
-            "SL0100",
-            Layer::Spec,
-            Location::Source { line: lc.line, col: lc.col },
-            e.kind.to_string(),
-        ));
-    }
-}
-
-/// Lint the IR and HDL layers of an elaborated design. The HDL pass runs
-/// over exactly the module set `generate_hardware` would emit.
-pub fn lint_design(ir: &DesignIr) -> LintReport {
-    let mut report = LintReport::new();
-    lint_ir(ir, &mut report);
-    lint_generated_hdl(ir, &mut report);
-    report
-}
-
-/// Run the HDL pass over the module set generation would emit. If the IR is
-/// too inconsistent to generate from, report that as `SL0203` instead of
-/// aborting the whole lint run.
-fn lint_generated_hdl(ir: &DesignIr, report: &mut LintReport) {
-    match design_modules(ir, "lint") {
-        Ok(modules) => {
-            lint_modules(&modules, report);
-            lint_dataflow(&modules, report);
-            lint_timing(&modules, report);
-            lint_estimate(ir, &modules, report);
-        }
-        Err(e) => report.push(Diagnostic::error(
-            "SL0203",
-            Layer::Ir,
-            Location::None,
-            format!("HDL generation is impossible: {e}"),
-        )),
-    }
-}
-
-/// Lint specification text end to end with the builtin bus registry:
-/// parse, spec rules, validate, elaborate, IR rules, HDL rules.
-pub fn lint_source(source: &str) -> LintReport {
-    lint_source_with(source, &BusRegistry::builtin())
-}
-
-/// [`lint_source`] with an explicit bus registry.
-pub fn lint_source_with(source: &str, registry: &BusRegistry) -> LintReport {
-    let mut report = LintReport::new();
-    let spec = match splice_spec::parse(source) {
-        Ok(spec) => spec,
-        Err(errors) => {
-            push_spec_errors(&errors, source, &mut report);
-            return report;
-        }
-    };
-    lint_spec(&spec, source, registry, &mut report);
-    let validated = match splice_spec::validate::validate(&spec, registry) {
-        Ok(v) => v,
-        Err(e) => {
-            push_spec_errors(&[e], source, &mut report);
-            return report;
-        }
-    };
-    let ir = splice_core::elaborate(&validated.module);
-    lint_ir(&ir, &mut report);
-    lint_generated_hdl(&ir, &mut report);
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const CLEAN: &str =
-        "%bus_type fcb\n%bus_width 32\n%device_name lint_dev\nint mac(int a, int b);\n";
-
-    #[test]
-    fn clean_spec_lints_clean_end_to_end() {
-        let r = lint_source(CLEAN);
-        assert!(r.is_clean(), "{}", r.render_text());
-    }
-
-    #[test]
-    fn parse_failure_becomes_sl0100_with_position() {
-        let r = lint_source("%bus_type fcb\nint f(int a;\n");
-        assert!(r.has("SL0100"), "{}", r.render_text());
-        let d = &r.diagnostics[0];
-        assert!(matches!(d.location, Location::Source { line: 2, .. }), "{:?}", d.location);
-        assert_eq!(d.severity, Severity::Error);
-    }
-
-    #[test]
-    fn validate_failure_becomes_sl0100() {
-        // FCB supports no DMA: validation rejects the `^` transfer.
-        let r = lint_source("%bus_type fcb\nvoid push(int^ data[8]);\n");
-        assert!(r.has("SL0100"), "{}", r.render_text());
-    }
-
-    #[test]
-    fn spec_rules_still_run_when_validation_would_pass() {
-        let src = "%bus_type plb\n%bus_width 32\n%device_name lint_dev\n%base_address 0xFFFFFFFC\nint f(int a);\nint g(int b);\n";
-        let r = lint_source(src);
-        assert!(r.has("SL0101"), "{}", r.render_text());
-    }
 
     #[test]
     fn codes_table_is_sorted_and_unique() {
         for w in CODES.windows(2) {
             assert!(w[0].0 < w[1].0, "{} !< {}", w[0].0, w[1].0);
         }
-    }
-
-    #[test]
-    fn lint_design_covers_ir_and_hdl() {
-        let v = splice_spec::parse_and_validate(CLEAN).expect("valid");
-        let ir = splice_core::elaborate(&v.module);
-        let r = lint_design(&ir);
-        assert!(r.is_clean(), "{}", r.render_text());
     }
 }

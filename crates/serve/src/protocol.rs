@@ -175,7 +175,8 @@ pub enum JobVerdict {
         /// emission order: lets a client verify cached == fresh.
         digest: u64,
     },
-    /// Parse/validation failed; the rendered diagnostics.
+    /// The spec was refused by parsing, validation or its bus library's
+    /// parameter check; the rendered diagnostics.
     SpecError {
         /// Rendered, path-anchored error strings.
         errors: Vec<String>,

@@ -93,6 +93,9 @@ pub fn run_worker() -> i32 {
     }
 }
 
+/// The path spec errors are located against: a job's spec has no file.
+const SPEC_PATH: &str = "<serve>";
+
 /// Run one spec through the pipeline and condense the outcome into the
 /// deterministic, cacheable [`JobVerdict`].
 pub fn run_job(spec: &str, options: JobOptions) -> JobVerdict {
@@ -102,7 +105,7 @@ pub fn run_job(spec: &str, options: JobOptions) -> JobVerdict {
         deny_warnings: options.deny_warnings,
         ..PipelineOptions::default()
     };
-    match run_pipeline(spec, "<serve>", &opts) {
+    match run_pipeline(spec, SPEC_PATH, &opts) {
         Ok(out) => {
             let mut digest = crate::hash::FNV64_OFFSET;
             let mut bytes = 0u64;
@@ -122,8 +125,7 @@ pub fn run_job(spec: &str, options: JobOptions) -> JobVerdict {
                 .as_ref()
                 .map(|c| (c.report.error_count() as u64, c.report.warning_count() as u64))
                 .unwrap_or((0, 0));
-            let denied =
-                lint.0 > 0 || check.0 > 0 || (options.deny_warnings && (lint.1 > 0 || check.1 > 0));
+            let denied = out.denial(options.deny_warnings).is_some();
             JobVerdict::Ok {
                 hw_files: out.hw.len() as u64,
                 sw_files: out.sw.len() as u64,
@@ -134,7 +136,9 @@ pub fn run_job(spec: &str, options: JobOptions) -> JobVerdict {
                 digest,
             }
         }
-        Err(PipelineError::Spec(errors)) => JobVerdict::SpecError { errors },
+        Err(PipelineError::Spec { errors, .. }) => JobVerdict::SpecError {
+            errors: errors.iter().map(|e| e.render_at(spec, SPEC_PATH)).collect(),
+        },
         Err(PipelineError::Phase(message)) => JobVerdict::Internal { message },
     }
 }
@@ -182,6 +186,19 @@ mod tests {
     fn bad_specs_come_back_as_spec_errors_not_panics() {
         match run_job("%bogus directive\n", JobOptions::default()) {
             JobVerdict::SpecError { errors } => assert!(!errors.is_empty()),
+            other => panic!("expected SpecError, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bus_library_refusals_are_spec_errors() {
+        // The FCB library refuses more than 16 function instances.
+        let spec = "%device_name d\n%bus_type fcb\n%bus_width 32\nvoid f():17;\n";
+        match run_job(spec, JobOptions::default()) {
+            JobVerdict::SpecError { errors } => {
+                assert_eq!(errors.len(), 1, "{errors:?}");
+                assert!(errors[0].starts_with("<serve>:2:1: error: "), "{errors:?}");
+            }
             other => panic!("expected SpecError, got {other:?}"),
         }
     }

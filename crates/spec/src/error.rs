@@ -42,6 +42,9 @@ pub enum SpecErrorKind {
     UnknownBus(String),
     /// The requested `%bus_width` is not one the target bus supports.
     UnsupportedBusWidth { bus: String, width: u32, allowed: Vec<u32> },
+    /// The bus library's parameter checking routine (§7.1.2) refused a
+    /// configuration the physical bus cannot provide.
+    BusLibraryRejected { bus: String, reason: String },
     /// The same directive appeared twice with conflicting values.
     DuplicateDirective(String),
     /// `%target_hdl` named an HDL the tool cannot emit.
@@ -113,6 +116,9 @@ impl fmt::Display for SpecErrorKind {
                 f,
                 "bus `{bus}` cannot be configured {width} bits wide (supported: {allowed:?})"
             ),
+            BusLibraryRejected { bus, reason } => {
+                write!(f, "the `{bus}` bus library rejected the design: {reason}")
+            }
             DuplicateDirective(d) => write!(f, "directive `%{d}` given more than once"),
             UnknownHdl(h) => write!(f, "unsupported target HDL `{h}` (supported: vhdl, verilog)"),
             DuplicateUserType(t) => write!(f, "user type `{t}` defined more than once"),

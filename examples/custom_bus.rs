@@ -11,14 +11,12 @@
 //! Run with: `cargo run --example custom_bus`
 
 use splice::prelude::*;
-#[allow(unused_imports)]
 use splice_buses::generic::PseudoAsyncSystem;
-use splice_core::api::{AdapterHandle, BusLibrary, BusLibraryRegistry};
+use splice_core::api::{BusLibrary, BusLibraryRegistry};
 use splice_core::hdlgen::generate_hardware;
 use splice_core::ir::DesignIr;
 use splice_core::template::MarkerSet;
 use splice_sim::SimulatorBuilder;
-use splice_sis::SisBus;
 use splice_spec::bus::{BusCaps, BusKind, SyncClass};
 use splice_spec::validate::ModuleSpec;
 
@@ -71,18 +69,6 @@ impl BusLibrary for RingBusLibrary {
          end entity ringbus_interface;\n"
             .into()
     }
-
-    fn build_sim_adapter(
-        &self,
-        b: &mut SimulatorBuilder,
-        ir: &DesignIr,
-        sis: SisBus,
-        prefix: &str,
-    ) -> AdapterHandle {
-        let p = &ir.module.params;
-        let sys = PseudoAsyncSystem::attach(b, prefix, sis, p.bus_width, p.base_address, 1, false);
-        AdapterHandle { component: sys.adapter }
-    }
 }
 
 struct Xor;
@@ -125,7 +111,8 @@ fn main() {
     println!("\ngenerated {} files; the custom adapter:", files.len());
     println!("{}", files[0].text);
 
-    // 4. Simulate: peripheral + the library's own adapter + CPU master.
+    // 4. Simulate: peripheral + a pseudo-asynchronous adapter with the
+    //    ring's latency + CPU master.
     let mut b = SimulatorBuilder::new();
     let handles =
         splice_core::simbuild::build_peripheral(&mut b, &ir, "sis.", |_, _| Box::new(Xor));

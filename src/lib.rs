@@ -70,7 +70,7 @@ pub use splice_spec as spec;
 
 pub use pipeline::{run_pipeline, PipelineError, PipelineOptions, PipelineOutput};
 pub use splice_spec::{parse, parse_and_validate};
-pub use timing::{design_timing, timing_report, ModuleTiming, PathReport, TimingReport};
+pub use timing::{timing_report, ModuleTiming, PathReport, TimingReport};
 
 /// The names most programs need.
 pub mod prelude {

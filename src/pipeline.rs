@@ -1,31 +1,33 @@
 //! The end-to-end generation pipeline as a library.
 //!
-//! `splice` (the CLI), `splice profile`, and the trace golden tests all run
-//! the same sequence — parse → validate → elaborate → hdlgen → lint →
-//! (check) → drivergen — so it lives here once, instrumented with
+//! This is the only path from spec text to a design. Every `splice` mode,
+//! the `splice-serve` worker and the trace golden tests run the same
+//! sequence — parse → validate → elaborate → hdlgen → lint → (check) →
+//! drivergen — and render a view of its output. It is instrumented with
 //! [`splice_obs::trace`] spans. When a tracer is active
 //! (`splice_obs::trace::start()`), every phase becomes a span carrying the
 //! load-bearing numbers of that phase (function/instance counts, file
 //! sizes, lint verdicts, exploration statistics); when no tracer is
 //! installed the instrumentation costs one relaxed atomic load per span.
 //!
-//! The pipeline itself never prints and never decides policy: lint and
-//! check findings come back in [`PipelineOutput`] and the caller chooses
-//! what fails the run (`--deny-warnings` etc.). The one gate it does apply
-//! mirrors the CLI's long-standing behaviour: the model checker only runs
-//! when lint passed, since checking a design that lint already rejected
-//! wastes the (comparatively expensive) exploration.
+//! The pipeline itself never prints: lint and check findings come back in
+//! [`PipelineOutput`], and every caller applies the one gate,
+//! [`PipelineOutput::denial`], to decide whether the run is refused. The
+//! pipeline applies the lint half of that gate itself: the model checker
+//! only runs when lint passed, since checking a design that lint already
+//! rejected wastes the (comparatively expensive) exploration.
 
 use splice_buses::builtin_libraries;
 use splice_check::{CheckOptions, CheckOutcome};
 use splice_core::elaborate::elaborate;
-use splice_core::hdlgen::{design_modules, generate_hardware, GeneratedFile};
+use splice_core::hdlgen::{design_modules, render_hardware, GeneratedFile, HdlGenError};
 use splice_core::DesignIr;
 use splice_driver::cgen::{driver_header, driver_source};
 use splice_hdl::ast::Module;
 use splice_lint::LintReport;
 use splice_obs::trace;
 use splice_spec::validate::ModuleSpec;
+use splice_spec::{SpecError, SpecErrorKind};
 
 /// What to run and how, beyond the always-on phases.
 #[derive(Debug, Clone)]
@@ -57,7 +59,7 @@ pub struct PipelineOutput {
     pub module: ModuleSpec,
     /// The elaborated design.
     pub ir: DesignIr,
-    /// Generated HDL files.
+    /// Generated HDL files, rendered from `modules`.
     pub hw: Vec<GeneratedFile>,
     /// The design's module ASTs (what lint/check analysed).
     pub modules: Vec<Module>,
@@ -69,12 +71,32 @@ pub struct PipelineOutput {
     pub check: Option<CheckOutcome>,
 }
 
+impl PipelineOutput {
+    /// The one gate every caller applies: the report that refuses this run
+    /// under `deny_warnings`, named by the phase that produced it. Lint is
+    /// asked first, then the model check.
+    pub fn denial(&self, deny_warnings: bool) -> Option<(&'static str, &LintReport)> {
+        if self.lint.fails(deny_warnings) {
+            return Some(("lint", &self.lint));
+        }
+        let check = &self.check.as_ref()?.report;
+        check.fails(deny_warnings).then_some(("model check", check))
+    }
+}
+
 /// Why the pipeline stopped before producing output.
 #[derive(Debug)]
 pub enum PipelineError {
-    /// Parse or validation errors, each already rendered against the
-    /// source text (with the spec path in the location lines).
-    Spec(Vec<String>),
+    /// The spec does not parse, validate, or pass its bus library's
+    /// parameter check (§7.1.2). Each caller renders `errors` against the
+    /// source. `lint` holds the spec-layer findings of a spec that parsed,
+    /// so `splice lint` still reports them.
+    Spec {
+        /// The errors, located in the source.
+        errors: Vec<SpecError>,
+        /// Spec-layer (SL01xx) findings; empty when the spec did not parse.
+        lint: LintReport,
+    },
     /// A later phase failed outright; the message names the phase.
     Phase(String),
 }
@@ -82,8 +104,8 @@ pub enum PipelineError {
 impl std::fmt::Display for PipelineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PipelineError::Spec(errs) => {
-                write!(f, "{} specification error(s)", errs.len())
+            PipelineError::Spec { errors, .. } => {
+                write!(f, "{} specification error(s)", errors.len())
             }
             PipelineError::Phase(msg) => f.write_str(msg),
         }
@@ -93,7 +115,7 @@ impl std::fmt::Display for PipelineError {
 impl std::error::Error for PipelineError {}
 
 /// Run the generation pipeline over `source` (read from `spec_path`, used
-/// only for diagnostics).
+/// only for trace attributes).
 pub fn run_pipeline(
     source: &str,
     spec_path: &str,
@@ -103,20 +125,26 @@ pub fn run_pipeline(
     trace::attr("spec", spec_path);
 
     let libs = builtin_libraries();
+    let registry = libs.spec_registry();
 
     let spec = {
         let _sp = trace::span("parse");
         trace::attr("bytes", source.len() as u64);
-        splice_spec::parser::parse(source).map_err(|errors| {
-            PipelineError::Spec(errors.iter().map(|e| e.render_at(source, spec_path)).collect())
-        })?
+        splice_spec::parser::parse(source)
+            .map_err(|errors| PipelineError::Spec { errors, lint: LintReport::new() })?
     };
+
+    // The spec layer lints before validation, so a spec that validation
+    // refuses still gets its SL01xx findings.
+    let mut lint = LintReport::new();
+    splice_lint::lint_spec(&spec, source, &registry, &mut lint);
 
     let module = {
         let _sp = trace::span("validate");
-        let validated = splice_spec::validate::validate(&spec, &libs.spec_registry())
-            .map_err(|e| PipelineError::Spec(vec![e.render_at(source, spec_path)]))?;
-        let module = validated.module;
+        let module = match splice_spec::validate::validate(&spec, &registry) {
+            Ok(validated) => validated.module,
+            Err(e) => return Err(PipelineError::Spec { errors: vec![e], lint }),
+        };
         trace::attr("device", module.params.device_name.as_str());
         trace::attr("bus", module.params.bus.kind.name());
         trace::attr("functions", module.functions.len() as u64);
@@ -125,13 +153,17 @@ pub fn run_pipeline(
     trace::attr("device", module.params.device_name.as_str());
     trace::attr("bus", module.params.bus.kind.name());
 
-    // Bus library parameter check (§7.1.2) rides with validation.
+    // Bus library parameter check (§7.1.2) rides with validation: a
+    // refusal is a spec error at the `%bus_type` directive.
     let bus_name = module.params.bus.kind.name().to_owned();
     let lib = libs.get(&bus_name).ok_or_else(|| {
         PipelineError::Phase(format!("no interface library for bus `{bus_name}`"))
     })?;
-    lib.check_params(&module)
-        .map_err(|e| PipelineError::Phase(format!("bus library rejected the design: {e}")))?;
+    if let Err(reason) = lib.check_params(&module) {
+        let span = spec.directive("bus_type").map(|d| d.span()).unwrap_or_default();
+        let kind = SpecErrorKind::BusLibraryRejected { bus: bus_name, reason };
+        return Err(PipelineError::Spec { errors: vec![SpecError::new(kind, span)], lint });
+    }
 
     let ir = {
         let _sp = trace::span("elaborate");
@@ -141,13 +173,15 @@ pub fn run_pipeline(
         ir
     };
 
+    // Each module AST is built once; the HDL files are its rendering.
     let (hw, modules) = {
         let _sp = trace::span("hdlgen");
-        let markers = lib.markers(&ir);
-        let hw = generate_hardware(&ir, &lib.interface_template(&ir), &markers, &opts.gen_date)
-            .map_err(|e| PipelineError::Phase(format!("hardware generation failed: {e}")))?;
-        let modules = design_modules(&ir, &opts.gen_date)
-            .map_err(|e| PipelineError::Phase(format!("hardware generation failed: {e}")))?;
+        let failed =
+            |e: HdlGenError| PipelineError::Phase(format!("hardware generation failed: {e}"));
+        let modules = design_modules(&ir, &opts.gen_date).map_err(failed)?;
+        let template = lib.interface_template(&ir);
+        let hw = render_hardware(&ir, &modules, &template, &lib.markers(&ir), &opts.gen_date)
+            .map_err(failed)?;
         trace::attr("files", hw.len() as u64);
         trace::attr("bytes", hw.iter().map(|f| f.text.len() as u64).sum::<u64>());
         trace::attr("modules", modules.len() as u64);
@@ -158,8 +192,6 @@ pub fn run_pipeline(
     // hand-written design would.
     let lint = {
         let _sp = trace::span("lint");
-        let mut lint = LintReport::new();
-        splice_lint::lint_spec(&spec, source, &libs.spec_registry(), &mut lint);
         splice_lint::lint_ir(&ir, &mut lint);
         splice_lint::lint_modules(&modules, &mut lint);
         splice_lint::lint_dataflow(&modules, &mut lint);
@@ -273,15 +305,33 @@ mod tests {
 
     #[test]
     fn parse_errors_come_back_rendered() {
-        let Err(err) = run_pipeline("%bogus\n", "bad.spec", &PipelineOptions::default()) else {
+        let source = "%bogus\n";
+        let Err(err) = run_pipeline(source, "bad.spec", &PipelineOptions::default()) else {
             panic!("bogus spec must not pass");
         };
         match err {
-            PipelineError::Spec(msgs) => {
-                assert!(!msgs.is_empty());
-                assert!(msgs[0].contains("bad.spec"), "{}", msgs[0]);
+            PipelineError::Spec { errors, lint } => {
+                assert!(!errors.is_empty());
+                let msg = errors[0].render_at(source, "bad.spec");
+                assert!(msg.contains("bad.spec"), "{msg}");
+                assert!(lint.is_clean(), "a spec that does not parse has no spec findings");
             }
             other => panic!("expected spec error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn bus_library_refusal_is_a_spec_error_at_bus_type() {
+        // The FCB library refuses more than 16 function instances.
+        let source = "%device_name d\n%bus_type fcb\n%bus_width 32\nvoid f():17;\n";
+        let Err(PipelineError::Spec { errors, .. }) =
+            run_pipeline(source, "fcb.spec", &PipelineOptions::default())
+        else {
+            panic!("the FCB library must refuse 17 instances");
+        };
+        assert_eq!(errors.len(), 1);
+        assert!(matches!(errors[0].kind, SpecErrorKind::BusLibraryRejected { .. }), "{errors:?}");
+        let msg = errors[0].render_at(source, "fcb.spec");
+        assert!(msg.starts_with("fcb.spec:2:1: error:"), "{msg}");
     }
 }

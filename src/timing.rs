@@ -9,7 +9,6 @@
 //! Rendering is deterministic — no dates, no machine facts — so the text
 //! and JSON forms are pinned as goldens under `tests/golden/timing/`.
 
-use splice_core::hdlgen::design_modules;
 use splice_core::DesignIr;
 use splice_dataflow::timing::{analyze_timing, EndpointKind};
 use splice_dataflow::CompiledDesign;
@@ -277,30 +276,22 @@ impl TimingReport {
     }
 }
 
-/// Build the timing report straight from an elaborated design, generating
-/// the module set the pipeline would emit.
-pub fn design_timing(ir: &DesignIr, top_paths: usize) -> Result<TimingReport, String> {
-    let modules =
-        design_modules(ir, "timing").map_err(|e| format!("HDL generation is impossible: {e}"))?;
-    timing_report(ir, &modules, top_paths)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splice_core::elaborate::elaborate;
+    use crate::pipeline::{run_pipeline, PipelineOptions};
 
     const SPEC: &str = "%device_name timedev\n%bus_type plb\n%bus_width 32\n\
                         %base_address 0x80000000\nint mac(int a, int b);\n";
 
-    fn report() -> TimingReport {
-        let ir = elaborate(&splice_spec::parse_and_validate(SPEC).unwrap().module);
-        design_timing(&ir, 3).unwrap()
+    fn report(top_paths: usize) -> TimingReport {
+        let out = run_pipeline(SPEC, "timedev.spec", &PipelineOptions::default()).unwrap();
+        timing_report(&out.ir, &out.modules, top_paths).unwrap()
     }
 
     #[test]
     fn every_module_reports_a_named_critical_path() {
-        let r = report();
+        let r = report(3);
         assert!(!r.modules.is_empty());
         for m in &r.modules {
             assert!(m.max_depth > 0, "{} has no logic depth", m.module);
@@ -313,7 +304,7 @@ mod tests {
 
     #[test]
     fn text_render_contains_table_and_paths() {
-        let t = report().render_text();
+        let t = report(3).render_text();
         assert!(t.contains("timing report for device `timedev` (plb)"), "{t}");
         assert!(t.contains("user_timedev"), "{t}");
         assert!(t.contains("critical paths"), "{t}");
@@ -323,7 +314,7 @@ mod tests {
 
     #[test]
     fn json_render_is_structured() {
-        let j = report().render_json();
+        let j = report(3).render_json();
         assert!(j.contains("\"device\": \"timedev\""), "{j}");
         assert!(j.contains("\"max_depth\""), "{j}");
         assert!(j.contains("\"chain\": ["), "{j}");
@@ -332,8 +323,7 @@ mod tests {
 
     #[test]
     fn report_paths_are_bounded() {
-        let ir = elaborate(&splice_spec::parse_and_validate(SPEC).unwrap().module);
-        let r = design_timing(&ir, 1).unwrap();
+        let r = report(1);
         assert!(r.modules.iter().all(|m| m.paths.len() <= 1));
     }
 }

@@ -23,7 +23,8 @@
 //!    the two-state tree-walk on every module the examples generate, not
 //!    only on random designs.
 
-use splice_check::{check_modules, check_source, cross_check, CheckOptions, Witness};
+use splice::pipeline::{run_pipeline, PipelineError, PipelineOptions};
+use splice_check::{check_modules, cross_check, CheckOptions, CheckOutcome, Witness};
 use splice_core::elaborate::elaborate;
 use splice_core::hdlgen::design_modules;
 use splice_core::DesignIr;
@@ -43,6 +44,15 @@ fn repo_path(rel: &str) -> PathBuf {
 fn example_spec(stem: &str) -> String {
     std::fs::read_to_string(repo_path(&format!("examples/specs/{stem}.splice")))
         .expect("example spec exists")
+}
+
+/// The model-check outcome of a pipeline run over `spec` under the
+/// default budgets.
+fn checked(spec: &str) -> CheckOutcome {
+    let opts =
+        PipelineOptions { check: Some(CheckOptions::default()), ..PipelineOptions::default() };
+    let out = run_pipeline(spec, "check-test.splice", &opts).expect("spec validates");
+    out.check.expect("lint passed, so the checker ran")
 }
 
 fn generated(spec: &str) -> (DesignIr, Vec<Module>) {
@@ -164,8 +174,7 @@ fn every_example_spec_verifies_clean_with_pinned_state_counts() {
         ),
     ];
     for (stem, pinned) in expected {
-        let out = check_source(&example_spec(stem), &CheckOptions::default())
-            .unwrap_or_else(|e| panic!("{stem}: check runs: {e}"));
+        let out = checked(&example_spec(stem));
         assert!(out.report.is_clean(), "{stem}:\n{}", out.render_text());
         assert!(out.counterexamples.is_empty(), "{stem} produced counterexamples");
         let got: Vec<(&str, usize, bool)> =
@@ -177,10 +186,38 @@ fn every_example_spec_verifies_clean_with_pinned_state_counts() {
 #[test]
 fn checking_an_example_is_deterministic() {
     let spec = example_spec("hw_timer");
-    let a = check_source(&spec, &CheckOptions::default()).expect("check runs");
-    let b = check_source(&spec, &CheckOptions::default()).expect("check runs");
+    let a = checked(&spec);
+    let b = checked(&spec);
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.report, b.report);
+}
+
+const CLEAN: &str =
+    "%bus_type fcb\n%bus_width 32\n%device_name check_dev\nint mac(int a, int b);\n";
+
+#[test]
+fn clean_spec_checks_clean_end_to_end() {
+    let out = checked(CLEAN);
+    assert!(out.report.is_clean(), "{}", out.render_text());
+    assert!(out.counterexamples.is_empty());
+    assert!(!out.stats.is_empty());
+    assert!(out.stats.iter().all(|s| s.reachable > 0), "{:?}", out.stats);
+}
+
+#[test]
+fn checking_is_deterministic() {
+    let a = checked(CLEAN);
+    let b = checked(CLEAN);
+    assert_eq!(a.stats, b.stats);
+    assert_eq!(a.report, b.report);
+}
+
+#[test]
+fn spec_errors_surface_as_check_errors() {
+    let opts =
+        PipelineOptions { check: Some(CheckOptions::default()), ..PipelineOptions::default() };
+    let err = run_pipeline("%bus_type fcb\nint f(int a;\n", "bad.splice", &opts).err();
+    assert!(matches!(err, Some(PipelineError::Spec { .. })), "{err:?}");
 }
 
 /// 512 seeded stimulus rows in `d.inputs` slot order: two reset rows (RST

@@ -12,11 +12,12 @@
 //!    HDL rules catch with correct signal paths (combinational loop,
 //!    multiple drivers).
 
+use splice::pipeline::{run_pipeline, PipelineOptions};
 use splice_core::elaborate::elaborate;
 use splice_core::hdlgen::design_modules;
 use splice_hdl::ast::{Decl, Item, Port, Process};
 use splice_hdl::{Expr, Module, Stmt};
-use splice_lint::{lint_dataflow, lint_modules, lint_source, LintReport};
+use splice_lint::{lint_dataflow, lint_modules, LintReport};
 use std::path::{Path, PathBuf};
 
 fn repo_path(rel: &str) -> PathBuf {
@@ -40,6 +41,13 @@ fn example_specs() -> Vec<(String, String)> {
     out
 }
 
+/// The lint report of a pipeline run over a spec that validates.
+fn lint(source: &str) -> LintReport {
+    run_pipeline(source, "lint-test.splice", &PipelineOptions::default())
+        .expect("spec validates")
+        .lint
+}
+
 fn golden(name: &str) -> String {
     let path = repo_path("tests/golden/lint").join(name);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing golden {name}: {e}"))
@@ -48,7 +56,7 @@ fn golden(name: &str) -> String {
 #[test]
 fn generator_output_lints_clean_for_every_example_spec() {
     for (stem, source) in example_specs() {
-        let report = lint_source(&source);
+        let report = lint(&source);
         assert!(report.is_clean(), "examples/specs/{stem}.splice:\n{}", report.render_text());
     }
 }
@@ -56,7 +64,7 @@ fn generator_output_lints_clean_for_every_example_spec() {
 #[test]
 fn example_lint_reports_match_goldens() {
     for (stem, source) in example_specs() {
-        let report = lint_source(&source);
+        let report = lint(&source);
         assert_eq!(report.render_text(), golden(&format!("{stem}.txt")), "{stem} text report");
         assert_eq!(report.render_json(), golden(&format!("{stem}.json")), "{stem} json report");
     }
@@ -65,7 +73,7 @@ fn example_lint_reports_match_goldens() {
 #[test]
 fn dirty_fixture_report_matches_golden() {
     let source = std::fs::read_to_string(repo_path("tests/fixtures/dirty.splice")).unwrap();
-    let report = lint_source(&source);
+    let report = lint(&source);
     assert_eq!(report.codes(), vec!["SL0101", "SL0102", "SL0105"], "{}", report.render_text());
     assert_eq!(report.render_text(), golden("dirty.txt"));
     assert_eq!(report.render_json(), golden("dirty.json"));

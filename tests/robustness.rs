@@ -31,7 +31,7 @@ fn must_not_panic(name: &str, tag: &str, source: &str) {
     let outcome =
         catch_unwind(AssertUnwindSafe(|| match run_pipeline(source, "<mutation>", &opts) {
             Ok(_) => "ok",
-            Err(splice::pipeline::PipelineError::Spec(errors)) => {
+            Err(splice::pipeline::PipelineError::Spec { errors, .. }) => {
                 assert!(!errors.is_empty(), "Spec error with no diagnostics");
                 "spec"
             }

@@ -14,8 +14,8 @@
 //!    heuristic estimate, for every example spec — the cross-check the
 //!    lint rule gates on holds on real designs, not just fixtures.
 
+use splice::pipeline::{run_pipeline, PipelineOptions};
 use splice::TimingReport;
-use splice_core::elaborate::elaborate;
 use splice_lint::timing_rules::{ESTIMATE_TOLERANCE, MAX_DEPTH};
 use std::path::{Path, PathBuf};
 
@@ -41,9 +41,9 @@ fn example_specs() -> Vec<(String, String)> {
 }
 
 fn report_for(source: &str) -> TimingReport {
-    let validated = splice_spec::parse_and_validate(source).expect("example is valid");
-    let ir = elaborate(&validated.module);
-    splice::design_timing(&ir, 3).expect("timing analysis runs")
+    let out = run_pipeline(source, "timing-test.splice", &PipelineOptions::default())
+        .expect("example is valid");
+    splice::timing_report(&out.ir, &out.modules, 3).expect("timing analysis runs")
 }
 
 fn golden(name: &str) -> String {
