@@ -207,7 +207,7 @@ impl SplicedSystem {
             .ok_or_else(|| SystemError::NoSuchFunction(func.into()))?
             .clone();
         let prog = lower_call(&self.module.params, &f, args)?;
-        self.run_ops(prog.ops.clone()).map(|(cycles, raw)| {
+        self.run_bus_ops(prog.ops.clone()).map(|(cycles, raw)| {
             let result = prog.decode_result(&raw);
             CallOutcome { bus_cycles: cycles, raw, result }
         })
@@ -215,7 +215,7 @@ impl SplicedSystem {
 
     /// Execute a raw op sequence (used by hand-coded-baseline harnesses
     /// that bypass driver generation).
-    pub fn run_ops(&mut self, ops: Vec<BusOp>) -> Result<(u64, Vec<Word>), SystemError> {
+    pub fn run_bus_ops(&mut self, ops: Vec<BusOp>) -> Result<(u64, Vec<Word>), SystemError> {
         let start = self.sim.cycle();
         match self.kind {
             MasterKind::PlbLike => {
@@ -252,7 +252,7 @@ impl SplicedSystem {
         let f =
             self.module.function(func).ok_or_else(|| SystemError::NoSuchFunction(func.into()))?;
         let bit = f.first_func_id + inst_index.min(f.instances.saturating_sub(1));
-        self.run_ops(vec![BusOp::WaitIrq { bit }]).map(|(cycles, _)| cycles)
+        self.run_bus_ops(vec![BusOp::WaitIrq { bit }]).map(|(cycles, _)| cycles)
     }
 
     /// Access the underlying simulator (tracing, inspection).
@@ -274,7 +274,7 @@ impl SplicedSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splice_core::simbuild::{CalcResult, FuncInputs};
+    use splice_core::simbuild::{CalcResult, DefaultCalc, FuncInputs, GeneratedStub};
     use splice_driver::program::CallValue;
     use splice_spec::parse_and_validate;
 
@@ -313,6 +313,14 @@ mod tests {
         assert_eq!(b, c);
     }
 
+    /// Returns more elements than the function's one output beat.
+    struct TooMany;
+    impl CalcLogic for TooMany {
+        fn run(&mut self, _: &FuncInputs) -> CalcResult {
+            CalcResult { cycles: 1, output: vec![8, 9] }
+        }
+    }
+
     #[test]
     fn every_bus_kind_runs_the_same_spec() {
         for bus in ["plb", "opb", "fcb", "apb", "ahb", "wishbone", "avalon"] {
@@ -322,6 +330,28 @@ mod tests {
                 .call("sum3", &CallArgs::new(vec![CallValue::Array(vec![7, 8, 9])]))
                 .unwrap_or_else(|e| panic!("{bus}: {e}"));
             assert_eq!(out.result, vec![24], "{bus}");
+
+            // The stub serves the beats the output state declares, however
+            // many elements the calculation returns: two beats of zeros
+            // from a blank calculation, in one round per call…
+            let m = module(bus, "long long f(int a);");
+            let mut sys = SplicedSystem::build(&m, |_, _| Box::new(DefaultCalc));
+            for call in 1..=2 {
+                let out = sys.call("f", &CallArgs::scalars(&[5])).unwrap_or_else(|e| {
+                    panic!("{bus}: blank `long long f(int a)` call {call}: {e}")
+                });
+                assert_eq!(out.result, vec![0], "{bus}: call {call}");
+                let stub = sys.sim().component::<GeneratedStub>(sys.stub_components[0]).unwrap();
+                assert_eq!(stub.rounds, call, "{bus}: one stub round per call");
+            }
+            // …and one beat, without leftovers for the next call, from a
+            // calculation that returns two elements.
+            let m = module(bus, "long g();");
+            let mut sys = SplicedSystem::build(&m, |_, _| Box::new(TooMany));
+            for call in 1..=2 {
+                let out = sys.call("g", &CallArgs::none()).unwrap();
+                assert_eq!(out.result, vec![8], "{bus}: call {call}");
+            }
         }
     }
 

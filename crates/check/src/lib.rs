@@ -19,9 +19,9 @@
 //!   set closed.
 //!
 //! Every module is explored exactly as generated. Every violation comes
-//! with a concrete input trace, which is replayed on the compiled
-//! two-state step tape ([`replay`]) as the [`Counterexample`] is built; it
-//! is marked confirmed only if the violation reproduces there.
+//! with a concrete input trace, which is replayed in the two-state domain
+//! ([`replay`]) as the [`Counterexample`] is built; it is marked confirmed
+//! only if the violation reproduces there.
 //!
 //! A second, orthogonal pass ([`driver_check`]) cross-checks the generated
 //! C driver text against the IR and the HDL address decode (SL0407–SL0410).
@@ -134,7 +134,7 @@ pub struct Counterexample {
     pub trace: Vec<Vec<u64>>,
     /// The checkable claim the trace demonstrates.
     pub witness: Witness,
-    /// Whether the violation reproduced on the step tape.
+    /// Whether the violation reproduced on two-state replay.
     pub confirmed: bool,
 }
 
@@ -284,7 +284,7 @@ impl fmt::Display for CheckError {
 impl std::error::Error for CheckError {}
 
 /// Build the counterexample for one violation of `d` and confirm it by
-/// replay on the step tape.
+/// two-state replay.
 fn counterexample(
     d: &CompiledDesign,
     module: &str,

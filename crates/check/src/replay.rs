@@ -1,12 +1,9 @@
-//! Counterexample replay on the compiled two-state step tape.
+//! Counterexample replay in the two-state domain.
 //!
 //! A counterexample trace found by the static explorer is only trusted
-//! after it reproduces on an independent concrete execution: the design is
-//! lowered once to a bit-packed straight-line [`StepFn`] (`splice-dataflow`'s
-//! `lower` module) and every trace row is run through it by direct call.
-//! The tape shares no evaluation code with the explorer's ternary
-//! interpreter; its bit-for-bit agreement with the two-state tree-walk is
-//! pinned on random designs and on every generated module.
+//! after it reproduces on a concrete execution: every trace row is run
+//! through the tree-walk interpreter in `splice-dataflow`'s two-state
+//! domain ([`two_state_step`], then [`two_state_eval`]).
 //!
 //! The replay is **two-state**: every X the ternary checker reasoned about
 //! is concretized to a fill bit *at power-on*, and the run is an honest
@@ -15,21 +12,19 @@
 
 use crate::compile::CompiledDesign;
 use crate::{Counterexample, Witness};
-use splice_dataflow::StepFn;
+use splice_dataflow::{two_state_eval, two_state_initial, two_state_step};
 
 /// Replay `trace` against `design` with power-on X bits filled as `fill`.
 /// Entry `k` of the returned history holds every flattened signal, settled
 /// after the clock edge that consumed row `k` — the observation step `k`
 /// of a witness refers to.
 pub fn replay(design: &CompiledDesign, trace: &[Vec<u64>], fill: bool) -> Vec<Vec<u64>> {
-    let tape = StepFn::lower(design, fill);
-    let mut words = tape.new_state();
+    let mut state = two_state_initial(design, fill);
     trace
         .iter()
         .map(|row| {
-            tape.step(&mut words, row);
-            tape.eval(&mut words, row);
-            tape.signals(&words).to_vec()
+            state = two_state_step(design, &state, row, fill);
+            two_state_eval(design, &state, row, fill)
         })
         .collect()
 }

@@ -28,8 +28,8 @@
 //! the kernel's per-component profile (ticks, wake causes, awake/asleep
 //! attribution). With `--trace-out <f>` both the generation pipeline's
 //! span tree and the kernel's per-component lanes land in one Chrome
-//! trace-event JSON file, loadable in Perfetto; `--trace-out` also works
-//! on plain generation runs (pipeline spans only).
+//! trace-event JSON file, loadable in Perfetto; in every other mode
+//! `--trace-out` writes the pipeline spans only.
 //!
 //! `splice serve --socket <path>` runs the generation pipeline as a
 //! long-lived daemon over a Unix socket, dispatching jobs to a supervised
@@ -43,9 +43,10 @@
 //!
 //! Exit codes are structured for scripting: `0` success, `1` diagnostics
 //! denied the run (spec/lint/check findings), `2` usage errors (bad
-//! flags, unreadable spec), `3` internal failures (generation phases,
-//! I/O on outputs). Long-running subcommands (`check`, `profile`,
-//! `serve`) honor Ctrl-C at phase boundaries and flush partial reports.
+//! flags, a flag outside the modes that read it, unreadable spec), `3`
+//! internal failures (generation phases, I/O on outputs). Long-running
+//! subcommands (`check`, `profile`, `serve`) honor Ctrl-C at phase
+//! boundaries and flush partial reports.
 //!
 //! ```text
 //! USAGE:
@@ -97,7 +98,8 @@ struct Options {
     resources: bool,
     linux: bool,
     metrics: Option<PathBuf>,
-    /// `--check`: model-check before generating or profiling.
+    /// Whether the run model-checks: `splice check`, or `--check` on
+    /// generation or profiling.
     check: bool,
     check_opts: splice_check::CheckOptions,
     /// Kernel scheduling for `splice profile`.
@@ -127,31 +129,35 @@ USAGE:
                                         flags: --workers, --queue-cap,
                                         --deadline-ms, …; see docs/serve.md)
 
-OPTIONS:
-  -o, --out <dir>       parent directory for the device subdirectory (default .)
-  -f, --force           overwrite an existing device directory without asking
-  -n, --dry-run         print what would be generated without writing files
-      --explain <code>  print the catalogue entry for one rule code and exit
-                        (e.g. `splice lint --explain SL0502`; no spec needed)
-      --check           model-check the design before generating (see `splice check`)
+OPTIONS (every mode):
       --deny-warnings   treat lint/check warnings as errors (CI)
-      --json            render the lint/check/timing report as JSON
-      --resources       print the estimated FPGA resource bill
-      --linux           also emit splice_lib_linux.h (mmap-based user-space driver)
-      --metrics <f>     write generation-pipeline metrics to <f> as JSON
       --trace-out <f>   write a Chrome trace-event JSON (Perfetto) of the
                         generation pipeline — and, in profile mode, of the
                         simulation kernel's per-component lanes
+      --explain <code>  print the catalogue entry for one rule code and exit
+                        (e.g. `splice lint --explain SL0502`; no spec needed)
       --list-buses      list the registered bus libraries and exit
   -h, --help            show this help
 
-CHECK OPTIONS (check mode / --check):
+GENERATION OPTIONS (no subcommand):
+  -o, --out <dir>       parent directory for the device subdirectory (default .)
+  -f, --force           overwrite an existing device directory without asking
+  -n, --dry-run         print what would be generated without writing files
+      --resources       print the estimated FPGA resource bill
+      --linux           also emit splice_lib_linux.h (mmap-based user-space driver)
+      --metrics <f>     write generation-pipeline metrics to <f> as JSON
+      --check           model-check the design before generating (see `splice check`)
+
+REPORT OPTIONS (lint, check and timing modes):
+      --json            render the report as JSON
+
+CHECK OPTIONS (check mode; generation or profile mode with --check):
       --bound <n>       handshake response bound in steps (default 16)
       --max-states <n>  distinct-state budget per exploration (default 50000)
       --max-depth <n>   exploration horizon past reset (default 64); the
                         three budgets must be at least 1. Every module is
                         explored as generated, and every counterexample is
-                        replayed on its two-state step tape
+                        replayed in the two-state domain
 
 TIMING OPTIONS (timing mode):
       --top <n>         critical paths reported per module (default 3)
@@ -161,6 +167,9 @@ PROFILE OPTIONS (profile mode):
                         round; default 1, at least 1)
       --backend <b>     kernel scheduling: gated (default) or eager; the
                         profiler times every tick under the selected one
+      --check           model-check the design before profiling
+
+A flag used outside the modes that read it exits 2.
 
 Every mode lints the design and gives the same verdict on a spec: a
 spec error, a lint error or a failed model check exits 1, and so does
@@ -248,11 +257,22 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             .parse::<T>()
             .map_err(|e| format!("{opt}: {e}"))
     }
+    // A flag this mode never reads is refused before its value is parsed.
+    // Whether a checker budget is read depends on `--check`, which may
+    // come later, so the scoped flags are checked again once all are in.
+    let refusal = |flag: &str, owner: &str| format!("`{flag}` is read only by {owner}");
+    let mut scoped = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if let Some((read, owner)) = scope(a, mode, true) {
+            if !read {
+                return Err(refusal(a, owner));
+            }
+            scoped.push(a.as_str());
+        }
         match a.as_str() {
             "--check" => check = true,
-            "--backend" if mode == Mode::Profile => {
+            "--backend" => {
                 backend = match it.next().map(String::as_str) {
                     Some("eager") => Backend::Eager,
                     Some("gated") => Backend::Gated,
@@ -321,6 +341,12 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             }
         }
     }
+    let check = mode == Mode::Check || check;
+    for flag in scoped {
+        if let Some((false, owner)) = scope(flag, mode, check) {
+            return Err(refusal(flag, owner));
+        }
+    }
     let spec_file = spec_file.ok_or_else(|| format!("no spec file given\n{USAGE}"))?;
     Ok(Some(Options {
         mode,
@@ -340,6 +366,25 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         calls,
         top_paths,
     }))
+}
+
+/// For a flag only some modes read: whether a run in `mode` reads it
+/// (`checks`: the run model-checks) and the modes that do, as a refusal
+/// names them. `None` for the flags every mode reads.
+fn scope(flag: &str, mode: Mode, checks: bool) -> Option<(bool, &'static str)> {
+    use Mode::*;
+    Some(match flag {
+        "-o" | "--out" | "-f" | "--force" | "-n" | "--dry-run" | "--resources" | "--linux"
+        | "--metrics" => (mode == Generate, "generation"),
+        "--json" => (matches!(mode, Lint | Check | Timing), "`splice lint`, `check` and `timing`"),
+        "--top" => (mode == Timing, "`splice timing`"),
+        "--calls" | "--backend" => (mode == Profile, "`splice profile`"),
+        "--check" => (matches!(mode, Generate | Profile), "generation and `splice profile`"),
+        "--bound" | "--max-states" | "--max-depth" => {
+            (checks, "`splice check`, and generation or `splice profile` with `--check`")
+        }
+        _ => return None,
+    })
 }
 
 /// What `splice lint` prints for a run: the pipeline's lint report or, on
@@ -402,14 +447,10 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
         return Ok(ExitCode::SUCCESS);
     };
 
-    // `--check` belongs to generation and profiling; lint and timing
-    // ignore it.
-    let check = opts.mode == Mode::Check
-        || (opts.check && matches!(opts.mode, Mode::Generate | Mode::Profile));
     // Long-running analysis modes honor Ctrl-C at phase boundaries: the
     // BFS polls the flag and reports an interrupted (prefix-only) result
     // instead of dying mid-exploration.
-    if check || opts.mode == Mode::Profile {
+    if opts.check || opts.mode == Mode::Profile {
         splice_obs::interrupt::install_sigint();
         opts.check_opts.stop = Some(splice_obs::interrupt::interrupted);
     }
@@ -424,7 +465,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
     let popts = PipelineOptions {
         gen_date: gen_date(),
         linux: opts.linux,
-        check: check.then_some(opts.check_opts),
+        check: opts.check.then_some(opts.check_opts),
         deny_warnings: opts.deny_warnings,
     };
     let result = run_pipeline(&source, &spec_path, &popts);
@@ -465,6 +506,10 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
         }
         Mode::Generate | Mode::Lint | Mode::Profile => {}
     }
+    // The report modes keep stdout for the report alone.
+    if matches!(opts.mode, Mode::Lint | Mode::Check | Mode::Timing) {
+        write_pipeline_trace(&opts)?;
+    }
     gate(&out, &opts)?;
     match opts.mode {
         Mode::Generate => generate(&out, &opts),
@@ -476,11 +521,8 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
 /// Generation: print the notes and requested reports, then write the
 /// device directory (or, with `--dry-run`, list what it would hold).
 fn generate(out: &PipelineOutput, opts: &Options) -> Result<ExitCode, CliError> {
-    if let Some(path) = &opts.trace_out {
-        if let Some(data) = trace::finish() {
-            write_file(path, &data.to_chrome_json("splice pipeline"))?;
-            println!("pipeline trace written to {}", path.display());
-        }
+    if let Some(path) = write_pipeline_trace(opts)? {
+        println!("pipeline trace written to {}", path.display());
     }
 
     let module = &out.module;
@@ -684,6 +726,15 @@ fn profile(out: &PipelineOutput, opts: &Options) -> Result<ExitCode, CliError> {
         println!("trace written to {} ({} events)", path.display(), t.len());
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// With `--trace-out`, write the pipeline's span tree as a Chrome trace;
+/// returns the path written.
+fn write_pipeline_trace(opts: &Options) -> Result<Option<&Path>, CliError> {
+    let Some(path) = &opts.trace_out else { return Ok(None) };
+    let data = trace::finish().expect("tracer was started");
+    write_file(path, &data.to_chrome_json("splice pipeline"))?;
+    Ok(Some(path))
 }
 
 fn write_file(path: &Path, text: &str) -> Result<(), CliError> {

@@ -324,6 +324,24 @@ fn exit_codes_are_pinned() {
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
     }
 
+    // 2: a flag outside the modes that read it is refused, naming them,
+    // not ignored; the checker budgets need a model-checking run.
+    for (args, owner) in [
+        (&["lint", "--top", "3"][..], "`splice timing`"),
+        (&["timing", "--calls", "2"], "`splice profile`"),
+        (&["check", "-n"], "generation"),
+        (&["profile", "--json"], "`splice lint`, `check` and `timing`"),
+        (&["lint", "--bound", "4"], "`splice check`"),
+        (&["--bound", "4"], "`splice check`"),
+        (&["lint", "--metrics", "m.json"], "generation"),
+    ] {
+        let out = splice_bin().current_dir(&dir).args(args).arg(&good).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("read only by {owner}")), "{args:?}: {stderr}");
+    }
+    assert!(!dir.join("m.json").exists(), "a refused --metrics writes nothing");
+
     // 3: internal failure — output dir collides with a regular file.
     let blocker = dir.join("blocked");
     std::fs::write(&blocker, "in the way").unwrap();
@@ -340,9 +358,19 @@ const FCB_REFUSED_SPEC: &str = "%device_name d\n%bus_type fcb\n%bus_width 32\nvo
 const PLB_REFUSED_SPEC: &str = "%device_name d\n%bus_type plb\n%bus_width 32\n\
                                 %base_address 0x100000000\nint f(int a);\n";
 
+/// A pseudo-async function with an input and a two-beat output: the
+/// behavioural stub must serve both beats in one round, as the HDL does.
+const TWO_BEAT_SPEC: &str = "%device_name d\n%bus_type plb\n%bus_width 32\n\
+                             %base_address 0x80000000\nlong long f(int a);\n";
+
+/// An explicit bound past the generated 16-bit beat counters.
+const HUGE_BOUND_SPEC: &str = "%device_name d\n%bus_type plb\n%bus_width 32\n\
+                               %base_address 0x80000000\nvoid f(int*:65536 xs);\n";
+
 /// Every mode gives one verdict on a spec: a design lint refuses, a spec
-/// its bus library refuses, and warnings under `--deny-warnings` exit 1
-/// from all five modes; warnings alone and the bundled examples exit 0.
+/// its bus library refuses, a bound past the beat counters, and warnings
+/// under `--deny-warnings` exit 1 from all five modes; warnings alone, a
+/// two-beat output and the bundled examples exit 0.
 #[test]
 fn every_mode_gives_the_same_verdict() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -359,8 +387,10 @@ fn every_mode_gives_the_same_verdict() {
         (root.join("tests/fixtures/dirty.splice"), false, 1),
         (fcb.clone(), false, 1),
         (plb.clone(), false, 1),
+        (write("huge.splice", HUGE_BOUND_SPEC), false, 1),
         (warn.clone(), true, 1),
         (warn, false, 0),
+        (write("two_beat.splice", TWO_BEAT_SPEC), false, 0),
     ];
     for entry in std::fs::read_dir(root.join("examples/specs")).unwrap() {
         cases.push((entry.unwrap().path(), false, 0));
@@ -399,6 +429,30 @@ fn every_mode_gives_the_same_verdict() {
             }
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--trace-out` writes the pipeline's span tree in the report modes too,
+/// and leaves stdout to the report: `check --json` still prints one JSON
+/// document.
+#[test]
+fn check_trace_out_writes_the_pipeline_spans() {
+    use splice_obs::json::JsonValue;
+    let dir = tmp_dir("check-trace");
+    let spec = dir.join("t.splice");
+    std::fs::write(&spec, TIMER_SPEC).unwrap();
+    let trace = dir.join("t.json");
+    let out = splice_bin().args(["check", "--json", "--trace-out"]).arg(&trace).arg(&spec).output();
+    let out = out.expect("binary runs");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    JsonValue::parse(&stdout).unwrap_or_else(|e| panic!("stdout is not one document: {e}"));
+    let text = std::fs::read_to_string(&trace).expect("check --trace-out writes the trace");
+    let doc = JsonValue::parse(&text).expect("the trace is JSON");
+    let events = doc.get("traceEvents").and_then(JsonValue::as_array).expect("Chrome trace");
+    let named =
+        |n: &str| events.iter().any(|e| e.get("name").and_then(JsonValue::as_str) == Some(n));
+    assert!(named("pipeline") && named("check"), "{text}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

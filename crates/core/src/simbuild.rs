@@ -260,14 +260,16 @@ impl GeneratedStub {
         let result = self.calc.run(&self.inputs);
         self.calc_remaining = result.cycles.max(1);
         self.calc_until = None;
-        // Pre-encode the output beats.
+        // Pre-encode the output beats, padded or cut to the beats the
+        // output state declares, as the generated HDL serves them.
         self.out_beats = match &self.func.output {
-            Some(out) => {
-                let elems = result.output;
-                splice_driver::lower::encode_beats(out, self.bus_width, &elems)
-            }
+            Some(out) => splice_driver::lower::encode_beats(out, self.bus_width, &result.output),
             None => vec![0], // pseudo output dummy beat
         };
+        if let Some(out_state) = self.stub.states.get(self.state_idx + 1) {
+            let beats = self.beats_for_state(out_state) as usize;
+            self.out_beats.resize(beats, 0);
+        }
         self.out_pos = 0;
     }
 

@@ -16,24 +16,23 @@
 //! consumed by the SL05xx lint rules in `splice-lint`. The model checker
 //! explores the compiled relation exactly as generated.
 //!
-//! A third domain backs concrete execution: [`lower`] fixes every X to a
-//! concrete fill bit ([`lower::TwoState`]) and compiles the design into a
-//! bit-packed straight-line step function ([`lower::StepFn`]), on which
-//! the model checker replays its counterexamples.
+//! A third domain backs concrete execution: [`two_state`] fixes every X to
+//! a concrete fill bit ([`two_state::TwoState`]) and runs the same
+//! tree-walk, on which the model checker replays its counterexamples.
 
 pub mod domain;
 pub mod engine;
 pub mod facts;
 pub mod flat;
 pub mod graph;
-pub mod lower;
 pub mod timing;
 pub mod tv;
+pub mod two_state;
 
 pub use domain::AbsVal;
 pub use engine::{analyze, Analysis, BranchFinding, FindingKind};
 pub use facts::{FactTable, SignalFacts};
 pub use flat::{CompileError, CompiledDesign, Interp, Kind, SignalInfo};
-pub use lower::{two_state_eval, two_state_initial, two_state_step, StepFn, TwoState};
 pub use timing::{analyze_timing, Endpoint, EndpointKind, Timing};
 pub use tv::TWord;
+pub use two_state::{two_state_eval, two_state_initial, two_state_step, TwoState};

@@ -1,6 +1,6 @@
 //! Structural timing over the flattened design: unit-delay levelization.
 //!
-//! The checker, the abstract interpreter, and the compiled tape all consume
+//! The checker, the abstract interpreter, and two-state replay all consume
 //! [`CompiledDesign`] for its *values*; this module measures its *structure*.
 //! Every operator ([`CExpr::Bin`], [`CExpr::Not`]) costs one level, wiring
 //! ([`CExpr::Sig`], [`CExpr::Slice`], [`CExpr::Concat`]) costs zero, and

@@ -261,7 +261,7 @@ impl BaselineSystem {
     }
 
     /// Run one driver call (a raw op list) and return (cycles, reads).
-    pub fn run_ops(&mut self, ops: Vec<BusOp>) -> (u64, Vec<Word>) {
+    pub fn run_bus_ops(&mut self, ops: Vec<BusOp>) -> (u64, Vec<Word>) {
         let start = self.sim.cycle();
         self.sim.component_mut::<PlbCpuMaster>(self.master_idx).expect("master").reload(ops);
         let idx = self.master_idx;
@@ -388,7 +388,7 @@ mod tests {
     fn naive_plb_returns_correct_results() {
         let mut sys = BaselineSystem::build(Baseline::SimplePlb);
         for s in Scenario::all() {
-            let (cycles, reads) = sys.run_ops(naive_plb_driver_ops(&s.flat_inputs()));
+            let (cycles, reads) = sys.run_bus_ops(naive_plb_driver_ops(&s.flat_inputs()));
             assert_eq!(reads, vec![reference_result(s)], "{s:?}");
             assert!(cycles > 0);
         }
@@ -398,7 +398,7 @@ mod tests {
     fn optimized_fcb_returns_correct_results() {
         let mut sys = BaselineSystem::build(Baseline::OptimizedFcb);
         for s in Scenario::all() {
-            let (cycles, reads) = sys.run_ops(optimized_fcb_driver_ops(&s.flat_inputs()));
+            let (cycles, reads) = sys.run_bus_ops(optimized_fcb_driver_ops(&s.flat_inputs()));
             assert_eq!(reads, vec![reference_result(s)], "{s:?}");
             assert!(cycles > 0);
         }
@@ -409,8 +409,8 @@ mod tests {
         let mut naive = BaselineSystem::build(Baseline::SimplePlb);
         let mut opt = BaselineSystem::build(Baseline::OptimizedFcb);
         for s in Scenario::all() {
-            let (n, _) = naive.run_ops(naive_plb_driver_ops(&s.flat_inputs()));
-            let (o, _) = opt.run_ops(optimized_fcb_driver_ops(&s.flat_inputs()));
+            let (n, _) = naive.run_bus_ops(naive_plb_driver_ops(&s.flat_inputs()));
+            let (o, _) = opt.run_bus_ops(optimized_fcb_driver_ops(&s.flat_inputs()));
             assert!(o < n, "{s:?}: optimized {o} vs naive {n}");
         }
     }
@@ -419,8 +419,8 @@ mod tests {
     fn slave_rounds_reset_between_runs() {
         let mut sys = BaselineSystem::build(Baseline::SimplePlb);
         let s = Scenario::S1;
-        sys.run_ops(naive_plb_driver_ops(&s.flat_inputs()));
-        let (_, reads) = sys.run_ops(naive_plb_driver_ops(&s.flat_inputs()));
+        sys.run_bus_ops(naive_plb_driver_ops(&s.flat_inputs()));
+        let (_, reads) = sys.run_bus_ops(naive_plb_driver_ops(&s.flat_inputs()));
         // Second run must not see stale words from the first.
         assert_eq!(reads, vec![reference_result(s)]);
     }
@@ -433,10 +433,10 @@ mod tests {
         let mut slow = BaselineSystem::build_with_calc(Baseline::SimplePlb, dev, 2);
         let mut fast = BaselineSystem::build_with_calc(Baseline::OptimizedFcb, dev, 2);
         let ops = |_: ()| naive_plb_driver_ops(&[1, 2, 3, 4]);
-        let (c_slow, r1) = slow.run_ops(ops(()));
+        let (c_slow, r1) = slow.run_bus_ops(ops(()));
         // The optimized system still answers naive-shaped traffic (single
         // writes), just faster.
-        let (c_fast, r2) = fast.run_ops(ops(()));
+        let (c_fast, r2) = fast.run_bus_ops(ops(()));
         assert_eq!(r1, r2);
         assert!(c_fast < c_slow, "fast={c_fast} slow={c_slow}");
     }

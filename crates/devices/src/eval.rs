@@ -117,7 +117,7 @@ impl InterpRunner {
                     Baseline::SimplePlb => naive_plb_driver_ops(&s.flat_inputs()),
                     Baseline::OptimizedFcb => optimized_fcb_driver_ops(&s.flat_inputs()),
                 };
-                let (cycles, reads) = sys.run_ops(ops);
+                let (cycles, reads) = sys.run_bus_ops(ops);
                 (cycles, reads[0])
             }
             InterpRunner::Generated(sys) => {

@@ -192,28 +192,21 @@ impl Event {
     }
 }
 
-/// Default cap on retained events; appends beyond it are counted in
+/// Cap on retained events; appends beyond it are counted in
 /// [`EventLog::dropped`] instead of growing memory without bound.
 pub const DEFAULT_EVENT_CAP: usize = 65_536;
 
 /// A bounded, append-only log of [`Event`]s.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EventLog {
     events: Vec<Event>,
-    cap: usize,
     dropped: u64,
-}
-
-impl Default for EventLog {
-    fn default() -> Self {
-        EventLog { events: Vec::new(), cap: DEFAULT_EVENT_CAP, dropped: 0 }
-    }
 }
 
 impl EventLog {
     /// Append an event, dropping (and counting) it if the log is full.
     pub fn push(&mut self, ev: Event) {
-        if self.events.len() < self.cap {
+        if self.events.len() < DEFAULT_EVENT_CAP {
             self.events.push(ev);
         } else {
             self.dropped += 1;
@@ -228,11 +221,6 @@ impl EventLog {
     /// Number of events discarded because the cap was reached.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Change the retention cap (existing overflow counts are kept).
-    pub fn set_cap(&mut self, cap: usize) {
-        self.cap = cap;
     }
 
     /// Retained violations only.
@@ -423,11 +411,6 @@ impl MetricsRegistry {
         &self.events
     }
 
-    /// Mutable event log access (for caps or manual appends).
-    pub fn events_mut(&mut self) -> &mut EventLog {
-        &mut self.events
-    }
-
     /// Drop all recorded data, keeping the enabled state.
     pub fn reset(&mut self) {
         self.counters.clear();
@@ -436,7 +419,7 @@ impl MetricsRegistry {
         self.gauge_by_name.clear();
         self.histograms.clear();
         self.histogram_by_name.clear();
-        self.events = EventLog { cap: self.events.cap, ..EventLog::default() };
+        self.events = EventLog::default();
     }
 
     /// Serialize the full registry (sorted, deterministic) as one JSON
@@ -615,11 +598,10 @@ mod tests {
     fn event_log_caps_and_counts_drops() {
         let mut m = MetricsRegistry::new();
         m.enable();
-        m.events_mut().set_cap(3);
-        for c in 0..5 {
+        for c in 0..DEFAULT_EVENT_CAP as u64 + 2 {
             m.record_event(Event::SignalEdge { cycle: c, signal: "s".into(), from: 0, to: 1 });
         }
-        assert_eq!(m.events().events().len(), 3);
+        assert_eq!(m.events().events().len(), DEFAULT_EVENT_CAP);
         assert_eq!(m.events().dropped(), 2);
     }
 

@@ -140,12 +140,6 @@ impl<'a> TickCtx<'a> {
         self.metrics.counter_add(name, delta);
     }
 
-    /// Set a named gauge.
-    #[inline]
-    pub fn metric_gauge(&mut self, name: &str, value: u64) {
-        self.metrics.gauge_set(name, value);
-    }
-
     /// Record a sample into a named latency/size histogram.
     #[inline]
     pub fn metric_observe(&mut self, name: &str, value: u64) {

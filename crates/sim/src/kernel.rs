@@ -60,8 +60,8 @@ pub enum Backend {
     #[default]
     Gated,
     /// Schedules exactly like [`Backend::Gated`]. No component hosts
-    /// generated HDL, so there is no design for a step tape to run; the
-    /// variant stays because the benchmark's per-backend mix names it.
+    /// generated HDL, so there is no design to run two-state; the variant
+    /// stays because the benchmark's per-backend mix names it.
     Compiled,
 }
 

@@ -13,7 +13,7 @@
 //! Profiling is opt-in ([`Simulator::enable_profiler`]); when off, the
 //! kernel's only cost is one `Option` test per step. Profiling does not
 //! change the backend: it times each tick under whichever backend was set
-//! (the compiled step tape included) and observes the scheduler doing
+//! (`Compiled` included) and observes the scheduler doing
 //! whatever it would have done anyway, which is exactly what makes the
 //! awake/asleep attribution meaningful.
 //!

@@ -80,6 +80,9 @@ pub enum SpecErrorKind {
     NowaitWithValue { func: String },
     /// Explicit bound of zero elements.
     ZeroBound { func: String, param: String },
+    /// Explicit bound past the 16-bit beat counters the generator gives
+    /// array transfers.
+    BoundTooLarge { func: String, param: String, bound: u64, max: u64 },
     /// Multi-instance count of zero (`):0`).
     ZeroInstances { func: String },
     /// A pointer parameter with no bound at all — hardware cannot accept an
@@ -155,6 +158,11 @@ impl fmt::Display for SpecErrorKind {
             ZeroBound { func, param } => {
                 write!(f, "`{func}`: parameter `{param}` has an explicit bound of 0 elements")
             }
+            BoundTooLarge { func, param, bound, max } => write!(
+                f,
+                "`{func}`: parameter `{param}` has an explicit bound of {bound} elements; \
+                 at most {max} are supported"
+            ),
             ZeroInstances { func } => write!(f, "`{func}`: multi-instance count must be >= 1"),
             UnboundedPointer { func, param } => write!(
                 f,

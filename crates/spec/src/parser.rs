@@ -39,19 +39,6 @@ pub fn parse(source: &str) -> Result<Spec, Vec<SpecError>> {
     }
 }
 
-/// Parse only the directives of a source file (used by tooling that wants
-/// the target specification without the declarations).
-pub fn parse_directives(source: &str) -> Result<Vec<Directive>, Vec<SpecError>> {
-    let tokens = lex(source).map_err(|e| vec![e])?;
-    let mut p = Parser::new(tokens);
-    p.collect_directives();
-    if p.errors.is_empty() {
-        Ok(p.directives)
-    } else {
-        Err(p.errors)
-    }
-}
-
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,

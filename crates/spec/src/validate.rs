@@ -75,13 +75,6 @@ pub struct ModuleParams {
     pub func_id_width: u32,
 }
 
-impl ModuleParams {
-    /// Bytes per native bus beat.
-    pub fn bus_bytes(&self) -> u32 {
-        self.bus_width / 8
-    }
-}
-
 /// The element-count bound of a validated pointer transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoBound {
@@ -162,11 +155,6 @@ impl ValidatedFunction {
     pub fn uses_dma(&self) -> bool {
         self.inputs.iter().any(|i| i.dma) || self.output.as_ref().is_some_and(|o| o.dma)
     }
-
-    /// Whether any transfer of this function is packed.
-    pub fn uses_packing(&self) -> bool {
-        self.inputs.iter().any(|i| i.packed) || self.output.as_ref().is_some_and(|o| o.packed)
-    }
 }
 
 /// A fully validated specification, ready for elaboration.
@@ -202,6 +190,10 @@ impl ModuleSpec {
 /// Largest FUNC_ID space this implementation supports (8-bit field ⇒ ids
 /// 0..=255, with 0 reserved).
 pub const MAX_FUNC_INSTANCES: usize = 255;
+
+/// Largest explicit pointer bound (`*:N`): what the 16-bit counters the
+/// generator gives every dynamic beat tracker can count.
+pub const MAX_EXPLICIT_BOUND: u64 = 65_535;
 
 /// Run semantic validation against `registry`.
 pub fn validate(spec: &Spec, registry: &BusRegistry) -> Result<ValidatedSpec, SpecError> {
@@ -458,6 +450,17 @@ impl<'a> Validator<'a> {
                 Some(PtrBound::Explicit(0)) => {
                     return Err(SpecError::new(
                         SpecErrorKind::ZeroBound { func, param: name.into() },
+                        span,
+                    ))
+                }
+                Some(PtrBound::Explicit(n)) if *n > MAX_EXPLICIT_BOUND => {
+                    return Err(SpecError::new(
+                        SpecErrorKind::BoundTooLarge {
+                            func,
+                            param: name.into(),
+                            bound: *n,
+                            max: MAX_EXPLICIT_BOUND,
+                        },
                         span,
                     ))
                 }
@@ -765,6 +768,18 @@ mod tests {
     fn void_param_rejected() {
         let e = check(&with_header("void f(void x);")).unwrap_err();
         assert!(matches!(e.kind, SpecErrorKind::VoidParam { .. }));
+    }
+
+    #[test]
+    fn explicit_bounds_stop_at_the_16_bit_beat_counters() {
+        assert!(check(&with_header("void f(int*:65535 xs);")).is_ok());
+        for n in [65_536u64, 1 << 32] {
+            let e = check(&with_header(&format!("void f(int*:{n} xs);"))).unwrap_err();
+            let SpecErrorKind::BoundTooLarge { param, bound, max, .. } = &e.kind else {
+                panic!("`*:{n}` must be refused as too large: {e}");
+            };
+            assert_eq!((param.as_str(), *bound, *max), ("xs", n, MAX_EXPLICIT_BOUND));
+        }
     }
 
     #[test]

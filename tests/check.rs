@@ -1,6 +1,6 @@
 //! Integration tests of the `splice-check` model checker.
 //!
-//! Four claims are pinned here:
+//! Five claims are pinned here:
 //!
 //! 1. **Self-application**: every bundled example specification verifies
 //!    clean — no SL04xx findings, no counterexamples — under the default
@@ -12,16 +12,16 @@
 //! 3. **Detection**: deliberately corrupted designs (an uninitialized
 //!    state register, a dead acknowledge line, a disabled per-instance
 //!    FUNC_ID remap) each produce the right SL04xx finding with a
-//!    counterexample that **reproduces on the independent two-state step
-//!    tape**. Two of them pin every counterexample's trace and witness
-//!    exactly, so a change of script or exploration order fails here too.
+//!    counterexample that **reproduces on two-state replay**. Two of them
+//!    pin every counterexample's trace and witness exactly, so a change of
+//!    script or exploration order fails here too.
 //! 4. **Driver agreement**: for every bus backend the generated C driver
 //!    cross-checks clean against the generated HDL, and injected
 //!    driver/hardware mismatches are flagged.
-//! 5. **Tape parity on generated HDL**: the compiled step tape that
-//!    replays counterexamples computes the same signals and registers as
-//!    the two-state tree-walk on every module the examples generate, not
-//!    only on random designs.
+//! 5. **X audit on generated HDL**: the two fill universes that replay
+//!    runs in agree with the ternary explorer wherever it knows a bit, and
+//!    with each other after reset, on every module the examples generate,
+//!    not only on random designs.
 
 use splice::pipeline::{run_pipeline, PipelineError, PipelineOptions};
 use splice_check::{check_modules, cross_check, CheckOptions, CheckOutcome, Witness};
@@ -30,7 +30,7 @@ use splice_core::hdlgen::design_modules;
 use splice_core::DesignIr;
 use splice_dataflow::engine::reset_slot;
 use splice_dataflow::tv::mask;
-use splice_dataflow::{two_state_eval, two_state_initial, two_state_step, CompiledDesign, StepFn};
+use splice_dataflow::{two_state_eval, two_state_initial, two_state_step, CompiledDesign, TWord};
 use splice_hdl::ast::{Decl, Item, Stmt};
 use splice_hdl::{Expr, Module};
 use splice_lint::LintReport;
@@ -222,7 +222,7 @@ fn spec_errors_surface_as_check_errors() {
 
 /// 512 seeded stimulus rows in `d.inputs` slot order: two reset rows (RST
 /// high, everything else low), then RST low and every other input free.
-fn tape_stimulus(d: &CompiledDesign) -> Vec<Vec<u64>> {
+fn stimulus(d: &CompiledDesign) -> Vec<Vec<u64>> {
     let rst = reset_slot(d).expect("generated module has RST");
     let mut rng = Rng::new(0x5EED_BEAC);
     (0..512)
@@ -242,15 +242,16 @@ fn tape_stimulus(d: &CompiledDesign) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Counterexample replay runs the compiled step tape, which is pinned
-/// against the two-state tree-walk on random designs
-/// (`crates/dataflow/tests/lower_parity.rs`). Clean examples produce no
+/// Counterexample replay runs the two-state tree-walk in two power-on
+/// universes (fill 0 and fill 1); the random designs of
+/// `crates/dataflow/tests/two_state.rs` pin that both agree with the
+/// ternary explorer wherever it knows a bit. Clean examples produce no
 /// counterexamples, so here every `func_*` unit and `user_*` top of every
-/// example is lowered under both fills and driven with 512 seeded rows:
-/// after each eval the settled signals agree, after each step the
-/// registers do.
+/// example is driven with 512 seeded rows in the ternary domain and in
+/// both universes: every known ternary bit holds in both universes, and
+/// after the two reset rows the universes agree on every signal.
 #[test]
-fn compiled_tape_matches_the_tree_walk_on_every_generated_module() {
+fn fill_universes_agree_with_the_ternary_explorer_on_every_generated_module() {
     let mut checked = Vec::new();
     for stem in ["apb_sensor", "dma_stream", "fir_filter", "hw_timer", "mac"] {
         let (_, modules) = generated(&example_spec(stem));
@@ -259,21 +260,31 @@ fn compiled_tape_matches_the_tree_walk_on_every_generated_module() {
         for top in tops {
             let d =
                 CompiledDesign::compile(&modules, &top.name).expect("generated module compiles");
-            let rows = tape_stimulus(&d);
-            for fill in [false, true] {
-                let at = |t: usize| format!("{stem}/{} fill={fill} row {t}", top.name);
-                let tape = StepFn::lower(&d, fill);
-                let mut words = tape.new_state();
-                let mut state = two_state_initial(&d, fill);
-                assert_eq!(tape.registers(&words), state, "{}: power-on state", at(0));
-                for (t, row) in rows.iter().enumerate() {
-                    tape.eval(&mut words, row);
-                    let settled = two_state_eval(&d, &state, row, fill);
-                    assert_eq!(tape.signals(&words), &settled[..], "{}: signals", at(t));
-                    tape.step(&mut words, row);
-                    state = two_state_step(&d, &state, row, fill);
-                    assert_eq!(tape.registers(&words), state, "{}: registers", at(t));
+            let (mut s0, mut s1) = (two_state_initial(&d, false), two_state_initial(&d, true));
+            let mut tstate = d.initial_state();
+            for (t, row) in stimulus(&d).iter().enumerate() {
+                let at = format!("{stem}/{} row {t}", top.name);
+                let tin: Vec<TWord> = d
+                    .inputs
+                    .iter()
+                    .zip(row)
+                    .map(|(&id, &v)| TWord::known(v, d.signals[id].width))
+                    .collect();
+                let ternary = d.eval(&tstate, &tin);
+                let v0 = two_state_eval(&d, &s0, row, false);
+                let v1 = two_state_eval(&d, &s1, row, true);
+                for (id, tv) in ternary.iter().enumerate() {
+                    let known = !tv.unknown & mask(tv.width);
+                    let name = &d.signals[id].name;
+                    assert_eq!(v0[id] & known, tv.bits & known, "{at}: fill 0 breaks {name}");
+                    assert_eq!(v1[id] & known, tv.bits & known, "{at}: fill 1 breaks {name}");
                 }
+                if t >= 2 {
+                    assert_eq!(v0, v1, "{at}: the universes diverge after reset");
+                }
+                s0 = two_state_step(&d, &s0, row, false);
+                s1 = two_state_step(&d, &s1, row, true);
+                tstate = d.step(&tstate, &tin);
             }
             checked.push(format!("{stem}/{}", top.name));
         }
@@ -294,7 +305,7 @@ fn dataflow_fixpoint_converges_on_the_dma_arbiter() {
 
 // ---------------------------------------------------------------------------
 // Corrupted designs: each defect is found AND its counterexample
-// reproduces on the step tape.
+// reproduces on two-state replay.
 // ---------------------------------------------------------------------------
 
 /// A reset row and an idle row, in the generated modules' input order
@@ -342,7 +353,7 @@ fn unreset_register_yields_confirmed_x_counterexample() {
         "{:?}",
         cex.witness
     );
-    assert!(cex.confirmed, "X witness must reproduce on the tape");
+    assert!(cex.confirmed, "X witness must reproduce on replay");
 
     // Every trace is pinned row by row: the first driver script that
     // observes the X, then the stub's and the arbiter's free BFS, which
@@ -407,7 +418,7 @@ fn dead_acknowledge_line_yields_confirmed_stall_counterexample() {
         "{:?}",
         cex.witness
     );
-    assert!(cex.confirmed, "the stall must reproduce on the tape");
+    assert!(cex.confirmed, "the stall must reproduce on replay");
 }
 
 /// Reintroduce a historical generator defect: without the arbiter's
@@ -435,7 +446,7 @@ fn disabled_func_id_remap_yields_confirmed_mutex_counterexample() {
         "{:?}",
         cex.witness
     );
-    assert!(cex.confirmed, "the overlap must reproduce on the tape");
+    assert!(cex.confirmed, "the overlap must reproduce on replay");
 
     // The only counterexample is the BFS edge out of the post-reset state
     // that first strobes a write to FUNC_ID 1, which both unremapped

@@ -61,8 +61,8 @@ fn gated_and_eager_schedulers_agree_cycle_for_cycle() {
 #[test]
 fn compiled_backend_preserves_the_pinned_fig_9_2_table() {
     // `Backend::Compiled` is an alias of the gated schedule: no component
-    // hosts generated HDL, so there is no tape to run. The headline table
-    // must stay byte-identical under it: 680 / 298 / 508 / 344 / 488.
+    // hosts generated HDL. The headline table must stay byte-identical
+    // under it: 680 / 298 / 508 / 344 / 488.
     for (imp, pinned_row) in PINNED {
         let mut compiled = InterpRunner::build(imp);
         compiled.sim_mut().set_backend(Backend::Compiled);
