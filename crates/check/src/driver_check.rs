@@ -13,30 +13,35 @@
 //! * **SL0408** — `SPLICE_BASE_ADDRESS`, `SPLICE_WORD_BYTES` and the
 //!   `SET_ADDRESS` form must match the bus register map.
 //! * **SL0409** — the transaction-macro beat counts in each driver body
-//!   (singles, doubles, quads, loops, DMA byte counts) must match the ICOB
-//!   beat schedule and the HDL `*_max_value` / `*_bound` tracking logic.
+//!   (singles, doubles, quads, runtime-bounded loops, DMA byte counts) must
+//!   match the ICOB beat schedule and the HDL `*_max_value` / `*_bound`
+//!   tracking logic.
 //! * **SL0410** — macro *usage* must match the bus capabilities and SIS
 //!   mode: `WAIT_FOR_RESULTS` polls iff the bus is strictly synchronous,
-//!   appears iff the function is not `nowait`, and the DMA macros exist
-//!   and are used iff the bus (and the transfer) is DMA-capable.
+//!   appears iff the function is not `nowait`, the DMA macros exist iff the
+//!   bus is DMA-capable, and a body uses them iff one of its `^` transfers
+//!   can reach [`DMA_MIN_BEATS`] (a runtime count, or a static one of at
+//!   least that many beats).
 
 use splice_core::{BeatCount, DesignIr, FunctionStub, StubState};
+use splice_driver::lower::DMA_MIN_BEATS;
 use splice_hdl::{Decl, Item, Module, Stmt};
 use splice_lint::{Diagnostic, Layer, LintReport, Location};
 use splice_spec::bus::SyncClass;
+use splice_spec::validate::ValidatedFunction;
 
 /// The driver-side transfer profile of one function, recovered from the
 /// generated C text.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 struct CProfile {
     /// Statically emitted write beats (singles + 2×doubles + 4×quads +
-    /// literal loop bounds + DMA word counts).
+    /// literal single-beat loop bounds + DMA word counts).
     writes: u64,
     /// Statically emitted read beats.
     reads: u64,
-    /// A runtime-bounded write loop is present.
+    /// A runtime-bounded write (loop or DMA) is present.
     dyn_writes: bool,
-    /// A runtime-bounded read loop is present.
+    /// A runtime-bounded read (loop or DMA) is present.
     dyn_reads: bool,
     /// `WRITE_DMA` is used.
     dma_write: bool,
@@ -79,7 +84,7 @@ fn scan_body(body: &str) -> CProfile {
             continue;
         }
         if let Some(bound) = loop_bound(line) {
-            let write = line.contains("WRITE_SINGLE(");
+            let write = line.contains("WRITE_");
             match bound {
                 Some(n) if write => p.writes += n,
                 Some(n) => p.reads += n,
@@ -118,17 +123,30 @@ fn dma_words(line: &str) -> Option<u64> {
     head[start..].trim().parse().ok()
 }
 
-/// Detect a transfer loop `for (__i = 0; __i < <bound>; ++__i)`. Returns
-/// `Some(Some(n))` for a literal bound, `Some(None)` for a runtime bound,
-/// `None` when the line is not a loop.
+/// Detect a transfer loop `for (<init>; <test>; <step>)`. Returns
+/// `Some(Some(n))` for a single-beat loop with a literal bound
+/// (`__i < n`), `Some(None)` for a runtime-bounded loop (`__i < (unsigned)(x)`,
+/// or a burst loop `__i + 4 <= (unsigned)(x)`), `None` when the line is not
+/// a loop.
 fn loop_bound(line: &str) -> Option<Option<u64>> {
-    let at = line.find("for (__i = 0; __i < ")?;
-    let rest = &line[at + "for (__i = 0; __i < ".len()..];
-    let bound = &rest[..rest.find(';')?];
-    if bound.starts_with("(unsigned)(") {
-        return Some(None);
-    }
-    Some(bound.trim().parse().ok())
+    let at = line.find("for (")?;
+    let test = line[at..].split(';').nth(1)?.trim();
+    Some(test.strip_prefix("__i < ").and_then(|n| n.trim().parse().ok()))
+}
+
+/// Whether a transfer state can move by DMA: its I/O is declared `^` and
+/// its beat count is runtime or reaches [`DMA_MIN_BEATS`].
+fn reaches_dma(f: &ValidatedFunction, state: &StubState) -> bool {
+    let (io, beats) = match state {
+        StubState::Input { io, beats, .. } => (f.inputs.get(*io), beats),
+        StubState::Output { beats, .. } => (f.output.as_ref(), beats),
+        StubState::Calc | StubState::PseudoOutput => return false,
+    };
+    io.is_some_and(|io| io.dma)
+        && match beats {
+            BeatCount::Static(n) => *n >= DMA_MIN_BEATS,
+            BeatCount::Dynamic { .. } => true,
+        }
 }
 
 /// The beat schedule the ICOB commits to, derived from the IR.
@@ -434,21 +452,25 @@ pub fn cross_check(
                 },
             ));
         }
-        if (c.dma_write || c.dma_read) != stub.uses_dma {
+        let f = ir.module.function(&stub.name);
+        let want_dma = f.is_some_and(|f| stub.states.iter().any(|st| reaches_dma(f, st)));
+        if (c.dma_write || c.dma_read) != want_dma {
             report.push(err(
                 "SL0410",
                 floc(""),
-                if stub.uses_dma {
+                if want_dma {
                     "the FSM expects DMA transfers but the driver uses beat macros".to_owned()
                 } else {
-                    "the driver uses DMA macros but no transfer of this function is DMA".to_owned()
+                    format!(
+                        "the driver uses DMA macros but no transfer of this function is DMA \
+                         of at least {DMA_MIN_BEATS} beats"
+                    )
                 },
             ));
         }
 
         // SL0409: the HDL tracking constants vs the IR schedule.
         if let Some(m) = stub_mod {
-            let f = ir.module.function(&stub.name);
             for st in &stub.states {
                 let (name, n) = match st {
                     StubState::Input { io, beats: BeatCount::Static(n), .. } if *n > 1 => {
@@ -549,6 +571,19 @@ mod tests {
         assert_eq!(p.writes, 0);
         assert!(p.dyn_writes && p.sync_read);
         assert_eq!(p.reads, 0);
+    }
+
+    #[test]
+    fn scan_flags_burst_loops_and_runtime_dma() {
+        let body = "\
+    { unsigned __i; for (__i = 0; __i + 4 <= (unsigned)(n); __i += 4) WRITE_QUAD(func_addr, ((splice_word_t *)x) + __i);\n\
+      for (; __i + 2 <= (unsigned)(n); __i += 2) WRITE_DOUBLE(func_addr, ((splice_word_t *)x) + __i);\n\
+      for (; __i < (unsigned)(n); ++__i) WRITE_SINGLE(func_addr, ((splice_word_t *)x) + __i); }\n\
+    if ((unsigned)(m) >= 5) READ_DMA(func_addr, (splice_word_t *)result, m * SPLICE_WORD_BYTES);\n\
+    else { unsigned __i; for (__i = 0; __i < (unsigned)(m); ++__i) READ_SINGLE(func_addr, ((splice_word_t *)result) + __i); }\n";
+        let p = scan_body(body);
+        assert_eq!((p.writes, p.reads), (0, 0));
+        assert!(p.dyn_writes && p.dyn_reads && p.dma_read && !p.dma_write);
     }
 
     #[test]

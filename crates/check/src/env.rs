@@ -20,7 +20,7 @@
 //! master sees while deciding row `k+1`. Violation step numbers are row
 //! indices into the recorded trace (rows 0 and 1 are the reset prefix).
 
-use crate::compile::CompiledDesign;
+use crate::compile::{CompiledDesign, Interp};
 use crate::tv::TWord;
 use splice_core::{BeatCount, FunctionStub, StubState};
 use splice_sis::SisMode;
@@ -225,7 +225,12 @@ struct Runner<'a> {
     pins: &'a EnvPins,
     cfg: ScriptConfig,
     my_id: u64,
+    /// One interpreter for the whole run, so a row costs no allocation.
+    interp: Interp<'a, TWord>,
     state: Vec<TWord>,
+    /// Reused buffers for the next register state and the current input row.
+    next: Vec<TWord>,
+    inputs: Vec<TWord>,
     obs: Vec<TWord>,
     trace: Vec<Vec<u64>>,
     round_ends: Vec<(usize, Vec<TWord>)>,
@@ -252,15 +257,18 @@ impl Runner<'_> {
     }
 
     fn apply(&mut self, row: Vec<u64>) {
-        let inputs: Vec<TWord> = self
-            .d
-            .inputs
-            .iter()
-            .enumerate()
-            .map(|(slot, &id)| TWord::known(row[slot], self.d.signals[id].width))
-            .collect();
-        self.state = self.d.step(&self.state, &inputs);
-        self.obs = self.d.eval(&self.state, &inputs);
+        let d = self.d;
+        self.inputs.clear();
+        self.inputs.extend(
+            d.inputs
+                .iter()
+                .enumerate()
+                .map(|(slot, &id)| TWord::known(row[slot], d.signals[id].width)),
+        );
+        self.interp.step(&self.state, &self.inputs, &mut self.next);
+        std::mem::swap(&mut self.state, &mut self.next);
+        self.obs.clear();
+        self.obs.extend_from_slice(self.interp.settle(&self.state, &self.inputs));
         self.trace.push(row);
     }
 
@@ -493,7 +501,10 @@ pub fn run_script(
         pins,
         cfg,
         my_id,
+        interp: Interp::new(d),
         state: d.initial_state(),
+        next: Vec::new(),
+        inputs: Vec::new(),
         obs: Vec::new(),
         trace: Vec::new(),
         round_ends: Vec::new(),
@@ -514,7 +525,6 @@ mod tests {
             instances: 1,
             states,
             trackers: vec![],
-            uses_dma: false,
             nowait: false,
         }
     }

@@ -3,28 +3,45 @@
 //! A counterexample trace found by the static explorer is only trusted
 //! after it reproduces on a concrete execution: every trace row is run
 //! through the tree-walk interpreter in `splice-dataflow`'s two-state
-//! domain ([`two_state_step`], then [`two_state_eval`]).
+//! domain ([`TwoState`]): one clock edge, then a settle, on one
+//! interpreter kept for the whole run.
 //!
 //! The replay is **two-state**: every X the ternary checker reasoned about
 //! is concretized to a fill bit *at power-on*, and the run is an honest
 //! execution of that one universe. Witnesses about unknowns run twice
 //! (fill 0 and fill 1) and confirm on divergence.
 
-use crate::compile::CompiledDesign;
+use crate::compile::{CompiledDesign, DomainValue, Interp};
 use crate::{Counterexample, Witness};
-use splice_dataflow::{two_state_eval, two_state_initial, two_state_step};
+use splice_dataflow::{two_state_initial, TwoState};
 
 /// Replay `trace` against `design` with power-on X bits filled as `fill`.
 /// Entry `k` of the returned history holds every flattened signal, settled
 /// after the clock edge that consumed row `k` — the observation step `k`
 /// of a witness refers to.
 pub fn replay(design: &CompiledDesign, trace: &[Vec<u64>], fill: bool) -> Vec<Vec<u64>> {
-    let mut state = two_state_initial(design, fill);
+    if fill {
+        replay_in::<true>(design, trace)
+    } else {
+        replay_in::<false>(design, trace)
+    }
+}
+
+/// [`replay`] in one fill universe.
+fn replay_in<const FILL: bool>(d: &CompiledDesign, trace: &[Vec<u64>]) -> Vec<Vec<u64>> {
+    let lift = |ids: &[usize], words: &[u64]| -> Vec<TwoState<FILL>> {
+        ids.iter().zip(words).map(|(&id, &v)| TwoState::lit(v, d.signals[id].width)).collect()
+    };
+    let mut interp = Interp::new(d);
+    let mut state = lift(&d.registers, &two_state_initial(d, FILL));
+    let mut next = Vec::with_capacity(state.len());
     trace
         .iter()
         .map(|row| {
-            state = two_state_step(design, &state, row, fill);
-            two_state_eval(design, &state, row, fill)
+            let inputs = lift(&d.inputs, row);
+            interp.step(&state, &inputs, &mut next);
+            std::mem::swap(&mut state, &mut next);
+            interp.settle(&state, &inputs).iter().map(|v| v.bits).collect()
         })
         .collect()
 }

@@ -367,10 +367,18 @@ const TWO_BEAT_SPEC: &str = "%device_name d\n%bus_type plb\n%bus_width 32\n\
 const HUGE_BOUND_SPEC: &str = "%device_name d\n%bus_type plb\n%bus_width 32\n\
                                %base_address 0x80000000\nvoid f(int*:65536 xs);\n";
 
+/// 33 functions on the strictly synchronous APB: one more than its 32-bit
+/// status word has completion bits for.
+fn apb_33_functions_spec() -> String {
+    let decls: String = (0..33).map(|k| format!("int f{k}(int a{k});\n")).collect();
+    format!("%device_name d\n%bus_type apb\n%bus_width 32\n%base_address 0xA0000000\n{decls}")
+}
+
 /// Every mode gives one verdict on a spec: a design lint refuses, a spec
-/// its bus library refuses, a bound past the beat counters, and warnings
-/// under `--deny-warnings` exit 1 from all five modes; warnings alone, a
-/// two-beat output and the bundled examples exit 0.
+/// its bus library refuses, a bound past the beat counters, more functions
+/// than the bus can poll, and warnings under `--deny-warnings` exit 1 from
+/// all five modes; warnings alone, a two-beat output and the bundled
+/// examples exit 0.
 #[test]
 fn every_mode_gives_the_same_verdict() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -388,6 +396,7 @@ fn every_mode_gives_the_same_verdict() {
         (fcb.clone(), false, 1),
         (plb.clone(), false, 1),
         (write("huge.splice", HUGE_BOUND_SPEC), false, 1),
+        (write("apb33.splice", &apb_33_functions_spec()), false, 1),
         (warn.clone(), true, 1),
         (warn, false, 0),
         (write("two_beat.splice", TWO_BEAT_SPEC), false, 0),

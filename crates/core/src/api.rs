@@ -7,9 +7,9 @@
 //! reproduces the name-based discovery of §7.2 (`%bus_type x` →
 //! `lib<x>_interface.so`).
 //!
-//! `splice-buses` implements one library per supported interconnect and
-//! adds the piece this reproduction needs beyond the thesis: a factory for
-//! the bus's cycle-accurate simulation adapter.
+//! `splice-buses` implements one library per supported interconnect; the
+//! hooks take the validated [`ModuleSpec`] and the elaborated
+//! [`DesignIr`].
 
 use crate::ir::DesignIr;
 use crate::template::MarkerSet;

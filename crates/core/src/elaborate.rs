@@ -64,7 +64,6 @@ fn elaborate_function(
         instances: f.instances,
         states,
         trackers,
-        uses_dma: f.uses_dma(),
         nowait: f.nowait,
     }
 }
@@ -258,12 +257,6 @@ mod tests {
             vec![(0, 0, 1), (1, 0, 2), (1, 1, 3), (1, 2, 4), (2, 0, 5)]
         );
         assert_eq!(d.total_instances(), 5);
-    }
-
-    #[test]
-    fn dma_flag_propagates() {
-        let d = design("void f(int*:8^ x);", "%dma_support true");
-        assert!(d.stub("f").unwrap().uses_dma);
     }
 
     #[test]

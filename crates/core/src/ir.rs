@@ -88,8 +88,6 @@ pub struct FunctionStub {
     pub states: Vec<StubState>,
     /// Tracking registers.
     pub trackers: Vec<Tracker>,
-    /// Whether any transfer of this function arrives by DMA.
-    pub uses_dma: bool,
     /// Whether the function is `nowait` (no output state at all).
     pub nowait: bool,
 }
@@ -190,7 +188,6 @@ mod tests {
                 })
                 .collect(),
             trackers: vec![],
-            uses_dma: false,
             nowait: false,
         }
     }

@@ -24,7 +24,6 @@ pub mod api;
 pub mod elaborate;
 pub mod hdlgen;
 pub mod ir;
-pub mod params;
 pub mod simbuild;
 pub mod template;
 

@@ -248,7 +248,7 @@ mod tests {
         let fcb = interp_module("fcb", false);
         assert!(!fcb.params.bus.memory_mapped);
         let dma = interp_module("plb", true);
-        assert!(dma.functions[0].uses_dma());
+        assert!(dma.functions[0].inputs.iter().any(|io| io.dma));
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! ANSI-C driver source emission (`<dev>_driver.c` / `<dev>_driver.h`).
 //!
-//! The generated bodies follow Fig 6.1/6.2 exactly: compute the function
-//! address from the per-function identifier macro, transfer every input in
-//! declaration order through the transaction macros, `WAIT_FOR_RESULTS`,
-//! read the output back, return it. Multi-instance functions grow the
-//! `inst_index` parameter of Fig 6.2.
+//! The generated bodies follow Fig 6.1/6.2: compute the function address
+//! from the per-function identifier macro, then print the function's
+//! transfer plan (`lower::plan`) step by step — every input in declaration order
+//! through the transaction macros, `WAIT_FOR_RESULTS`, the output read-back
+//! — and return the result. Multi-instance functions grow the `inst_index`
+//! parameter of Fig 6.2.
 
-use crate::lower::{beats_for, transfer_shape, TransferShape};
+use crate::lower::{
+    burst_groups, macro_widths, plan, Beats, Step, Transfer, TransferShape, DMA_MIN_BEATS,
+};
 use splice_spec::validate::{IoBound, ModuleParams, ModuleSpec, ValidatedFunction, ValidatedIo};
 use std::fmt::Write as _;
 
@@ -93,62 +96,49 @@ fn emit_function(o: &mut String, params: &ModuleParams, f: &ValidatedFunction) {
 
     // Locals.
     o.push_str("    unsigned func_addr;\n");
-    let needs_result = f.output.is_some() && !f.nowait;
-    if let Some(out) = &f.output {
-        if !f.nowait {
-            if out.is_pointer {
-                let n = bound_expr(f, out);
-                let _ = writeln!(
-                    o,
-                    "    {ty} *result = ({ty} *)malloc(sizeof({ty}) * ({n}));",
-                    ty = out.ty.name
-                );
-            } else {
-                let _ = writeln!(o, "    {} result;", out.ty.name);
-            }
+    match (&f.output, f.nowait) {
+        (_, true) => {}
+        (Some(out), false) if out.is_pointer => {
+            let n = bound_expr(f, out);
+            let _ = writeln!(
+                o,
+                "    {ty} *result = ({ty} *)malloc(sizeof({ty}) * ({n}));",
+                ty = out.ty.name
+            );
         }
-    } else if !f.nowait {
-        o.push_str("    splice_word_t splice_sync;\n");
+        (Some(out), false) => {
+            let _ = writeln!(o, "    {} result;", out.ty.name);
+        }
+        (None, false) => o.push_str("    splice_word_t splice_sync;\n"),
     }
     o.push('\n');
 
     // Address (Fig 6.2 adds the instance offset).
-    if f.instances > 1 {
-        let _ = writeln!(o, "    func_addr = SET_ADDRESS({id} + inst_index);");
-    } else {
-        let _ = writeln!(o, "    func_addr = SET_ADDRESS({id});");
-    }
-    o.push('\n');
+    let target = if f.instances > 1 { format!("{id} + inst_index") } else { id };
+    let _ = writeln!(o, "    func_addr = SET_ADDRESS({target});\n");
 
-    // Inputs in declaration order.
-    for io in &f.inputs {
-        emit_input(o, params, f, io);
-    }
-    if f.inputs.is_empty() && params.bus.sync == splice_spec::bus::SyncClass::StrictlySynchronous {
-        o.push_str("    /* Parameterless activation on a strictly synchronous bus */\n");
-        o.push_str("    { splice_word_t __go = 0; WRITE_SINGLE(func_addr, &__go); }\n\n");
-    }
-
-    if !f.nowait {
-        o.push_str("    /* Wait for Calculations to Complete */\n");
-        if f.instances > 1 {
-            let _ = writeln!(o, "    WAIT_FOR_RESULTS({id} + inst_index);");
-        } else {
-            let _ = writeln!(o, "    WAIT_FOR_RESULTS({id});");
-        }
-        o.push('\n');
-        match &f.output {
-            Some(out) => emit_output(o, params, f, out),
-            None => {
+    for step in plan(params, f) {
+        match step {
+            Step::Input(_, t) => emit_transfer(o, params, f, &t, true),
+            Step::Activate => {
+                o.push_str("    /* Parameterless activation on a strictly synchronous bus */\n");
+                o.push_str("    { splice_word_t __go = 0; WRITE_SINGLE(func_addr, &__go); }\n\n");
+            }
+            Step::Barrier => {
+                o.push_str("    /* Wait for Calculations to Complete */\n");
+                let _ = writeln!(o, "    WAIT_FOR_RESULTS({target});\n");
+            }
+            Step::Output(t) => {
+                o.push_str("    /* Grab Result from Hardware */\n");
+                emit_transfer(o, params, f, &t, false);
+                o.push_str("\n    return result;\n");
+            }
+            Step::SyncRead => {
                 o.push_str("    /* Synchronous wait: read the pseudo output state */\n");
                 o.push_str("    READ_SINGLE(func_addr, &splice_sync);\n");
                 o.push_str("    (void)splice_sync;\n");
             }
         }
-    }
-
-    if needs_result {
-        o.push_str("\n    return result;\n");
     }
     o.push_str("}\n");
 }
@@ -162,153 +152,119 @@ fn bound_expr(f: &ValidatedFunction, io: &ValidatedIo) -> String {
     }
 }
 
-/// The C expression for an I/O's beat count on this bus.
-fn beat_expr(params: &ModuleParams, f: &ValidatedFunction, io: &ValidatedIo) -> String {
-    match io.bound {
-        IoBound::Scalar | IoBound::Explicit(_) => {
-            let elems = io.bound.static_count().expect("static bound");
-            beats_for(io, params.bus_width, elems).to_string()
-        }
-        IoBound::Implicit { index_param, .. } => {
-            let var = &f.inputs[index_param].name;
-            match transfer_shape(io, params.bus_width) {
-                TransferShape::Direct => var.clone(),
-                TransferShape::Packed { per_beat } => {
-                    format!("(({var}) + {pb} - 1) / {pb}", pb = per_beat)
-                }
-                TransferShape::Split { beats_per_elem } => format!("({var}) * {beats_per_elem}"),
-            }
-        }
+/// The macro name suffix for a `width`-beat transfer.
+fn macro_name(width: u32) -> &'static str {
+    match width {
+        4 => "QUAD",
+        2 => "DOUBLE",
+        _ => "SINGLE",
     }
 }
 
-fn emit_input(o: &mut String, params: &ModuleParams, f: &ValidatedFunction, io: &ValidatedIo) {
-    let shape = transfer_shape(io, params.bus_width);
-    let shape_note = match shape {
+/// Print one transfer of the plan: straight-line macros for a static beat
+/// count, loops for a runtime one, and the DMA macro where DMA carries it.
+/// An input gets a comment line and a trailing blank line.
+fn emit_transfer(
+    o: &mut String,
+    params: &ModuleParams,
+    f: &ValidatedFunction,
+    t: &Transfer,
+    write: bool,
+) {
+    let (op, name) = if write { ("WRITE", t.io.name.as_str()) } else { ("READ", "result") };
+    let scalar = matches!(t.io.bound, IoBound::Scalar);
+    // Where the beats live: a scalar's address, an array's pointer.
+    let base = if scalar { format!("&{name}") } else { name.to_owned() };
+    let note = match t.shape {
         TransferShape::Direct => String::new(),
         TransferShape::Packed { per_beat } => format!(" ({per_beat} values packed per beat)"),
         TransferShape::Split { beats_per_elem } => {
             format!(" (each value split across {beats_per_elem} beats)")
         }
     };
-
-    if io.dma {
-        let _ = writeln!(o, "    /* Transfer {} via DMA{} */", io.name, shape_note);
-        let _ = writeln!(
-            o,
-            "    WRITE_DMA(func_addr, (splice_word_t *){}, {} * SPLICE_WORD_BYTES);",
-            io.name,
-            beat_expr(params, f, io)
-        );
+    let dma =
+        |n: &str| format!("{op}_DMA(func_addr, (splice_word_t *){name}, {n} * SPLICE_WORD_BYTES);");
+    match t.beats {
+        Beats::Static(beats) if t.by_dma(beats) => {
+            if write {
+                let _ = writeln!(o, "    /* Transfer {name} via DMA{note} */");
+            }
+            let _ = writeln!(o, "    {}", dma(&beats.to_string()));
+        }
+        Beats::Static(beats) => {
+            if write {
+                let pio = if t.io.dma { " (programmed I/O: too short for DMA)" } else { "" };
+                let _ = writeln!(o, "    /* Transfer {beats} beat(s) of {name}{note}{pio} */");
+            }
+            if scalar && beats == 1 {
+                let _ = writeln!(o, "    {op}_SINGLE(func_addr, &{name});");
+            } else {
+                let mut offset = 0;
+                for w in burst_groups(params, beats) {
+                    let kind = macro_name(w);
+                    let _ = writeln!(
+                        o,
+                        "    {op}_{kind}(func_addr, ((splice_word_t *){base}) + {offset});"
+                    );
+                    offset += w;
+                }
+            }
+        }
+        Beats::Runtime(index_param) => {
+            let var = &f.inputs[index_param].name;
+            let n = match t.shape {
+                TransferShape::Direct => var.clone(),
+                TransferShape::Packed { per_beat } => {
+                    format!("(({var}) + {per_beat} - 1) / {per_beat}")
+                }
+                TransferShape::Split { beats_per_elem } => format!("({var}) * {beats_per_elem}"),
+            };
+            if write {
+                let by = if t.io.dma {
+                    format!(" (by DMA from {DMA_MIN_BEATS} beats)")
+                } else {
+                    String::new()
+                };
+                let _ = writeln!(o, "    /* Transfer ({n}) beat(s) of {name}{note}{by} */");
+            }
+            if t.io.dma {
+                let _ = writeln!(o, "    if ((unsigned)({n}) >= {DMA_MIN_BEATS}) {}", dma(&n));
+                o.push_str("    else ");
+            } else {
+                o.push_str("    ");
+            }
+            beat_loops(o, params, op, &base, &n);
+        }
+    }
+    if write {
         o.push('\n');
-        return;
     }
-
-    match io.bound {
-        IoBound::Scalar => {
-            let beats = beats_for(io, params.bus_width, 1);
-            let _ =
-                writeln!(o, "    /* Transfer {} beat(s) of {}{} */", beats, io.name, shape_note);
-            if beats == 1 {
-                let _ = writeln!(o, "    WRITE_SINGLE(func_addr, &{});", io.name);
-            } else if beats == 2 {
-                let _ = writeln!(o, "    WRITE_DOUBLE(func_addr, &{});", io.name);
-            } else {
-                let _ = writeln!(
-                    o,
-                    "    {{ unsigned __i; for (__i = 0; __i < {beats}; ++__i) \
-                     WRITE_SINGLE(func_addr, ((splice_word_t *)&{}) + __i); }}",
-                    io.name
-                );
-            }
-        }
-        IoBound::Explicit(n) => {
-            let beats = beats_for(io, params.bus_width, n);
-            let _ =
-                writeln!(o, "    /* Transfer {} beat(s) of {}{} */", beats, io.name, shape_note);
-            emit_static_beats(o, params, &io.name, beats, true);
-        }
-        IoBound::Implicit { .. } => {
-            let n = beat_expr(params, f, io);
-            let _ = writeln!(o, "    /* Transfer ({n}) beat(s) of {}{} */", io.name, shape_note);
-            let _ = writeln!(
-                o,
-                "    {{ unsigned __i; for (__i = 0; __i < (unsigned)({n}); ++__i) \
-                 WRITE_SINGLE(func_addr, ((splice_word_t *){}) + __i); }}",
-                io.name
-            );
-        }
-    }
-    o.push('\n');
 }
 
-/// Straight-line macro emission for a statically known beat count, with
-/// burst grouping when enabled (the quad/double/single lowering of §6.1.1).
-fn emit_static_beats(o: &mut String, params: &ModuleParams, name: &str, beats: u64, write: bool) {
-    let (q, d, s) = ("QUAD", "DOUBLE", "SINGLE");
-    let op = if write { "WRITE" } else { "READ" };
-    let mut offset: u64 = 0;
-    let mut remaining = beats;
-    while remaining > 0 {
-        let (macro_beats, kind) = if params.burst && remaining >= 4 && params.bus.supports_burst(4)
-        {
-            (4, q)
-        } else if params.burst && remaining >= 2 && params.bus.supports_burst(2) {
-            (2, d)
-        } else {
-            (1, s)
+/// The programmed-I/O loops over a runtime count of `n` beats at `base`:
+/// one loop per macro width, widest first, which is [`burst_groups`] at
+/// run time. Without bursts this is a single `SINGLE` loop.
+fn beat_loops(o: &mut String, params: &ModuleParams, op: &str, base: &str, n: &str) {
+    o.push_str("{ unsigned __i;");
+    for (k, w) in macro_widths(params).enumerate() {
+        let (sep, init) = if k == 0 { (" ", "__i = 0") } else { ("\n      ", "") };
+        let (test, next) = match w {
+            1 => ("__i < ".to_owned(), "++__i".to_owned()),
+            _ => (format!("__i + {w} <= "), format!("__i += {w}")),
         };
-        let _ = writeln!(o, "    {op}_{kind}(func_addr, ((splice_word_t *){name}) + {offset});");
-        offset += macro_beats;
-        remaining -= macro_beats;
-    }
-}
-
-fn emit_output(o: &mut String, params: &ModuleParams, f: &ValidatedFunction, out: &ValidatedIo) {
-    o.push_str("    /* Grab Result from Hardware */\n");
-    if out.dma {
-        let _ = writeln!(
+        let _ = write!(
             o,
-            "    READ_DMA(func_addr, (splice_word_t *)result, {} * SPLICE_WORD_BYTES);",
-            beat_expr(params, f, out)
+            "{sep}for ({init}; {test}(unsigned)({n}); {next}) \
+             {op}_{}(func_addr, ((splice_word_t *){base}) + __i);",
+            macro_name(w)
         );
-        return;
     }
-    match out.bound {
-        IoBound::Scalar => {
-            let beats = beats_for(out, params.bus_width, 1);
-            if beats == 1 {
-                o.push_str("    READ_SINGLE(func_addr, &result);\n");
-            } else if beats == 2 {
-                o.push_str("    READ_DOUBLE(func_addr, &result);\n");
-            } else {
-                let _ = writeln!(
-                    o,
-                    "    {{ unsigned __i; for (__i = 0; __i < {beats}; ++__i) \
-                     READ_SINGLE(func_addr, ((splice_word_t *)&result) + __i); }}"
-                );
-            }
-        }
-        IoBound::Explicit(n) => {
-            let beats = beats_for(out, params.bus_width, n);
-            emit_static_beats(o, params, "result", beats, false);
-        }
-        IoBound::Implicit { .. } => {
-            let n = beat_expr(params, f, out);
-            let _ = writeln!(
-                o,
-                "    {{ unsigned __i; for (__i = 0; __i < (unsigned)({n}); ++__i) \
-                 READ_SINGLE(func_addr, ((splice_word_t *)result) + __i); }}"
-            );
-        }
-    }
+    o.push_str(" }\n");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::lower_call;
-    use crate::program::{BusOp, CallArgs, CallValue};
     use splice_spec::parse_and_validate;
 
     fn module(decls: &str, extra: &str) -> ModuleSpec {
@@ -354,20 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn macro_counts_agree_with_lowering_for_static_functions() {
-        // The C text and the executable program must perform the same
-        // number of single-beat writes for a statically-bounded function.
-        let m = module("void f(int*:5 x, int y);", "");
-        let f = m.function("f").unwrap();
-        let c = driver_source(&m);
-        let text_writes = c.matches("WRITE_SINGLE(").count();
-        let args = CallArgs::new(vec![CallValue::Array(vec![1, 2, 3, 4, 5]), CallValue::Scalar(9)]);
-        let p = lower_call(&m.params, f, &args).unwrap();
-        let prog_writes = p.ops.iter().filter(|o| matches!(o, BusOp::Write { .. })).count();
-        assert_eq!(text_writes, prog_writes, "{c}");
-    }
-
-    #[test]
     fn burst_functions_use_quad_macros() {
         let m = module("void f(int*:8 x);", "%burst_support true");
         let c = driver_source(&m);
@@ -410,11 +352,38 @@ mod tests {
     }
 
     #[test]
-    fn split_scalar_uses_double_macro() {
-        let m = module("void set_threshold(llong t);", "%user_type llong, unsigned long long, 64");
-        let c = driver_source(&m);
-        assert!(c.contains("WRITE_DOUBLE(func_addr, &t);"), "{c}");
+    fn split_scalar_bursts_only_under_burst_support() {
+        let decl = "void set_threshold(llong t);\nllong get_threshold();";
+        let ty = "%user_type llong, unsigned long long, 64";
+        let c = driver_source(&module(decl, ty));
+        assert!(c.contains("WRITE_SINGLE(func_addr, ((splice_word_t *)&t) + 1);"), "{c}");
+        assert!(c.contains("READ_SINGLE(func_addr, ((splice_word_t *)&result) + 1);"), "{c}");
         assert!(c.contains("each value split across 2 beats"), "{c}");
+        let c = driver_source(&module(decl, &format!("{ty}\n%burst_support true")));
+        assert!(c.contains("WRITE_DOUBLE(func_addr, ((splice_word_t *)&t) + 0);"), "{c}");
+        assert!(c.contains("READ_DOUBLE(func_addr, ((splice_word_t *)&result) + 0);"), "{c}");
+    }
+
+    #[test]
+    fn runtime_counts_burst_in_greedy_loops() {
+        let m = module("int f(int n, int*:n xs);", "%burst_support true");
+        let c = driver_source(&m);
+        for needle in [
+            "{ unsigned __i; for (__i = 0; __i + 4 <= (unsigned)(n); __i += 4) WRITE_QUAD(",
+            "for (; __i + 2 <= (unsigned)(n); __i += 2) WRITE_DOUBLE(",
+            "for (; __i < (unsigned)(n); ++__i) WRITE_SINGLE(func_addr, ((splice_word_t *)xs) + __i); }",
+        ] {
+            assert!(c.contains(needle), "missing `{needle}`:\n{c}");
+        }
+    }
+
+    #[test]
+    fn dma_needs_the_minimum_beat_count() {
+        let m = module("void f(int*:4^ x, int n, int*:n^ y);", "%dma_support true");
+        let c = driver_source(&m);
+        assert!(!c.contains("WRITE_DMA(func_addr, (splice_word_t *)x"), "{c}");
+        assert_eq!(c.matches("WRITE_SINGLE(func_addr, ((splice_word_t *)x)").count(), 4, "{c}");
+        assert!(c.contains("    if ((unsigned)(n) >= 5) WRITE_DMA(func_addr, (splice_word_t *)y, n * SPLICE_WORD_BYTES);\n    else { unsigned __i; for (__i = 0;"), "{c}");
     }
 
     #[test]

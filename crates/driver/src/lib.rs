@@ -8,15 +8,17 @@
 //! * the **C source text** — `<dev>_driver.c`, `<dev>_driver.h` and the
 //!   per-bus `splice_lib.h` macro header ([`cgen`], [`macros`]);
 //! * the **executable form** of the same drivers — [`program::BusOp`]
-//!   sequences produced by [`lower`], which the simulated CPU master in
-//!   `splice-buses` executes cycle-accurately. Both forms are derived from
-//!   one lowering so the C text and the simulated traffic cannot diverge
-//!   (tests assert their macro counts agree).
+//!   sequences produced by [`lower::lower_call`], which the simulated CPU
+//!   master in `splice-buses` executes cycle-accurately.
+//!
+//! Both forms come from one transfer plan per function (`lower::plan`):
+//! the C is printed from the plan the simulator runs, and a test compiles
+//! and executes the C and compares its bus traffic with the program.
 
 pub mod cgen;
 pub mod lower;
 pub mod macros;
 pub mod program;
 
-pub use lower::{expected_read_beats, lower_call};
+pub use lower::lower_call;
 pub use program::{BusOp, CallArgs, CallValue, DriverProgram};

@@ -1,11 +1,16 @@
-//! Lowering: a validated function + bound arguments → a [`DriverProgram`].
+//! The transfer plan of a driver function, and its lowering to a
+//! [`DriverProgram`].
 //!
-//! This mirrors, operation for operation, the C driver bodies of Figs
-//! 6.1/6.2: compute the function address, transfer each input in
-//! declaration order (packing, splitting, bursting or DMA as the spec
-//! demands), `WAIT_FOR_RESULTS`, then read the output back.
+//! `plan` is the one place that decides how a call crosses the bus: each
+//! input in declaration order (packed, split, bursted or by DMA), the
+//! activation write of a parameterless function on a strictly synchronous
+//! bus, `WAIT_FOR_RESULTS`, then the output read-back. The C printer
+//! ([`crate::cgen`]) prints the plan as the driver bodies of Figs 6.1/6.2,
+//! and [`lower_call`] binds it to argument values as the operations the
+//! simulated CPU executes.
 
 use crate::program::{concrete_func_id, BusOp, CallArgs, CallValue, DriverProgram, ResultLayout};
+use splice_spec::bus::SyncClass;
 use splice_spec::validate::{IoBound, ModuleParams, ValidatedFunction, ValidatedIo};
 use std::fmt;
 
@@ -13,12 +18,12 @@ use std::fmt;
 /// storage — the prologue every generated driver shares).
 pub const CALL_PROLOGUE_CPU_CYCLES: u32 = 6;
 
-/// Transfers of this many beats or fewer fall back from DMA to programmed
-/// I/O: "the DMA circuitry requires a minimum of four bus transactions to
+/// DMA transfers of fewer beats than this fall back to programmed I/O:
+/// "the DMA circuitry requires a minimum of four bus transactions to
 /// setup and take down, thus negating any benefits for lesser
 /// transmissions" (§9.2.1), so the generated driver only engages the
 /// engine where it can pay off.
-pub const DMA_MIN_BEATS: usize = 5;
+pub const DMA_MIN_BEATS: u64 = 5;
 
 /// Errors binding arguments to a declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,6 +150,102 @@ pub fn func_address(params: &ModuleParams, func_id: u32) -> u64 {
     }
 }
 
+/// The beat count of one transfer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Beats {
+    /// Fixed by the declaration.
+    Static(u64),
+    /// Set at call time by the value of the input at this declaration
+    /// index (an implicit bound), through the transfer shape.
+    Runtime(usize),
+}
+
+/// How one input or output crosses the bus.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Transfer<'a> {
+    /// The declared input or output.
+    pub(crate) io: &'a ValidatedIo,
+    /// How its elements map onto beats.
+    pub(crate) shape: TransferShape,
+    /// How many beats it moves.
+    pub(crate) beats: Beats,
+}
+
+impl<'a> Transfer<'a> {
+    fn new(params: &ModuleParams, io: &'a ValidatedIo) -> Self {
+        let shape = transfer_shape(io, params.bus_width);
+        let beats = match io.bound {
+            IoBound::Scalar => Beats::Static(shape.beats(1)),
+            IoBound::Explicit(n) => Beats::Static(shape.beats(n)),
+            IoBound::Implicit { index_param, .. } => Beats::Runtime(index_param),
+        };
+        Transfer { io, shape, beats }
+    }
+
+    /// Whether the DMA engine carries `beats` beats of this transfer: it
+    /// must be declared `^` and reach [`DMA_MIN_BEATS`].
+    pub(crate) fn by_dma(&self, beats: u64) -> bool {
+        self.io.dma && beats >= DMA_MIN_BEATS
+    }
+}
+
+/// One step of a driver body, in the order the driver performs it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Step<'a> {
+    /// Send the input at this declaration index.
+    Input(usize, Transfer<'a>),
+    /// Start a parameterless function on a strictly synchronous bus.
+    /// Nothing can pause an APB-class interconnect, so the hardware only
+    /// acts on bus events it observes; with no input beats and a status
+    /// poll that addresses the reserved id 0, a zero-input function would
+    /// never start. The driver writes one dummy word to the function.
+    Activate,
+    /// `WAIT_FOR_RESULTS`: a status poll on a strictly synchronous bus, a
+    /// NULL statement on a pseudo-asynchronous one (§6.1.1).
+    Barrier,
+    /// Read the output back.
+    Output(Transfer<'a>),
+    /// Read the pseudo output state of a blocking `void` function, so the
+    /// driver pauses until the hardware reaches it (§5.3.1).
+    SyncRead,
+}
+
+/// The transfer plan of `f`: its steps in execution order.
+pub(crate) fn plan<'a>(
+    params: &'a ModuleParams,
+    f: &'a ValidatedFunction,
+) -> impl Iterator<Item = Step<'a>> + 'a {
+    let activate = f.inputs.is_empty() && params.bus.sync == SyncClass::StrictlySynchronous;
+    let back =
+        f.output.as_ref().map_or(Step::SyncRead, |out| Step::Output(Transfer::new(params, out)));
+    let finish = (!f.nowait).then_some([Step::Barrier, back]);
+    f.inputs
+        .iter()
+        .enumerate()
+        .map(move |(i, io)| Step::Input(i, Transfer::new(params, io)))
+        .chain(activate.then_some(Step::Activate))
+        .chain(finish.into_iter().flatten())
+}
+
+/// The macro widths programmed I/O may use, widest first: `QUAD` and
+/// `DOUBLE` where `%burst_support` is on and the bus bursts natively, then
+/// `SINGLE`.
+pub(crate) fn macro_widths(params: &ModuleParams) -> impl Iterator<Item = u32> + '_ {
+    [4, 2].into_iter().filter(move |&w| params.burst && params.bus.supports_burst(w)).chain([1])
+}
+
+/// Group `beats` programmed-I/O beats into macros: as many of the widest
+/// as fit, then of the next (the QUAD/DOUBLE/SINGLE lowering of §6.1.1),
+/// so 7 beats with quads and doubles become 4, 2, 1.
+pub(crate) fn burst_groups(params: &ModuleParams, beats: u64) -> impl Iterator<Item = u32> + '_ {
+    let mut left = beats;
+    macro_widths(params).flat_map(move |w| {
+        let n = left / w as u64;
+        left %= w as u64;
+        std::iter::repeat_n(w, n as usize)
+    })
+}
+
 /// Lower one driver call to its bus-operation sequence.
 pub fn lower_call(
     params: &ModuleParams,
@@ -169,72 +270,80 @@ pub fn lower_call(
     let func_id = concrete_func_id(func, args.inst_index);
     let addr = func_address(params, func_id);
     let mut ops = vec![BusOp::Compute { cpu_cycles: CALL_PROLOGUE_CPU_CYCLES }];
-
-    // ---- inputs, in declaration order ----
-    for (io, value) in func.inputs.iter().zip(&args.values) {
-        let elems = bind_elems(func, io, value, args)?;
-        let beats = encode_beats(io, params.bus_width, &elems);
-        if io.dma && beats.len() >= DMA_MIN_BEATS {
-            emit_dma_writes(params, addr, beats, &mut ops);
-        } else {
-            emit_writes(params, addr, beats, &mut ops);
-        }
-    }
-
-    // ---- activation of parameterless functions on strictly synchronous
-    // buses: nothing can pause an APB-class interconnect, so the hardware
-    // only ever acts on bus events it observes; with no input beats and a
-    // status poll that addresses the reserved id 0, a zero-input function
-    // would never start. The generated driver fires one dummy write at the
-    // function, which its stub treats as the activation trigger.
-    if func.inputs.is_empty() && params.bus.sync == splice_spec::bus::SyncClass::StrictlySynchronous
-    {
-        ops.push(BusOp::Write { addr, data: 0 });
-    }
-
-    // ---- completion barrier ----
     let mut result_layout = ResultLayout::None;
-    if !func.nowait {
-        let status_addr = func_address(params, 0);
-        match params.bus.sync {
-            splice_spec::bus::SyncClass::StrictlySynchronous => {
-                ops.push(BusOp::Poll { addr: status_addr, bit: func_id });
+    for step in plan(params, func) {
+        match step {
+            Step::Input(i, t) => {
+                let elems = bind_elems(func, t.io, &args.values[i], args)?;
+                let beats = encode_beats(t.io, params.bus_width, &elems);
+                lower_transfer(params, &t, beats.len() as u64, &mut ops, |dma, at, n| {
+                    let data = &beats[at..at + n];
+                    match (dma, n) {
+                        (true, _) => BusOp::DmaWrite { addr, data: data.to_vec() },
+                        (false, 1) => BusOp::Write { addr, data: data[0] },
+                        (false, _) => BusOp::WriteBurst { addr, data: data.to_vec() },
+                    }
+                });
             }
-            splice_spec::bus::SyncClass::PseudoAsynchronous => {
-                ops.push(BusOp::WaitHandshake);
+            Step::Activate => ops.push(BusOp::Write { addr, data: 0 }),
+            Step::Barrier => ops.push(match params.bus.sync {
+                SyncClass::StrictlySynchronous => {
+                    BusOp::Poll { addr: func_address(params, 0), bit: func_id }
+                }
+                SyncClass::PseudoAsynchronous => BusOp::WaitHandshake,
+            }),
+            Step::Output(t) => {
+                let elems = output_elem_count(func, t.io, args)?;
+                lower_transfer(params, &t, t.shape.beats(elems), &mut ops, |dma, _, n| {
+                    match (dma, n) {
+                        (true, _) => BusOp::DmaRead { addr, beats: n as u32 },
+                        (false, 1) => BusOp::Read { addr },
+                        (false, _) => BusOp::ReadBurst { addr, beats: n as u32 },
+                    }
+                });
+                let elems = elems as u32;
+                result_layout = match t.shape {
+                    TransferShape::Direct => ResultLayout::Direct { elems },
+                    TransferShape::Packed { per_beat } => {
+                        ResultLayout::Packed { elems, elem_bits: t.io.ty.bits, per_beat }
+                    }
+                    TransferShape::Split { beats_per_elem } => {
+                        ResultLayout::Split { elems, beats_per_elem, bus_width: params.bus_width }
+                    }
+                };
             }
-        }
-
-        // ---- output read-back ----
-        if let Some(out) = &func.output {
-            let out_elems = output_elem_count(func, out, args)?;
-            let beat_count = beats_for(out, params.bus_width, out_elems) as u32;
-            if out.dma && beat_count as usize >= DMA_MIN_BEATS {
-                emit_dma_reads(params, addr, beat_count, &mut ops);
-            } else {
-                emit_reads(params, addr, beat_count, &mut ops);
-            }
-            result_layout = match transfer_shape(out, params.bus_width) {
-                TransferShape::Direct => ResultLayout::Direct { elems: out_elems as u32 },
-                TransferShape::Packed { per_beat } => ResultLayout::Packed {
-                    elems: out_elems as u32,
-                    elem_bits: out.ty.bits,
-                    per_beat,
-                },
-                TransferShape::Split { beats_per_elem } => ResultLayout::Split {
-                    elems: out_elems as u32,
-                    beats_per_elem,
-                    bus_width: params.bus_width,
-                },
-            };
-        } else {
-            // Blocking void: read the pseudo output state once so the
-            // driver pauses until the hardware reaches it (§5.3.1).
-            ops.push(BusOp::Read { addr });
+            Step::SyncRead => ops.push(BusOp::Read { addr }),
         }
     }
 
     Ok(DriverProgram { function: func.name.clone(), func_id, ops, result_layout })
+}
+
+/// Push the operations moving `beats` beats of `t`: DMA transactions of
+/// at most the bus's DMA size (PLB: 256 bytes, §2.3.2) when DMA carries the
+/// transfer, else the burst groups. `op(dma, at, n)` builds the operation
+/// for beats `at..at + n`.
+fn lower_transfer(
+    params: &ModuleParams,
+    t: &Transfer,
+    beats: u64,
+    ops: &mut Vec<BusOp>,
+    op: impl Fn(bool, usize, usize) -> BusOp,
+) {
+    let (beats, mut at) = (beats as usize, 0);
+    if t.by_dma(beats as u64) {
+        let chunk = (params.bus.dma_max_bytes / (params.bus_width / 8).max(1)).max(1) as usize;
+        while at < beats {
+            let n = chunk.min(beats - at);
+            ops.push(op(true, at, n));
+            at += n;
+        }
+    } else {
+        for w in burst_groups(params, beats as u64) {
+            ops.push(op(false, at, w as usize));
+            at += w as usize;
+        }
+    }
 }
 
 /// How many output elements a call produces.
@@ -317,103 +426,6 @@ fn bind_elems(
             Ok(elems)
         }
     }
-}
-
-/// Emit write ops, bursting where `%burst_support` and the bus allow:
-/// quads first, then doubles, then singles (the WRITE_QUAD / WRITE_DOUBLE /
-/// WRITE_SINGLE lowering of §6.1.1).
-fn emit_writes(params: &ModuleParams, addr: u64, beats: Vec<u64>, ops: &mut Vec<BusOp>) {
-    if params.burst {
-        let mut it = beats.into_iter().peekable();
-        let mut buf: Vec<u64> = Vec::with_capacity(4);
-        while it.peek().is_some() {
-            buf.clear();
-            while buf.len() < 4 {
-                match it.next() {
-                    Some(b) => buf.push(b),
-                    None => break,
-                }
-            }
-            match buf.len() {
-                4 if params.bus.supports_burst(4) => {
-                    ops.push(BusOp::WriteBurst { addr, data: buf.clone() })
-                }
-                4 => emit_pairs_or_singles(params, addr, &buf, ops),
-                n => {
-                    let tmp: Vec<u64> = buf[..n].to_vec();
-                    emit_pairs_or_singles(params, addr, &tmp, ops);
-                }
-            }
-        }
-    } else {
-        for b in beats {
-            ops.push(BusOp::Write { addr, data: b });
-        }
-    }
-}
-
-fn emit_pairs_or_singles(params: &ModuleParams, addr: u64, beats: &[u64], ops: &mut Vec<BusOp>) {
-    let mut i = 0;
-    while i < beats.len() {
-        if beats.len() - i >= 2 && params.bus.supports_burst(2) {
-            ops.push(BusOp::WriteBurst { addr, data: beats[i..i + 2].to_vec() });
-            i += 2;
-        } else {
-            ops.push(BusOp::Write { addr, data: beats[i] });
-            i += 1;
-        }
-    }
-}
-
-/// Emit read ops with the same burst lowering.
-fn emit_reads(params: &ModuleParams, addr: u64, mut beats: u32, ops: &mut Vec<BusOp>) {
-    if params.burst {
-        while beats >= 4 && params.bus.supports_burst(4) {
-            ops.push(BusOp::ReadBurst { addr, beats: 4 });
-            beats -= 4;
-        }
-        while beats >= 2 && params.bus.supports_burst(2) {
-            ops.push(BusOp::ReadBurst { addr, beats: 2 });
-            beats -= 2;
-        }
-    }
-    for _ in 0..beats {
-        ops.push(BusOp::Read { addr });
-    }
-}
-
-/// Emit DMA writes, chunked to the bus's per-transaction byte limit
-/// (PLB: 256 bytes, §2.3.2).
-fn emit_dma_writes(params: &ModuleParams, addr: u64, beats: Vec<u64>, ops: &mut Vec<BusOp>) {
-    let max_beats = dma_chunk_beats(params);
-    for chunk in beats.chunks(max_beats) {
-        ops.push(BusOp::DmaWrite { addr, data: chunk.to_vec() });
-    }
-}
-
-fn emit_dma_reads(params: &ModuleParams, addr: u64, beats: u32, ops: &mut Vec<BusOp>) {
-    let max_beats = dma_chunk_beats(params) as u32;
-    let mut remaining = beats;
-    while remaining > 0 {
-        let n = remaining.min(max_beats);
-        ops.push(BusOp::DmaRead { addr, beats: n });
-        remaining -= n;
-    }
-}
-
-fn dma_chunk_beats(params: &ModuleParams) -> usize {
-    let bytes_per_beat = (params.bus_width / 8).max(1);
-    (params.bus.dma_max_bytes / bytes_per_beat).max(1) as usize
-}
-
-/// How many read beats a call will produce (used by the CPU master to size
-/// its result buffer).
-pub fn expected_read_beats(
-    params: &ModuleParams,
-    func: &ValidatedFunction,
-    args: &CallArgs,
-) -> Result<u32, LowerError> {
-    Ok(lower_call(params, func, args)?.read_beats())
 }
 
 #[cfg(test)]
@@ -633,10 +645,52 @@ mod tests {
     }
 
     #[test]
-    fn expected_read_beats_matches_program() {
-        let m = module("int*:4 quad(int x);", "");
-        let f = m.function("quad").unwrap();
-        let args = CallArgs::scalars(&[5]);
-        assert_eq!(expected_read_beats(&m.params, f, &args).unwrap(), 4);
+    fn dma_below_the_threshold_falls_back_to_programmed_io() {
+        let m = module("void f(int*:4^ x, int*:5^ y);", "%dma_support true");
+        let f = m.function("f").unwrap();
+        let args = CallArgs::new(vec![
+            CallValue::Array((0..4).collect()),
+            CallValue::Array((0..5).collect()),
+        ]);
+        let p = lower_call(&m.params, f, &args).unwrap();
+        let writes = p.ops.iter().filter(|o| matches!(o, BusOp::Write { .. })).count();
+        let dma: Vec<u32> = p
+            .ops
+            .iter()
+            .filter(|o| matches!(o, BusOp::DmaWrite { .. }))
+            .map(BusOp::beats)
+            .collect();
+        assert_eq!((writes, dma), (4, vec![5]), "{:?}", p.ops);
+    }
+
+    #[test]
+    fn plan_orders_inputs_activation_barrier_and_output() {
+        let src = "%device_name d\n%bus_type apb\n%bus_width 32\n%base_address 0x80000000\n\
+                   int go();\nvoid set(int x);\nnowait fire(int x);";
+        let m = parse_and_validate(src).unwrap().module;
+        let kinds = |name: &str| -> Vec<&'static str> {
+            plan(&m.params, m.function(name).unwrap())
+                .map(|s| match s {
+                    Step::Input(..) => "in",
+                    Step::Activate => "go",
+                    Step::Barrier => "wait",
+                    Step::Output(_) => "out",
+                    Step::SyncRead => "sync",
+                })
+                .collect()
+        };
+        assert_eq!(kinds("go"), ["go", "wait", "out"]);
+        assert_eq!(kinds("set"), ["in", "wait", "sync"]);
+        assert_eq!(kinds("fire"), ["in"]);
+    }
+
+    #[test]
+    fn burst_groups_are_greedy_over_the_enabled_widths() {
+        let groups = |extra: &str, beats| {
+            let m = module("void f();", extra);
+            burst_groups(&m.params, beats).collect::<Vec<_>>()
+        };
+        assert_eq!(groups("%burst_support true", 11), [4, 4, 2, 1]);
+        assert_eq!(groups("", 3), [1, 1, 1]);
     }
 }

@@ -149,8 +149,39 @@ pub fn macro_header_with_irq(
         o.push('\n');
     }
     o.push('\n');
+    primitive_prototypes(&mut o, bus, irq);
     o.push_str("#endif /* SPLICE_LIB_H */\n");
     o
+}
+
+/// Declare every bus primitive the macros of [`macro_header_with_irq`]
+/// call, so drivers compile where implicit declarations are errors (C99
+/// onwards). The target's board support package defines them.
+fn primitive_prototypes(o: &mut String, bus: &BusCaps, irq: bool) {
+    let mut p = String::new();
+    let prefix = if bus.opcode_coupled { "__fcb" } else { "__splice_burst" };
+    if bus.opcode_coupled {
+        p.push_str("void __fcb_store(unsigned long id, splice_word_t value);\n");
+        p.push_str("splice_word_t __fcb_load(unsigned long id);\n");
+    }
+    for n in [2, 4].into_iter().filter(|&n| bus.supports_burst(n)) {
+        let _ = writeln!(p, "void {prefix}_store{n}(unsigned long addr, const void *src);");
+        let _ = writeln!(p, "void {prefix}_load{n}(unsigned long addr, void *dst);");
+    }
+    if bus.dma {
+        p.push_str(
+            "void __splice_dma_store(unsigned long addr, const void *src, unsigned long bytes);\n",
+        );
+        p.push_str("void __splice_dma_load(unsigned long addr, void *dst, unsigned long bytes);\n");
+    }
+    if irq {
+        p.push_str("void __splice_wait_irq(unsigned id);\nvoid __splice_ack_irq(unsigned id);\n");
+    }
+    if !p.is_empty() {
+        o.push_str("/* bus primitives the macros above call (board support package) */\n");
+        o.push_str(&p);
+        o.push('\n');
+    }
 }
 
 /// Generate the Linux-targeted `splice_lib_linux.h` (thesis future work
@@ -165,25 +196,30 @@ pub fn linux_macro_header(bus: &BusCaps, bus_width: u32, base_address: u64) -> S
     let _ =
         writeln!(o, "/* splice_lib_linux.h — {name} transaction macros for Linux user space */");
     o.push_str("#ifndef SPLICE_LIB_LINUX_H\n#define SPLICE_LIB_LINUX_H\n\n");
-    o.push_str("#include <fcntl.h>\n#include <sys/mman.h>\n#include <unistd.h>\n\n");
+    o.push_str(
+        "#include <fcntl.h>\n#include <stdint.h>\n#include <sys/mman.h>\n#include <unistd.h>\n\n",
+    );
     let word_t = if bus_width > 32 { "unsigned long long" } else { "unsigned int" };
     let _ = writeln!(o, "typedef {word_t} splice_word_t;");
     let _ = writeln!(o, "#define SPLICE_PHYS_BASE 0x{base_address:08X}UL");
     let _ = writeln!(o, "#define SPLICE_WORD_BYTES {}", bus_width / 8);
     o.push_str("#define SPLICE_MAP_LEN 0x1000UL\n\n");
     o.push_str(
-        "/* Map the peripheral window once; SET_ADDRESS works against the\n   virtual base thereafter (physical-to-virtual mapping, thesis 10.2). */\n",
+        "/* Map the peripheral window once; SET_ADDRESS works against the\n   virtual base thereafter (physical-to-virtual mapping, thesis 10.2).\n   mmap takes a page-aligned offset, so map the page holding the base\n   and step to the base inside it. */\n",
     );
     o.push_str("static volatile splice_word_t *splice_virt_base;\n\n");
     o.push_str(
         "static inline int splice_map(void)\n{\n\
+    \x20   unsigned long in_page = SPLICE_PHYS_BASE % (unsigned long)sysconf(_SC_PAGESIZE);\n\
+    \x20   void *page;\n\
     \x20   int fd = open(\"/dev/mem\", O_RDWR | O_SYNC);\n\
     \x20   if (fd < 0) return -1;\n\
-    \x20   splice_virt_base = (volatile splice_word_t *)mmap(\n\
-    \x20       0, SPLICE_MAP_LEN, PROT_READ | PROT_WRITE, MAP_SHARED, fd,\n\
-    \x20       (off_t)SPLICE_PHYS_BASE);\n\
+    \x20   page = mmap(0, SPLICE_MAP_LEN + in_page, PROT_READ | PROT_WRITE, MAP_SHARED, fd,\n\
+    \x20       (off_t)(SPLICE_PHYS_BASE - in_page));\n\
     \x20   close(fd);\n\
-    \x20   return splice_virt_base == MAP_FAILED ? -1 : 0;\n}\n\n",
+    \x20   if (page == MAP_FAILED) return -1;\n\
+    \x20   splice_virt_base = (volatile splice_word_t *)((char *)page + in_page);\n\
+    \x20   return 0;\n}\n\n",
     );
     o.push_str("#define SET_ADDRESS(id) ((uintptr_t)(splice_virt_base + (id)))\n\n");
     if bus.opcode_coupled {
@@ -282,6 +318,8 @@ mod tests {
         assert!(h.contains("/dev/mem"), "{h}");
         assert!(h.contains("mmap("), "{h}");
         assert!(h.contains("SPLICE_PHYS_BASE 0x80000000UL"), "{h}");
+        assert!(h.contains("#include <stdint.h>"), "SET_ADDRESS uses uintptr_t\n{h}");
+        assert!(h.contains("(off_t)(SPLICE_PHYS_BASE - in_page)"), "page-aligned offset\n{h}");
         assert!(
             h.contains("#define SET_ADDRESS(id) ((uintptr_t)(splice_virt_base + (id)))"),
             "{h}"
@@ -291,6 +329,33 @@ mod tests {
                 h.contains(&format!("#define {m}(")) || h.contains(&format!("#define {m} ")),
                 "linux header missing {m}\n{h}"
             );
+        }
+    }
+
+    #[test]
+    fn every_called_primitive_is_declared() {
+        for kind in BusKind::all() {
+            for irq in [false, true] {
+                let caps = BusCaps::builtin(kind);
+                let h = macro_header_with_irq(&caps, caps.widths[0], 0x8000_0000, irq);
+                let (macros, decls): (Vec<&str>, Vec<&str>) =
+                    h.lines().partition(|l| l.starts_with("#define"));
+                for line in &macros {
+                    for (i, _) in line.match_indices("__") {
+                        let name: String = line[i..]
+                            .chars()
+                            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                            .collect();
+                        if line[i + name.len()..].starts_with('(') {
+                            let call = format!(" {name}(");
+                            assert!(
+                                decls.iter().any(|d| d.contains(&call)),
+                                "{kind} irq={irq}: `{name}` is called but not declared\n{h}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -90,8 +90,9 @@ pub enum SpecErrorKind {
     UnboundedPointer { func: String, param: String },
     /// The declaration list was empty: nothing to generate.
     NoFunctions,
-    /// The function-id space overflowed the arbiter's FUNC_ID field.
-    TooManyFunctions { total: usize, max: usize },
+    /// More function instances than the device can serve; `reason` says
+    /// which limit binds.
+    TooManyFunctions { total: usize, max: usize, reason: String },
     /// Base address not aligned to the bus word size.
     MisalignedBaseAddress { addr: u64, align: u64 },
 }
@@ -170,8 +171,11 @@ impl fmt::Display for SpecErrorKind {
                  hardware cannot accept unbounded arrays"
             ),
             NoFunctions => write!(f, "specification declares no interfaces"),
-            TooManyFunctions { total, max } => {
-                write!(f, "{total} function instances exceed the {max}-entry FUNC_ID space")
+            TooManyFunctions { total, max, reason } => {
+                write!(
+                    f,
+                    "{total} function instances exceed the {max} this device can serve: {reason}"
+                )
             }
             MisalignedBaseAddress { addr, align } => write!(
                 f,

@@ -21,7 +21,7 @@
 //! (§5.2).
 
 use crate::ast::{Directive, Extensions, InterfaceDecl, PtrBound, ReturnKind, Spec};
-use crate::bus::{BusCaps, BusRegistry};
+use crate::bus::{BusCaps, BusRegistry, SyncClass};
 use crate::error::{SpecError, SpecErrorKind};
 use crate::span::Span;
 use crate::types::CType;
@@ -150,11 +150,6 @@ impl ValidatedFunction {
     pub fn needs_pseudo_output(&self) -> bool {
         self.output.is_none() && !self.nowait
     }
-
-    /// Whether any transfer of this function uses DMA.
-    pub fn uses_dma(&self) -> bool {
-        self.inputs.iter().any(|i| i.dma) || self.output.as_ref().is_some_and(|o| o.dma)
-    }
 }
 
 /// A fully validated specification, ready for elaboration.
@@ -187,9 +182,28 @@ impl ModuleSpec {
     }
 }
 
-/// Largest FUNC_ID space this implementation supports (8-bit field ⇒ ids
-/// 0..=255, with 0 reserved).
-pub const MAX_FUNC_INSTANCES: usize = 255;
+/// Most function instances any device serves: the completion vector
+/// (CALC_DONE_VEC) holds one bit per instance after the reserved id 0, and
+/// the generated logic and its checks handle vectors of at most 64 bits.
+pub const MAX_FUNC_INSTANCES: usize = 63;
+
+/// The most function instances a device on this bus serves, and why.
+fn instance_limit(params: &ModuleParams) -> (usize, &'static str) {
+    let word = params.bus_width as usize - 1;
+    if params.bus.sync == SyncClass::StrictlySynchronous && word < MAX_FUNC_INSTANCES {
+        (
+            word,
+            "a strictly synchronous bus polls completion through one status word, \
+             one bit per instance after the reserved bit 0",
+        )
+    } else {
+        (
+            MAX_FUNC_INSTANCES,
+            "the completion vector holds one bit per instance after the reserved bit 0 \
+             and is at most 64 bits wide",
+        )
+    }
+}
 
 /// Largest explicit pointer bound (`*:N`): what the 16-bit counters the
 /// generator gives every dynamic beat tracker can count.
@@ -406,19 +420,20 @@ impl<'a> Validator<'a> {
         }
 
         let total: usize = out.iter().map(|f| f.instances as usize).sum();
-        if total > MAX_FUNC_INSTANCES {
-            // Anchor the diagnostic on the declaration that overflows the
-            // id space rather than a meaningless 1:1 position.
+        let (max, reason) = instance_limit(params);
+        if total > max {
+            // Anchor the diagnostic on the declaration that crosses the
+            // limit rather than a meaningless 1:1 position.
             let mut acc = 0usize;
             let span = out
                 .iter()
                 .find(|f| {
                     acc += f.instances as usize;
-                    acc > MAX_FUNC_INSTANCES
+                    acc > max
                 })
                 .map_or_else(|| Span::point(0), |f| f.span);
             return Err(SpecError::new(
-                SpecErrorKind::TooManyFunctions { total, max: MAX_FUNC_INSTANCES },
+                SpecErrorKind::TooManyFunctions { total, max, reason: reason.into() },
                 span,
             ));
         }
@@ -718,7 +733,7 @@ mod tests {
         );
         // Fully enabled: ok.
         let ok = check(&format!("{HEADER}%dma_support true\nvoid f(int*:8^ x);")).unwrap();
-        assert!(ok.module.functions[0].uses_dma());
+        assert!(ok.module.functions[0].inputs[0].dma);
     }
 
     #[test]
@@ -799,7 +814,35 @@ mod tests {
     #[test]
     fn too_many_instances_rejected() {
         let e = check(&with_header("void f():300;")).unwrap_err();
-        assert!(matches!(e.kind, SpecErrorKind::TooManyFunctions { total: 300, .. }));
+        assert!(matches!(e.kind, SpecErrorKind::TooManyFunctions { total: 300, max: 63, .. }));
+    }
+
+    /// Validate `n` one-input functions on `bus`; an error comes back with
+    /// the declaration it is located at.
+    fn functions_on(bus: &str, n: usize) -> Result<ValidatedSpec, (SpecErrorKind, String)> {
+        let decls: String = (0..n).map(|k| format!("int f{k}(int a{k});\n")).collect();
+        let src = format!(
+            "%device_name d\n%bus_type {bus}\n%bus_width 32\n%base_address 0x80000000\n{decls}"
+        );
+        check(&src).map_err(|e| (e.kind, e.span.slice(&src).to_owned()))
+    }
+
+    #[test]
+    fn strictly_synchronous_buses_serve_one_status_word_of_instances() {
+        assert!(functions_on("apb", 31).is_ok());
+        let (kind, at) = functions_on("apb", 32).unwrap_err();
+        assert!(matches!(kind, SpecErrorKind::TooManyFunctions { total: 32, max: 31, .. }));
+        assert!(at.starts_with("int f31("), "located at the 32nd declaration, not `{at}`");
+        assert!(kind.to_string().contains("status word"), "{kind}");
+    }
+
+    #[test]
+    fn every_bus_serves_at_most_63_instances() {
+        assert!(functions_on("plb", 63).is_ok());
+        let (kind, at) = functions_on("plb", 64).unwrap_err();
+        assert!(matches!(kind, SpecErrorKind::TooManyFunctions { total: 64, max: 63, .. }));
+        assert!(at.starts_with("int f63("), "located at the 64th declaration, not `{at}`");
+        assert!(kind.to_string().contains("64 bits"), "{kind}");
     }
 
     #[test]

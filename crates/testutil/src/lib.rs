@@ -94,6 +94,70 @@ pub fn check(base_seed: u64, cases: u64, mut f: impl FnMut(&mut Rng)) {
     }
 }
 
+/// A generator of well-formed Splice specifications: one to five functions
+/// on any of the seven builtin buses at any width it allows, with scalar,
+/// split (wider than the bus), packed, explicitly and implicitly bounded,
+/// bursted and DMA transfers, multi-instance and `nowait` functions.
+pub fn arb_spec(rng: &mut Rng) -> String {
+    const BUSES: &[(&str, &[u32])] = &[
+        ("plb", &[32, 64]),
+        ("opb", &[32]),
+        ("fcb", &[32]),
+        ("apb", &[32]),
+        ("ahb", &[32, 64]),
+        ("wishbone", &[8, 16, 32, 64]),
+        ("avalon", &[32, 64]),
+    ];
+    let (bus, widths) = *rng.pick(BUSES);
+    let width = *rng.pick(widths);
+    let burst = !matches!(bus, "opb" | "apb") && rng.bool();
+    let dma = matches!(bus, "plb" | "ahb" | "avalon") && rng.bool();
+    let mut s = format!("%device_name fuzz\n%bus_type {bus}\n%bus_width {width}\n");
+    if bus != "fcb" {
+        s.push_str("%base_address 0x80000000\n");
+    }
+    for (on, flag) in [(burst, "burst"), (dma, "dma"), (rng.bool(), "packing"), (rng.bool(), "irq")]
+    {
+        if on {
+            s.push_str(&format!("%{flag}_support true\n"));
+        }
+    }
+    for i in 0..rng.range_usize(1, 6) {
+        // Scalars first, so implicit bounds can name any of them.
+        let n_scalars = rng.range_usize(0, 3);
+        let mut params: Vec<String> = (0..n_scalars)
+            .map(|j| format!("{} p{j}", rng.pick(&["int", "char", "short", "long long"])))
+            .collect();
+        for j in n_scalars..n_scalars + rng.range_usize(0, 3) {
+            let mut shapes = vec!["int*:3", "long long*:2", "char*:5"];
+            if width > 8 {
+                shapes.push("char*:8+");
+            }
+            if dma {
+                shapes.extend(["int*:4^", "int*:9^"]);
+            }
+            let bound = format!("p{}", rng.range_usize(0, n_scalars.max(1)));
+            let implicit =
+                [format!("int*:{bound}"), format!("char*:{bound}"), format!("int*:{bound}^")];
+            let shape = match rng.range(0, 3) {
+                0 if n_scalars > 0 && dma => implicit[rng.range_usize(0, 3)].clone(),
+                0 if n_scalars > 0 => implicit[rng.range_usize(0, 2)].clone(),
+                _ => rng.pick(&shapes).to_string(),
+            };
+            params.push(format!("{shape} p{j}"));
+        }
+        let mut rets = vec!["void", "int", "char", "long long", "nowait", "int*:6", "char*:7"];
+        if n_scalars > 0 {
+            rets.push("int*:p0");
+        }
+        let ret = *rng.pick(&rets);
+        let instances =
+            if rng.range(0, 4) == 0 { format!(":{}", rng.range(2, 4)) } else { String::new() };
+        s.push_str(&format!("{ret} fn{i}({}){instances};\n", params.join(", ")));
+    }
+    s
+}
+
 /// The seed used for case `i` of a [`check`] run.
 pub fn seed_for(base_seed: u64, case: u64) -> u64 {
     base_seed ^ case.wrapping_mul(0xA076_1D64_78BD_642F)

@@ -501,3 +501,34 @@ fn driver_cross_check_is_clean_per_bus_and_flags_injected_mismatches() {
         }
     }
 }
+
+/// The Fig 9.2 FCB and DMA builds cross-check clean, so the checker reads
+/// the runtime burst loops and the DMA threshold branch, and a wrong beat
+/// count or a lost DMA branch in those bodies still fires.
+#[test]
+fn driver_cross_check_reads_burst_loops_and_the_dma_threshold() {
+    use splice_devices::interp::interp_spec;
+    let fcb = interp_spec("fcb", false)
+        .replace("%bus_width 32\n", "%bus_width 32\n%burst_support true\n");
+    for (spec, broken, fixed, code) in [
+        // A scalar sent as a quad burst moves three beats too many.
+        (fcb.as_str(), "WRITE_SINGLE(func_addr, &n1);", "WRITE_QUAD(func_addr, &n1);", "SL0409"),
+        // A runtime DMA transfer that never engages the engine.
+        (&interp_spec("plb", true), "WRITE_DMA(", "WRITE_QUAD(", "SL0410"),
+    ] {
+        let (ir, modules) = generated(spec);
+        let (lib_h, driver_c) = driver_texts(&ir);
+        let mut clean = LintReport::new();
+        cross_check(&ir, &modules, &lib_h, &driver_c, &mut clean);
+        assert!(clean.is_clean(), "{spec}\n{}\n{driver_c}", clean.render_text());
+        let bad_c = driver_c.replace(broken, fixed);
+        assert_ne!(bad_c, driver_c, "the driver contains `{broken}`");
+        let mut report = LintReport::new();
+        cross_check(&ir, &modules, &lib_h, &bad_c, &mut report);
+        assert!(
+            report.has(code),
+            "{code} after `{broken}` -> `{fixed}`:\n{}",
+            report.render_text()
+        );
+    }
+}

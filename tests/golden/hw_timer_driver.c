@@ -53,7 +53,8 @@ void set_threshold(llong thold)
     func_addr = SET_ADDRESS(SET_THRESHOLD_ID);
 
     /* Transfer 2 beat(s) of thold (each value split across 2 beats) */
-    WRITE_DOUBLE(func_addr, &thold);
+    WRITE_SINGLE(func_addr, ((splice_word_t *)&thold) + 0);
+    WRITE_SINGLE(func_addr, ((splice_word_t *)&thold) + 1);
 
     /* Wait for Calculations to Complete */
     WAIT_FOR_RESULTS(SET_THRESHOLD_ID);
@@ -78,7 +79,8 @@ llong get_threshold(void)
     WAIT_FOR_RESULTS(GET_THRESHOLD_ID);
 
     /* Grab Result from Hardware */
-    READ_DOUBLE(func_addr, &result);
+    READ_SINGLE(func_addr, ((splice_word_t *)&result) + 0);
+    READ_SINGLE(func_addr, ((splice_word_t *)&result) + 1);
 
     return result;
 }
@@ -98,7 +100,8 @@ llong get_snapshot(void)
     WAIT_FOR_RESULTS(GET_SNAPSHOT_ID);
 
     /* Grab Result from Hardware */
-    READ_DOUBLE(func_addr, &result);
+    READ_SINGLE(func_addr, ((splice_word_t *)&result) + 0);
+    READ_SINGLE(func_addr, ((splice_word_t *)&result) + 1);
 
     return result;
 }

@@ -24,4 +24,12 @@ typedef unsigned int splice_word_t;
 #define WRITE_DMA(a, p, n) __splice_dma_store((a), (p), (n))
 #define READ_DMA(a, p, n)  __splice_dma_load((a), (p), (n))
 
+/* bus primitives the macros above call (board support package) */
+void __splice_burst_store2(unsigned long addr, const void *src);
+void __splice_burst_load2(unsigned long addr, void *dst);
+void __splice_burst_store4(unsigned long addr, const void *src);
+void __splice_burst_load4(unsigned long addr, void *dst);
+void __splice_dma_store(unsigned long addr, const void *src, unsigned long bytes);
+void __splice_dma_load(unsigned long addr, void *dst, unsigned long bytes);
+
 #endif /* SPLICE_LIB_H */

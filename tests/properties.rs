@@ -16,7 +16,7 @@ use splice_driver::lower::encode_beats;
 use splice_driver::program::decode_with;
 use splice_driver::program::ResultLayout;
 use splice_spec::validate::ValidatedIo;
-use splice_testutil::{check, Rng};
+use splice_testutil::{arb_spec, check, Rng};
 
 fn io_for(bits: u32, packed: bool) -> ValidatedIo {
     let module = splice::parse_and_validate(&format!(
@@ -146,24 +146,6 @@ fn cycles_are_data_independent() {
     });
 }
 
-/// A generator of well-formed specs: random function sets with random
-/// parameter shapes.
-fn arb_spec(rng: &mut Rng) -> String {
-    const PARAMS: &[&str] = &["int {p}", "char {p}", "short {p}", "int*:3 {p}", "char*:8+ {p}"];
-    const RETS: &[&str] = &["void", "long", "int", "nowait"];
-    let n_funcs = rng.range_usize(1, 6);
-    let mut s =
-        String::from("%device_name fuzz\n%bus_type plb\n%bus_width 32\n%base_address 0x80000000\n");
-    for i in 0..n_funcs {
-        let ret = *rng.pick(RETS);
-        let n_params = rng.range_usize(0, 4);
-        let plist: Vec<String> =
-            (0..n_params).map(|j| rng.pick(PARAMS).replace("{p}", &format!("p{j}"))).collect();
-        s.push_str(&format!("{ret} fn{i}({});\n", plist.join(", ")));
-    }
-    s
-}
-
 #[test]
 fn random_wellformed_specs_flow_through_the_whole_pipeline() {
     check(0x0de0_0007, 64, |rng| {
@@ -172,8 +154,8 @@ fn random_wellformed_specs_flow_through_the_whole_pipeline() {
             .unwrap_or_else(|e| panic!("spec should validate: {e:?}\n{spec}"))
             .module;
         let ir = splice_core::elaborate::elaborate(&module);
-        // HDL generation must succeed for both backends.
-        let lib = splice_buses::library_for(splice_spec::bus::BusKind::Plb);
+        // HDL generation must succeed on the spec's bus.
+        let lib = splice_buses::library_for(module.params.bus.kind);
         use splice_core::api::BusLibrary as _;
         let files = splice_core::hdlgen::generate_hardware(
             &ir,
