@@ -17,7 +17,11 @@
 //! over-approximates the concrete [`TWord`] operation — if concrete
 //! operands are contained in the abstract operands, the concrete result is
 //! contained in the abstract result, and any concrete X bit is covered by
-//! `xmask`.
+//! `xmask`. A concrete X word stands for every value of its X bits, so
+//! the interval of a value that may be X must cover them all: arithmetic
+//! on a possibly-X operand is all X, as [`TWord::add`] is, and a fork on a
+//! possibly-X condition keeps only the known-bits envelope of its join,
+//! as [`TWord::join`] does.
 
 use crate::flat::{DomainValue, Truth};
 use crate::tv::{mask, TWord};
@@ -157,19 +161,18 @@ impl AbsVal {
         AbsVal::bitwise(self.kb.concat(&low.kb), (self.xmask << low.width()) | low.xmask)
     }
 
-    /// Taint for an operation that mixes all operand bits (arithmetic,
-    /// comparisons): if any operand bit may be X, every unknown result bit
-    /// may be.
-    fn mixed_taint(kb: &TWord, a: &AbsVal, b: &AbsVal) -> u64 {
-        if a.is_tainted() || b.is_tainted() {
-            kb.unknown
-        } else {
-            0
-        }
+    /// Arithmetic on a possibly-X operand: [`TWord::add`] and
+    /// [`TWord::sub`] go all X on any X bit, so no interval of the
+    /// operands bounds the result.
+    fn x_arith(a: &AbsVal, b: &AbsVal) -> Option<AbsVal> {
+        (a.is_tainted() || b.is_tainted()).then(|| AbsVal::undriven(a.width().max(b.width())))
     }
 
     /// Wrapping addition with exact interval arithmetic (top on wrap).
     pub fn add(&self, other: &AbsVal) -> AbsVal {
+        if let Some(x) = AbsVal::x_arith(self, other) {
+            return x;
+        }
         let kb = self.kb.add(&other.kb);
         let m = mask(kb.width) as u128;
         let (l, h) = (self.lo as u128 + other.lo as u128, self.hi as u128 + other.hi as u128);
@@ -181,11 +184,14 @@ impl AbsVal {
         } else {
             (0, m as u64)
         };
-        AbsVal { xmask: AbsVal::mixed_taint(&kb, self, other), kb, lo, hi }.normalized()
+        AbsVal { xmask: 0, kb, lo, hi }.normalized()
     }
 
     /// Wrapping subtraction with exact interval arithmetic (top on wrap).
     pub fn sub(&self, other: &AbsVal) -> AbsVal {
+        if let Some(x) = AbsVal::x_arith(self, other) {
+            return x;
+        }
         let kb = self.kb.sub(&other.kb);
         let m = mask(kb.width) as i128;
         let (l, h) = (self.lo as i128 - other.hi as i128, self.hi as i128 - other.lo as i128);
@@ -196,7 +202,7 @@ impl AbsVal {
         } else {
             (0, m as u64)
         };
-        AbsVal { xmask: AbsVal::mixed_taint(&kb, self, other), kb, lo, hi }.normalized()
+        AbsVal { xmask: 0, kb, lo, hi }.normalized()
     }
 
     fn boolean(known: Option<bool>, tainted: bool) -> AbsVal {
@@ -342,6 +348,15 @@ impl DomainValue for AbsVal {
     }
     fn join(&self, other: &AbsVal) -> AbsVal {
         AbsVal::join(self, other)
+    }
+    fn fork_join(&self, other: &AbsVal, cond: &AbsVal) -> AbsVal {
+        let j = AbsVal::join(self, other);
+        if !cond.is_tainted() {
+            return j;
+        }
+        // The ternary join makes X every bit the sides may disagree on,
+        // and its X word ranges over the whole known-bits envelope.
+        AbsVal::bitwise(j.kb, j.kb.unknown)
     }
     fn truth(&self) -> Truth {
         AbsVal::truth(self)

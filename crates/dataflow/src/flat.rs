@@ -695,6 +695,14 @@ pub trait DomainValue: Copy + PartialEq + std::fmt::Debug {
     fn concat(&self, low: &Self) -> Self;
     /// Branch-merge join (least upper bound of the two values).
     fn join(&self, other: &Self) -> Self;
+    /// The join of two alternatives of a fork on the unknown `_cond`.
+    /// Where the condition may be an uninitialized X, so may every bit the
+    /// alternatives may disagree on. [`TWord::join`] already makes those
+    /// bits X, so only a domain that tells X apart from other unknowns
+    /// overrides this.
+    fn fork_join(&self, other: &Self, _cond: &Self) -> Self {
+        self.join(other)
+    }
     /// Three-valued truth as a branch condition.
     fn truth(&self) -> Truth;
     /// The single concrete value, when the domain pins one down.
@@ -857,19 +865,32 @@ impl<'d, V: DomainValue> Interp<'d, V> {
 
 /// Non-blocking writes awaiting commit, keyed by dense signal id: one slot
 /// per signal plus the ids written so far, so a write or lookup is an
-/// index and a clear touches only what was written. A branch on an
-/// unknown value runs each alternative from a snapshot pushed onto
-/// `saved` and joins the results back in place, so forks reuse these
-/// buffers rather than copying a map per alternative.
+/// index and a clear touches only what was written. While a [`fork`] is
+/// open, every write also logs the entry it replaced, so each alternative
+/// is rewound by popping its own writes: a fork costs what its
+/// alternatives write, not what earlier statements and processes left.
 struct Pending<V> {
     slots: Vec<Option<V>>,
     /// Ids whose slot is set, each once.
     written: Vec<usize>,
-    /// Snapshots of the entries of the forks being executed, innermost last.
-    saved: Vec<(usize, V)>,
-    /// Scratch membership flags for [`Pending::join_saved`], all false
-    /// between calls.
-    in_saved: Vec<bool>,
+    /// Forks open; writes are logged while this is nonzero.
+    forks: usize,
+    /// `(id, entry it replaced)` for every write made inside a fork,
+    /// innermost fork last.
+    undo: Vec<(usize, Option<V>)>,
+    /// Per open fork, innermost last: the join of the alternatives folded
+    /// so far, one entry per signal some alternative wrote.
+    joined: Vec<(usize, V)>,
+    /// Scratch membership flags for [`Pending::fold`], all false between
+    /// calls.
+    seen: Vec<bool>,
+}
+
+/// Where an open fork's entries start in [`Pending`]'s buffers.
+struct Fork {
+    undo: usize,
+    written: usize,
+    joined: usize,
 }
 
 impl<V: DomainValue> Pending<V> {
@@ -877,8 +898,10 @@ impl<V: DomainValue> Pending<V> {
         Pending {
             slots: vec![None; signals],
             written: Vec::new(),
-            saved: Vec::new(),
-            in_saved: vec![false; signals],
+            forks: 0,
+            undo: Vec::new(),
+            joined: Vec::new(),
+            seen: vec![false; signals],
         }
     }
 
@@ -888,8 +911,12 @@ impl<V: DomainValue> Pending<V> {
 
     /// Record a write; a later write to the same signal replaces it.
     fn set(&mut self, id: usize, v: V) {
-        if self.slots[id].replace(v).is_none() {
+        let replaced = self.slots[id].replace(v);
+        if replaced.is_none() {
             self.written.push(id);
+        }
+        if self.forks > 0 {
+            self.undo.push((id, replaced));
         }
     }
 
@@ -900,44 +927,55 @@ impl<V: DomainValue> Pending<V> {
         self.written.clear();
     }
 
-    /// Push a snapshot of the current entries; returns where it starts in
-    /// `saved` (it runs to the current end).
-    fn save(&mut self) -> usize {
-        let at = self.saved.len();
-        for &id in &self.written {
-            self.saved.push((id, self.slots[id].expect("written")));
-        }
-        at
+    fn open(&mut self) -> Fork {
+        self.forks += 1;
+        Fork { undo: self.undo.len(), written: self.written.len(), joined: self.joined.len() }
     }
 
-    /// Replace the current entries with the snapshot `saved[from..to]`.
-    fn restore(&mut self, from: usize, to: usize) {
-        self.clear();
-        for i in from..to {
-            let (id, v) = self.saved[i];
-            self.set(id, v);
+    /// Fold the alternative that just ran into `f`'s join, then rewind its
+    /// writes. The `first` alternative's entries start the join; a later
+    /// one's are joined into it with [`DomainValue::fork_join`] on `cond`,
+    /// the value the fork branched on. Only signals some alternative
+    /// wrote are visited, and a side that left one unwritten contributes
+    /// its pre-fork entry, or `hold(id)` without one.
+    fn fold(&mut self, f: &Fork, first: bool, cond: &V, hold: &dyn Fn(usize) -> V) {
+        let folded = self.joined.len();
+        for &(id, _) in &self.joined[f.joined..] {
+            self.seen[id] = true;
         }
-    }
-
-    /// Replace the current entries (alternative `b`) with their join with
-    /// the snapshot `saved[from..]` (alternative `a`). Every signal either
-    /// alternative wrote is joined, a missing side contributing `hold(id)`.
-    fn join_saved(&mut self, from: usize, hold: &dyn Fn(usize) -> V) {
-        for i in from..self.saved.len() {
-            self.in_saved[self.saved[i].0] = true;
-        }
-        for &id in &self.written {
-            if !self.in_saved[id] {
-                let vb = self.slots[id].expect("written");
-                self.slots[id] = Some(hold(id).join(&vb));
+        // A signal's first logged entry is the one from before the fork.
+        for &(id, before) in &self.undo[f.undo..] {
+            if !self.seen[id] {
+                self.seen[id] = true;
+                let now = self.slots[id].expect("written");
+                let v = if first {
+                    now
+                } else {
+                    before.unwrap_or_else(|| hold(id)).fork_join(&now, cond)
+                };
+                self.joined.push((id, v));
             }
         }
-        for i in from..self.saved.len() {
-            let (id, va) = self.saved[i];
-            self.in_saved[id] = false;
-            let vb = self.get(id).unwrap_or_else(|| hold(id));
-            self.set(id, va.join(&vb));
+        for (id, v) in &mut self.joined[f.joined..folded] {
+            *v = v.fork_join(&self.slots[*id].unwrap_or_else(|| hold(*id)), cond);
         }
+        for &(id, _) in &self.joined[f.joined..] {
+            self.seen[id] = false;
+        }
+        for (id, before) in self.undo.drain(f.undo..).rev() {
+            self.slots[id] = before;
+        }
+        self.written.truncate(f.written);
+    }
+
+    /// Close `f`: its join replaces the entries from before it.
+    fn close(&mut self, f: Fork) {
+        self.forks -= 1;
+        for i in f.joined..self.joined.len() {
+            let (id, v) = self.joined[i];
+            self.set(id, v);
+        }
+        self.joined.truncate(f.joined);
     }
 }
 
@@ -970,7 +1008,24 @@ fn exec_block<V: DomainValue>(
                     }
                     continue;
                 }
-                join_case(&sel, arms, default.as_deref(), values, pending, hold);
+                // A partially unknown selector joins every arm it may
+                // match, in order, then the default — or, without one,
+                // the path that executes nothing.
+                let reachable = arms
+                    .iter()
+                    .filter(|(a, _)| sel.may_equal(*a))
+                    .map(|(_, body)| Some(body.as_slice()));
+                fork(
+                    &sel,
+                    reachable.chain(std::iter::once(default.as_deref())),
+                    pending,
+                    hold,
+                    |arm, p| {
+                        if let Some(body) = arm {
+                            exec_block(body, values, p, hold);
+                        }
+                    },
+                );
             }
         }
     }
@@ -988,18 +1043,14 @@ fn exec_if<V: DomainValue>(
     pending: &mut Pending<V>,
     hold: &dyn Fn(usize) -> V,
 ) {
-    match eval_expr(cond, values).truth() {
+    let c = eval_expr(cond, values);
+    match c.truth() {
         Truth::True => exec_block(body, values, pending, hold),
         Truth::False => exec_else(rest, els, values, pending, hold),
-        Truth::Unknown => {
-            let before = pending.save();
-            exec_block(body, values, pending, hold);
-            let taken = pending.save();
-            pending.restore(before, taken);
-            exec_else(rest, els, values, pending, hold);
-            pending.join_saved(taken, hold);
-            pending.saved.truncate(before);
-        }
+        Truth::Unknown => fork(&c, 0..2, pending, hold, |k, p| match k {
+            0 => exec_block(body, values, p, hold),
+            _ => exec_else(rest, els, values, p, hold),
+        }),
     }
 }
 
@@ -1022,44 +1073,28 @@ fn exec_else<V: DomainValue>(
     }
 }
 
-/// A `case` whose selector is partially unknown: join every arm the
-/// selector may match, in order, then the default — or, without one, the
-/// path that executes nothing.
-fn join_case<V: DomainValue>(
-    sel: &V,
-    arms: &[(u64, Vec<CStmt>)],
-    default: Option<&[CStmt]>,
-    values: &[V],
+/// A branch on the unknown `cond`: `run` executes each of `alternatives`
+/// in turn, every one on the pending entries from before the fork, and
+/// their results are joined in order into the entries after it.
+fn fork<V: DomainValue, A>(
+    cond: &V,
+    alternatives: impl Iterator<Item = A>,
     pending: &mut Pending<V>,
     hold: &dyn Fn(usize) -> V,
+    mut run: impl FnMut(A, &mut Pending<V>),
 ) {
-    let mut branches = arms
-        .iter()
-        .filter(|(a, _)| sel.may_equal(*a))
-        .map(|(_, body)| Some(body.as_slice()))
-        .chain(std::iter::once(default));
-    let before = pending.save();
-    let joined = pending.saved.len();
-    // The first alternative runs on the entries from before the `case`;
-    // each later one restarts from them and joins into the result so far.
-    if let Some(body) = branches.next().flatten() {
-        exec_block(body, values, pending, hold);
+    let f = pending.open();
+    for (k, alt) in alternatives.enumerate() {
+        run(alt, pending);
+        pending.fold(&f, k == 0, cond, hold);
     }
-    for branch in branches {
-        pending.saved.truncate(joined);
-        pending.save();
-        pending.restore(before, joined);
-        if let Some(body) = branch {
-            exec_block(body, values, pending, hold);
-        }
-        pending.join_saved(joined, hold);
-    }
-    pending.saved.truncate(before);
+    pending.close(f);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::AbsVal;
     use splice_hdl::{Port, Process};
 
     /// A 2-bit counter with an enable and a comb `is_max` flag.
@@ -1329,6 +1364,51 @@ mod tests {
             // moves `s` to r + 6 = 9.
             let again = d.step(&state, &[TWord::known(0, 1), en]);
             assert_eq!(again[s], TWord::known(9, 4), "EN = {en:?}");
+        }
+    }
+
+    /// Process `first` schedules `r <= 1`; process `second` then writes
+    /// `r <= 2` only on one side of `fork`, a branch on the unknown `EN`.
+    fn cross_process_fork_module(fork: Stmt) -> Module {
+        let mut m = Module::new("xp");
+        m.ports = vec![Port::input("CLK", 1), Port::input("EN", 1), Port::output("Q", 4)];
+        m.decls = vec![Decl::Signal { name: "r".into(), width: 4, init: Some(0) }];
+        m.items.push(Item::Process(Process {
+            label: "first".into(),
+            clocked: true,
+            body: vec![Stmt::assign("r", Expr::lit(1, 4))],
+        }));
+        m.items.push(Item::Process(Process {
+            label: "second".into(),
+            clocked: true,
+            body: vec![fork],
+        }));
+        m.items.push(Item::Assign { lhs: "Q".into(), rhs: Expr::sig("r") });
+        m
+    }
+
+    #[test]
+    fn x_fork_joins_with_what_an_earlier_process_scheduled() {
+        let write_2 = || vec![Stmt::assign("r", Expr::lit(2, 4))];
+        let case = |arms, default| Stmt::Case { expr: Expr::sig("EN"), arms, default };
+        // The write on the first alternative of the fork, then on a later one.
+        let forks = [
+            Stmt::if_then(Expr::sig("EN"), write_2()),
+            Stmt::if_else(Expr::sig("EN"), Vec::new(), write_2()),
+            case(vec![(1, write_2())], None),
+            case(vec![(0, Vec::new())], Some(write_2())),
+        ];
+        for fork in forks {
+            let m = cross_process_fork_module(fork);
+            let d = CompiledDesign::compile(std::slice::from_ref(&m), "xp").unwrap();
+            // The side that skips the write keeps `first`'s pending 1, not
+            // the pre-edge 0: join(2, 1) = 00xx, where join(2, 0) = 00x0.
+            let next = d.step(&d.initial_state(), &[TWord::known(0, 1), TWord::unknown(1)]);
+            assert_eq!(next[0], TWord { bits: 0, unknown: 0b0011, width: 4 }, "{m:?}");
+            let state = [AbsVal::known(0, 4)];
+            let next = d.step_values(&state, &[AbsVal::known(0, 1), AbsVal::top(1)]);
+            assert_eq!((next[0].lo, next[0].hi), (1, 2), "{m:?}");
+            assert_eq!(next[0], AbsVal::known(2, 4).join(&AbsVal::known(1, 4)), "{m:?}");
         }
     }
 

@@ -11,7 +11,9 @@
 //! 3. **Whole-analysis soundness**: on randomly generated clocked designs,
 //!    every register state and settled signal value reached by concrete
 //!    execution after the reset protocol is contained in the fixpoint's
-//!    post-reset joins.
+//!    post-reset joins. One generator resets every register; the other
+//!    writes shared registers from several processes and leaves X behind
+//!    reset, so concrete runs branch on X too.
 //!
 //! Abstract/concrete sample pairs are built only from constructors whose
 //! containment is immediate (known points, `top`, `undriven`) and grown
@@ -213,56 +215,193 @@ fn random_module(rng: &mut Rng) -> Module {
 fn analysis_contains_every_concrete_run() {
     check(0x5EED_5014, 150, |rng| {
         let m = random_module(rng);
-        let d = CompiledDesign::compile(std::slice::from_ref(&m), "rnd").expect("compiles");
-        let slot = reset_slot(&d).expect("RST input exists");
-        let a = analyze(&d);
+        assert_analysis_contains_concrete_runs(&m, rng);
+    });
+}
 
-        let contained = |state: &[TWord], vals: &[TWord]| {
-            for (i, t) in state.iter().enumerate() {
-                assert!(
-                    a.regs[i].contains(t),
-                    "post-reset: register {} escaped: {t:?} not in {:?}\nmodule: {m:?}",
-                    d.signals[d.registers[i]].name,
-                    a.regs[i],
-                );
-            }
-            for (id, t) in vals.iter().enumerate() {
-                assert!(
-                    a.values[id].contains(t),
-                    "post-reset: signal {} escaped: {t:?} not in {:?}\nmodule: {m:?}",
-                    d.signals[id].name,
-                    a.values[id],
-                );
-            }
-        };
+/// The analysis models the checker's environment (`explore`): two reset
+/// cycles — RST high, other inputs low — from power-on, then free inputs.
+/// Assert that its post-reset joins cover every register state and
+/// settled value of a concrete run with random inputs after the reset
+/// transient.
+fn assert_analysis_contains_concrete_runs(m: &Module, rng: &mut Rng) {
+    let d = CompiledDesign::compile(std::slice::from_ref(m), &m.name).expect("compiles");
+    let slot = reset_slot(&d).expect("RST input exists");
+    let a = analyze(&d);
 
-        let random_inputs = |rng: &mut Rng, reset: bool| -> Vec<TWord> {
-            d.inputs
-                .iter()
-                .enumerate()
-                .map(|(s, &id)| {
-                    let w = d.signals[id].width;
-                    if reset {
-                        TWord::known(u64::from(s == slot), w)
-                    } else {
-                        TWord::known(rng.next_u64() & mask(w), w)
+    let contained = |state: &[TWord], vals: &[TWord]| {
+        for (i, t) in state.iter().enumerate() {
+            assert!(
+                a.regs[i].contains(t),
+                "post-reset: register {} escaped: {t:?} not in {:?}\nmodule: {m:?}",
+                d.signals[d.registers[i]].name,
+                a.regs[i],
+            );
+        }
+        for (id, t) in vals.iter().enumerate() {
+            assert!(
+                a.values[id].contains(t),
+                "post-reset: signal {} escaped: {t:?} not in {:?}\nmodule: {m:?}",
+                d.signals[id].name,
+                a.values[id],
+            );
+        }
+    };
+
+    let random_inputs = |rng: &mut Rng, reset: bool| -> Vec<TWord> {
+        d.inputs
+            .iter()
+            .enumerate()
+            .map(|(s, &id)| {
+                let w = d.signals[id].width;
+                if reset {
+                    TWord::known(u64::from(s == slot), w)
+                } else {
+                    TWord::known(rng.next_u64() & mask(w), w)
+                }
+            })
+            .collect()
+    };
+
+    let mut state = d.initial_state();
+    for _ in 0..2 {
+        state = d.step(&state, &random_inputs(rng, true));
+    }
+    for _ in 0..8 {
+        let inputs = random_inputs(rng, false);
+        contained(&state, &d.eval(&state, &inputs));
+        state = d.step(&state, &inputs);
+    }
+}
+
+/// Registers every clocked process of [`multi_writer_module`] may write.
+const SHARED: [&str; 3] = ["r0", "r1", "r2"];
+
+/// A random design in which 2–4 clocked processes write the registers of
+/// [`SHARED`] under `if`s and `case`s whose conditions may be unknown:
+/// free inputs, registers power-on left X, and the net `c`, which the one
+/// combinational process, branching the same way, leaves X on the paths
+/// that skip it.
+fn multi_writer_module(rng: &mut Rng) -> Module {
+    let w = *rng.pick(&WIDTHS);
+    let mut m = Module::new("mw");
+    m.ports = vec![
+        Port::input("CLK", 1),
+        Port::input("RST", 1),
+        Port::input("EN", 1),
+        Port::input("S", 2),
+        Port::input("A", w),
+        Port::input("B", w),
+        Port::output("Y", w),
+    ];
+    for r in SHARED {
+        let init = if rng.bool() { Some(rng.next_u64() & mask(w)) } else { None };
+        m.decls.push(Decl::Signal { name: r.into(), width: w, init });
+    }
+    m.decls.push(Decl::Signal { name: "c".into(), width: w, init: None });
+    for k in 0..rng.range(2, 5) {
+        let mut resets = Vec::new();
+        for r in SHARED {
+            if rng.bool() {
+                resets.push(Stmt::assign(r, Expr::lit(rng.next_u64() & mask(w), w)));
+            }
+        }
+        let updates = forking_block(rng, w, &SHARED, 2);
+        m.items.push(Item::Process(Process {
+            label: format!("p{k}"),
+            clocked: true,
+            body: vec![Stmt::if_else(Expr::sig("RST"), resets, updates)],
+        }));
+    }
+    m.items.push(Item::Process(Process {
+        label: "mix".into(),
+        clocked: false,
+        body: forking_block(rng, w, &["Y", "c"], 2),
+    }));
+    m
+}
+
+/// One to three statements assigning `targets`, nested `depth` deep in
+/// `if`/`elsif`/`else` chains and `case`s, some without a default.
+/// Combinational targets read no net, so the result has no loop.
+fn forking_block(rng: &mut Rng, w: u32, targets: &[&str], depth: u32) -> Vec<Stmt> {
+    let comb = !targets.contains(&SHARED[0]);
+    let mut block = Vec::new();
+    for _ in 0..rng.range(1, 4) {
+        let stmt = match if depth == 0 { 0 } else { rng.range(0, 5) } {
+            0 | 1 => Stmt::assign(*rng.pick(targets), operand_expr(rng, w, 2, comb)),
+            2 | 3 => {
+                let cond = fork_cond(rng, w, comb);
+                let then = forking_block(rng, w, targets, depth - 1);
+                let mut elifs = Vec::new();
+                if rng.range(0, 3) == 0 {
+                    elifs
+                        .push((fork_cond(rng, w, comb), forking_block(rng, w, targets, depth - 1)));
+                }
+                let els = rng.bool().then(|| forking_block(rng, w, targets, depth - 1));
+                Stmt::If { cond, then, elifs, els }
+            }
+            _ => {
+                // A 2-bit selector: the free `S`, or the low bits of a
+                // register, X until it is first written.
+                let expr = if w >= 2 && rng.bool() {
+                    Expr::Slice { base: Box::new(Expr::sig(*rng.pick(&SHARED))), hi: 1, lo: 0 }
+                } else {
+                    Expr::sig("S")
+                };
+                let mut arms = Vec::new();
+                for v in 0..4 {
+                    if rng.bool() {
+                        arms.push((v, forking_block(rng, w, targets, depth - 1)));
                     }
-                })
-                .collect()
+                }
+                let default = rng.bool().then(|| forking_block(rng, w, targets, depth - 1));
+                Stmt::Case { expr, arms, default }
+            }
         };
+        block.push(stmt);
+    }
+    block
+}
 
-        // The analysis models the checker's environment (`explore`): two
-        // reset cycles — RST high, other inputs low — from power-on, then
-        // free inputs. The post-reset joins must cover everything after
-        // the reset transient.
-        let mut state = d.initial_state();
-        for _ in 0..2 {
-            state = d.step(&state, &random_inputs(rng, true));
-        }
-        for _ in 0..8 {
-            let inputs = random_inputs(rng, false);
-            contained(&state, &d.eval(&state, &inputs));
-            state = d.step(&state, &inputs);
-        }
+/// A width-`w` expression over the inputs, the registers, literals and,
+/// unless `comb`, the net `c`.
+fn operand_expr(rng: &mut Rng, w: u32, depth: u32, comb: bool) -> Expr {
+    if depth == 0 || rng.range(0, 3) == 0 {
+        return match rng.range(0, 5) {
+            0 => Expr::sig("A"),
+            1 => Expr::sig("B"),
+            2 => Expr::sig(*rng.pick(&SHARED)),
+            3 if !comb => Expr::sig("c"),
+            _ => Expr::lit(rng.next_u64() & mask(w), w),
+        };
+    }
+    let lhs = operand_expr(rng, w, depth - 1, comb);
+    let rhs = operand_expr(rng, w, depth - 1, comb);
+    match rng.range(0, 4) {
+        0 => lhs.add(rhs),
+        1 => Expr::Bin { op: BinOp::Sub, lhs: Box::new(lhs), rhs: Box::new(rhs) },
+        2 => lhs.and(rhs),
+        _ => lhs.or(rhs).not(),
+    }
+}
+
+/// A branch condition: the free `EN`, or a comparison of two operands.
+fn fork_cond(rng: &mut Rng, w: u32, comb: bool) -> Expr {
+    let (lhs, rhs) = (operand_expr(rng, w, 1, comb), operand_expr(rng, w, 1, comb));
+    match rng.range(0, 5) {
+        0 => lhs.eq(rhs),
+        1 => lhs.ne(rhs),
+        2 => Expr::Bin { op: BinOp::Lt, lhs: Box::new(lhs), rhs: Box::new(rhs) },
+        3 => Expr::Bin { op: BinOp::Ge, lhs: Box::new(lhs), rhs: Box::new(rhs) },
+        _ => Expr::sig("EN"),
+    }
+}
+
+#[test]
+fn analysis_contains_every_concrete_run_of_multi_writer_designs() {
+    check(0x5EED_5015, 1000, |rng| {
+        let m = multi_writer_module(rng);
+        assert_analysis_contains_concrete_runs(&m, rng);
     });
 }

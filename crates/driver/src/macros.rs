@@ -28,6 +28,17 @@ pub const REQUIRED_MACROS: [&str; 8] = [
 /// The optional DMA macro names of Fig 7.2.
 pub const OPTIONAL_MACROS: [&str; 2] = ["WRITE_DMA", "READ_DMA"];
 
+/// The C type of one bus word, `splice_word_t`: `SPLICE_WORD_BYTES` wide,
+/// so each transfer macro moves one beat.
+pub fn word_type(bus_width: u32) -> &'static str {
+    match bus_width {
+        0..=8 => "unsigned char",
+        9..=16 => "unsigned short",
+        17..=32 => "unsigned int",
+        _ => "unsigned long long",
+    }
+}
+
 /// Generate the `splice_lib.h` text for one bus configuration.
 pub fn macro_header(bus: &BusCaps, bus_width: u32, base_address: u64) -> String {
     macro_header_with_irq(bus, bus_width, base_address, false)
@@ -48,8 +59,7 @@ pub fn macro_header_with_irq(
     let _ = writeln!(o, "#ifndef SPLICE_LIB_H");
     let _ = writeln!(o, "#define SPLICE_LIB_H");
     o.push('\n');
-    let word_t = if bus_width > 32 { "unsigned long long" } else { "unsigned int" };
-    let _ = writeln!(o, "typedef {word_t} splice_word_t;");
+    let _ = writeln!(o, "typedef {} splice_word_t;", word_type(bus_width));
     let _ = writeln!(o, "#define SPLICE_BASE_ADDRESS 0x{base_address:08X}UL");
     let _ = writeln!(o, "#define SPLICE_WORD_BYTES {}", bus_width / 8);
     o.push('\n');
@@ -199,8 +209,7 @@ pub fn linux_macro_header(bus: &BusCaps, bus_width: u32, base_address: u64) -> S
     o.push_str(
         "#include <fcntl.h>\n#include <stdint.h>\n#include <sys/mman.h>\n#include <unistd.h>\n\n",
     );
-    let word_t = if bus_width > 32 { "unsigned long long" } else { "unsigned int" };
-    let _ = writeln!(o, "typedef {word_t} splice_word_t;");
+    let _ = writeln!(o, "typedef {} splice_word_t;", word_type(bus_width));
     let _ = writeln!(o, "#define SPLICE_PHYS_BASE 0x{base_address:08X}UL");
     let _ = writeln!(o, "#define SPLICE_WORD_BYTES {}", bus_width / 8);
     o.push_str("#define SPLICE_MAP_LEN 0x1000UL\n\n");

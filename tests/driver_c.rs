@@ -14,12 +14,13 @@
 //! over scenarios S1–S4, the benchmark's idle `nowait` device and specs from
 //! `splice_testutil::arb_spec`. Two more tests compile the example and
 //! Fig 9.2 drivers against the `splice_lib.h` Splice emits with warnings
-//! as errors, and a use of `splice_lib_linux.h`.
+//! as errors, and a use of `splice_lib_linux.h`; a last one checks that
+//! both headers' `splice_word_t` is one bus word at every Wishbone width.
 
 use splice_devices::interp::{interp_spec, Scenario};
 use splice_driver::cgen::{driver_header, driver_source};
 use splice_driver::lower::{func_address, lower_call};
-use splice_driver::macros::{linux_macro_header, macro_header_with_irq};
+use splice_driver::macros::{linux_macro_header, macro_header_with_irq, word_type};
 use splice_driver::program::{BusOp, CallArgs, CallValue};
 use splice_spec::validate::{IoBound, ModuleSpec, ValidatedFunction};
 use splice_testutil::{arb_spec, seed_for, Rng};
@@ -85,8 +86,7 @@ fn module(spec: &str) -> ModuleSpec {
 fn harness_header(m: &ModuleSpec) -> String {
     let p = &m.params;
     let mut h = String::from("#include <stdio.h>\n");
-    let word = if p.bus_width > 32 { "unsigned long long" } else { "unsigned int" };
-    let _ = writeln!(h, "typedef {word} splice_word_t;");
+    let _ = writeln!(h, "typedef {} splice_word_t;", word_type(p.bus_width));
     let _ = writeln!(h, "#define SPLICE_WORD_BYTES {}", p.bus_width / 8);
     if p.bus.memory_mapped {
         let _ = writeln!(
@@ -327,15 +327,17 @@ fn drivers_compile_against_the_emitted_header() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `splice_lib_linux.h` compiles where it is used: mapping the window,
-/// addressing a function and writing to it.
+/// A use of `splice_lib_linux.h`: mapping the window, addressing a
+/// function and writing to it.
+const LINUX_USE_C: &str = "#include \"splice_lib_linux.h\"\n\nint main(void)\n{\n    \
+                           splice_word_t v = 1;\n    unsigned a;\n    \
+                           if (splice_map() != 0) return 1;\n    a = SET_ADDRESS(1);\n    \
+                           WRITE_SINGLE(a, &v);\n    return 0;\n}\n";
+
+/// `splice_lib_linux.h` compiles where it is used.
 #[test]
 fn linux_header_compiles_for_memory_mapped_examples() {
     let dir = tmp_dir("linux");
-    let use_c = "#include \"splice_lib_linux.h\"\n\nint main(void)\n{\n    \
-                 splice_word_t v = 1;\n    unsigned a;\n    \
-                 if (splice_map() != 0) return 1;\n    a = SET_ADDRESS(1);\n    \
-                 WRITE_SINGLE(a, &v);\n    return 0;\n}\n";
     for (name, spec) in example_specs() {
         let m = module(&spec);
         let p = &m.params;
@@ -346,9 +348,43 @@ fn linux_header_compiles_for_memory_mapped_examples() {
         std::fs::create_dir_all(&sub).unwrap();
         let header = linux_macro_header(&p.bus, p.bus_width, p.base_address);
         std::fs::write(sub.join("splice_lib_linux.h"), &header).unwrap();
-        std::fs::write(sub.join("use.c"), use_c).unwrap();
+        std::fs::write(sub.join("use.c"), LINUX_USE_C).unwrap();
         let args: Vec<&str> = STRICT.iter().copied().chain(["-c", "use.c"]).collect();
         cc(&sub, &args, &header);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `splice_word_t` is one bus word at every Wishbone width, in both
+/// headers, so each transfer macro moves `SPLICE_WORD_BYTES` bytes; a
+/// negative array size stops the compile where it is not.
+#[test]
+fn word_type_is_one_bus_word_wide() {
+    let dir = tmp_dir("word");
+    let one_beat =
+        "typedef char word_is_one_beat[sizeof(splice_word_t) == SPLICE_WORD_BYTES ? 1 : -1];\n";
+    for width in [8, 16, 32, 64] {
+        let spec = format!(
+            "%device_name wb{width}\n%bus_type wishbone\n%bus_width {width}\n\
+             %base_address 0x80000000\nint f(char a);\n"
+        );
+        let m = module(&spec);
+        let p = &m.params;
+        let sub = dir.join(format!("wb{width}"));
+        std::fs::create_dir_all(&sub).unwrap();
+        let lib_h = macro_header_with_irq(&p.bus, p.bus_width, p.base_address, p.irq);
+        let linux_h = linux_macro_header(&p.bus, p.bus_width, p.base_address);
+        for (file, text) in [
+            ("splice_lib.h", lib_h.clone()),
+            ("splice_lib_linux.h", linux_h.clone()),
+            ("word.c", format!("#include \"splice_lib.h\"\n{one_beat}")),
+            ("word_linux.c", format!("{LINUX_USE_C}{one_beat}")),
+        ] {
+            std::fs::write(sub.join(file), text).unwrap();
+        }
+        let args: Vec<&str> =
+            STRICT.iter().copied().chain(["-c", "word.c", "word_linux.c"]).collect();
+        cc(&sub, &args, &format!("{spec}\n{lib_h}\n{linux_h}"));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

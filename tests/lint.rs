@@ -61,6 +61,25 @@ fn generator_output_lints_clean_for_every_example_spec() {
     }
 }
 
+/// The widest device validation accepts: 63 functions on one PLB device,
+/// each `long fK(int nK, int*:nK xsK, char cK)`, the shape perfbench's
+/// `gen_wide` scales.
+#[test]
+fn the_widest_valid_device_lints_clean() {
+    let mut source =
+        String::from("%device_name big\n%bus_type plb\n%bus_width 32\n%base_address 0x80000000\n");
+    for i in 0..63 {
+        source.push_str(&format!("long f{i}(int n{i}, int*:n{i} xs{i}, char c{i});\n"));
+    }
+    let out = run_pipeline(&source, "wide.splice", &PipelineOptions::default())
+        .expect("63 functions validate");
+    assert!(out.lint.is_clean(), "{}", out.lint.render_text());
+    // 63 function files, the user top and the bus interface.
+    assert_eq!(out.hw.len(), 65);
+    // The driver source, its header and `splice_lib.h`.
+    assert_eq!(out.sw.len(), 3);
+}
+
 #[test]
 fn example_lint_reports_match_goldens() {
     for (stem, source) in example_specs() {
