@@ -14,12 +14,16 @@
 //! exhaustion is reported as a warning) and `max_depth` (a horizon for
 //! designs whose counters legitimately free-run under arbitrary input,
 //! reported in the statistics only).
+//!
+//! A flattened arbiter's instances step independently, so a [`StepMemo`]
+//! learns each instance's transitions once and composes later edges from
+//! them, across every exploration of the design.
 
 use crate::compile::{CompiledDesign, Interp};
 use crate::env::EnvPins;
 use crate::tv::TWord;
-use std::collections::{HashSet, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 
 /// Nondeterministic environment and exploration bounds.
 #[derive(Debug, Clone)]
@@ -66,7 +70,7 @@ pub enum BfsViolation {
 }
 
 /// Result of one exploration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BfsOutcome {
     /// Number of distinct reachable register states discovered.
     pub reachable: usize,
@@ -106,46 +110,328 @@ struct Stored {
     depth: u32,
 }
 
-/// A multiplicative hasher for the `visited` set. Its keys are short
-/// slices of register words, which SipHash would spend a large share of
-/// every BFS edge on; resistance to adversarial keys buys nothing here.
-#[derive(Default)]
-struct WordHasher(u64);
+/// An empty entry: a table slot holding no row, or a transition not
+/// learned yet.
+const NONE: u32 = u32::MAX;
 
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
+/// Rows of `width` words, each stored once in insertion order and found
+/// through an open-addressing table of row indices. It holds the BFS's
+/// visited states and each step group's local states.
+struct WordSet {
+    width: usize,
+    words: Vec<u64>,
+    len: usize,
+    /// Row index per slot, [`NONE`] when empty; a power of two long and
+    /// at most half full.
+    slots: Vec<u32>,
+}
+
+impl WordSet {
+    fn new(width: usize) -> WordSet {
+        WordSet { width, words: Vec::new(), len: 0, slots: vec![NONE; 16] }
+    }
+
+    fn get(&self, idx: usize) -> &[u64] {
+        &self.words[idx * self.width..(idx + 1) * self.width]
+    }
+
+    /// The slot `key` hashes to. Its keys are register bits, so a
+    /// multiplicative hash suffices; the product's high bits index.
+    fn home(&self, key: &[u64]) -> usize {
+        let h = key
+            .iter()
+            .fold(0u64, |h, &w| (h.rotate_left(5) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        (h >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// `Ok(index)` of `key`, or `Err(slot)` where [`WordSet::insert_at`]
+    /// may put it.
+    fn find(&self, key: &[u64]) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(key);
+        loop {
+            match self.slots[slot] {
+                NONE => return Err(slot),
+                idx if self.get(idx as usize) == key => return Ok(idx as usize),
+                _ => slot = (slot + 1) & mask,
+            }
         }
     }
 
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    /// Append `key` at the empty `slot` that [`WordSet::find`] returned
+    /// for it, with no insertion in between.
+    fn insert_at(&mut self, slot: usize, key: &[u64]) -> usize {
+        let idx = self.len;
+        self.slots[slot] = u32::try_from(idx).expect("fewer than 2^32 rows");
+        self.words.extend_from_slice(key);
+        self.len += 1;
+        if self.len * 2 > self.slots.len() {
+            self.slots = vec![NONE; self.slots.len() * 2];
+            let mask = self.slots.len() - 1;
+            for i in 0..self.len {
+                let mut slot = self.home(self.get(i));
+                while self.slots[slot] != NONE {
+                    slot = (slot + 1) & mask;
+                }
+                self.slots[slot] = i as u32;
+            }
+        }
+        idx
     }
 
-    fn finish(&self) -> u64 {
-        // Multiplication carries entropy upward; rotate it into the low
-        // bits the table indexes by.
-        self.0.rotate_left(26)
+    fn intern(&mut self, key: &[u64]) -> usize {
+        self.find(key).unwrap_or_else(|slot| self.insert_at(slot, key))
+    }
+}
+
+/// Where each register's known bits sit in a packed state: every register
+/// at a fixed (word, shift) slot, each step group starting a word of its
+/// own, so a group's local state is one run of words.
+struct Layout {
+    /// `(word, shift)` per register slot.
+    at: Vec<(usize, u32)>,
+    widths: Vec<u32>,
+    /// Words of each group, in group order.
+    spans: Vec<Range<usize>>,
+    /// Words per state.
+    words: usize,
+}
+
+impl Layout {
+    /// Pack `groups` (register slots; none means one group of them all).
+    fn new(d: &CompiledDesign, groups: &[Vec<usize>]) -> Layout {
+        let widths: Vec<u32> = d.registers.iter().map(|&id| d.signals[id].width).collect();
+        let all = [(0..widths.len()).collect::<Vec<usize>>()];
+        let groups = if groups.is_empty() { &all[..] } else { groups };
+        let mut at = vec![(0, 0); widths.len()];
+        let mut spans = Vec::with_capacity(groups.len());
+        let mut words = 0;
+        for group in groups {
+            let start = words;
+            let mut free = 0u32;
+            for &slot in group {
+                if words == start || free < widths[slot].max(1) {
+                    words += 1;
+                    free = 64;
+                }
+                at[slot] = (words - 1, 64 - free);
+                free -= widths[slot].min(free);
+            }
+            spans.push(start..words);
+        }
+        Layout { at, widths, spans, words }
+    }
+
+    /// Pack the known bits of `regs` into `out`.
+    fn pack(&self, regs: &[TWord], out: &mut [u64]) {
+        out.fill(0);
+        for (reg, &(word, shift)) in regs.iter().zip(&self.at) {
+            out[word] |= reg.bits << shift;
+        }
+    }
+
+    fn unpack(&self, packed: &[u64], out: &mut Vec<TWord>) {
+        out.clear();
+        out.extend(
+            self.at
+                .iter()
+                .zip(&self.widths)
+                .map(|(&(word, shift), &w)| TWord::known(packed[word] >> shift, w)),
+        );
+    }
+}
+
+/// Partition `d`'s registers into step groups: the registers of two
+/// clocked processes share a group when one reads a register the other
+/// writes, directly or through the combinational nets, or when both write
+/// one register. A group's next registers are then a function of its own
+/// registers and the input row alone. Groups list register slots in
+/// ascending order and are ordered by their first slot.
+pub fn step_groups(d: &CompiledDesign) -> Vec<Vec<usize>> {
+    let n = d.registers.len();
+    let words = n.div_ceil(64);
+    let or_into = |set: &mut Vec<u64>, other: &[u64]| {
+        set.resize(words, 0);
+        for (acc, &w) in set.iter_mut().zip(other) {
+            *acc |= w;
+        }
+    };
+    // Register support of each signal as a bitset over register slots
+    // (empty: none). One pass in `comb_order` is exact: a settle runs the
+    // nodes once in that order, so a read sees only earlier nodes' writes.
+    let mut support: Vec<Vec<u64>> = vec![Vec::new(); d.signals.len()];
+    for (slot, &id) in d.registers.iter().enumerate() {
+        support[id] = vec![0; words];
+        support[id][slot / 64] |= 1 << (slot % 64);
+    }
+    for node in &d.comb_order {
+        let mut set = Vec::new();
+        for &id in &node.reads {
+            or_into(&mut set, &support[id]);
+        }
+        for &id in &node.writes {
+            or_into(&mut support[id], &set);
+        }
+    }
+    // Union-find over register slots, each root the smallest slot of its
+    // class.
+    fn root(parent: &mut [usize], mut i: usize) -> usize {
+        while parent[i] != i {
+            parent[i] = parent[parent[i]];
+            i = parent[i];
+        }
+        i
+    }
+    let mut parent: Vec<usize> = (0..n).collect();
+    for node in &d.clocked {
+        let mut set = vec![0; words];
+        for &id in node.reads.iter().chain(&node.writes) {
+            or_into(&mut set, &support[id]);
+        }
+        let mut slots = (0..n).filter(|&slot| set[slot / 64] >> (slot % 64) & 1 == 1);
+        if let Some(first) = slots.next() {
+            for slot in slots {
+                let (a, b) = (root(&mut parent, first), root(&mut parent, slot));
+                parent[a.max(b)] = a.min(b);
+            }
+        }
+    }
+    let mut group_of = vec![usize::MAX; n];
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for slot in 0..n {
+        let r = root(&mut parent, slot);
+        if group_of[r] == usize::MAX {
+            group_of[r] = groups.len();
+            groups.push(Vec::new());
+        }
+        groups[group_of[r]].push(slot);
+    }
+    groups
+}
+
+/// Transitions learned per step group ([`step_groups`]), kept across every
+/// exploration of one design so the pair runs of an arbiter share them.
+///
+/// For each group it interns the local states seen and maps (local state,
+/// input row) to the successor's local state. Rows are interned by value.
+/// An edge whose every group has an entry is composed from them without
+/// stepping the design. A design of one group gets an empty memo, which
+/// learns nothing: every edge steps.
+#[derive(Default)]
+pub struct StepMemo {
+    /// Register slots per group; empty for a one-group design.
+    groups: Vec<Vec<usize>>,
+    /// Interned local states, per group.
+    locals: Vec<WordSet>,
+    /// `next[row][group][local]`: the successor's local state, or
+    /// [`NONE`].
+    next: Vec<Vec<Vec<u32>>>,
+    rows: HashMap<Vec<u64>, u32>,
+    /// Edges that ran [`Interp::step`].
+    stepped: u64,
+}
+
+impl StepMemo {
+    /// The memo for `d`: empty unless `d` splits into two or more groups.
+    pub fn new(d: &CompiledDesign) -> StepMemo {
+        let groups = step_groups(d);
+        if groups.len() < 2 {
+            return StepMemo::default();
+        }
+        let layout = Layout::new(d, &groups);
+        let locals = layout.spans.iter().map(|s| WordSet::new(s.len())).collect();
+        StepMemo { groups, locals, ..StepMemo::default() }
+    }
+
+    /// Groups the memo learns for; 0 when it is empty.
+    pub fn group_count(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// Edges, over every exploration given this memo, that it could not
+    /// compose, so the design was stepped.
+    pub fn stepped(&self) -> u64 {
+        self.stepped
+    }
+
+    fn row_id(&mut self, row: &[u64]) -> u32 {
+        if self.groups.is_empty() {
+            return 0;
+        }
+        let fresh = self.rows.len() as u32;
+        let id = *self.rows.entry(row.to_vec()).or_insert(fresh);
+        if id == fresh {
+            self.next.push(vec![Vec::new(); self.groups.len()]);
+        }
+        id
+    }
+
+    /// Each group's local id in the packed state `state`, into `out`.
+    fn locals_of(&mut self, state: &[u64], layout: &Layout, out: &mut Vec<u32>) {
+        out.clear();
+        for (set, span) in self.locals.iter_mut().zip(&layout.spans) {
+            out.push(set.intern(&state[span.clone()]) as u32);
+        }
+    }
+
+    /// Compose the successor of `locals` under `row` into `out`; false
+    /// when some group has no entry.
+    fn compose(&self, row: u32, locals: &[u32], layout: &Layout, out: &mut [u64]) -> bool {
+        let Some(table) = self.next.get(row as usize) else {
+            return false;
+        };
+        for (g, &local) in locals.iter().enumerate() {
+            match table[g].get(local as usize) {
+                Some(&to) if to != NONE => {
+                    out[layout.spans[g].clone()].copy_from_slice(self.locals[g].get(to as usize));
+                }
+                _ => return false,
+            }
+        }
+        true
+    }
+
+    /// Record, from one step of `locals` under `row` to `next` (packed in
+    /// `packed`), every group whose next local state is fully known.
+    fn learn(&mut self, row: u32, locals: &[u32], next: &[TWord], packed: &[u64], layout: &Layout) {
+        for (g, group) in self.groups.iter().enumerate() {
+            if group.iter().all(|&slot| next[slot].is_known()) {
+                let to = self.locals[g].intern(&packed[layout.spans[g].clone()]) as u32;
+                let table = &mut self.next[row as usize][g];
+                let from = locals[g] as usize;
+                if table.len() <= from {
+                    table.resize(from + 1, NONE);
+                }
+                table[from] = to;
+            }
+        }
     }
 }
 
 /// Breadth-first search of the product of `d` and the free environment.
 ///
-/// The edge loop allocates nothing: the environment's input rows are built
-/// once, one [`Interp`] serves every step and observation, and `visited`
-/// is probed with a reused buffer of the next state's register bits. Only
-/// a newly found state allocates (its `visited` key). Keying on the known
-/// bits alone is exact because only fully known states are stored — a
-/// register carrying X is a violation, returned before insertion — and
-/// every register keeps its declared width.
+/// `memo` must be [`StepMemo::new`] of `d` (or empty); it carries what one
+/// exploration learns to the next. Three things are reused, each exactly:
+///
+/// * an edge is composed from `memo`'s per-group transitions when every
+///   group has one, and only otherwise stepped;
+/// * the safety checks on an edge are a pure function of the successor and
+///   the row, so a successor already stored carries one bit per row checked
+///   clean, and a set bit skips the observation settle;
+/// * each state's register bits are stored once, packed at fixed (word,
+///   shift) slots, and found through an open-addressing table.
+///
+/// Keying on the known bits alone is exact because only fully known states
+/// are stored — a register carrying X is a violation, returned before
+/// insertion — and every register keeps its declared width. States are
+/// inserted in the order the rows are tried, so the outcome is the one a
+/// plain step of every edge gives.
 pub fn explore(
     d: &CompiledDesign,
     pins: &EnvPins,
     spec: &ExploreSpec,
     mutex_groups: &[MutexGroup],
+    memo: &mut StepMemo,
 ) -> BfsOutcome {
     let to_words = |row: &[u64]| -> Vec<TWord> {
         d.inputs
@@ -175,6 +461,7 @@ pub fn explore(
             }
         }
     }
+    let row_ids: Vec<u32> = rows.iter().map(|(row, _)| memo.row_id(row)).collect();
 
     // Two reset steps bring the design to its post-reset state; the reset
     // prefix is replayed verbatim into every counterexample trace.
@@ -214,13 +501,21 @@ pub fn explore(
         };
     }
 
-    // Stored states' register bits, `widths.len()` words per state.
-    let widths: Vec<u32> = d.registers.iter().map(|&id| d.signals[id].width).collect();
-    let mut known: Vec<u64> = state.iter().map(|w| w.bits).collect();
-    let mut visited: HashSet<Box<[u64]>, BuildHasherDefault<WordHasher>> = HashSet::default();
-    visited.insert(known.as_slice().into());
-    let mut cur: Vec<TWord> = Vec::with_capacity(widths.len());
-    let mut key: Vec<u64> = Vec::with_capacity(widths.len());
+    assert!(
+        memo.groups.is_empty()
+            || memo.groups.iter().map(Vec::len).sum::<usize>() == d.registers.len(),
+        "the step memo was built for another design"
+    );
+    let layout = Layout::new(d, &memo.groups);
+    let mut states = WordSet::new(layout.words);
+    let mut packed = vec![0u64; layout.words];
+    layout.pack(&state, &mut packed);
+    states.intern(&packed);
+    // Per stored state, one bit per row whose observation checked clean.
+    let row_words = rows.len().div_ceil(64);
+    let mut clean = vec![0u64; row_words];
+    let mut cur: Vec<TWord> = Vec::with_capacity(layout.widths.len());
+    let mut locals: Vec<u32> = Vec::with_capacity(memo.groups.len());
 
     let mut queue = VecDeque::new();
     queue.push_back(0usize);
@@ -246,35 +541,51 @@ pub fn explore(
             continue;
         }
         let depth = stored[idx].depth;
-        let bits = &known[idx * widths.len()..(idx + 1) * widths.len()];
-        cur.clear();
-        cur.extend(bits.iter().zip(&widths).map(|(&b, &w)| TWord::known(b, w)));
+        layout.unpack(states.get(idx), &mut cur);
+        memo.locals_of(states.get(idx), &layout, &mut locals);
         for (r, (row, inputs)) in rows.iter().enumerate() {
-            interp.step(&cur, inputs, &mut next);
-            if let Some(v) = check_state(d, pins, &next, inputs, mutex_groups, &mut interp) {
-                let trace = trace_to(&stored, idx, row);
-                return BfsOutcome {
-                    reachable: stored.len(),
-                    complete: false,
-                    budget_exhausted: false,
-                    interrupted: false,
-                    depth_capped,
-                    frontier_peak,
-                    violation: Some((v, trace)),
-                };
+            let composed = memo.compose(row_ids[r], &locals, &layout, &mut packed);
+            let known = composed || {
+                interp.step(&cur, inputs, &mut next);
+                memo.stepped += 1;
+                layout.pack(&next, &mut packed);
+                memo.learn(row_ids[r], &locals, &next, &packed, &layout);
+                next.iter().all(TWord::is_known)
+            };
+            let seen = known.then(|| states.find(&packed));
+            let (word, bit) = (r / 64, 1u64 << (r % 64));
+            let checked = matches!(seen, Some(Ok(j)) if clean[j * row_words + word] & bit != 0);
+            if !checked {
+                if composed {
+                    layout.unpack(&packed, &mut next);
+                }
+                if let Some(v) = check_state(d, pins, &next, inputs, mutex_groups, &mut interp) {
+                    let trace = trace_to(&stored, idx, row);
+                    return BfsOutcome {
+                        reachable: stored.len(),
+                        complete: false,
+                        budget_exhausted: false,
+                        interrupted: false,
+                        depth_capped,
+                        frontier_peak,
+                        violation: Some((v, trace)),
+                    };
+                }
             }
-            key.clear();
-            key.extend(next.iter().map(|w| w.bits));
-            if visited.contains(key.as_slice()) {
-                continue;
-            }
+            let slot = match seen.expect("check_state rejects a successor carrying X") {
+                Ok(j) => {
+                    clean[j * row_words + word] |= bit;
+                    continue;
+                }
+                Err(slot) => slot,
+            };
             if stored.len() >= spec.max_states {
                 budget_exhausted = true;
                 continue;
             }
-            let new_idx = stored.len();
-            visited.insert(key.as_slice().into());
-            known.extend_from_slice(&key);
+            let new_idx = states.insert_at(slot, &packed);
+            clean.resize(clean.len() + row_words, 0);
+            clean[new_idx * row_words + word] |= bit;
             stored.push(Stored { row: r, parent: idx, depth: depth + 1 });
             queue.push_back(new_idx);
             frontier_peak = frontier_peak.max(queue.len());
@@ -333,4 +644,96 @@ fn check_state(
         }
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use splice_hdl::{Decl, Expr, Instance, Item, Module, Port, Process, Stmt};
+
+    fn compiled(stem: &str, top: &str) -> CompiledDesign {
+        let path = format!("{}/../../examples/specs/{stem}.splice", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(path).expect("example spec exists");
+        let v = splice_spec::parse_and_validate(&text).expect("example validates");
+        let ir = splice_core::elaborate(&v.module);
+        let modules = splice_core::hdlgen::design_modules(&ir, "check").expect("generates");
+        CompiledDesign::compile(&modules, top).expect("compiles")
+    }
+
+    /// Every instance of an example arbiter is a step group of its own (the
+    /// arbiter's own logic is combinational), and a function module is one
+    /// group, so its memo is empty.
+    #[test]
+    fn example_arbiters_split_into_their_instances() {
+        for (stem, top, groups) in [
+            ("apb_sensor", "user_apb_sensor", 5),
+            ("dma_stream", "user_dma_stream", 2),
+            ("fir_filter", "user_fir", 2),
+            ("hw_timer", "user_hw_timer", 7),
+            ("mac", "user_mac_unit", 3),
+        ] {
+            let d = compiled(stem, top);
+            let memo = StepMemo::new(&d);
+            assert_eq!((stem, memo.group_count()), (stem, groups));
+            assert_eq!(step_groups(&d).len(), groups);
+        }
+        let d = compiled("hw_timer", "func_set_threshold");
+        assert_eq!(step_groups(&d).len(), 1);
+        assert_eq!(StepMemo::new(&d).group_count(), 0, "one group: the memo is empty");
+    }
+
+    /// Two instances of a one-register cell, and a top-level process that
+    /// latches `watched`.
+    fn watcher(watched: Expr) -> CompiledDesign {
+        let mut cell = Module::new("cell");
+        cell.ports = vec![Port::input("CLK", 1), Port::input("EN", 1), Port::output("Q", 1)];
+        cell.decls = vec![Decl::Signal { name: "r".into(), width: 1, init: Some(0) }];
+        cell.items = vec![
+            Item::Process(Process {
+                label: "hold".into(),
+                clocked: true,
+                body: vec![Stmt::assign("r", Expr::sig("EN"))],
+            }),
+            Item::Assign { lhs: "Q".into(), rhs: Expr::sig("r") },
+        ];
+        let mut top = Module::new("top");
+        top.ports = vec![Port::input("CLK", 1), Port::input("EN", 1), Port::output("SEEN", 1)];
+        for name in ["qa", "qb", "both"] {
+            top.decls.push(Decl::Signal { name: name.into(), width: 1, init: None });
+        }
+        for (label, q) in [("u_a", "qa"), ("u_b", "qb")] {
+            top.items.push(Item::Instance(Instance {
+                label: label.into(),
+                module: "cell".into(),
+                connections: vec![
+                    ("CLK".into(), "CLK".into()),
+                    ("EN".into(), "EN".into()),
+                    ("Q".into(), q.into()),
+                ],
+            }));
+        }
+        top.items
+            .push(Item::Assign { lhs: "both".into(), rhs: Expr::sig("qa").and(Expr::sig("qb")) });
+        top.items.push(Item::Process(Process {
+            label: "watch".into(),
+            clocked: true,
+            body: vec![Stmt::assign("SEEN", watched)],
+        }));
+        CompiledDesign::compile(&[cell, top], "top").expect("compiles")
+    }
+
+    /// A clocked process that reads two instances' registers through a
+    /// combinational net joins both instances' groups; one that reads only
+    /// an input leaves all three processes apart.
+    #[test]
+    fn a_read_through_combinational_nets_joins_groups() {
+        let d = watcher(Expr::sig("both"));
+        assert_eq!(d.clocked.len(), 3);
+        assert_eq!(step_groups(&d), vec![vec![0, 1, 2]]);
+        assert_eq!(StepMemo::new(&d).group_count(), 0);
+
+        let d = watcher(Expr::sig("EN"));
+        assert_eq!(step_groups(&d).len(), 3);
+        assert_eq!(StepMemo::new(&d).group_count(), 3);
+    }
 }

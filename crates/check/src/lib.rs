@@ -40,8 +40,8 @@ pub use splice_dataflow::tv;
 pub use compile::{CompileError, CompiledDesign};
 pub use driver_check::cross_check;
 
-use explore::{BfsOutcome, BfsViolation, ExploreSpec, MutexGroup};
-use splice_core::{BeatCount, DesignIr, StubState};
+use explore::{BfsOutcome, BfsViolation, ExploreSpec, MutexGroup, StepMemo};
+use splice_core::{BeatCount, DesignIr, FunctionStub, StubState};
 use splice_hdl::Module;
 use splice_lint::{Diagnostic, Layer, LintReport, Location};
 use std::fmt;
@@ -442,6 +442,81 @@ fn compile_or_report(
     }
 }
 
+/// The free exploration [`check_modules`] runs on `func_<stub>` compiled
+/// alone: the environment drives the stub's own FUNC_ID, the status id and
+/// one foreign id, and two data values.
+pub fn stub_exploration(ir: &DesignIr, stub: &FunctionStub, opts: &CheckOptions) -> ExploreSpec {
+    let id_mask = (1u64 << ir.func_id_width().min(63)) - 1;
+    let my_id = stub.first_func_id as u64;
+    let mut func_ids = vec![my_id, env::STATUS_ID, (my_id + 1) & id_mask];
+    func_ids.sort_unstable();
+    func_ids.dedup();
+    ExploreSpec {
+        func_ids,
+        data_domain: vec![0, 1],
+        max_states: opts.max_states,
+        max_depth: opts.max_depth,
+        stop: opts.stop,
+    }
+}
+
+/// The free explorations [`check_modules`] runs on the composed arbiter `d`
+/// of `ir`: the mutex groups of the shared return lines, and one
+/// exploration per instance pair.
+///
+/// The full product over every instance is exponential in the function
+/// count, but the mutex property is *pairwise*: any k-way overlap on a
+/// shared line contains a 2-way overlap. So the composition is explored
+/// once per instance pair with only that pair's ids (plus the status id)
+/// enabled, which is exhaustive for SL0403. Every other stub is never
+/// addressed: one with inputs stays in its reset state, and one without
+/// runs its calculation once and then waits in its output state. Those
+/// stubs move in lockstep, so the product still collapses. X-safety of
+/// the arbiter's own registers is checked in every run.
+pub fn arbiter_explorations(
+    ir: &DesignIr,
+    d: &CompiledDesign,
+    opts: &CheckOptions,
+) -> (Vec<MutexGroup>, Vec<ExploreSpec>) {
+    let mut groups = Vec::new();
+    for line in ["IO_DONE", "DATA_OUT_VALID"] {
+        let members: Vec<usize> = ir
+            .arbiter_entries()
+            .iter()
+            .filter_map(|&(si, _, id)| d.signal_id(&format!("f{id}_{}_{line}", ir.stubs[si].name)))
+            .collect();
+        if members.len() >= 2 {
+            groups.push(MutexGroup { line: line.to_owned(), members });
+        }
+    }
+    let ids: Vec<u64> = ir.arbiter_entries().iter().map(|&(_, _, id)| id as u64).collect();
+    let mut id_sets: Vec<Vec<u64>> = Vec::new();
+    for (i, &a) in ids.iter().enumerate() {
+        for &b in &ids[i + 1..] {
+            id_sets.push(vec![env::STATUS_ID, a, b]);
+        }
+    }
+    if id_sets.is_empty() {
+        // Single-instance design: one run with everything enabled.
+        let mut all = ids;
+        all.push(env::STATUS_ID);
+        all.sort_unstable();
+        all.dedup();
+        id_sets.push(all);
+    }
+    let specs = id_sets
+        .into_iter()
+        .map(|func_ids| ExploreSpec {
+            func_ids,
+            data_domain: vec![0],
+            max_states: opts.max_states,
+            max_depth: opts.max_depth,
+            stop: opts.stop,
+        })
+        .collect();
+    (groups, specs)
+}
+
 /// Model-check the generated HDL of `ir`. `modules` must be the module set
 /// `design_modules` emitted for this IR.
 pub fn check_modules(
@@ -452,7 +527,6 @@ pub fn check_modules(
     let mut report = LintReport::new();
     let mut cexs: Vec<Counterexample> = Vec::new();
     let mut stats: Vec<ModuleStats> = Vec::new();
-    let id_mask = (1u64 << ir.func_id_width().min(63)) - 1;
 
     for stub in &ir.stubs {
         let mod_name = format!("func_{}", stub.name);
@@ -498,22 +572,13 @@ pub fn check_modules(
         }
 
         // Exhaustive safety under a free environment.
-        let mut func_ids = vec![my_id, env::STATUS_ID, (my_id + 1) & id_mask];
-        func_ids.sort_unstable();
-        func_ids.dedup();
-        let spec = ExploreSpec {
-            func_ids,
-            data_domain: vec![0, 1],
-            max_states: opts.max_states,
-            max_depth: opts.max_depth,
-            stop: opts.stop,
-        };
+        let spec = stub_exploration(ir, stub, opts);
         let out = {
             let _sp = splice_obs::trace::span("check.explore");
             splice_obs::trace::attr("module", mod_name.as_str());
             splice_obs::trace::attr("comb_nodes", d.comb_order.len() as u64);
             splice_obs::trace::attr("expr_nodes", d.expr_node_count() as u64);
-            let out = explore::explore(&d, &pins, &spec, &[]);
+            let out = explore::explore(&d, &pins, &spec, &[], &mut StepMemo::new(&d));
             splice_obs::trace::attr("reachable", out.reachable as u64);
             splice_obs::trace::attr("frontier_peak", out.frontier_peak as u64);
             out
@@ -530,14 +595,6 @@ pub fn check_modules(
 
     // Composed design: the arbiter with every instance, checking that the
     // shared return lines are driven by at most one function per cycle.
-    //
-    // The full product over every instance is exponential in the function
-    // count, but the mutex property is *pairwise*: any k-way overlap on a
-    // shared line contains a 2-way overlap. So the composition is explored
-    // once per instance pair with only that pair's ids (plus the status id)
-    // enabled — every other stub stays frozen at its reset state, which
-    // collapses the product while remaining exhaustive for SL0403. X-safety
-    // of the arbiter's own registers is checked in every run.
     let arb_name = format!("user_{}", ir.module.params.device_name);
     let arb_d = if modules.iter().any(|m| m.name == arb_name) {
         compile_or_report(modules, &arb_name, &mut report)?
@@ -546,34 +603,7 @@ pub fn check_modules(
     };
     if let Some(d) = arb_d {
         let pins = env::resolve_pins(&d).map_err(CheckError::Pins)?;
-        let mut groups = Vec::new();
-        for line in ["IO_DONE", "DATA_OUT_VALID"] {
-            let members: Vec<usize> = ir
-                .arbiter_entries()
-                .iter()
-                .filter_map(|&(si, _, id)| {
-                    d.signal_id(&format!("f{id}_{}_{line}", ir.stubs[si].name))
-                })
-                .collect();
-            if members.len() >= 2 {
-                groups.push(MutexGroup { line: line.to_owned(), members });
-            }
-        }
-        let ids: Vec<u64> = ir.arbiter_entries().iter().map(|&(_, _, id)| id as u64).collect();
-        let mut id_sets: Vec<Vec<u64>> = Vec::new();
-        for (i, &a) in ids.iter().enumerate() {
-            for &b in &ids[i + 1..] {
-                id_sets.push(vec![env::STATUS_ID, a, b]);
-            }
-        }
-        if id_sets.is_empty() {
-            // Single-instance design: one run with everything enabled.
-            let mut all = ids;
-            all.push(env::STATUS_ID);
-            all.sort_unstable();
-            all.dedup();
-            id_sets.push(all);
-        }
+        let (groups, specs) = arbiter_explorations(ir, &d, opts);
         let mut total = BfsOutcome {
             reachable: 0,
             complete: true,
@@ -587,15 +617,11 @@ pub fn check_modules(
         splice_obs::trace::attr("module", arb_name.as_str());
         splice_obs::trace::attr("comb_nodes", d.comb_order.len() as u64);
         splice_obs::trace::attr("expr_nodes", d.expr_node_count() as u64);
-        for func_ids in id_sets {
-            let spec = ExploreSpec {
-                func_ids,
-                data_domain: vec![0],
-                max_states: opts.max_states,
-                max_depth: opts.max_depth,
-                stop: opts.stop,
-            };
-            let out = explore::explore(&d, &pins, &spec, &groups);
+        // One memo for every pair run: each instance's transitions carry
+        // over from one run to the next.
+        let mut memo = StepMemo::new(&d);
+        for spec in &specs {
+            let out = explore::explore(&d, &pins, spec, &groups, &mut memo);
             // Aggregate: reachable counts sum over pair runs (their state
             // sets overlap on the common idle background, so this is a
             // determinism metric, not a distinct-state count).

@@ -18,6 +18,9 @@
 //! Abstract/concrete sample pairs are built only from constructors whose
 //! containment is immediate (known points, `top`, `undriven`) and grown
 //! with `join`, so the sampler never assumes the soundness being tested.
+//! A second sampler also builds possibly-X values with a narrow interval
+//! field by field around a concrete word; each of its pairs is checked
+//! with `contains` before use.
 
 use splice_dataflow::engine::reset_slot;
 use splice_dataflow::flat::DomainValue;
@@ -67,50 +70,85 @@ fn join_is_commutative_idempotent_and_an_upper_bound() {
     });
 }
 
+/// Like [`sample_pair`], but half the draws are possibly-X values whose
+/// interval is narrower than their known-bits envelope: a concrete word
+/// with some X bits, an envelope and taint mask around it, and an interval
+/// between the envelope's bounds and the word's.
+fn sample_narrow_tainted_pair(rng: &mut Rng, width: u32) -> (AbsVal, TWord) {
+    if rng.bool() {
+        return sample_pair(rng, width);
+    }
+    let m = mask(width);
+    let unknown = (rng.next_u64() & m) | 1 << rng.range(0, width as u64);
+    let t = TWord { bits: rng.next_u64() & m & !unknown, unknown, width };
+    let free = unknown | (rng.next_u64() & m);
+    let kb = TWord { bits: t.bits & !free, unknown: free, width };
+    let xmask = unknown | (rng.next_u64() & free);
+    let lo = rng.range(kb.bits, t.bits + 1);
+    let hi = rng.range(t.bits | unknown, (kb.bits | free) + 1);
+    // Joining a value with itself normalizes it.
+    let raw = AbsVal { kb, xmask, lo, hi };
+    let a = raw.join(&raw);
+    debug_assert!(a.contains(&t));
+    (a, t)
+}
+
 #[test]
 fn every_operator_over_approximates_the_concrete_one() {
+    check(0x5EED_5012, 4000, |rng| assert_operators_contain(rng, sample_pair));
+}
+
+/// The same oracle on operands that may be X inside a narrow interval, the
+/// case in which `add` and `sub` once kept interval bounds.
+#[test]
+fn every_operator_over_approximates_on_narrow_tainted_operands() {
+    check(0x5EED_5016, 4000, |rng| assert_operators_contain(rng, sample_narrow_tainted_pair));
+}
+
+/// Draw two operands with `sample` and check every operator on them: the
+/// abstract result contains the concrete one, and a decided abstract
+/// condition decides the same way concretely.
+fn assert_operators_contain(rng: &mut Rng, sample: fn(&mut Rng, u32) -> (AbsVal, TWord)) {
     const OPS: [BinOp; 8] =
         [BinOp::Eq, BinOp::Ne, BinOp::Add, BinOp::Sub, BinOp::And, BinOp::Or, BinOp::Lt, BinOp::Ge];
-    check(0x5EED_5012, 4000, |rng| {
-        let w = *rng.pick(&WIDTHS);
-        let (a, ta) = sample_pair(rng, w);
-        let (b, tb) = sample_pair(rng, w);
-        let op = *rng.pick(&OPS);
-        let abs = DomainValue::binop(op, &a, &b);
-        let conc = TWord::binop(op, &ta, &tb);
-        assert!(
-            abs.contains(&conc),
-            "{op:?}({a:?}, {b:?}) = {abs:?} lost {op:?}({ta:?}, {tb:?}) = {conc:?}"
-        );
+    let w = *rng.pick(&WIDTHS);
+    let (a, ta) = sample(rng, w);
+    let (b, tb) = sample(rng, w);
+    let op = *rng.pick(&OPS);
+    let abs = DomainValue::binop(op, &a, &b);
+    let conc = TWord::binop(op, &ta, &tb);
+    assert!(
+        abs.contains(&conc),
+        "{op:?}({a:?}, {b:?}) = {abs:?} lost {op:?}({ta:?}, {tb:?}) = {conc:?}"
+    );
 
-        let (n_abs, n_conc) = (a.not(), ta.not());
-        assert!(n_abs.contains(&n_conc), "not({a:?}) = {n_abs:?} lost not({ta:?}) = {n_conc:?}");
+    let (n_abs, n_conc) = (a.not(), ta.not());
+    assert!(n_abs.contains(&n_conc), "not({a:?}) = {n_abs:?} lost not({ta:?}) = {n_conc:?}");
 
-        let hi = rng.range(0, w as u64) as u32;
-        let lo = rng.range(0, hi as u64 + 1) as u32;
-        let (s_abs, s_conc) = (a.slice(hi, lo), ta.slice(hi, lo));
-        assert!(s_abs.contains(&s_conc), "slice[{hi}:{lo}] of {a:?} lost {s_conc:?}: {s_abs:?}");
+    let hi = rng.range(0, w as u64) as u32;
+    let lo = rng.range(0, hi as u64 + 1) as u32;
+    let (s_abs, s_conc) = (a.slice(hi, lo), ta.slice(hi, lo));
+    assert!(s_abs.contains(&s_conc), "slice[{hi}:{lo}] of {a:?} lost {s_conc:?}: {s_abs:?}");
 
-        let (c_abs, c_conc) = (a.concat(&b), ta.concat(&tb));
-        assert!(c_abs.contains(&c_conc), "concat({a:?}, {b:?}) lost {c_conc:?}: {c_abs:?}");
+    let (c_abs, c_conc) = (a.concat(&b), ta.concat(&tb));
+    assert!(c_abs.contains(&c_conc), "concat({a:?}, {b:?}) lost {c_conc:?}: {c_abs:?}");
 
-        let rw = *rng.pick(&WIDTHS);
-        let (r_abs, r_conc) = (a.resize(rw), ta.resize(rw));
-        assert!(r_abs.contains(&r_conc), "resize({a:?}, {rw}) lost {r_conc:?}: {r_abs:?}");
+    let rw = *rng.pick(&WIDTHS);
+    let (r_abs, r_conc) = (a.resize(rw), ta.resize(rw));
+    assert!(r_abs.contains(&r_conc), "resize({a:?}, {rw}) lost {r_conc:?}: {r_abs:?}");
 
-        // Truth agrees: a decided abstract condition must decide the same
-        // way for every contained concrete word.
-        use splice_dataflow::flat::Truth;
-        match DomainValue::truth(&abs) {
-            Truth::True => {
-                assert_eq!(DomainValue::truth(&conc), Truth::True, "{abs:?} vs {conc:?}")
-            }
-            Truth::False => {
-                assert_eq!(DomainValue::truth(&conc), Truth::False, "{abs:?} vs {conc:?}")
-            }
-            Truth::Unknown => {}
+    // Truth agrees: a decided abstract condition must decide the same
+    // way for every contained concrete word.
+    use splice_dataflow::flat::Truth;
+    match DomainValue::truth(&abs) {
+        Truth::True => {
+            assert_eq!(DomainValue::truth(&conc), Truth::True, "{abs:?} vs {conc:?}")
         }
-    });
+        Truth::False => {
+            assert_eq!(DomainValue::truth(&conc), Truth::False, "{abs:?} vs {conc:?}")
+        }
+        Truth::Unknown => {}
+    }
 }
 
 #[test]

@@ -196,7 +196,25 @@ fn emit_transfer(
                 let pio = if t.io.dma { " (programmed I/O: too short for DMA)" } else { "" };
                 let _ = writeln!(o, "    /* Transfer {beats} beat(s) of {name}{note}{pio} */");
             }
-            if scalar && beats == 1 {
+            if scalar && beats == 1 && t.io.elem_bits() < params.bus_width {
+                // A macro moves a whole bus word, so a narrower scalar
+                // crosses the bus through a word temporary, never through
+                // its own address.
+                let ty = &t.io.ty.name;
+                let _ = if write {
+                    writeln!(
+                        o,
+                        "    {{ splice_word_t __w = (splice_word_t){name}; \
+                         WRITE_SINGLE(func_addr, &__w); }}"
+                    )
+                } else {
+                    writeln!(
+                        o,
+                        "    {{ splice_word_t __w; READ_SINGLE(func_addr, &__w); \
+                         result = ({ty})__w; }}"
+                    )
+                };
+            } else if scalar && beats == 1 {
                 let _ = writeln!(o, "    {op}_SINGLE(func_addr, &{name});");
             } else {
                 let mut offset = 0;

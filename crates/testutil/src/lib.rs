@@ -94,6 +94,18 @@ pub fn check(base_seed: u64, cases: u64, mut f: impl FnMut(&mut Rng)) {
     }
 }
 
+/// The shape perfbench's `gen_wide` scales: one PLB device with `n`
+/// functions `long fK(int nK, int*:nK xsK, char cK)`, each taking a
+/// length-bounded array.
+pub fn wide_spec(n: usize) -> String {
+    let mut s =
+        String::from("%device_name big\n%bus_type plb\n%bus_width 32\n%base_address 0x80000000\n");
+    for i in 0..n {
+        s.push_str(&format!("long f{i}(int n{i}, int*:n{i} xs{i}, char c{i});\n"));
+    }
+    s
+}
+
 /// A generator of well-formed Splice specifications: one to five functions
 /// on any of the seven builtin buses at any width it allows, with scalar,
 /// split (wider than the bus), packed, explicitly and implicitly bounded,

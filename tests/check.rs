@@ -22,9 +22,16 @@
 //!    runs in agree with the ternary explorer wherever it knows a bit, and
 //!    with each other after reset, on every module the examples generate,
 //!    not only on random designs.
+//! 6. **Exact reuse**: an exploration returns the same outcome, trace
+//!    included, whether its step memo is empty, fresh, or shared with
+//!    every other pair run of its arbiter.
 
 use splice::pipeline::{run_pipeline, PipelineError, PipelineOptions};
-use splice_check::{check_modules, cross_check, CheckOptions, CheckOutcome, Witness};
+use splice_check::explore::{explore, BfsOutcome, BfsViolation, StepMemo};
+use splice_check::{
+    arbiter_explorations, check_modules, cross_check, env, stub_exploration, CheckOptions,
+    CheckOutcome, Witness,
+};
 use splice_core::elaborate::elaborate;
 use splice_core::hdlgen::design_modules;
 use splice_core::DesignIr;
@@ -460,6 +467,85 @@ fn disabled_func_id_remap_yields_confirmed_mutex_counterexample() {
         &out.counterexamples,
         &[("user_apb_sensor", "SL0403", overlap, &[RESET, RESET, [0, 0, 0, 1, 1, 1]])],
     );
+
+    // Explored again with the memo of a first run, every edge is composed
+    // from learned transitions, and the same overlap and trace come back.
+    let d = CompiledDesign::compile(&modules, "user_apb_sensor").expect("compiles");
+    let pins = env::resolve_pins(&d).expect("SIS pins");
+    let (groups, specs) = arbiter_explorations(&ir, &d, &CheckOptions::default());
+    let mut memo = StepMemo::new(&d);
+    let first = explore(&d, &pins, &specs[0], &groups, &mut memo);
+    let stepped = memo.stepped();
+    let second = explore(&d, &pins, &specs[0], &groups, &mut memo);
+    assert_eq!(memo.stepped(), stepped, "the second run steps no edge");
+    assert_eq!(first, second);
+    let (violation, trace) = second.violation.expect("the overlap is found again");
+    assert_eq!(
+        violation,
+        BfsViolation::MutexOverlap {
+            line: "IO_DONE".into(),
+            a: "f1_sample_IO_DONE".into(),
+            b: "f2_sample_IO_DONE".into(),
+        }
+    );
+    assert_eq!(trace, [RESET, RESET, [0, 0, 0, 1, 1, 1]].map(|r| r.to_vec()));
+}
+
+// ---------------------------------------------------------------------------
+// Exact reuse across explorations.
+// ---------------------------------------------------------------------------
+
+/// Every exploration `check_modules` runs on `spec`, three ways: with an
+/// empty memo (every edge stepped), with a fresh memo per run, and with one
+/// memo shared by all of a design's runs taken in reverse order. All three
+/// must agree outcome for outcome. Returns how many runs were compared.
+fn assert_memo_is_exact(spec: &str, opts: &CheckOptions) -> usize {
+    let (ir, modules) = generated(spec);
+    let mut designs = Vec::new();
+    for stub in &ir.stubs {
+        let d =
+            CompiledDesign::compile(&modules, &format!("func_{}", stub.name)).expect("compiles");
+        designs.push((d, Vec::new(), vec![stub_exploration(&ir, stub, opts)]));
+    }
+    let arb = format!("user_{}", ir.module.params.device_name);
+    if modules.iter().any(|m| m.name == arb) {
+        let d = CompiledDesign::compile(&modules, &arb).expect("compiles");
+        let (groups, specs) = arbiter_explorations(&ir, &d, opts);
+        designs.push((d, groups, specs));
+    }
+    let mut runs = 0;
+    for (d, groups, specs) in &designs {
+        let pins = env::resolve_pins(d).expect("SIS pins");
+        let empty: Vec<BfsOutcome> =
+            specs.iter().map(|s| explore(d, &pins, s, groups, &mut StepMemo::default())).collect();
+        let fresh: Vec<BfsOutcome> =
+            specs.iter().map(|s| explore(d, &pins, s, groups, &mut StepMemo::new(d))).collect();
+        let mut memo = StepMemo::new(d);
+        let mut shared: Vec<BfsOutcome> =
+            specs.iter().rev().map(|s| explore(d, &pins, s, groups, &mut memo)).collect();
+        shared.reverse();
+        assert_eq!(fresh, empty, "{}: a fresh memo changed an outcome", d.name);
+        assert_eq!(shared, empty, "{}: a shared memo changed an outcome", d.name);
+        runs += specs.len();
+    }
+    runs
+}
+
+#[test]
+fn step_memo_reuse_is_exact_on_examples_and_generated_specs() {
+    let mut runs = 0;
+    for stem in ["apb_sensor", "dma_stream", "fir_filter", "hw_timer", "mac"] {
+        runs += assert_memo_is_exact(&example_spec(stem), &CheckOptions::default());
+    }
+    // Budgets small enough that most runs stop on them.
+    let small = CheckOptions { max_states: 600, max_depth: 24, ..CheckOptions::default() };
+    runs += assert_memo_is_exact(&splice_testutil::wide_spec(4), &small);
+    let tiny = CheckOptions { max_states: 40, max_depth: 16, ..CheckOptions::default() };
+    let mut rng = Rng::new(0x57E9_3E30);
+    for _ in 0..20 {
+        runs += assert_memo_is_exact(&splice_testutil::arb_spec(&mut rng), &tiny);
+    }
+    assert!(runs > 100, "{runs} explorations compared");
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@
 //! over scenarios S1–S4, the benchmark's idle `nowait` device and specs from
 //! `splice_testutil::arb_spec`. Two more tests compile the example and
 //! Fig 9.2 drivers against the `splice_lib.h` Splice emits with warnings
-//! as errors, and a use of `splice_lib_linux.h`; a last one checks that
+//! as errors, and a use of `splice_lib_linux.h`; one compiles scalars
+//! narrower than the bus word the same way, and a last one checks that
 //! both headers' `splice_word_t` is one bus word at every Wishbone width.
 
 use splice_devices::interp::{interp_spec, Scenario};
@@ -311,18 +312,45 @@ fn emitted_c_matches_lowering_on_generated_specs() {
 fn drivers_compile_against_the_emitted_header() {
     let dir = tmp_dir("strict");
     for (name, spec) in example_specs().into_iter().chain(fig_9_2_builds()) {
-        let m = module(&spec);
-        let p = &m.params;
-        let dev = &p.device_name;
-        let sub = dir.join(&name);
-        std::fs::create_dir_all(&sub).unwrap();
-        let lib_h = macro_header_with_irq(&p.bus, p.bus_width, p.base_address, p.irq);
-        std::fs::write(sub.join("splice_lib.h"), &lib_h).unwrap();
-        std::fs::write(sub.join(format!("{dev}_driver.h")), driver_header(&m)).unwrap();
-        std::fs::write(sub.join(format!("{dev}_driver.c")), driver_source(&m)).unwrap();
-        let driver = format!("{dev}_driver.c");
-        let args: Vec<&str> = STRICT.iter().copied().chain(["-c", &driver]).collect();
-        cc(&sub, &args, &format!("{spec}\n{lib_h}"));
+        assert_compiles_strictly(&dir.join(&name), &spec);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Compile `spec`'s driver in `dir` against the `splice_lib.h` Splice
+/// emits, with warnings as errors.
+fn assert_compiles_strictly(dir: &Path, spec: &str) {
+    let m = module(spec);
+    let p = &m.params;
+    let dev = &p.device_name;
+    std::fs::create_dir_all(dir).unwrap();
+    let lib_h = macro_header_with_irq(&p.bus, p.bus_width, p.base_address, p.irq);
+    let driver_c = driver_source(&m);
+    std::fs::write(dir.join("splice_lib.h"), &lib_h).unwrap();
+    std::fs::write(dir.join(format!("{dev}_driver.h")), driver_header(&m)).unwrap();
+    std::fs::write(dir.join(format!("{dev}_driver.c")), &driver_c).unwrap();
+    let driver = format!("{dev}_driver.c");
+    let args: Vec<&str> = STRICT.iter().copied().chain(["-c", &driver]).collect();
+    cc(dir, &args, &format!("{spec}\n{lib_h}\n{driver_c}"));
+}
+
+/// Scalars narrower than the bus word (`char` and `short`, and `int` on a
+/// 64-bit bus), as inputs and as results, compile against the emitted
+/// header with warnings as errors: each crosses the bus through a word
+/// temporary rather than through its own address. Their calls still
+/// match the lowering op for op.
+#[test]
+fn narrow_scalars_cross_the_bus_through_a_word() {
+    let dir = tmp_dir("narrow");
+    let mut rng = Rng::new(0xC0DE_0003);
+    for (bus, width) in [("plb", 32), ("ahb", 64)] {
+        let spec = format!(
+            "%device_name narrow_{bus}\n%bus_type {bus}\n%bus_width {width}\n\
+             %base_address 0x80000000\nchar fc(char a);\nshort fs(short b);\n\
+             int fi(int c);\nint fn0(char*:5 p0);\n"
+        );
+        assert_compiles_strictly(&dir.join(format!("strict_{bus}")), &spec);
+        assert_seeded_calls_match(&dir, bus, &spec, &mut rng);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

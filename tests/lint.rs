@@ -66,11 +66,7 @@ fn generator_output_lints_clean_for_every_example_spec() {
 /// `gen_wide` scales.
 #[test]
 fn the_widest_valid_device_lints_clean() {
-    let mut source =
-        String::from("%device_name big\n%bus_type plb\n%bus_width 32\n%base_address 0x80000000\n");
-    for i in 0..63 {
-        source.push_str(&format!("long f{i}(int n{i}, int*:n{i} xs{i}, char c{i});\n"));
-    }
+    let source = splice_testutil::wide_spec(63);
     let out = run_pipeline(&source, "wide.splice", &PipelineOptions::default())
         .expect("63 functions validate");
     assert!(out.lint.is_clean(), "{}", out.lint.render_text());
