@@ -53,6 +53,16 @@ struct CProfile {
     waits: bool,
 }
 
+/// The programmed-I/O transaction macros: marker, beats, whether a write.
+const MACROS: [(&str, u64, bool); 6] = [
+    ("WRITE_SINGLE(", 1, true),
+    ("WRITE_DOUBLE(", 2, true),
+    ("WRITE_QUAD(", 4, true),
+    ("READ_SINGLE(", 1, false),
+    ("READ_DOUBLE(", 2, false),
+    ("READ_QUAD(", 4, false),
+];
+
 /// Scan one driver function body for its transaction-macro footprint.
 fn scan_body(body: &str) -> CProfile {
     let mut p = CProfile::default();
@@ -93,14 +103,7 @@ fn scan_body(body: &str) -> CProfile {
             }
             continue;
         }
-        for (marker, beats, write) in [
-            ("WRITE_SINGLE(", 1, true),
-            ("WRITE_DOUBLE(", 2, true),
-            ("WRITE_QUAD(", 4, true),
-            ("READ_SINGLE(", 1, false),
-            ("READ_DOUBLE(", 2, false),
-            ("READ_QUAD(", 4, false),
-        ] {
+        for (marker, beats, write) in MACROS {
             if line.contains(marker) {
                 if write {
                     p.writes += beats;
@@ -123,12 +126,16 @@ fn dma_words(line: &str) -> Option<u64> {
     head[start..].trim().parse().ok()
 }
 
-/// Detect a transfer loop `for (<init>; <test>; <step>)`. Returns
-/// `Some(Some(n))` for a single-beat loop with a literal bound
-/// (`__i < n`), `Some(None)` for a runtime-bounded loop (`__i < (unsigned)(x)`,
-/// or a burst loop `__i + 4 <= (unsigned)(x)`), `None` when the line is not
-/// a loop.
+/// Detect a transfer loop `for (<init>; <test>; <step>)` around a
+/// transaction macro. Returns `Some(Some(n))` for a single-beat loop with a
+/// literal bound (`__i < n`), `Some(None)` for a runtime-bounded loop
+/// (`__i < (unsigned)(x)`, or a burst loop `__i + 4 <= (unsigned)(x)`),
+/// `None` when the line is not a transfer loop (the copy loops of a
+/// staging buffer move no beat).
 fn loop_bound(line: &str) -> Option<Option<u64>> {
+    if !MACROS.iter().any(|(marker, ..)| line.contains(marker)) {
+        return None;
+    }
     let at = line.find("for (")?;
     let test = line[at..].split(';').nth(1)?.trim();
     Some(test.strip_prefix("__i < ").and_then(|n| n.trim().parse().ok()))

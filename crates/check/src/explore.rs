@@ -17,11 +17,13 @@
 //!
 //! A flattened arbiter's instances step independently, so a [`StepMemo`]
 //! learns each instance's transitions once and composes later edges from
-//! them, across every exploration of the design.
+//! them, across every exploration of the design. The safety checks read
+//! only a few registers ([`observed_registers`]), so each exploration
+//! settles an observation once per row and value of those registers.
 
 use crate::compile::{CompiledDesign, Interp};
 use crate::env::EnvPins;
-use crate::tv::TWord;
+use crate::tv::{self, TWord};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 
@@ -102,11 +104,12 @@ pub struct MutexGroup {
     pub members: Vec<usize>,
 }
 
+/// How a stored state was reached, in `u32`s like the [`WordSet`] indices.
 struct Stored {
     /// Index into the environment's rows of the row that led here (unused
     /// for the reset state).
-    row: usize,
-    parent: usize,
+    row: u32,
+    parent: u32,
     depth: u32,
 }
 
@@ -116,7 +119,8 @@ const NONE: u32 = u32::MAX;
 
 /// Rows of `width` words, each stored once in insertion order and found
 /// through an open-addressing table of row indices. It holds the BFS's
-/// visited states and each step group's local states.
+/// visited states, each step group's local states and the observations
+/// the verdict set is keyed on.
 struct WordSet {
     width: usize,
     words: Vec<u64>,
@@ -230,6 +234,17 @@ impl Layout {
         }
     }
 
+    /// The words holding some of the register slots `slots`, each with
+    /// the mask of those slots' bits in it.
+    fn mask(&self, slots: &[usize]) -> Vec<(usize, u64)> {
+        let mut mask = vec![0u64; self.words];
+        for &slot in slots {
+            let (word, shift) = self.at[slot];
+            mask[word] |= tv::mask(self.widths[slot]) << shift;
+        }
+        mask.into_iter().enumerate().filter(|&(_, m)| m != 0).collect()
+    }
+
     fn unpack(&self, packed: &[u64], out: &mut Vec<TWord>) {
         out.clear();
         out.extend(
@@ -241,6 +256,42 @@ impl Layout {
     }
 }
 
+/// `set |= other`, growing `set` to `words` words.
+fn or_into(set: &mut Vec<u64>, other: &[u64], words: usize) {
+    set.resize(words, 0);
+    for (acc, &w) in set.iter_mut().zip(other) {
+        *acc |= w;
+    }
+}
+
+/// Register support of each signal of `d`: the register slots a settle
+/// reads to produce it, as a bitset over register slots (empty: none). One
+/// pass in `comb_order` is exact: a settle runs the nodes once in that
+/// order, so a read sees only earlier nodes' writes.
+fn register_support(d: &CompiledDesign) -> Vec<Vec<u64>> {
+    let words = d.registers.len().div_ceil(64);
+    let mut support: Vec<Vec<u64>> = vec![Vec::new(); d.signals.len()];
+    for (slot, &id) in d.registers.iter().enumerate() {
+        support[id] = vec![0; words];
+        support[id][slot / 64] |= 1 << (slot % 64);
+    }
+    for node in &d.comb_order {
+        let mut set = Vec::new();
+        for &id in &node.reads {
+            or_into(&mut set, &support[id], words);
+        }
+        for &id in &node.writes {
+            or_into(&mut support[id], &set, words);
+        }
+    }
+    support
+}
+
+/// The register slots in the bitset `set`, ascending.
+fn slots_in(set: &[u64], n: usize) -> impl Iterator<Item = usize> + '_ {
+    (0..n).filter(move |&slot| set.get(slot / 64).is_some_and(|w| w >> (slot % 64) & 1 == 1))
+}
+
 /// Partition `d`'s registers into step groups: the registers of two
 /// clocked processes share a group when one reads a register the other
 /// writes, directly or through the combinational nets, or when both write
@@ -250,29 +301,7 @@ impl Layout {
 pub fn step_groups(d: &CompiledDesign) -> Vec<Vec<usize>> {
     let n = d.registers.len();
     let words = n.div_ceil(64);
-    let or_into = |set: &mut Vec<u64>, other: &[u64]| {
-        set.resize(words, 0);
-        for (acc, &w) in set.iter_mut().zip(other) {
-            *acc |= w;
-        }
-    };
-    // Register support of each signal as a bitset over register slots
-    // (empty: none). One pass in `comb_order` is exact: a settle runs the
-    // nodes once in that order, so a read sees only earlier nodes' writes.
-    let mut support: Vec<Vec<u64>> = vec![Vec::new(); d.signals.len()];
-    for (slot, &id) in d.registers.iter().enumerate() {
-        support[id] = vec![0; words];
-        support[id][slot / 64] |= 1 << (slot % 64);
-    }
-    for node in &d.comb_order {
-        let mut set = Vec::new();
-        for &id in &node.reads {
-            or_into(&mut set, &support[id]);
-        }
-        for &id in &node.writes {
-            or_into(&mut support[id], &set);
-        }
-    }
+    let support = register_support(d);
     // Union-find over register slots, each root the smallest slot of its
     // class.
     fn root(parent: &mut [usize], mut i: usize) -> usize {
@@ -286,9 +315,9 @@ pub fn step_groups(d: &CompiledDesign) -> Vec<Vec<usize>> {
     for node in &d.clocked {
         let mut set = vec![0; words];
         for &id in node.reads.iter().chain(&node.writes) {
-            or_into(&mut set, &support[id]);
+            or_into(&mut set, &support[id], words);
         }
-        let mut slots = (0..n).filter(|&slot| set[slot / 64] >> (slot % 64) & 1 == 1);
+        let mut slots = slots_in(&set, n);
         if let Some(first) = slots.next() {
             for slot in slots {
                 let (a, b) = (root(&mut parent, first), root(&mut parent, slot));
@@ -309,6 +338,25 @@ pub fn step_groups(d: &CompiledDesign) -> Vec<Vec<usize>> {
     groups
 }
 
+/// The register slots, ascending, whose values decide the safety checks'
+/// settle on an edge: the register support of every output, of
+/// DATA_OUT_VALID and DATA_OUT, and of every mutex member. The settle's
+/// verdict is a function of these registers and the input row alone.
+pub fn observed_registers(
+    d: &CompiledDesign,
+    pins: &EnvPins,
+    mutex_groups: &[MutexGroup],
+) -> Vec<usize> {
+    let words = d.registers.len().div_ceil(64);
+    let support = register_support(d);
+    let mut set = vec![0; words];
+    let members = mutex_groups.iter().flat_map(|g| &g.members);
+    for &id in d.outputs.iter().chain([&pins.dov, &pins.data_out]).chain(members) {
+        or_into(&mut set, &support[id], words);
+    }
+    slots_in(&set, d.registers.len()).collect()
+}
+
 /// Transitions learned per step group ([`step_groups`]), kept across every
 /// exploration of one design so the pair runs of an arbiter share them.
 ///
@@ -327,8 +375,12 @@ pub struct StepMemo {
     /// [`NONE`].
     next: Vec<Vec<Vec<u32>>>,
     rows: HashMap<Vec<u64>, u32>,
+    /// Edges tried.
+    edges: u64,
     /// Edges that ran [`Interp::step`].
     stepped: u64,
+    /// Observations settled for the safety checks.
+    settled: u64,
 }
 
 impl StepMemo {
@@ -348,10 +400,22 @@ impl StepMemo {
         self.groups.len()
     }
 
+    /// Edges tried, over every exploration given this memo.
+    pub fn edges(&self) -> u64 {
+        self.edges
+    }
+
     /// Edges, over every exploration given this memo, that it could not
     /// compose, so the design was stepped.
     pub fn stepped(&self) -> u64 {
         self.stepped
+    }
+
+    /// Edges, over every exploration given this memo, whose safety checks
+    /// settled the observation because no earlier edge of the same
+    /// exploration had the same row and observed registers.
+    pub fn settled(&self) -> u64 {
+        self.settled
     }
 
     fn row_id(&mut self, row: &[u64]) -> u32 {
@@ -408,6 +472,52 @@ impl StepMemo {
     }
 }
 
+/// The verdict set of one exploration. The safety checks' settle on an
+/// edge is a pure function of its row and the successor's
+/// [`observed_registers`], so each distinct observation (a packed state's
+/// words masked to those registers) is interned and carries one bit per
+/// row whose settle checked clean.
+struct Verdicts {
+    /// `(word, mask)` of each packed word holding observed register bits.
+    observed: Vec<(usize, u64)>,
+    views: WordSet,
+    /// The observation being looked up.
+    view: Vec<u64>,
+    row_words: usize,
+    /// `row_words` words of clean bits per observation.
+    clean: Vec<u64>,
+}
+
+impl Verdicts {
+    fn new(observed: Vec<(usize, u64)>, rows: usize) -> Verdicts {
+        Verdicts {
+            views: WordSet::new(observed.len()),
+            view: vec![0; observed.len()],
+            observed,
+            row_words: rows.div_ceil(64),
+            clean: Vec::new(),
+        }
+    }
+
+    /// The observation of the packed state `packed`.
+    fn view(&mut self, packed: &[u64]) -> u32 {
+        for (v, &(word, mask)) in self.view.iter_mut().zip(&self.observed) {
+            *v = packed[word] & mask;
+        }
+        let idx = self.views.intern(&self.view);
+        self.clean.resize(self.views.len * self.row_words, 0);
+        idx as u32
+    }
+
+    fn is_clean(&self, view: u32, row: usize) -> bool {
+        self.clean[view as usize * self.row_words + row / 64] >> (row % 64) & 1 == 1
+    }
+
+    fn mark_clean(&mut self, view: u32, row: usize) {
+        self.clean[view as usize * self.row_words + row / 64] |= 1 << (row % 64);
+    }
+}
+
 /// Breadth-first search of the product of `d` and the free environment.
 ///
 /// `memo` must be [`StepMemo::new`] of `d` (or empty); it carries what one
@@ -415,9 +525,12 @@ impl StepMemo {
 ///
 /// * an edge is composed from `memo`'s per-group transitions when every
 ///   group has one, and only otherwise stepped;
-/// * the safety checks on an edge are a pure function of the successor and
-///   the row, so a successor already stored carries one bit per row checked
-///   clean, and a set bit skips the observation settle;
+/// * the safety checks' settle is a pure function of the row and the
+///   successor's [`observed_registers`], so one verdict set per call, keyed
+///   on (row, the successor's packed words masked to those registers),
+///   skips the settle of every key already checked clean; a violating key
+///   is never entered, so the first violation is the one a settle of every
+///   edge finds;
 /// * each state's register bits are stored once, packed at fixed (word,
 ///   shift) slots, and found through an open-addressing table.
 ///
@@ -477,8 +590,8 @@ pub fn explore(
     let trace_to = |stored: &[Stored], mut idx: usize, last: &[u64]| -> Vec<Vec<u64>> {
         let mut trace = vec![last.to_vec()];
         while idx != 0 {
-            trace.push(rows[stored[idx].row].0.clone());
-            idx = stored[idx].parent;
+            trace.push(rows[stored[idx].row as usize].0.clone());
+            idx = stored[idx].parent as usize;
         }
         trace.push(reset_row.clone());
         trace.push(reset_row.clone());
@@ -511,9 +624,10 @@ pub fn explore(
     let mut packed = vec![0u64; layout.words];
     layout.pack(&state, &mut packed);
     states.intern(&packed);
-    // Per stored state, one bit per row whose observation checked clean.
-    let row_words = rows.len().div_ceil(64);
-    let mut clean = vec![0u64; row_words];
+    let observed = layout.mask(&observed_registers(d, pins, mutex_groups));
+    let mut verdicts = Verdicts::new(observed, rows.len());
+    // Per stored state, its observation in `verdicts`.
+    let mut state_views = vec![verdicts.view(&packed)];
     let mut cur: Vec<TWord> = Vec::with_capacity(layout.widths.len());
     let mut locals: Vec<u32> = Vec::with_capacity(memo.groups.len());
 
@@ -544,6 +658,7 @@ pub fn explore(
         layout.unpack(states.get(idx), &mut cur);
         memo.locals_of(states.get(idx), &layout, &mut locals);
         for (r, (row, inputs)) in rows.iter().enumerate() {
+            memo.edges += 1;
             let composed = memo.compose(row_ids[r], &locals, &layout, &mut packed);
             let known = composed || {
                 interp.step(&cur, inputs, &mut next);
@@ -553,12 +668,16 @@ pub fn explore(
                 next.iter().all(TWord::is_known)
             };
             let seen = known.then(|| states.find(&packed));
-            let (word, bit) = (r / 64, 1u64 << (r % 64));
-            let checked = matches!(seen, Some(Ok(j)) if clean[j * row_words + word] & bit != 0);
-            if !checked {
+            let view = match seen {
+                Some(Ok(j)) => Some(state_views[j]),
+                Some(Err(_)) => Some(verdicts.view(&packed)),
+                None => None,
+            };
+            if !view.is_some_and(|v| verdicts.is_clean(v, r)) {
                 if composed {
                     layout.unpack(&packed, &mut next);
                 }
+                memo.settled += 1;
                 if let Some(v) = check_state(d, pins, &next, inputs, mutex_groups, &mut interp) {
                     let trace = trace_to(&stored, idx, row);
                     return BfsOutcome {
@@ -571,22 +690,18 @@ pub fn explore(
                         violation: Some((v, trace)),
                     };
                 }
+                verdicts.mark_clean(view.expect("check_state rejects a successor carrying X"), r);
             }
-            let slot = match seen.expect("check_state rejects a successor carrying X") {
-                Ok(j) => {
-                    clean[j * row_words + word] |= bit;
-                    continue;
-                }
-                Err(slot) => slot,
+            let (Some(Err(slot)), Some(view)) = (seen, view) else {
+                continue;
             };
             if stored.len() >= spec.max_states {
                 budget_exhausted = true;
                 continue;
             }
             let new_idx = states.insert_at(slot, &packed);
-            clean.resize(clean.len() + row_words, 0);
-            clean[new_idx * row_words + word] |= bit;
-            stored.push(Stored { row: r, parent: idx, depth: depth + 1 });
+            state_views.push(view);
+            stored.push(Stored { row: r as u32, parent: idx as u32, depth: depth + 1 });
             queue.push_back(new_idx);
             frontier_peak = frontier_peak.max(queue.len());
         }
@@ -651,13 +766,21 @@ mod tests {
     use super::*;
     use splice_hdl::{Decl, Expr, Instance, Item, Module, Port, Process, Stmt};
 
-    fn compiled(stem: &str, top: &str) -> CompiledDesign {
+    fn generated(stem: &str) -> (splice_core::DesignIr, Vec<Module>) {
         let path = format!("{}/../../examples/specs/{stem}.splice", env!("CARGO_MANIFEST_DIR"));
         let text = std::fs::read_to_string(path).expect("example spec exists");
         let v = splice_spec::parse_and_validate(&text).expect("example validates");
         let ir = splice_core::elaborate(&v.module);
         let modules = splice_core::hdlgen::design_modules(&ir, "check").expect("generates");
-        CompiledDesign::compile(&modules, top).expect("compiles")
+        (ir, modules)
+    }
+
+    fn compiled(stem: &str, top: &str) -> CompiledDesign {
+        CompiledDesign::compile(&generated(stem).1, top).expect("compiles")
+    }
+
+    fn register_names(d: &CompiledDesign, slots: &[usize]) -> Vec<String> {
+        slots.iter().map(|&slot| d.signals[d.registers[slot]].name.clone()).collect()
     }
 
     /// Every instance of an example arbiter is a step group of its own (the
@@ -682,9 +805,10 @@ mod tests {
         assert_eq!(StepMemo::new(&d).group_count(), 0, "one group: the memo is empty");
     }
 
-    /// Two instances of a one-register cell, and a top-level process that
-    /// latches `watched`.
-    fn watcher(watched: Expr) -> CompiledDesign {
+    /// A top module with instances `u_<tag>` of a one-register cell (`r`
+    /// latches EN; Q reads `r` through a continuous assign), each Q on net
+    /// `q<tag>`, and `both` = qa & qb.
+    fn cells(tags: &[&str], out: Port) -> (Module, Module) {
         let mut cell = Module::new("cell");
         cell.ports = vec![Port::input("CLK", 1), Port::input("EN", 1), Port::output("Q", 1)];
         cell.decls = vec![Decl::Signal { name: "r".into(), width: 1, init: Some(0) }];
@@ -697,23 +821,30 @@ mod tests {
             Item::Assign { lhs: "Q".into(), rhs: Expr::sig("r") },
         ];
         let mut top = Module::new("top");
-        top.ports = vec![Port::input("CLK", 1), Port::input("EN", 1), Port::output("SEEN", 1)];
-        for name in ["qa", "qb", "both"] {
-            top.decls.push(Decl::Signal { name: name.into(), width: 1, init: None });
-        }
-        for (label, q) in [("u_a", "qa"), ("u_b", "qb")] {
+        top.ports = vec![Port::input("CLK", 1), Port::input("EN", 1), out];
+        top.decls.push(Decl::Signal { name: "both".into(), width: 1, init: None });
+        for tag in tags {
+            let q = format!("q{tag}");
+            top.decls.push(Decl::Signal { name: q.clone(), width: 1, init: None });
             top.items.push(Item::Instance(Instance {
-                label: label.into(),
+                label: format!("u_{tag}"),
                 module: "cell".into(),
                 connections: vec![
                     ("CLK".into(), "CLK".into()),
                     ("EN".into(), "EN".into()),
-                    ("Q".into(), q.into()),
+                    ("Q".into(), q),
                 ],
             }));
         }
         top.items
             .push(Item::Assign { lhs: "both".into(), rhs: Expr::sig("qa").and(Expr::sig("qb")) });
+        (cell, top)
+    }
+
+    /// Two instances of the cell, and a top-level process that latches
+    /// `watched`.
+    fn watcher(watched: Expr) -> CompiledDesign {
+        let (cell, mut top) = cells(&["a", "b"], Port::output("SEEN", 1));
         top.items.push(Item::Process(Process {
             label: "watch".into(),
             clocked: true,
@@ -735,5 +866,50 @@ mod tests {
         let d = watcher(Expr::sig("EN"));
         assert_eq!(step_groups(&d).len(), 3);
         assert_eq!(StepMemo::new(&d).group_count(), 3);
+    }
+
+    /// On the `mac` arbiter the safety checks read each instance's four
+    /// output registers, 12 of its 20: the instances' FSM registers never
+    /// reach an observed net, so they are left out of the verdict key.
+    #[test]
+    fn the_mac_arbiter_observes_each_instance_s_output_registers() {
+        let (ir, modules) = generated("mac");
+        let d = CompiledDesign::compile(&modules, "user_mac_unit").expect("compiles");
+        let pins = crate::env::resolve_pins(&d).expect("SIS pins");
+        let (groups, _) = crate::arbiter_explorations(&ir, &d, &crate::CheckOptions::default());
+        assert_eq!(groups.len(), 2, "IO_DONE and DATA_OUT_VALID");
+        let want: Vec<String> = ["f1_mac", "f2_mac_clear", "f3_preload"]
+            .iter()
+            .flat_map(|inst| {
+                ["DATA_OUT", "DATA_OUT_VALID", "IO_DONE", "CALC_DONE"]
+                    .map(|reg| format!("{inst}_{reg}"))
+            })
+            .collect();
+        assert_eq!(register_names(&d, &observed_registers(&d, &pins, &groups)), want);
+        assert_eq!(d.registers.len(), 20);
+    }
+
+    /// An output that reads registers only through combinational nets
+    /// (each cell's Q assign, then `both`) observes those registers, and a
+    /// register whose net reaches no output is left out.
+    #[test]
+    fn a_read_through_combinational_nets_is_observed() {
+        let (cell, mut top) = cells(&["a", "b", "c"], Port::output("OUT", 1));
+        top.items.push(Item::Assign { lhs: "OUT".into(), rhs: Expr::sig("both") });
+        let d = CompiledDesign::compile(&[cell, top], "top").expect("compiles");
+        assert_eq!(d.registers.len(), 3);
+        let out = d.signal_id("OUT").expect("OUT");
+        let pins = EnvPins {
+            rst: 0,
+            data_in: 0,
+            valid: 0,
+            enable: 0,
+            func: 0,
+            io_done: out,
+            dov: out,
+            data_out: out,
+            calc_done: None,
+        };
+        assert_eq!(register_names(&d, &observed_registers(&d, &pins, &[])), ["u_a.r", "u_b.r"]);
     }
 }

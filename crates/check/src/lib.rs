@@ -517,6 +517,14 @@ pub fn arbiter_explorations(
     (groups, specs)
 }
 
+/// The work counts of a `check.explore` span: edges tried, edges stepped
+/// and observations settled.
+fn memo_attrs(memo: &StepMemo) {
+    splice_obs::trace::attr("edges", memo.edges());
+    splice_obs::trace::attr("stepped", memo.stepped());
+    splice_obs::trace::attr("settled", memo.settled());
+}
+
 /// Model-check the generated HDL of `ir`. `modules` must be the module set
 /// `design_modules` emitted for this IR.
 pub fn check_modules(
@@ -578,9 +586,11 @@ pub fn check_modules(
             splice_obs::trace::attr("module", mod_name.as_str());
             splice_obs::trace::attr("comb_nodes", d.comb_order.len() as u64);
             splice_obs::trace::attr("expr_nodes", d.expr_node_count() as u64);
-            let out = explore::explore(&d, &pins, &spec, &[], &mut StepMemo::new(&d));
+            let mut memo = StepMemo::new(&d);
+            let out = explore::explore(&d, &pins, &spec, &[], &mut memo);
             splice_obs::trace::attr("reachable", out.reachable as u64);
             splice_obs::trace::attr("frontier_peak", out.frontier_peak as u64);
+            memo_attrs(&memo);
             out
         };
         let interrupted = out.interrupted;
@@ -641,6 +651,7 @@ pub fn check_modules(
         }
         splice_obs::trace::attr("reachable", total.reachable as u64);
         splice_obs::trace::attr("frontier_peak", total.frontier_peak as u64);
+        memo_attrs(&memo);
         drop(_sp);
         record_bfs(&arb_name, &d, total, opts, &mut report, &mut cexs, &mut stats);
     }

@@ -161,9 +161,25 @@ fn macro_name(width: u32) -> &'static str {
     }
 }
 
+/// Whether an array's memory layout differs from its bus-word layout, so
+/// that it crosses the bus through a zero-filled staging buffer of words:
+/// elements narrower than the word travel one per word, and a packed count
+/// that is not a whole number of beats would leave the last beat partly
+/// past the array's end.
+fn staged(params: &ModuleParams, t: &Transfer) -> bool {
+    match (t.io.bound, t.shape) {
+        (IoBound::Scalar, _) | (_, TransferShape::Split { .. }) => false,
+        (_, TransferShape::Direct) => t.io.elem_bits() < params.bus_width,
+        (IoBound::Explicit(n), TransferShape::Packed { per_beat }) => n % u64::from(per_beat) != 0,
+        (_, TransferShape::Packed { per_beat }) => per_beat > 1,
+    }
+}
+
 /// Print one transfer of the plan: straight-line macros for a static beat
 /// count, loops for a runtime one, and the DMA macro where DMA carries it.
-/// An input gets a comment line and a trailing blank line.
+/// An input gets a comment line and a trailing blank line. A [`staged`]
+/// array is copied into the buffer `__w` before it is written, or out of
+/// it after it is read: element k in word k, or its bytes in order.
 fn emit_transfer(
     o: &mut String,
     params: &ModuleParams,
@@ -173,8 +189,14 @@ fn emit_transfer(
 ) {
     let (op, name) = if write { ("WRITE", t.io.name.as_str()) } else { ("READ", "result") };
     let scalar = matches!(t.io.bound, IoBound::Scalar);
-    // Where the beats live: a scalar's address, an array's pointer.
-    let base = if scalar { format!("&{name}") } else { name.to_owned() };
+    let staged = staged(params, t);
+    // Where the beats live: a scalar's address, an array's pointer, or the
+    // staging buffer.
+    let base = match (staged, scalar) {
+        (true, _) => "__w".to_owned(),
+        (false, true) => format!("&{name}"),
+        (false, false) => name.to_owned(),
+    };
     let note = match t.shape {
         TransferShape::Direct => String::new(),
         TransferShape::Packed { per_beat } => format!(" ({per_beat} values packed per beat)"),
@@ -183,13 +205,16 @@ fn emit_transfer(
         }
     };
     let dma =
-        |n: &str| format!("{op}_DMA(func_addr, (splice_word_t *){name}, {n} * SPLICE_WORD_BYTES);");
-    match t.beats {
+        |n: &str| format!("{op}_DMA(func_addr, (splice_word_t *){base}, {n} * SPLICE_WORD_BYTES);");
+    // The macro lines, apart from the comment.
+    let mut body = String::new();
+    let beats = match t.beats {
         Beats::Static(beats) if t.by_dma(beats) => {
             if write {
                 let _ = writeln!(o, "    /* Transfer {name} via DMA{note} */");
             }
-            let _ = writeln!(o, "    {}", dma(&beats.to_string()));
+            let _ = writeln!(body, "    {}", dma(&beats.to_string()));
+            beats.to_string()
         }
         Beats::Static(beats) => {
             if write {
@@ -203,30 +228,31 @@ fn emit_transfer(
                 let ty = &t.io.ty.name;
                 let _ = if write {
                     writeln!(
-                        o,
+                        body,
                         "    {{ splice_word_t __w = (splice_word_t){name}; \
                          WRITE_SINGLE(func_addr, &__w); }}"
                     )
                 } else {
                     writeln!(
-                        o,
+                        body,
                         "    {{ splice_word_t __w; READ_SINGLE(func_addr, &__w); \
                          result = ({ty})__w; }}"
                     )
                 };
             } else if scalar && beats == 1 {
-                let _ = writeln!(o, "    {op}_SINGLE(func_addr, &{name});");
+                let _ = writeln!(body, "    {op}_SINGLE(func_addr, &{name});");
             } else {
                 let mut offset = 0;
                 for w in burst_groups(params, beats) {
                     let kind = macro_name(w);
                     let _ = writeln!(
-                        o,
+                        body,
                         "    {op}_{kind}(func_addr, ((splice_word_t *){base}) + {offset});"
                     );
                     offset += w;
                 }
             }
+            beats.to_string()
         }
         Beats::Runtime(index_param) => {
             let var = &f.inputs[index_param].name;
@@ -246,13 +272,58 @@ fn emit_transfer(
                 let _ = writeln!(o, "    /* Transfer ({n}) beat(s) of {name}{note}{by} */");
             }
             if t.io.dma {
-                let _ = writeln!(o, "    if ((unsigned)({n}) >= {DMA_MIN_BEATS}) {}", dma(&n));
-                o.push_str("    else ");
+                let _ = writeln!(body, "    if ((unsigned)({n}) >= {DMA_MIN_BEATS}) {}", dma(&n));
+                body.push_str("    else ");
             } else {
-                o.push_str("    ");
+                body.push_str("    ");
             }
-            beat_loops(o, params, op, &base, &n);
+            beat_loops(&mut body, params, op, &base, &n);
+            n
         }
+    };
+    if staged {
+        let elems = bound_expr(f, t.io);
+        let ty = &t.io.ty.name;
+        // Element k in word k, or the bytes in order, never past either end.
+        let (test, step) = match (t.shape, write) {
+            (TransferShape::Direct, true) => (
+                format!("__k < (unsigned long)({elems})"),
+                format!("__w[__k] = (splice_word_t){name}[__k]"),
+            ),
+            (TransferShape::Direct, false) => {
+                (format!("__k < (unsigned long)({elems})"), format!("result[__k] = ({ty})__w[__k]"))
+            }
+            _ => {
+                let (to, from) = if write { ("__w", name) } else { ("result", "__w") };
+                (
+                    format!(
+                        "__k < (unsigned long)({elems}) * sizeof({ty}) \
+                         && __k < (unsigned long)({beats}) * SPLICE_WORD_BYTES"
+                    ),
+                    format!("((unsigned char *){to})[__k] = ((const unsigned char *){from})[__k]"),
+                )
+            }
+        };
+        let copy = format!("        for (__k = 0; {test}; ++__k) {step};\n");
+        o.push_str("    {\n");
+        let _ = writeln!(
+            o,
+            "        splice_word_t *__w = \
+             (splice_word_t *)calloc({beats}, sizeof(splice_word_t));"
+        );
+        o.push_str("        unsigned long __k;\n");
+        if write {
+            o.push_str(&copy);
+        }
+        for line in body.lines() {
+            let _ = writeln!(o, "    {line}");
+        }
+        if !write {
+            o.push_str(&copy);
+        }
+        o.push_str("        free(__w);\n    }\n");
+    } else {
+        o.push_str(&body);
     }
     if write {
         o.push('\n');

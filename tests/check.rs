@@ -24,10 +24,12 @@
 //!    not only on random designs.
 //! 6. **Exact reuse**: an exploration returns the same outcome, trace
 //!    included, whether its step memo is empty, fresh, or shared with
-//!    every other pair run of its arbiter.
+//!    every other pair run of its arbiter, and the same outcome as a
+//!    reference search that steps and settles every edge. The work the
+//!    reuse saves is pinned as edge, step and settle counts per example.
 
 use splice::pipeline::{run_pipeline, PipelineError, PipelineOptions};
-use splice_check::explore::{explore, BfsOutcome, BfsViolation, StepMemo};
+use splice_check::explore::{explore, BfsOutcome, BfsViolation, ExploreSpec, MutexGroup, StepMemo};
 use splice_check::{
     arbiter_explorations, check_modules, cross_check, env, stub_exploration, CheckOptions,
     CheckOutcome, Witness,
@@ -37,11 +39,14 @@ use splice_core::hdlgen::design_modules;
 use splice_core::DesignIr;
 use splice_dataflow::engine::reset_slot;
 use splice_dataflow::tv::mask;
-use splice_dataflow::{two_state_eval, two_state_initial, two_state_step, CompiledDesign, TWord};
+use splice_dataflow::{
+    two_state_eval, two_state_initial, two_state_step, CompiledDesign, Interp, TWord,
+};
 use splice_hdl::ast::{Decl, Item, Stmt};
-use splice_hdl::{Expr, Module};
+use splice_hdl::{Expr, Module, Port};
 use splice_lint::LintReport;
 use splice_testutil::Rng;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 fn repo_path(rel: &str) -> PathBuf {
@@ -337,8 +342,7 @@ fn assert_pinned_counterexamples(got: &[splice_check::Counterexample], want: &[P
 /// A register with no power-up value that the reset network also misses
 /// (the bug class behind the historical `irq_vector` X escape): its
 /// unknown survives reset indefinitely.
-#[test]
-fn unreset_register_yields_confirmed_x_counterexample() {
+fn unreset_register_design() -> (DesignIr, Vec<Module>) {
     let (ir, mut modules) = generated(&example_spec("mac"));
     let stub = module_mut(&mut modules, "func_mac");
     stub.decls.push(Decl::Signal { name: "shadow_mode".into(), width: 1, init: None });
@@ -347,7 +351,12 @@ fn unreset_register_yields_confirmed_x_counterexample() {
         clocked: true,
         body: vec![Stmt::assign("shadow_mode", Expr::sig("shadow_mode"))],
     }));
+    (ir, modules)
+}
 
+#[test]
+fn unreset_register_yields_confirmed_x_counterexample() {
+    let (ir, modules) = unreset_register_design();
     let out = check_modules(&ir, &modules, &CheckOptions::default()).expect("check runs");
     assert!(out.report.has("SL0404"), "{}", out.render_text());
     let cex = out
@@ -432,14 +441,18 @@ fn dead_acknowledge_line_yields_confirmed_stall_counterexample() {
 /// per-instance FUNC_ID remap, every replica of a `:N`-replicated
 /// function compares the raw FUNC_ID against the same `MY_FUNC_ID`, so
 /// two instances acknowledge the same request in the same cycle.
-#[test]
-fn disabled_func_id_remap_yields_confirmed_mutex_counterexample() {
+fn disabled_remap_design() -> (DesignIr, Vec<Module>) {
     let (ir, mut modules) = generated(&example_spec("apb_sensor"));
     let arb = module_mut(&mut modules, "user_apb_sensor");
     let hits = rewrite_assigns(arb, "f1_sample_FUNC_ID", &Expr::sig("FUNC_ID"))
         + rewrite_assigns(arb, "f2_sample_FUNC_ID", &Expr::sig("FUNC_ID"));
     assert!(hits >= 2, "the arbiter remaps FUNC_ID per sample instance");
+    (ir, modules)
+}
 
+#[test]
+fn disabled_func_id_remap_yields_confirmed_mutex_counterexample() {
+    let (ir, modules) = disabled_remap_design();
     let out = check_modules(&ir, &modules, &CheckOptions::default()).expect("check runs");
     assert!(out.report.has("SL0403"), "{}", out.render_text());
     let cex = out
@@ -495,26 +508,35 @@ fn disabled_func_id_remap_yields_confirmed_mutex_counterexample() {
 // Exact reuse across explorations.
 // ---------------------------------------------------------------------------
 
+/// One compiled design with the mutex groups and explorations that
+/// `check_modules` runs on it.
+type Explorations = (CompiledDesign, Vec<MutexGroup>, Vec<ExploreSpec>);
+
+/// Every exploration `check_modules` runs on a generated design: each
+/// `func_*` module alone, then the composed arbiter's pair runs.
+fn explorations(ir: &DesignIr, modules: &[Module], opts: &CheckOptions) -> Vec<Explorations> {
+    let mut designs = Vec::new();
+    for stub in &ir.stubs {
+        let d = CompiledDesign::compile(modules, &format!("func_{}", stub.name)).expect("compiles");
+        designs.push((d, Vec::new(), vec![stub_exploration(ir, stub, opts)]));
+    }
+    let arb = format!("user_{}", ir.module.params.device_name);
+    if modules.iter().any(|m| m.name == arb) {
+        let d = CompiledDesign::compile(modules, &arb).expect("compiles");
+        let (groups, specs) = arbiter_explorations(ir, &d, opts);
+        designs.push((d, groups, specs));
+    }
+    designs
+}
+
 /// Every exploration `check_modules` runs on `spec`, three ways: with an
 /// empty memo (every edge stepped), with a fresh memo per run, and with one
 /// memo shared by all of a design's runs taken in reverse order. All three
 /// must agree outcome for outcome. Returns how many runs were compared.
 fn assert_memo_is_exact(spec: &str, opts: &CheckOptions) -> usize {
     let (ir, modules) = generated(spec);
-    let mut designs = Vec::new();
-    for stub in &ir.stubs {
-        let d =
-            CompiledDesign::compile(&modules, &format!("func_{}", stub.name)).expect("compiles");
-        designs.push((d, Vec::new(), vec![stub_exploration(&ir, stub, opts)]));
-    }
-    let arb = format!("user_{}", ir.module.params.device_name);
-    if modules.iter().any(|m| m.name == arb) {
-        let d = CompiledDesign::compile(&modules, &arb).expect("compiles");
-        let (groups, specs) = arbiter_explorations(&ir, &d, opts);
-        designs.push((d, groups, specs));
-    }
     let mut runs = 0;
-    for (d, groups, specs) in &designs {
+    for (d, groups, specs) in &explorations(&ir, &modules, opts) {
         let pins = env::resolve_pins(d).expect("SIS pins");
         let empty: Vec<BfsOutcome> =
             specs.iter().map(|s| explore(d, &pins, s, groups, &mut StepMemo::default())).collect();
@@ -546,6 +568,287 @@ fn step_memo_reuse_is_exact_on_examples_and_generated_specs() {
         runs += assert_memo_is_exact(&splice_testutil::arb_spec(&mut rng), &tiny);
     }
     assert!(runs > 100, "{runs} explorations compared");
+}
+
+/// The search `explore` performs, written plainly: every edge is stepped
+/// and its observation settled, with no step memo and no verdict cache,
+/// and states are kept whole in a map keyed on their register values.
+fn reference_bfs(
+    d: &CompiledDesign,
+    pins: &env::EnvPins,
+    spec: &ExploreSpec,
+    mutex_groups: &[MutexGroup],
+) -> BfsOutcome {
+    let words = |row: &[u64]| -> Vec<TWord> {
+        row.iter().zip(&d.inputs).map(|(&v, &id)| TWord::known(v, d.signals[id].width)).collect()
+    };
+    let mut reset = vec![0u64; d.inputs.len()];
+    reset[pins.rst] = 1;
+    let idle = vec![0u64; d.inputs.len()];
+    let mut rows = Vec::new();
+    for valid in [0, 1] {
+        for enable in [0, 1] {
+            for &data in &spec.data_domain {
+                for &func in &spec.func_ids {
+                    let mut row = vec![0u64; d.inputs.len()];
+                    row[pins.data_in] = data;
+                    row[pins.valid] = valid;
+                    row[pins.enable] = enable;
+                    row[pins.func] = func;
+                    rows.push(row);
+                }
+            }
+        }
+    }
+    let name = |id: usize| d.signals[id].name.clone();
+    let observe = |interp: &mut Interp<TWord>, state: &[TWord], row: &[u64]| {
+        if let Some(slot) = state.iter().position(|w| !w.is_known()) {
+            return Some(BfsViolation::UnknownValue { signal: name(d.registers[slot]) });
+        }
+        let obs = interp.settle(state, &words(row));
+        if let Some(&id) = d.outputs.iter().find(|&&id| !obs[id].is_known()) {
+            return Some(BfsViolation::UnknownValue { signal: name(id) });
+        }
+        if obs[pins.dov].is(1) && !obs[pins.data_out].is_known() {
+            return Some(BfsViolation::UnknownData);
+        }
+        mutex_groups.iter().find_map(|g| {
+            let high: Vec<usize> = g.members.iter().copied().filter(|&m| obs[m].is(1)).collect();
+            (high.len() >= 2).then(|| BfsViolation::MutexOverlap {
+                line: g.line.clone(),
+                a: name(high[0]),
+                b: name(high[1]),
+            })
+        })
+    };
+
+    let mut interp = Interp::new(d);
+    let mut state = d.initial_state();
+    let mut next = Vec::new();
+    for _ in 0..2 {
+        interp.step(&state, &words(&reset), &mut next);
+        std::mem::swap(&mut state, &mut next);
+    }
+    // Per discovered state: its registers, parent, the row into it, depth.
+    let mut found: Vec<(Vec<TWord>, usize, usize, u32)> = vec![(state.clone(), 0, 0, 0)];
+    let trace = |found: &[(Vec<TWord>, usize, usize, u32)], mut idx: usize, last: &[u64]| {
+        let mut trace = vec![last.to_vec()];
+        while idx != 0 {
+            trace.push(rows[found[idx].2].clone());
+            idx = found[idx].1;
+        }
+        trace.extend([reset.clone(), reset.clone()]);
+        trace.reverse();
+        trace
+    };
+    let mut outcome = BfsOutcome {
+        reachable: 1,
+        complete: false,
+        budget_exhausted: false,
+        interrupted: false,
+        depth_capped: false,
+        frontier_peak: 0,
+        violation: None,
+    };
+    if let Some(v) = observe(&mut interp, &state, &idle) {
+        outcome.violation = Some((v, trace(&found, 0, &idle)));
+        return outcome;
+    }
+    let key = |state: &[TWord]| -> Vec<u64> { state.iter().map(|w| w.bits).collect() };
+    let mut index: HashMap<Vec<u64>, usize> = HashMap::from([(key(&state), 0)]);
+    let mut queue = std::collections::VecDeque::from([0usize]);
+    outcome.frontier_peak = 1;
+    while let Some(idx) = queue.pop_front() {
+        let (cur, _, _, depth) = found[idx].clone();
+        if depth >= spec.max_depth {
+            outcome.depth_capped = true;
+            continue;
+        }
+        for (r, row) in rows.iter().enumerate() {
+            interp.step(&cur, &words(row), &mut next);
+            if let Some(v) = observe(&mut interp, &next, row) {
+                outcome.reachable = found.len();
+                outcome.budget_exhausted = false;
+                outcome.violation = Some((v, trace(&found, idx, row)));
+                return outcome;
+            }
+            if index.contains_key(&key(&next)) {
+                continue;
+            }
+            if found.len() >= spec.max_states {
+                outcome.budget_exhausted = true;
+                continue;
+            }
+            index.insert(key(&next), found.len());
+            queue.push_back(found.len());
+            found.push((next.clone(), idx, r, depth + 1));
+            outcome.frontier_peak = outcome.frontier_peak.max(queue.len());
+        }
+    }
+    outcome.reachable = found.len();
+    outcome.complete = !outcome.budget_exhausted && !outcome.depth_capped;
+    outcome
+}
+
+/// A hand-built SIS module whose verdict depends on the row and on a
+/// register: `seen` latches IO_ENABLE and `armed` latches `seen`; of the
+/// mutex pair, `a` is `armed` and `b` is `armed & DATA_IN_VALID`. Each row
+/// first checks clean with `armed` low, and `armed` first rises on a row
+/// with DATA_IN_VALID low; the overlap comes on a later edge that repeats
+/// a row, or a value of `armed`, already checked clean, so a verdict kept
+/// without its row or without the observed registers would miss it.
+fn row_dependent_design() -> (CompiledDesign, Vec<MutexGroup>) {
+    let mut m = Module::new("latch");
+    m.ports = [("CLK", 1), ("RST", 1), ("DATA_IN", 32), ("DATA_IN_VALID", 1)]
+        .into_iter()
+        .chain([("IO_ENABLE", 1), ("FUNC_ID", 8)])
+        .map(|(name, width)| Port::input(name, width))
+        .chain(
+            [("IO_DONE", 1), ("DATA_OUT_VALID", 1), ("DATA_OUT", 32)]
+                .map(|(n, w)| Port::output(n, w)),
+        )
+        .collect();
+    for (name, init) in [("seen", Some(0)), ("armed", Some(0)), ("a", None), ("b", None)] {
+        m.decls.push(Decl::Signal { name: name.into(), width: 1, init });
+    }
+    m.items = vec![
+        Item::Process(splice_hdl::ast::Process {
+            label: "latch".into(),
+            clocked: true,
+            body: vec![
+                Stmt::assign("seen", Expr::sig("IO_ENABLE")),
+                Stmt::assign("armed", Expr::sig("seen")),
+            ],
+        }),
+        Item::Assign { lhs: "a".into(), rhs: Expr::sig("armed") },
+        Item::Assign { lhs: "b".into(), rhs: Expr::sig("armed").and(Expr::sig("DATA_IN_VALID")) },
+    ];
+    for (name, width) in [("IO_DONE", 1), ("DATA_OUT_VALID", 1), ("DATA_OUT", 32)] {
+        m.items.push(Item::Assign { lhs: name.into(), rhs: Expr::lit(0, width) });
+    }
+    let d = CompiledDesign::compile(&[m], "latch").expect("compiles");
+    let members = ["a", "b"].map(|name| d.signal_id(name).expect("net")).to_vec();
+    (d, vec![MutexGroup { line: "IO_DONE".into(), members }])
+}
+
+/// Every exploration `check_modules` runs on (`ir`, `modules`), with one
+/// memo per design as `check_modules` keeps it, equals the reference
+/// search's outcome, trace included. Returns the runs compared and the
+/// violations among them.
+fn assert_matches_reference(
+    ir: &DesignIr,
+    modules: &[Module],
+    opts: &CheckOptions,
+) -> (usize, usize) {
+    let (mut runs, mut violations) = (0, 0);
+    for (d, groups, specs) in &explorations(ir, modules, opts) {
+        let pins = env::resolve_pins(d).expect("SIS pins");
+        let mut memo = StepMemo::new(d);
+        for (k, spec) in specs.iter().enumerate() {
+            let got = explore(d, &pins, spec, groups, &mut memo);
+            let want = reference_bfs(d, &pins, spec, groups);
+            assert_eq!(got, want, "{} run {k}: explore differs from the reference", d.name);
+            runs += 1;
+            violations += usize::from(got.violation.is_some());
+        }
+    }
+    (runs, violations)
+}
+
+/// The verdict cache, the step memo and the packed storage together give
+/// the outcome of a search that steps and settles every edge, on every
+/// exploration `check_modules` runs: the examples and the dirty fixture
+/// under the default budgets, a 4-function `wide_spec` and 20 generated
+/// specs under budgets small enough that most runs stop on them, and two
+/// corrupted designs, whose first violation and trace must match.
+#[test]
+fn explore_matches_a_reference_search_that_settles_every_edge() {
+    let opts = CheckOptions::default();
+    let mut runs = 0;
+    let dirty = std::fs::read_to_string(repo_path("tests/fixtures/dirty.splice")).unwrap();
+    let stems = ["apb_sensor", "dma_stream", "fir_filter", "hw_timer", "mac"];
+    for spec in stems.map(example_spec).iter().chain([&dirty]) {
+        let (ir, modules) = generated(spec);
+        let (n, violations) = assert_matches_reference(&ir, &modules, &opts);
+        assert_eq!(violations, 0, "the examples and the fixture check clean");
+        runs += n;
+    }
+    let small = CheckOptions { max_states: 600, max_depth: 24, ..CheckOptions::default() };
+    let (ir, modules) = generated(&splice_testutil::wide_spec(4));
+    runs += assert_matches_reference(&ir, &modules, &small).0;
+    let tiny = CheckOptions { max_states: 40, max_depth: 16, ..CheckOptions::default() };
+    let mut rng = Rng::new(0x57E9_3E30);
+    for _ in 0..20 {
+        let (ir, modules) = generated(&splice_testutil::arb_spec(&mut rng));
+        runs += assert_matches_reference(&ir, &modules, &tiny).0;
+    }
+    for (tag, (ir, modules)) in [
+        ("unreset register", unreset_register_design()),
+        ("disabled remap", disabled_remap_design()),
+    ] {
+        let (n, violations) = assert_matches_reference(&ir, &modules, &opts);
+        assert!(violations > 0, "{tag}: the corrupted design violates");
+        runs += n;
+    }
+    assert!(runs > 100, "{runs} explorations compared");
+
+    // In the generated designs above every first violation comes on a row
+    // never checked before, so nothing there needs the verdict key to hold
+    // both the row and the observed registers; here it does.
+    let (d, groups) = row_dependent_design();
+    let pins = env::resolve_pins(&d).expect("SIS pins");
+    let spec = ExploreSpec {
+        func_ids: vec![0],
+        data_domain: vec![0],
+        max_states: 100,
+        max_depth: 8,
+        stop: None,
+    };
+    let got = explore(&d, &pins, &spec, &groups, &mut StepMemo::new(&d));
+    assert_eq!(got, reference_bfs(&d, &pins, &spec, &groups));
+    let overlap =
+        BfsViolation::MutexOverlap { line: "IO_DONE".into(), a: "a".into(), b: "b".into() };
+    assert_eq!(got.violation.map(|(v, trace)| (v, trace.len())), Some((overlap, 4)));
+}
+
+/// Edges tried, edges stepped and observations settled, summed over every
+/// exploration `check_modules` runs on an example, with one memo per
+/// design as `check_modules` keeps it.
+fn work_counts(stem: &str) -> (u64, u64, u64) {
+    let (ir, modules) = generated(&example_spec(stem));
+    let mut counts = (0, 0, 0);
+    for (d, groups, specs) in &explorations(&ir, &modules, &CheckOptions::default()) {
+        let pins = env::resolve_pins(d).expect("SIS pins");
+        let mut memo = StepMemo::new(d);
+        for spec in specs {
+            explore(d, &pins, spec, groups, &mut memo);
+        }
+        counts.0 += memo.edges();
+        counts.1 += memo.stepped();
+        counts.2 += memo.settled();
+    }
+    counts
+}
+
+/// The work the reuse saves, as the `check.explore` spans report it, is a
+/// repeatable count: most edges are composed rather than stepped, and most
+/// observations are known from an earlier edge with the same row and the
+/// same observed registers, so they are never settled.
+#[test]
+fn explore_work_counts_are_pinned_per_example() {
+    let got: Vec<(&str, (u64, u64, u64))> =
+        ["apb_sensor", "dma_stream", "fir_filter", "hw_timer", "mac"]
+            .into_iter()
+            .map(|stem| (stem, work_counts(stem)))
+            .collect();
+    let want: &[(&str, (u64, u64, u64))] = &[
+        ("apb_sensor", (13656, 1896, 726)),
+        ("dma_stream", (12072, 3408, 196)),
+        ("fir_filter", (36048, 5880, 130)),
+        ("hw_timer", (32904, 4568, 1748)),
+        ("mac", (3056, 1128, 241)),
+    ];
+    assert_eq!(got, want);
 }
 
 // ---------------------------------------------------------------------------

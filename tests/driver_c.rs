@@ -15,15 +15,21 @@
 //! `splice_testutil::arb_spec`. Two more tests compile the example and
 //! Fig 9.2 drivers against the `splice_lib.h` Splice emits with warnings
 //! as errors, and a use of `splice_lib_linux.h`; one compiles scalars
-//! narrower than the bus word the same way, and a last one checks that
-//! both headers' `splice_word_t` is one bus word at every Wishbone width.
+//! narrower than the bus word the same way, and one checks that both
+//! headers' `splice_word_t` is one bus word at every Wishbone width.
+//!
+//! A last harness does move data: its macros copy every beat through the
+//! driver's pointer under AddressSanitizer and log the bytes, so arrays
+//! whose memory layout is not the bus-word layout (narrow elements, packed
+//! counts that end inside a beat) are checked byte for byte, and a transfer
+//! that touches memory past an array's end fails.
 
 use splice_devices::interp::{interp_spec, Scenario};
 use splice_driver::cgen::{driver_header, driver_source};
-use splice_driver::lower::{func_address, lower_call};
+use splice_driver::lower::{func_address, lower_call, transfer_shape, TransferShape};
 use splice_driver::macros::{linux_macro_header, macro_header_with_irq, word_type};
 use splice_driver::program::{BusOp, CallArgs, CallValue};
-use splice_spec::validate::{IoBound, ModuleSpec, ValidatedFunction};
+use splice_spec::validate::{IoBound, ModuleSpec, ValidatedFunction, ValidatedIo};
 use splice_testutil::{arb_spec, seed_for, Rng};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -413,6 +419,271 @@ fn word_type_is_one_bus_word_wide() {
         let args: Vec<&str> =
             STRICT.iter().copied().chain(["-c", "word.c", "word_linux.c"]).collect();
         cc(&sub, &args, &format!("{spec}\n{lib_h}\n{linux_h}"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The data harness `splice_lib.h`: every transaction macro copies `beats ×
+/// SPLICE_WORD_BYTES` bytes through its pointer and logs them in memory
+/// order, as hex. A write reads them from the driver's memory; a read
+/// stores the next bytes of a counting pattern (`splice_next`) there.
+fn data_harness_header(m: &ModuleSpec) -> String {
+    let p = &m.params;
+    let mut h = String::from("#include <stdio.h>\n");
+    let _ = writeln!(h, "typedef {} splice_word_t;", word_type(p.bus_width));
+    let _ = writeln!(h, "#define SPLICE_WORD_BYTES {}", p.bus_width / 8);
+    h.push_str(
+        "#define SET_ADDRESS(id) ((unsigned long)(id))\n\
+         #define WAIT_FOR_RESULTS(id) ((void)(id))\n\
+         extern unsigned char splice_next;\n\
+         static void splice_move(char kind, void *p, unsigned long beats)\n\
+         {\n    \
+         unsigned char *b = (unsigned char *)p;\n    \
+         unsigned long k;\n    \
+         printf(\"%c\", kind);\n    \
+         for (k = 0; k < beats * SPLICE_WORD_BYTES; ++k) {\n        \
+         if (kind == 'R') b[k] = splice_next++;\n        \
+         printf(\" %02x\", b[k]);\n    \
+         }\n    \
+         printf(\"\\n\");\n\
+         }\n",
+    );
+    for (op, kind) in [("WRITE", 'W'), ("READ", 'R')] {
+        for (name, beats) in [("SINGLE", 1), ("DOUBLE", 2), ("QUAD", 4)] {
+            let _ = writeln!(
+                h,
+                "#define {op}_{name}(a, p) ((void)(a), splice_move('{kind}', p, {beats}))"
+            );
+        }
+        let _ = writeln!(
+            h,
+            "#define {op}_DMA(a, p, n) ((void)(a), splice_move('{kind}', p, (n) / SPLICE_WORD_BYTES))"
+        );
+    }
+    h
+}
+
+/// A C type's size on the host, for the types the data test declares.
+fn c_size(ty: &str) -> usize {
+    match ty {
+        "char" => 1,
+        "short" => 2,
+        "int" => 4,
+        other => panic!("no host size for `{other}`"),
+    }
+}
+
+/// `v` as `bytes` bytes in the host's order (the C side's `memcpy` view).
+fn ne_bytes(v: u64, bytes: usize) -> Vec<u8> {
+    let all = v.to_ne_bytes();
+    if cfg!(target_endian = "little") {
+        all[..bytes].to_vec()
+    } else {
+        all[8 - bytes..].to_vec()
+    }
+}
+
+/// The value of the host-order word `bytes`.
+fn ne_value(bytes: &[u8]) -> u64 {
+    let mut all = [0u8; 8];
+    if cfg!(target_endian = "little") {
+        all[..bytes.len()].copy_from_slice(bytes);
+    } else {
+        all[8 - bytes.len()..].copy_from_slice(bytes);
+    }
+    u64::from_ne_bytes(all)
+}
+
+/// The bus words an input occupies, as bytes in memory order: a scalar or
+/// a narrow element widened to one word each, a packed array's bytes in
+/// order padded with zeros to whole beats, a bus-wide array as it is.
+fn word_image(m: &ModuleSpec, io: &ValidatedIo, elems: &[u64]) -> Vec<u8> {
+    let word = (m.params.bus_width / 8) as usize;
+    let size = c_size(&io.ty.name);
+    match transfer_shape(io, m.params.bus_width) {
+        TransferShape::Packed { per_beat } if io.is_pointer => {
+            let mut bytes: Vec<u8> = elems.iter().flat_map(|&v| ne_bytes(v, size)).collect();
+            let beats = elems.len().div_ceil(per_beat as usize);
+            bytes.resize(beats * word, 0);
+            bytes
+        }
+        TransferShape::Split { .. } => panic!("the data test declares no split transfer"),
+        _ => elems.iter().flat_map(|&v| ne_bytes(v, word.max(size))).collect(),
+    }
+}
+
+/// What the driver returns for an output whose words were `read`: each
+/// narrow element cut from its own word, a packed array's first bytes.
+fn result_image(m: &ModuleSpec, io: &ValidatedIo, elems: usize, read: &[u8]) -> Vec<u8> {
+    let word = (m.params.bus_width / 8) as usize;
+    let size = c_size(&io.ty.name);
+    match transfer_shape(io, m.params.bus_width) {
+        TransferShape::Packed { .. } => read[..elems * size].to_vec(),
+        _ => read.chunks(word).take(elems).flat_map(|w| ne_bytes(ne_value(w), size)).collect(),
+    }
+}
+
+/// Call every function of `spec` once per entry of `counts` (the value of
+/// any index parameter) under the data harness, built with
+/// AddressSanitizer, and compare the bytes each call moves with the word
+/// images it should move, and each array result with the words it read.
+fn assert_data_moves_exactly(dir: &Path, tag: &str, spec: &str, counts: &[u64]) {
+    let m = module(spec);
+    let dev = &m.params.device_name;
+    let dir = dir.join(tag);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut main_c = format!(
+        "#include <stdio.h>\n#include <stdlib.h>\n#include \"splice_lib.h\"\n\
+         #include \"{dev}_driver.h\"\n\nunsigned char splice_next;\n\nint main(void)\n{{\n"
+    );
+    // Per call: its name, the bytes it writes, and its array result's
+    // length.
+    let mut want: Vec<(String, Vec<u8>, Option<usize>)> = Vec::new();
+    for f in &m.functions {
+        for &count in counts {
+            let n_of = |io: &ValidatedIo| match io.bound {
+                IoBound::Scalar => 1,
+                IoBound::Explicit(n) => n,
+                IoBound::Implicit { .. } => count,
+            };
+            let mut call = format!("{} n={count}", f.name);
+            let _ = writeln!(main_c, "    {{\n        printf(\"CALL {call}\\n\");");
+            main_c.push_str("        splice_next = 1;\n");
+            let mut writes = Vec::new();
+            let mut args = Vec::new();
+            for (k, io) in f.inputs.iter().enumerate() {
+                let ty = &io.ty.name;
+                let elems: Vec<u64> = if io.is_pointer {
+                    let mask = (1u64 << (8 * c_size(ty) - 1)) - 1;
+                    (0..n_of(io)).map(|j| (j * 37 + 11) & mask).collect()
+                } else {
+                    vec![if io.used_as_index { count } else { 5 }]
+                };
+                if io.is_pointer {
+                    let _ = writeln!(
+                        main_c,
+                        "        {ty} *a{k} = ({ty} *)malloc(sizeof({ty}) * {});",
+                        elems.len()
+                    );
+                    for (j, v) in elems.iter().enumerate() {
+                        let _ = writeln!(main_c, "        a{k}[{j}] = ({ty}){v};");
+                    }
+                } else {
+                    let _ = writeln!(main_c, "        {ty} a{k} = ({ty}){};", elems[0]);
+                }
+                args.push(format!("a{k}"));
+                writes.extend(word_image(&m, io, &elems));
+            }
+            let invoke = format!("{}({})", f.name, args.join(", "));
+            let result = match &f.output {
+                Some(out) if out.is_pointer => {
+                    let n = n_of(out) as usize;
+                    let bytes = n * c_size(&out.ty.name);
+                    let _ = writeln!(
+                        main_c,
+                        "        {ty} *r = {invoke};\n        unsigned long k;\n        \
+                         printf(\"RES\");\n        \
+                         for (k = 0; k < {bytes}; ++k) printf(\" %02x\", ((unsigned char *)r)[k]);\n        \
+                         printf(\"\\n\");\n        free(r);",
+                        ty = out.ty.name
+                    );
+                    call.push_str(" (array result)");
+                    Some(n)
+                }
+                _ => {
+                    let _ = writeln!(main_c, "        (void){invoke};");
+                    None
+                }
+            };
+            for (k, io) in f.inputs.iter().enumerate() {
+                if io.is_pointer {
+                    let _ = writeln!(main_c, "        free(a{k});");
+                }
+            }
+            main_c.push_str("    }\n");
+            want.push((call, writes, result));
+        }
+    }
+    main_c.push_str("    return 0;\n}\n");
+    let driver_c = driver_source(&m);
+    for (file, text) in [
+        ("splice_lib.h".to_owned(), data_harness_header(&m)),
+        (format!("{dev}_driver.h"), driver_header(&m)),
+        (format!("{dev}_driver.c"), driver_c.clone()),
+        ("main.c".to_owned(), main_c),
+    ] {
+        std::fs::write(dir.join(file), text).unwrap();
+    }
+    let context = format!("spec:\n{spec}\ndriver:\n{driver_c}");
+    let driver = format!("{dev}_driver.c");
+    cc(&dir, &["-std=c99", "-g", "-fsanitize=address", "-o", "moves", "main.c", &driver], &context);
+    let out = Command::new(dir.join("moves"))
+        .env("ASAN_OPTIONS", "detect_leaks=0")
+        .output()
+        .expect("the harness runs");
+    assert!(
+        out.status.success(),
+        "{tag}: the harness failed\n{}\n{context}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let log = String::from_utf8(out.stdout).unwrap();
+    let calls: Vec<&str> = log.split("CALL ").skip(1).collect();
+    assert_eq!(calls.len(), want.len(), "{tag}: one log per call\n{log}");
+    let hex = |line: &str| -> Vec<u8> {
+        line.split_whitespace().skip(1).map(|b| u8::from_str_radix(b, 16).unwrap()).collect()
+    };
+    for (logged, (call, writes, result)) in calls.iter().zip(&want) {
+        let lines: Vec<&str> = logged.lines().skip(1).collect();
+        let wrote: Vec<u8> =
+            lines.iter().filter(|l| l.starts_with('W')).flat_map(|l| hex(l)).collect();
+        assert_eq!(&wrote, writes, "{tag}: `{call}` wrote other words\n{context}");
+        if let Some(n) = *result {
+            let f = m.function(call.split(' ').next().unwrap()).unwrap();
+            let out = f.output.as_ref().unwrap();
+            let read: Vec<u8> =
+                lines.iter().filter(|l| l.starts_with('R')).flat_map(|l| hex(l)).collect();
+            let got = lines.iter().find(|l| l.starts_with("RES")).map(|l| hex(l));
+            let expected = result_image(&m, out, n, &read);
+            assert_eq!(got, Some(expected), "{tag}: `{call}` returned other values\n{context}");
+        }
+    }
+}
+
+/// Arrays whose memory layout is not the bus-word layout cross through a
+/// zero-filled staging buffer of words, for single, burst, runtime-loop and
+/// DMA transfers alike: narrow elements travel one per word, and a packed
+/// count that ends inside a beat is padded with zeros, so no transfer reads
+/// or writes past an array's end. Arrays already in bus-word layout (bus-
+/// wide elements, whole packed beats) cross as they are. Every driver also
+/// compiles against the emitted header with warnings as errors.
+#[test]
+fn arrays_cross_the_bus_in_bus_word_layout() {
+    let dir = tmp_dir("data");
+    let specs = [
+        (
+            "ahb64",
+            "%device_name stage_ahb\n%bus_type ahb\n%bus_width 64\n%base_address 0x80000000\n\
+             %burst_support true\nint fn0(char*:5 p0);\nint fp(char*:5+ p1);\n\
+             int fw(char*:16+ p2);\nint fr(int n, short*:n+ xs);\nint fq(int m, char*:m ys);\n\
+             char*:3 g();\nshort*:3+ h();\nint*:n k(int n);\n",
+        ),
+        (
+            "plb32",
+            "%device_name stage_plb\n%bus_type plb\n%bus_width 32\n%base_address 0x80000000\n\
+             int fn0(char*:5 p0);\nint fi(int*:3 p1);\nint fr(int n, char*:n+ xs);\n\
+             short*:5 g();\nchar*:n+ h(int n);\n",
+        ),
+        (
+            "dma32",
+            "%device_name stage_dma\n%bus_type plb\n%bus_width 32\n%base_address 0x80000000\n\
+             %dma_support true\n%burst_support true\nint fd(char*:8^ a);\n\
+             int fe(int n, char*:n^ b);\nint ff(char*:21^+ c);\nint fg(int n, short*:n^+ d);\n\
+             char*:7^ g();\nshort*:n^+ h(int n);\n",
+        ),
+    ];
+    for (tag, spec) in specs {
+        assert_compiles_strictly(&dir.join(format!("strict_{tag}")), spec);
+        assert_data_moves_exactly(&dir, tag, spec, &[0, 1, 3, 6, 13]);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
