@@ -94,18 +94,7 @@ impl SplicedSystem {
         module: &ModuleSpec,
         calc_factory: impl FnMut(&str, u32) -> Box<dyn CalcLogic>,
     ) -> Self {
-        Self::build_with_stall(module, calc_factory, 0)
-    }
-
-    /// Like [`SplicedSystem::build`], with `extra_stall` dead cycles added
-    /// to every adapter transaction (models unoptimised hand-coded
-    /// adapters for baseline comparisons).
-    pub fn build_with_stall(
-        module: &ModuleSpec,
-        calc_factory: impl FnMut(&str, u32) -> Box<dyn CalcLogic>,
-        extra_stall: u32,
-    ) -> Self {
-        Self::build_full(module, calc_factory, extra_stall, |_, _| {})
+        Self::build_full(module, calc_factory, |_, _| {})
     }
 
     /// Full-control build: `extra` gets the builder and the peripheral's
@@ -114,7 +103,6 @@ impl SplicedSystem {
     pub fn build_full(
         module: &ModuleSpec,
         calc_factory: impl FnMut(&str, u32) -> Box<dyn CalcLogic>,
-        extra_stall: u32,
         extra: impl FnOnce(&mut SimulatorBuilder, SisBus),
     ) -> Self {
         let ir: DesignIr = elaborate(module);
@@ -146,7 +134,7 @@ impl SplicedSystem {
                     handles.bus,
                     p.bus_width,
                     p.base_address,
-                    p.bus.bridge_latency + extra_stall,
+                    p.bus.bridge_latency,
                     p.bus.opcode_coupled,
                 );
                 let mut master = sys.master(timing, Vec::new());
@@ -179,7 +167,7 @@ impl SplicedSystem {
     ) -> Self {
         let mode = sis_mode_for(module.params.bus.sync);
         let mut checker = None;
-        let mut sys = Self::build_full(module, calc_factory, 0, |b, bus| {
+        let mut sys = Self::build_full(module, calc_factory, |b, bus| {
             checker = Some(b.component(Box::new(SisChecker::new(bus, mode))));
         });
         sys.checker = checker;
@@ -371,16 +359,6 @@ mod tests {
         let opb = cycles("opb");
         assert!(fcb <= plb, "fcb={fcb} plb={plb}");
         assert!(plb < opb, "plb={plb} opb={opb}");
-    }
-
-    #[test]
-    fn stall_variant_is_slower() {
-        let m = module("plb", "long add(int a, int b);");
-        let mut fast = SplicedSystem::build(&m, |_, _| Box::new(Sum(2)));
-        let mut slow = SplicedSystem::build_with_stall(&m, |_, _| Box::new(Sum(2)), 3);
-        let cf = fast.call("add", &CallArgs::scalars(&[1, 2])).unwrap().bus_cycles;
-        let cs = slow.call("add", &CallArgs::scalars(&[1, 2])).unwrap().bus_cycles;
-        assert!(cs > cf);
     }
 
     #[test]

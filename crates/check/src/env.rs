@@ -20,9 +20,9 @@
 //! master sees while deciding row `k+1`. Violation step numbers are row
 //! indices into the recorded trace (rows 0 and 1 are the reset prefix).
 
-use crate::compile::{CompiledDesign, Interp};
-use crate::tv::TWord;
+use crate::Witness;
 use splice_core::{BeatCount, FunctionStub, StubState};
+use splice_dataflow::{CompiledDesign, Interp, TWord};
 use splice_sis::SisMode;
 
 /// Resolved SIS pin positions of a compiled stub or arbiter module: input
@@ -44,13 +44,13 @@ pub struct EnvPins {
     pub io_done: usize,
     /// DATA_OUT_VALID signal id.
     pub dov: usize,
-    /// DATA_OUT signal id.
-    pub data_out: usize,
     /// CALC_DONE (stub) or CALC_DONE_VEC (arbiter) signal id.
     pub calc_done: Option<usize>,
 }
 
-/// Resolve the ten-signal contract's pins on a compiled module.
+/// Resolve the ten-signal contract's pins on a compiled module. DATA_OUT
+/// must be an output port: the X-safety check of every output then covers
+/// it whenever DATA_OUT_VALID is asserted.
 pub fn resolve_pins(d: &CompiledDesign) -> Result<EnvPins, String> {
     let slot = |name: &str| -> Result<usize, String> {
         d.inputs
@@ -61,6 +61,9 @@ pub fn resolve_pins(d: &CompiledDesign) -> Result<EnvPins, String> {
     let sig = |name: &str| -> Result<usize, String> {
         d.signal_id(name).ok_or_else(|| format!("`{}` has no `{name}` signal", d.name))
     };
+    if !d.outputs.iter().any(|&id| d.signals[id].name == "DATA_OUT") {
+        return Err(format!("`{}` has no `DATA_OUT` output port", d.name));
+    }
     Ok(EnvPins {
         rst: slot("RST")?,
         data_in: slot("DATA_IN")?,
@@ -69,7 +72,6 @@ pub fn resolve_pins(d: &CompiledDesign) -> Result<EnvPins, String> {
         func: slot("FUNC_ID")?,
         io_done: sig("IO_DONE")?,
         dov: sig("DATA_OUT_VALID")?,
-        data_out: sig("DATA_OUT")?,
         calc_done: d.signal_id("CALC_DONE").or_else(|| d.signal_id("CALC_DONE_VEC")),
     })
 }
@@ -149,50 +151,13 @@ pub fn stub_script(
     ops
 }
 
-/// A property violated during a deterministic script run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScriptViolation {
-    /// An expected acknowledge never arrived within the response bound.
-    Stall {
-        /// Line that stayed low (`IO_DONE`, `DATA_OUT_VALID`, `CALC_DONE`).
-        signal: &'static str,
-        /// Step at which the request was issued.
-        from_step: usize,
-        /// The bound that expired.
-        bound: u32,
-    },
-    /// An acknowledge line rose when no transaction could complete — the
-    /// signature of a stub that accepts or serves more than once.
-    UnsolicitedAck {
-        /// The offending line.
-        signal: &'static str,
-    },
-    /// A register or observed output carried X after reset.
-    UnknownValue {
-        /// Flattened signal name.
-        signal: String,
-    },
-    /// DATA_OUT carried X while DATA_OUT_VALID was asserted.
-    UnknownData,
-    /// The register state after round 2 differs from the state after
-    /// round 1: the FSM does not return to a reusable configuration.
-    RoundMismatch {
-        /// Step of the round-1 snapshot.
-        first_end: usize,
-        /// Step of the round-2 snapshot.
-        second_end: usize,
-    },
-}
-
 /// Result of one deterministic script run.
 #[derive(Debug, Clone)]
 pub struct ScriptOutcome {
-    /// First violation and the step (trace row index) it was observed at.
-    pub violation: Option<(ScriptViolation, usize)>,
+    /// The first violation.
+    pub violation: Option<Witness>,
     /// Every input row fed to the design, including the two reset rows.
     pub trace: Vec<Vec<u64>>,
-    /// (step, register snapshot) recorded at each `RoundEnd`.
-    pub round_ends: Vec<(usize, Vec<TWord>)>,
 }
 
 /// Script run configuration.
@@ -280,40 +245,27 @@ impl Runner<'_> {
         self.line(id).is(1)
     }
 
-    /// X-propagation and DATA_OUT-definedness checks on the current step.
-    fn safety(&self) -> Option<ScriptViolation> {
-        for (slot, &id) in self.d.registers.iter().enumerate() {
-            if !self.state[slot].is_known() {
-                return Some(ScriptViolation::UnknownValue {
-                    signal: self.d.signals[id].name.clone(),
-                });
-            }
-        }
-        for &id in &self.d.outputs {
-            if !self.obs[id].is_known() {
-                return Some(ScriptViolation::UnknownValue {
-                    signal: self.d.signals[id].name.clone(),
-                });
-            }
-        }
-        if self.ack_high(self.pins.dov) && !self.obs[self.pins.data_out].is_known() {
-            return Some(ScriptViolation::UnknownData);
-        }
-        None
-    }
-
     /// Acknowledge lines must be silent outside an in-flight transaction.
-    fn unsolicited(&self) -> Option<ScriptViolation> {
-        if self.ack_high(self.pins.io_done) {
-            return Some(ScriptViolation::UnsolicitedAck { signal: "IO_DONE" });
-        }
-        if self.ack_high(self.pins.dov) {
-            return Some(ScriptViolation::UnsolicitedAck { signal: "DATA_OUT_VALID" });
-        }
-        None
+    fn unsolicited(&self) -> Option<Witness> {
+        let signal = if self.ack_high(self.pins.io_done) {
+            "IO_DONE"
+        } else if self.ack_high(self.pins.dov) {
+            "DATA_OUT_VALID"
+        } else {
+            return None;
+        };
+        Some(self.unsolicited_ack(signal))
     }
 
-    fn run(&mut self, ops: &[Op]) -> Option<(ScriptViolation, usize)> {
+    fn unsolicited_ack(&self, signal: &str) -> Witness {
+        Witness::UnsolicitedAck { signal: signal.into(), step: self.step_idx() }
+    }
+
+    fn stall(signal: &str, from_step: usize, bound: u32) -> Witness {
+        Witness::Stall { signal: signal.into(), from_step, bound }
+    }
+
+    fn run(&mut self, ops: &[Op]) -> Option<Witness> {
         // Reset prefix: two cycles with RST asserted, all lines idle.
         for _ in 0..2 {
             let r = self.row(1, 0, 0, 0, 0);
@@ -331,7 +283,7 @@ impl Runner<'_> {
         let eff_read_bound = eff_write_bound;
         for _ in 0..cap {
             // Decide the next row from the current phase + observation.
-            let next: Result<(Vec<u64>, Phase), ScriptViolation> = match phase {
+            let next: Result<(Vec<u64>, Phase), Witness> = match phase {
                 Phase::Done => break,
                 Phase::Gap(n) => match self.unsolicited() {
                     Some(v) => Err(v),
@@ -343,17 +295,13 @@ impl Runner<'_> {
                 },
                 Phase::WriteWait { data, from, waited } => {
                     if self.ack_high(self.pins.dov) {
-                        Err(ScriptViolation::UnsolicitedAck { signal: "DATA_OUT_VALID" })
+                        Err(self.unsolicited_ack("DATA_OUT_VALID"))
                     } else if self.ack_high(self.pins.io_done) {
                         // Ack observed: the master needs one edge to react,
                         // so the lines stay asserted one more step.
                         Ok((self.row(0, data, 1, 0, self.my_id), Phase::WriteHold))
                     } else if waited >= eff_write_bound {
-                        Err(ScriptViolation::Stall {
-                            signal: "IO_DONE",
-                            from_step: from,
-                            bound: eff_write_bound,
-                        })
+                        Err(Self::stall("IO_DONE", from, eff_write_bound))
                     } else {
                         Ok((
                             self.row(0, data, 1, 0, self.my_id),
@@ -374,11 +322,7 @@ impl Runner<'_> {
                     } else if waited >= eff_read_bound {
                         let signal =
                             if self.ack_high(self.pins.dov) { "IO_DONE" } else { "DATA_OUT_VALID" };
-                        Err(ScriptViolation::Stall {
-                            signal,
-                            from_step: from,
-                            bound: eff_read_bound,
-                        })
+                        Err(Self::stall(signal, from, eff_read_bound))
                     } else {
                         Ok((
                             self.row(0, 0, 0, 0, self.my_id),
@@ -401,11 +345,7 @@ impl Runner<'_> {
                             None => Ok((self.idle(), Phase::Done)),
                         }
                     } else if waited >= self.cfg.response_bound {
-                        Err(ScriptViolation::Stall {
-                            signal: "CALC_DONE",
-                            from_step: from,
-                            bound: self.cfg.response_bound,
-                        })
+                        Err(Self::stall("CALC_DONE", from, self.cfg.response_bound))
                     } else {
                         Ok((
                             self.row(0, 0, 0, 1, STATUS_ID),
@@ -428,18 +368,18 @@ impl Runner<'_> {
             };
             let (row, next_phase) = match next {
                 Ok(rp) => rp,
-                Err(v) => return Some((v, self.step_idx())),
+                Err(w) => return Some(w),
             };
             self.apply(row);
-            if let Some(v) = self.safety() {
-                return Some((v, self.step_idx()));
+            if let Some(w) = Witness::unknown(self.d, &self.state, &self.obs, self.step_idx()) {
+                return Some(w);
             }
             phase = next_phase;
         }
         // Script complete: FSM reusability (round-end states must agree).
         if self.round_ends.len() >= 2 && self.round_ends[0].1 != self.round_ends[1].1 {
             let (first_end, second_end) = (self.round_ends[0].0, self.round_ends[1].0);
-            return Some((ScriptViolation::RoundMismatch { first_end, second_end }, second_end));
+            return Some(Witness::RoundMismatch { first_end, second_end });
         }
         None
     }
@@ -510,7 +450,7 @@ pub fn run_script(
         round_ends: Vec::new(),
     };
     let violation = r.run(ops);
-    ScriptOutcome { violation, trace: r.trace, round_ends: r.round_ends }
+    ScriptOutcome { violation, trace: r.trace }
 }
 
 #[cfg(test)]

@@ -5,10 +5,10 @@
 //! reachable state*: starting from reset, the environment may drive any
 //! combination of DATA_IN_VALID / IO_ENABLE, any data value from a small
 //! domain and any FUNC_ID (this function's, the reserved status id 0, and a
-//! foreign id) on every cycle. The BFS verifies that no reachable state
-//! carries X, that DATA_OUT is defined whenever DATA_OUT_VALID is asserted,
-//! and — for composed arbiter designs — that no two function instances
-//! drive the shared return lines in the same cycle.
+//! foreign id) on every cycle. The BFS verifies that no register or output
+//! of a reachable state carries X, as the scripts do on every step, and —
+//! for composed arbiter designs — that no two function instances drive the
+//! shared return lines in the same cycle.
 //!
 //! Exploration is bounded two ways: `max_states` (a work budget whose
 //! exhaustion is reported as a warning) and `max_depth` (a horizon for
@@ -21,9 +21,10 @@
 //! only a few registers ([`observed_registers`]), so each exploration
 //! settles an observation once per row and value of those registers.
 
-use crate::compile::{CompiledDesign, Interp};
 use crate::env::EnvPins;
-use crate::tv::{self, TWord};
+use crate::Witness;
+use splice_dataflow::tv::{self, TWord};
+use splice_dataflow::{CompiledDesign, Interp};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 
@@ -50,27 +51,6 @@ pub struct ExploreSpec {
 /// unchanged, frequent enough that an interrupt lands within milliseconds.
 pub const STOP_POLL_INTERVAL: u32 = 512;
 
-/// A safety violation found by the BFS.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BfsViolation {
-    /// A register or observed output carried X after reset.
-    UnknownValue {
-        /// Flattened signal name.
-        signal: String,
-    },
-    /// DATA_OUT carried X while DATA_OUT_VALID was asserted.
-    UnknownData,
-    /// Two instances drove copies of the same shared return line at once.
-    MutexOverlap {
-        /// The shared line (`IO_DONE` or `DATA_OUT_VALID`).
-        line: String,
-        /// First asserted per-instance net.
-        a: String,
-        /// Second asserted per-instance net.
-        b: String,
-    },
-}
-
 /// Result of one exploration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BfsOutcome {
@@ -91,7 +71,7 @@ pub struct BfsOutcome {
     pub frontier_peak: usize,
     /// First violation plus the input trace reaching it (reset rows
     /// included; the violating observation is at the final row).
-    pub violation: Option<(BfsViolation, Vec<Vec<u64>>)>,
+    pub violation: Option<(Witness, Vec<Vec<u64>>)>,
 }
 
 /// A group of per-instance nets that must be mutually exclusive, labelled
@@ -339,19 +319,15 @@ pub fn step_groups(d: &CompiledDesign) -> Vec<Vec<usize>> {
 }
 
 /// The register slots, ascending, whose values decide the safety checks'
-/// settle on an edge: the register support of every output, of
-/// DATA_OUT_VALID and DATA_OUT, and of every mutex member. The settle's
-/// verdict is a function of these registers and the input row alone.
-pub fn observed_registers(
-    d: &CompiledDesign,
-    pins: &EnvPins,
-    mutex_groups: &[MutexGroup],
-) -> Vec<usize> {
+/// settle on an edge: the register support of every output and of every
+/// mutex member. The settle's verdict is a function of these registers and
+/// the input row alone.
+pub fn observed_registers(d: &CompiledDesign, mutex_groups: &[MutexGroup]) -> Vec<usize> {
     let words = d.registers.len().div_ceil(64);
     let support = register_support(d);
     let mut set = vec![0; words];
     let members = mutex_groups.iter().flat_map(|g| &g.members);
-    for &id in d.outputs.iter().chain([&pins.dov, &pins.data_out]).chain(members) {
+    for &id in d.outputs.iter().chain(members) {
         or_into(&mut set, &support[id], words);
     }
     slots_in(&set, d.registers.len()).collect()
@@ -600,8 +576,9 @@ pub fn explore(
     };
 
     let mut stored = vec![Stored { row: 0, parent: 0, depth: 0 }];
-    // Check the post-reset state itself (with an idle observation row).
-    if let Some(v) = check_state(d, pins, &state, &to_words(&idle), mutex_groups, &mut interp) {
+    // Check the post-reset state itself (with an idle observation row) at
+    // trace row 2, after the two reset rows.
+    if let Some(w) = check_state(d, &state, &to_words(&idle), mutex_groups, &mut interp, 2) {
         let trace = trace_to(&stored, 0, &idle);
         return BfsOutcome {
             reachable: 1,
@@ -610,7 +587,7 @@ pub fn explore(
             interrupted: false,
             depth_capped: false,
             frontier_peak: 0,
-            violation: Some((v, trace)),
+            violation: Some((w, trace)),
         };
     }
 
@@ -624,7 +601,7 @@ pub fn explore(
     let mut packed = vec![0u64; layout.words];
     layout.pack(&state, &mut packed);
     states.intern(&packed);
-    let observed = layout.mask(&observed_registers(d, pins, mutex_groups));
+    let observed = layout.mask(&observed_registers(d, mutex_groups));
     let mut verdicts = Verdicts::new(observed, rows.len());
     // Per stored state, its observation in `verdicts`.
     let mut state_views = vec![verdicts.view(&packed)];
@@ -678,7 +655,10 @@ pub fn explore(
                     layout.unpack(&packed, &mut next);
                 }
                 memo.settled += 1;
-                if let Some(v) = check_state(d, pins, &next, inputs, mutex_groups, &mut interp) {
+                // Trace row of this edge: the two reset rows, one row per
+                // edge of the path to the state, then the edge's own row.
+                let step = depth as usize + 2;
+                if let Some(w) = check_state(d, &next, inputs, mutex_groups, &mut interp, step) {
                     let trace = trace_to(&stored, idx, row);
                     return BfsOutcome {
                         reachable: stored.len(),
@@ -687,7 +667,7 @@ pub fn explore(
                         interrupted: false,
                         depth_capped,
                         frontier_peak,
-                        violation: Some((v, trace)),
+                        violation: Some((w, trace)),
                     };
                 }
                 verdicts.mark_clean(view.expect("check_state rejects a successor carrying X"), r);
@@ -718,44 +698,29 @@ pub fn explore(
     }
 }
 
-/// Safety checks on one (state, input) edge.
+/// Safety checks on one (state, input) edge observed at trace row `step`:
+/// the X-safety check the scripts run, then mutual exclusion.
 fn check_state(
     d: &CompiledDesign,
-    pins: &EnvPins,
     state: &[TWord],
     inputs: &[TWord],
     mutex_groups: &[MutexGroup],
     interp: &mut Interp<TWord>,
-) -> Option<BfsViolation> {
-    for (slot, &id) in d.registers.iter().enumerate() {
-        if !state[slot].is_known() {
-            return Some(BfsViolation::UnknownValue { signal: d.signals[id].name.clone() });
-        }
-    }
+    step: usize,
+) -> Option<Witness> {
     let obs = interp.settle(state, inputs);
-    for &id in &d.outputs {
-        if !obs[id].is_known() {
-            return Some(BfsViolation::UnknownValue { signal: d.signals[id].name.clone() });
-        }
-    }
-    if obs[pins.dov].is(1) && !obs[pins.data_out].is_known() {
-        return Some(BfsViolation::UnknownData);
+    if let Some(w) = Witness::unknown(d, state, obs, step) {
+        return Some(w);
     }
     for group in mutex_groups {
-        let mut first: Option<usize> = None;
-        for &m in &group.members {
-            if obs[m].is(1) {
-                match first {
-                    None => first = Some(m),
-                    Some(a) => {
-                        return Some(BfsViolation::MutexOverlap {
-                            line: group.line.clone(),
-                            a: d.signals[a].name.clone(),
-                            b: d.signals[m].name.clone(),
-                        });
-                    }
-                }
-            }
+        let mut high = group.members.iter().filter(|&&m| obs[m].is(1));
+        if let (Some(&a), Some(&b)) = (high.next(), high.next()) {
+            return Some(Witness::MutexOverlap {
+                line: group.line.clone(),
+                a: d.signals[a].name.clone(),
+                b: d.signals[b].name.clone(),
+                step,
+            });
         }
     }
     None
@@ -875,7 +840,6 @@ mod tests {
     fn the_mac_arbiter_observes_each_instance_s_output_registers() {
         let (ir, modules) = generated("mac");
         let d = CompiledDesign::compile(&modules, "user_mac_unit").expect("compiles");
-        let pins = crate::env::resolve_pins(&d).expect("SIS pins");
         let (groups, _) = crate::arbiter_explorations(&ir, &d, &crate::CheckOptions::default());
         assert_eq!(groups.len(), 2, "IO_DONE and DATA_OUT_VALID");
         let want: Vec<String> = ["f1_mac", "f2_mac_clear", "f3_preload"]
@@ -885,7 +849,7 @@ mod tests {
                     .map(|reg| format!("{inst}_{reg}"))
             })
             .collect();
-        assert_eq!(register_names(&d, &observed_registers(&d, &pins, &groups)), want);
+        assert_eq!(register_names(&d, &observed_registers(&d, &groups)), want);
         assert_eq!(d.registers.len(), 20);
     }
 
@@ -898,18 +862,6 @@ mod tests {
         top.items.push(Item::Assign { lhs: "OUT".into(), rhs: Expr::sig("both") });
         let d = CompiledDesign::compile(&[cell, top], "top").expect("compiles");
         assert_eq!(d.registers.len(), 3);
-        let out = d.signal_id("OUT").expect("OUT");
-        let pins = EnvPins {
-            rst: 0,
-            data_in: 0,
-            valid: 0,
-            enable: 0,
-            func: 0,
-            io_done: out,
-            dov: out,
-            data_out: out,
-            calc_done: None,
-        };
-        assert_eq!(register_names(&d, &observed_registers(&d, &pins, &[])), ["u_a.r", "u_b.r"]);
+        assert_eq!(register_names(&d, &observed_registers(&d, &[])), ["u_a.r", "u_b.r"]);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Where `splice-lint` inspects the *structure* of the generated artifacts,
 //! this crate verifies their *behaviour*: every generated HDL module is
-//! compiled into an explicit transition relation over a ternary 0/1/X
-//! domain ([`compile`]), composed with a model of the SIS master
+//! flattened into an explicit transition relation over a ternary 0/1/X
+//! domain ([`CompiledDesign`]), composed with a model of the SIS master
 //! ([`mod@env`]) or a fully nondeterministic environment ([`explore`]), and
 //! exhaustively explored from reset. The properties checked:
 //!
@@ -13,15 +13,17 @@
 //!   acknowledge line rises without a transaction in flight.
 //! * **SL0403** — no two function instances drive a shared return line in
 //!   the same cycle (arbiter composition).
-//! * **SL0404 / SL0405** — no register or observed output carries X after
-//!   reset; `DATA_OUT` is defined whenever `DATA_OUT_VALID` is asserted.
+//! * **SL0404** — no register or output carries X after reset. `DATA_OUT`
+//!   is an output of every checked module, so this covers it in every
+//!   cycle, `DATA_OUT_VALID` cycles included.
 //! * **SL0406** — (warning) the state budget ran out before the reachable
 //!   set closed.
 //!
-//! Every module is explored exactly as generated. Every violation comes
-//! with a concrete input trace, which is replayed in the two-state domain
-//! ([`replay`]) as the [`Counterexample`] is built; it is marked confirmed
-//! only if the violation reproduces there.
+//! Both environments report a violation as a [`Witness`], and every module
+//! is explored exactly as generated. Every violation comes with a concrete
+//! input trace, which is replayed in the two-state domain ([`replay`]) as
+//! the [`Counterexample`] is built; it is marked confirmed only if the
+//! violation reproduces there.
 //!
 //! A second, orthogonal pass ([`driver_check`]) cross-checks the generated
 //! C driver text against the IR and the HDL address decode (SL0407–SL0410).
@@ -31,17 +33,13 @@ pub mod env;
 pub mod explore;
 pub mod replay;
 
-// The flattened transition relation and the ternary domain live in
-// `splice-dataflow` (one flattening path for checking, linting, and
-// abstract interpretation); re-export them under their historical names.
-pub use splice_dataflow::flat as compile;
-pub use splice_dataflow::tv;
-
-pub use compile::{CompileError, CompiledDesign};
 pub use driver_check::cross_check;
+pub use splice_dataflow::{CompileError, CompiledDesign};
 
-use explore::{BfsOutcome, BfsViolation, ExploreSpec, MutexGroup, StepMemo};
+use env::EnvPins;
+use explore::{BfsOutcome, ExploreSpec, MutexGroup, StepMemo};
 use splice_core::{BeatCount, DesignIr, FunctionStub, StubState};
+use splice_dataflow::TWord;
 use splice_hdl::Module;
 use splice_lint::{Diagnostic, Layer, LintReport, Location};
 use std::fmt;
@@ -70,7 +68,8 @@ impl Default for CheckOptions {
     }
 }
 
-/// What a counterexample trace demonstrates, in checkable form.
+/// A violation, as the environment that found it reports it: what the
+/// counterexample trace demonstrates, in checkable form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Witness {
     /// `signal` stayed low from `from_step` for `bound` + 1 steps.
@@ -89,8 +88,10 @@ pub enum Witness {
         /// Trace row index.
         step: usize,
     },
-    /// Two per-instance nets were high at once.
+    /// Two per-instance copies of the shared `line` were high at once.
     MutexOverlap {
+        /// The shared line (`IO_DONE` or `DATA_OUT_VALID`).
+        line: String,
         /// First net.
         a: String,
         /// Second net.
@@ -105,11 +106,6 @@ pub enum Witness {
         /// Trace row index.
         step: usize,
     },
-    /// DATA_OUT was unknown under DATA_OUT_VALID at `step`.
-    UnknownData {
-        /// Trace row index.
-        step: usize,
-    },
     /// Register state at `second_end` differs from `first_end`.
     RoundMismatch {
         /// Round-1 snapshot step.
@@ -117,6 +113,54 @@ pub enum Witness {
         /// Round-2 snapshot step.
         second_end: usize,
     },
+}
+
+impl Witness {
+    /// The X-safety check of both environments on one settled step: the
+    /// first register of `state`, then the first output of `obs`, that
+    /// carries X at trace row `step`.
+    fn unknown(d: &CompiledDesign, state: &[TWord], obs: &[TWord], step: usize) -> Option<Witness> {
+        let register =
+            d.registers.iter().zip(state).find(|(_, v)| !v.is_known()).map(|(&id, _)| id);
+        let id = register.or_else(|| d.outputs.iter().copied().find(|&id| !obs[id].is_known()))?;
+        Some(Witness::UnknownValue { signal: d.signals[id].name.clone(), step })
+    }
+
+    /// The rule this witness violates and its message. A driver script
+    /// (`scripted`) sees an X at one step of its run, the free exploration
+    /// in a reachable state.
+    fn diagnosis(&self, scripted: bool) -> (&'static str, String) {
+        match self {
+            Witness::Stall { signal, from_step, bound } => (
+                "SL0402",
+                format!(
+                    "`{signal}` did not respond within {bound} step(s) of the request at step \
+                     {from_step}"
+                ),
+            ),
+            Witness::UnsolicitedAck { signal, step } => (
+                "SL0402",
+                format!("`{signal}` was asserted at step {step} with no transaction in flight"),
+            ),
+            Witness::MutexOverlap { line, a, b, .. } => (
+                "SL0403",
+                format!("`{a}` and `{b}` drive the shared `{line}` line in the same cycle"),
+            ),
+            Witness::UnknownValue { signal, step } if scripted => {
+                ("SL0404", format!("`{signal}` carried X at step {step}"))
+            }
+            Witness::UnknownValue { signal, step } => {
+                ("SL0404", format!("`{signal}` carries X in a reachable state (step {step})"))
+            }
+            Witness::RoundMismatch { first_end, second_end } => (
+                "SL0401",
+                format!(
+                    "register state after round 2 (step {second_end}) differs from the state after \
+                     round 1 (step {first_end}): the FSM is not reusable"
+                ),
+            ),
+        }
+    }
 }
 
 /// A concrete stimulus reproducing one violation.
@@ -195,6 +239,32 @@ pub struct CheckOutcome {
 }
 
 impl CheckOutcome {
+    /// Report `witness`, found in `d` by the script run or exploration at
+    /// `location`, with the counterexample `trace`, confirmed by two-state
+    /// replay.
+    fn flag(
+        &mut self,
+        d: &CompiledDesign,
+        location: Location,
+        witness: Witness,
+        trace: Vec<Vec<u64>>,
+        scripted: bool,
+    ) {
+        let (code, message) = witness.diagnosis(scripted);
+        self.report.push(Diagnostic::error(code, Layer::Hdl, location, message.clone()));
+        let mut cex = Counterexample {
+            module: d.name.clone(),
+            code,
+            message,
+            inputs: d.inputs.iter().map(|&id| d.signals[id].name.clone()).collect(),
+            trace,
+            witness,
+            confirmed: false,
+        };
+        cex.confirmed = replay::confirm(d, &cex);
+        self.counterexamples.push(cex);
+    }
+
     /// Render findings, counterexamples and statistics as text.
     pub fn render_text(&self) -> String {
         let mut out = self.report.render_text();
@@ -267,6 +337,8 @@ impl CheckOutcome {
 #[derive(Debug)]
 pub enum CheckError {
     /// A generated module could not be compiled to a transition relation.
+    /// Lint reports such a module as SL0500, and the pipeline checks only
+    /// designs that lint accepts.
     Compile(CompileError),
     /// A module is missing part of the ten-signal contract.
     Pins(String),
@@ -282,165 +354,6 @@ impl fmt::Display for CheckError {
 }
 
 impl std::error::Error for CheckError {}
-
-/// Build the counterexample for one violation of `d` and confirm it by
-/// two-state replay.
-fn counterexample(
-    d: &CompiledDesign,
-    module: &str,
-    code: &'static str,
-    message: String,
-    trace: Vec<Vec<u64>>,
-    witness: Witness,
-) -> Counterexample {
-    let mut cex = Counterexample {
-        module: module.to_owned(),
-        code,
-        message,
-        inputs: d.inputs.iter().map(|&id| d.signals[id].name.clone()).collect(),
-        trace,
-        witness,
-        confirmed: false,
-    };
-    cex.confirmed = replay::confirm(d, &cex);
-    cex
-}
-
-/// Map a script violation to (code, message, witness).
-fn script_witness(v: &env::ScriptViolation, step: usize) -> (&'static str, String, Witness) {
-    match v {
-        env::ScriptViolation::Stall { signal, from_step, bound } => (
-            "SL0402",
-            format!(
-                "`{signal}` did not respond within {bound} step(s) of the request at step \
-                 {from_step}"
-            ),
-            Witness::Stall { signal: (*signal).to_owned(), from_step: *from_step, bound: *bound },
-        ),
-        env::ScriptViolation::UnsolicitedAck { signal } => (
-            "SL0402",
-            format!("`{signal}` was asserted at step {step} with no transaction in flight"),
-            Witness::UnsolicitedAck { signal: (*signal).to_owned(), step },
-        ),
-        env::ScriptViolation::UnknownValue { signal } => (
-            "SL0404",
-            format!("`{signal}` carried X at step {step}"),
-            Witness::UnknownValue { signal: signal.clone(), step },
-        ),
-        env::ScriptViolation::UnknownData => (
-            "SL0405",
-            format!("DATA_OUT was unknown while DATA_OUT_VALID was asserted at step {step}"),
-            Witness::UnknownData { step },
-        ),
-        env::ScriptViolation::RoundMismatch { first_end, second_end } => (
-            "SL0401",
-            format!(
-                "register state after round 2 (step {second_end}) differs from the state after \
-                 round 1 (step {first_end}): the FSM is not reusable"
-            ),
-            Witness::RoundMismatch { first_end: *first_end, second_end: *second_end },
-        ),
-    }
-}
-
-/// Fold one BFS outcome into the report / counterexample / stats streams.
-fn record_bfs(
-    module: &str,
-    d: &CompiledDesign,
-    out: BfsOutcome,
-    opts: &CheckOptions,
-    report: &mut LintReport,
-    cexs: &mut Vec<Counterexample>,
-    stats: &mut Vec<ModuleStats>,
-) {
-    if let Some((v, trace)) = out.violation {
-        let step = trace.len().saturating_sub(1);
-        let (code, message, witness) = match v {
-            BfsViolation::UnknownValue { signal } => (
-                "SL0404",
-                format!("`{signal}` carries X in a reachable state (step {step})"),
-                Witness::UnknownValue { signal, step },
-            ),
-            BfsViolation::UnknownData => (
-                "SL0405",
-                format!(
-                    "DATA_OUT is unknown while DATA_OUT_VALID is asserted in a reachable state \
-                     (step {step})"
-                ),
-                Witness::UnknownData { step },
-            ),
-            BfsViolation::MutexOverlap { line, a, b } => (
-                "SL0403",
-                format!("`{a}` and `{b}` drive the shared `{line}` line in the same cycle"),
-                Witness::MutexOverlap { a, b, step },
-            ),
-        };
-        report.push(Diagnostic::error(code, Layer::Hdl, Location::path(module), message.clone()));
-        cexs.push(counterexample(d, module, code, message, trace, witness));
-    }
-    if out.budget_exhausted {
-        report.push(Diagnostic::warning(
-            "SL0406",
-            Layer::Hdl,
-            Location::path(module),
-            format!(
-                "state budget exhausted after {} state(s) (max_states = {}); safety was only \
-                 verified over the explored prefix",
-                out.reachable, opts.max_states
-            ),
-        ));
-    }
-    if out.interrupted {
-        report.push(Diagnostic::warning(
-            "SL0406",
-            Layer::Hdl,
-            Location::path(module),
-            format!(
-                "exploration interrupted (SIGINT) after {} state(s); safety was only verified \
-                 over the explored prefix",
-                out.reachable
-            ),
-        ));
-    }
-    stats.push(ModuleStats {
-        module: module.to_owned(),
-        reachable: out.reachable,
-        complete: out.complete,
-        frontier_peak: out.frontier_peak,
-    });
-}
-
-/// Compile one module, downgrading structural defects the checker can
-/// *find* (mixed drivers, over-wide signals, undeclared names) to SL0500
-/// diagnostics instead of aborting the whole run. Only a missing module —
-/// a generator invariant, not a property of the design — stays a hard
-/// [`CheckError`]. Returns `None` when the module was skipped.
-fn compile_or_report(
-    modules: &[Module],
-    name: &str,
-    report: &mut LintReport,
-) -> Result<Option<CompiledDesign>, CheckError> {
-    match CompiledDesign::compile(modules, name) {
-        Ok(d) => Ok(Some(d)),
-        Err(e @ CompileError::UnknownModule { .. }) => Err(CheckError::Compile(e)),
-        Err(e) => {
-            let location = match e.signal() {
-                Some(s) => Location::signal(name, s),
-                None => Location::path(name),
-            };
-            report.push(
-                Diagnostic::error(
-                    "SL0500",
-                    Layer::Hdl,
-                    location,
-                    e.render_at(&format!("{name}.vhd")),
-                )
-                .suggest("fix the driver structure so value analysis and model checking can run"),
-            );
-            Ok(None)
-        }
-    }
-}
 
 /// The free exploration [`check_modules`] runs on `func_<stub>` compiled
 /// alone: the environment drives the stub's own FUNC_ID, the status id and
@@ -517,85 +430,147 @@ pub fn arbiter_explorations(
     (groups, specs)
 }
 
-/// The work counts of a `check.explore` span: edges tried, edges stepped
-/// and observations settled.
-fn memo_attrs(memo: &StepMemo) {
+/// Flatten `top` and resolve its SIS pins. Lint reports a module that
+/// does not flatten as SL0500, and the pipeline checks only designs that
+/// lint accepts, so here it is an error.
+fn compile(modules: &[Module], top: &str) -> Result<(CompiledDesign, EnvPins), CheckError> {
+    let d = CompiledDesign::compile(modules, top).map_err(CheckError::Compile)?;
+    let pins = env::resolve_pins(&d).map_err(CheckError::Pins)?;
+    Ok((d, pins))
+}
+
+/// Directed liveness: run the driver's own transaction scripts for `stub`
+/// on its module `d`, across pacings (and element counts for
+/// runtime-bounded transfers), and report the first violation.
+fn run_scripts(
+    ir: &DesignIr,
+    stub: &FunctionStub,
+    d: &CompiledDesign,
+    pins: &EnvPins,
+    opts: &CheckOptions,
+    out: &mut CheckOutcome,
+) {
+    let dynamic = stub.states.iter().any(|s| {
+        matches!(
+            s,
+            StubState::Input { beats: BeatCount::Dynamic { .. }, .. }
+                | StubState::Output { beats: BeatCount::Dynamic { .. }, .. }
+        )
+    });
+    let bounds: &[u64] = if dynamic { &[1, 2] } else { &[1] };
+    for &bound in bounds {
+        for pacing in 0..=2u32 {
+            let ops = env::stub_script(stub, ir.sis_mode, bound, 2);
+            let cfg = env::ScriptConfig {
+                mode: ir.sis_mode,
+                response_bound: opts.response_bound,
+                pacing,
+            };
+            let run = env::run_script(d, pins, stub.first_func_id as u64, &ops, cfg);
+            if let Some(witness) = run.violation {
+                let location =
+                    Location::path(format!("{} (pacing {pacing}, bound {bound})", d.name));
+                out.flag(d, location, witness, run.trace, true);
+                // One counterexample per stub: further pacings would
+                // near-certainly rediscover the same defect.
+                return;
+            }
+        }
+    }
+}
+
+/// Exhaustive safety under a free environment: run the explorations
+/// `specs` of `d` with one step memo under one `check.explore` span, and
+/// report them as one module. A stub has one exploration, an arbiter one
+/// per instance pair; the first violation or interrupt ends them. Returns
+/// whether the search was interrupted.
+fn explore_module(
+    d: &CompiledDesign,
+    pins: &EnvPins,
+    groups: &[MutexGroup],
+    specs: &[ExploreSpec],
+    opts: &CheckOptions,
+    out: &mut CheckOutcome,
+) -> bool {
+    let span = splice_obs::trace::span("check.explore");
+    splice_obs::trace::attr("module", d.name.as_str());
+    splice_obs::trace::attr("comb_nodes", d.comb_order.len() as u64);
+    splice_obs::trace::attr("expr_nodes", d.expr_node_count() as u64);
+    // One memo for every run: each instance's transitions carry over from
+    // one pair run to the next.
+    let mut memo = StepMemo::new(d);
+    let mut runs: Vec<BfsOutcome> = Vec::new();
+    for spec in specs {
+        let run = explore::explore(d, pins, spec, groups, &mut memo);
+        let stop = run.violation.is_some() || run.interrupted;
+        runs.push(run);
+        if stop {
+            break;
+        }
+    }
+    // Reachable counts sum over an arbiter's pair runs (their state sets
+    // overlap on the common idle background, so this is a determinism
+    // metric, not a distinct-state count).
+    let reachable: usize = runs.iter().map(|r| r.reachable).sum();
+    let frontier_peak = runs.iter().map(|r| r.frontier_peak).max().unwrap_or(0);
+    splice_obs::trace::attr("reachable", reachable as u64);
+    splice_obs::trace::attr("frontier_peak", frontier_peak as u64);
     splice_obs::trace::attr("edges", memo.edges());
     splice_obs::trace::attr("stepped", memo.stepped());
     splice_obs::trace::attr("settled", memo.settled());
+    drop(span);
+
+    let here = || Location::path(d.name.as_str());
+    if let Some((witness, trace)) = runs.last_mut().and_then(|r| r.violation.take()) {
+        out.flag(d, here(), witness, trace, false);
+    }
+    let interrupted = runs.iter().any(|r| r.interrupted);
+    if runs.iter().any(|r| r.budget_exhausted) {
+        out.report.push(Diagnostic::warning(
+            "SL0406",
+            Layer::Hdl,
+            here(),
+            format!(
+                "state budget exhausted after {reachable} state(s) (max_states = {}); safety was \
+                 only verified over the explored prefix",
+                opts.max_states
+            ),
+        ));
+    }
+    if interrupted {
+        out.report.push(Diagnostic::warning(
+            "SL0406",
+            Layer::Hdl,
+            here(),
+            format!(
+                "exploration interrupted (SIGINT) after {reachable} state(s); safety was only \
+                 verified over the explored prefix"
+            ),
+        ));
+    }
+    out.stats.push(ModuleStats {
+        module: d.name.clone(),
+        reachable,
+        complete: runs.iter().all(|r| r.complete),
+        frontier_peak,
+    });
+    interrupted
 }
 
 /// Model-check the generated HDL of `ir`. `modules` must be the module set
-/// `design_modules` emitted for this IR.
+/// `design_modules` emitted for this IR, and lint must accept it: a module
+/// that does not flatten is a [`CheckError::Compile`].
 pub fn check_modules(
     ir: &DesignIr,
     modules: &[Module],
     opts: &CheckOptions,
 ) -> Result<CheckOutcome, CheckError> {
-    let mut report = LintReport::new();
-    let mut cexs: Vec<Counterexample> = Vec::new();
-    let mut stats: Vec<ModuleStats> = Vec::new();
-
+    let mut out =
+        CheckOutcome { report: LintReport::new(), counterexamples: Vec::new(), stats: Vec::new() };
     for stub in &ir.stubs {
-        let mod_name = format!("func_{}", stub.name);
-        let Some(d) = compile_or_report(modules, &mod_name, &mut report)? else {
-            continue;
-        };
-        let pins = env::resolve_pins(&d).map_err(CheckError::Pins)?;
-        let my_id = stub.first_func_id as u64;
-
-        // Directed liveness: the driver's own transaction scripts, across
-        // pacings (and element counts for runtime-bounded transfers).
-        let dynamic = stub.states.iter().any(|s| {
-            matches!(
-                s,
-                StubState::Input { beats: BeatCount::Dynamic { .. }, .. }
-                    | StubState::Output { beats: BeatCount::Dynamic { .. }, .. }
-            )
-        });
-        let bounds: &[u64] = if dynamic { &[1, 2] } else { &[1] };
-        'scripts: for &bound in bounds {
-            for pacing in 0..=2u32 {
-                let ops = env::stub_script(stub, ir.sis_mode, bound, 2);
-                let cfg = env::ScriptConfig {
-                    mode: ir.sis_mode,
-                    response_bound: opts.response_bound,
-                    pacing,
-                };
-                let out = env::run_script(&d, &pins, my_id, &ops, cfg);
-                if let Some((v, step)) = out.violation {
-                    let (code, message, witness) = script_witness(&v, step);
-                    report.push(Diagnostic::error(
-                        code,
-                        Layer::Hdl,
-                        Location::path(format!("{mod_name} (pacing {pacing}, bound {bound})")),
-                        message.clone(),
-                    ));
-                    cexs.push(counterexample(&d, &mod_name, code, message, out.trace, witness));
-                    // One counterexample per stub: further pacings would
-                    // near-certainly rediscover the same defect.
-                    break 'scripts;
-                }
-            }
-        }
-
-        // Exhaustive safety under a free environment.
-        let spec = stub_exploration(ir, stub, opts);
-        let out = {
-            let _sp = splice_obs::trace::span("check.explore");
-            splice_obs::trace::attr("module", mod_name.as_str());
-            splice_obs::trace::attr("comb_nodes", d.comb_order.len() as u64);
-            splice_obs::trace::attr("expr_nodes", d.expr_node_count() as u64);
-            let mut memo = StepMemo::new(&d);
-            let out = explore::explore(&d, &pins, &spec, &[], &mut memo);
-            splice_obs::trace::attr("reachable", out.reachable as u64);
-            splice_obs::trace::attr("frontier_peak", out.frontier_peak as u64);
-            memo_attrs(&memo);
-            out
-        };
-        let interrupted = out.interrupted;
-        record_bfs(&mod_name, &d, out, opts, &mut report, &mut cexs, &mut stats);
-        if interrupted {
+        let (d, pins) = compile(modules, &format!("func_{}", stub.name))?;
+        run_scripts(ir, stub, &d, &pins, opts, &mut out);
+        if explore_module(&d, &pins, &[], &[stub_exploration(ir, stub, opts)], opts, &mut out) {
             // SIGINT: skip the remaining per-stub explorations (each would
             // observe the same flag immediately anyway) and fall through so
             // the partial report still renders.
@@ -606,57 +581,12 @@ pub fn check_modules(
     // Composed design: the arbiter with every instance, checking that the
     // shared return lines are driven by at most one function per cycle.
     let arb_name = format!("user_{}", ir.module.params.device_name);
-    let arb_d = if modules.iter().any(|m| m.name == arb_name) {
-        compile_or_report(modules, &arb_name, &mut report)?
-    } else {
-        None
-    };
-    if let Some(d) = arb_d {
-        let pins = env::resolve_pins(&d).map_err(CheckError::Pins)?;
+    if modules.iter().any(|m| m.name == arb_name) {
+        let (d, pins) = compile(modules, &arb_name)?;
         let (groups, specs) = arbiter_explorations(ir, &d, opts);
-        let mut total = BfsOutcome {
-            reachable: 0,
-            complete: true,
-            budget_exhausted: false,
-            interrupted: false,
-            depth_capped: false,
-            frontier_peak: 0,
-            violation: None,
-        };
-        let _sp = splice_obs::trace::span("check.explore");
-        splice_obs::trace::attr("module", arb_name.as_str());
-        splice_obs::trace::attr("comb_nodes", d.comb_order.len() as u64);
-        splice_obs::trace::attr("expr_nodes", d.expr_node_count() as u64);
-        // One memo for every pair run: each instance's transitions carry
-        // over from one run to the next.
-        let mut memo = StepMemo::new(&d);
-        for spec in &specs {
-            let out = explore::explore(&d, &pins, spec, &groups, &mut memo);
-            // Aggregate: reachable counts sum over pair runs (their state
-            // sets overlap on the common idle background, so this is a
-            // determinism metric, not a distinct-state count).
-            total.reachable += out.reachable;
-            total.complete &= out.complete;
-            total.budget_exhausted |= out.budget_exhausted;
-            total.interrupted |= out.interrupted;
-            total.depth_capped |= out.depth_capped;
-            total.frontier_peak = total.frontier_peak.max(out.frontier_peak);
-            if out.violation.is_some() {
-                total.violation = out.violation;
-                break;
-            }
-            if out.interrupted {
-                break;
-            }
-        }
-        splice_obs::trace::attr("reachable", total.reachable as u64);
-        splice_obs::trace::attr("frontier_peak", total.frontier_peak as u64);
-        memo_attrs(&memo);
-        drop(_sp);
-        record_bfs(&arb_name, &d, total, opts, &mut report, &mut cexs, &mut stats);
+        explore_module(&d, &pins, &groups, &specs, opts, &mut out);
     }
-
-    Ok(CheckOutcome { report, counterexamples: cexs, stats })
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -11,9 +11,9 @@
 //! execution of that one universe. Witnesses about unknowns run twice
 //! (fill 0 and fill 1) and confirm on divergence.
 
-use crate::compile::{CompiledDesign, DomainValue, Interp};
 use crate::{Counterexample, Witness};
-use splice_dataflow::{two_state_initial, TwoState};
+use splice_dataflow::flat::DomainValue;
+use splice_dataflow::{two_state_initial, CompiledDesign, Interp, TwoState};
 
 /// Replay `trace` against `design` with power-on X bits filled as `fill`.
 /// Entry `k` of the returned history holds every flattened signal, settled
@@ -61,7 +61,7 @@ pub fn confirm(design: &CompiledDesign, cex: &Counterexample) -> bool {
             let h = replay(design, &cex.trace, false);
             sig(signal).and_then(|id| h.get(*step).map(|row| row[id] == 1)).unwrap_or(false)
         }
-        Witness::MutexOverlap { a, b, step } => {
+        Witness::MutexOverlap { a, b, step, .. } => {
             let h = replay(design, &cex.trace, false);
             match (sig(a), sig(b), h.get(*step)) {
                 (Some(a), Some(b), Some(row)) => row[a] == 1 && row[b] == 1,
@@ -76,17 +76,6 @@ pub fn confirm(design: &CompiledDesign, cex: &Counterexample) -> bool {
             let diverges_at =
                 |k: usize| h0.get(k).zip(h1.get(k)).map(|(a, b)| a[id] != b[id]).unwrap_or(false);
             diverges_at(*step) || (0..h0.len()).any(diverges_at)
-        }
-        Witness::UnknownData { step } => {
-            let h0 = replay(design, &cex.trace, false);
-            let h1 = replay(design, &cex.trace, true);
-            let (Some(dov), Some(data)) = (sig("DATA_OUT_VALID"), sig("DATA_OUT")) else {
-                return false;
-            };
-            match (h0.get(*step), h1.get(*step)) {
-                (Some(a), Some(b)) => a[dov] == 1 && a[data] != b[data],
-                _ => false,
-            }
         }
         Witness::RoundMismatch { first_end, second_end } => {
             let h = replay(design, &cex.trace, false);

@@ -249,7 +249,6 @@ impl TimerDevice {
                 let op = TimerOp::from_function(func).expect("timer function");
                 Box::new(TimerFunctionCalc { op, core: Rc::clone(&core_for_funcs) })
             },
-            0,
             move |b, _| {
                 b.component(Box::new(TimerTicker { core: core_for_ticker }));
             },

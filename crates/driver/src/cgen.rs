@@ -10,6 +10,7 @@
 use crate::lower::{
     burst_groups, macro_widths, plan, Beats, Step, Transfer, TransferShape, DMA_MIN_BEATS,
 };
+use crate::macros::word_type;
 use splice_spec::validate::{IoBound, ModuleParams, ModuleSpec, ValidatedFunction, ValidatedIo};
 use std::fmt::Write as _;
 
@@ -41,6 +42,10 @@ pub fn driver_source(module: &ModuleSpec) -> String {
     let mut o = String::new();
     let _ = writeln!(o, "/* {dev}_driver.c — generated by Splice */");
     let _ = writeln!(o, "#include <stdlib.h>");
+    let ios = module.functions.iter().flat_map(|f| f.inputs.iter().chain(&f.output));
+    if ios.clone().any(|io| narrow_float(&module.params, io)) {
+        let _ = writeln!(o, "#include <string.h>");
+    }
     let _ = writeln!(o, "#include \"splice_lib.h\"");
     let _ = writeln!(o, "#include \"{dev}_driver.h\"\n");
     for f in &module.functions {
@@ -161,6 +166,13 @@ fn macro_name(width: u32) -> &'static str {
     }
 }
 
+/// Whether `io` is a float narrower than the bus word. Such a value
+/// crosses the bus as its bits: `memcpy` moves them through an unsigned
+/// integer of the float's width, which converts to and from the word.
+fn narrow_float(params: &ModuleParams, io: &ValidatedIo) -> bool {
+    io.ty.float && io.elem_bits() < params.bus_width
+}
+
 /// Whether an array's memory layout differs from its bus-word layout, so
 /// that it crosses the bus through a zero-filled staging buffer of words:
 /// elements narrower than the word travel one per word, and a packed count
@@ -190,6 +202,9 @@ fn emit_transfer(
     let (op, name) = if write { ("WRITE", t.io.name.as_str()) } else { ("READ", "result") };
     let scalar = matches!(t.io.bound, IoBound::Scalar);
     let staged = staged(params, t);
+    let ty = &t.io.ty.name;
+    // The unsigned integer a narrow float's bits cross through.
+    let bits = narrow_float(params, t.io).then(|| word_type(t.io.elem_bits()));
     // Where the beats live: a scalar's address, an array's pointer, or the
     // staging buffer.
     let base = match (staged, scalar) {
@@ -225,19 +240,27 @@ fn emit_transfer(
                 // A macro moves a whole bus word, so a narrower scalar
                 // crosses the bus through a word temporary, never through
                 // its own address.
-                let ty = &t.io.ty.name;
-                let _ = if write {
-                    writeln!(
+                let _ = match (write, bits) {
+                    (true, None) => writeln!(
                         body,
                         "    {{ splice_word_t __w = (splice_word_t){name}; \
                          WRITE_SINGLE(func_addr, &__w); }}"
-                    )
-                } else {
-                    writeln!(
+                    ),
+                    (false, None) => writeln!(
                         body,
                         "    {{ splice_word_t __w; READ_SINGLE(func_addr, &__w); \
                          result = ({ty})__w; }}"
-                    )
+                    ),
+                    (true, Some(u)) => writeln!(
+                        body,
+                        "    {{ splice_word_t __w; {u} __b; memcpy(&__b, &{name}, sizeof __b); \
+                         __w = __b; WRITE_SINGLE(func_addr, &__w); }}"
+                    ),
+                    (false, Some(u)) => writeln!(
+                        body,
+                        "    {{ splice_word_t __w; {u} __b; READ_SINGLE(func_addr, &__w); \
+                         __b = ({u})__w; memcpy(&result, &__b, sizeof __b); }}"
+                    ),
                 };
             } else if scalar && beats == 1 {
                 let _ = writeln!(body, "    {op}_SINGLE(func_addr, &{name});");
@@ -283,16 +306,21 @@ fn emit_transfer(
     };
     if staged {
         let elems = bound_expr(f, t.io);
-        let ty = &t.io.ty.name;
         // Element k in word k, or the bytes in order, never past either end.
-        let (test, step) = match (t.shape, write) {
-            (TransferShape::Direct, true) => (
+        let (test, step) = match t.shape {
+            TransferShape::Direct => (
                 format!("__k < (unsigned long)({elems})"),
-                format!("__w[__k] = (splice_word_t){name}[__k]"),
+                match (write, bits) {
+                    (true, None) => format!("__w[__k] = (splice_word_t){name}[__k];"),
+                    (false, None) => format!("result[__k] = ({ty})__w[__k];"),
+                    (true, Some(u)) => format!(
+                        "{{ {u} __b; memcpy(&__b, &{name}[__k], sizeof __b); __w[__k] = __b; }}"
+                    ),
+                    (false, Some(u)) => format!(
+                        "{{ {u} __b = ({u})__w[__k]; memcpy(&result[__k], &__b, sizeof __b); }}"
+                    ),
+                },
             ),
-            (TransferShape::Direct, false) => {
-                (format!("__k < (unsigned long)({elems})"), format!("result[__k] = ({ty})__w[__k]"))
-            }
             _ => {
                 let (to, from) = if write { ("__w", name) } else { ("result", "__w") };
                 (
@@ -300,11 +328,11 @@ fn emit_transfer(
                         "__k < (unsigned long)({elems}) * sizeof({ty}) \
                          && __k < (unsigned long)({beats}) * SPLICE_WORD_BYTES"
                     ),
-                    format!("((unsigned char *){to})[__k] = ((const unsigned char *){from})[__k]"),
+                    format!("((unsigned char *){to})[__k] = ((const unsigned char *){from})[__k];"),
                 )
             }
         };
-        let copy = format!("        for (__k = 0; {test}; ++__k) {step};\n");
+        let copy = format!("        for (__k = 0; {test}; ++__k) {step}\n");
         o.push_str("    {\n");
         let _ = writeln!(
             o,

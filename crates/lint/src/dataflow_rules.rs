@@ -167,8 +167,8 @@ fn lint_compiled(d: &CompiledDesign, report: &mut LintReport) {
     }
 
     // SL0505 — a register that may still hold X in a reachable post-reset
-    // state (the static companion to the model checker's SL0404/SL0405,
-    // which only see modules the checker explores). Needs a reset protocol
+    // state (the static companion to the model checker's SL0404, which
+    // only sees modules the checker explores). Needs a reset protocol
     // to be meaningful.
     if reset_slot(d).is_some() {
         for &id in &d.registers {

@@ -79,7 +79,6 @@ pub const CODES: &[(&str, &str)] = &[
     ),
     ("SL0403", "two function instances drive a shared SIS return line in the same cycle"),
     ("SL0404", "a register or output carries X after reset"),
-    ("SL0405", "DATA_OUT is unknown while DATA_OUT_VALID is asserted"),
     ("SL0406", "state-space budget exhausted before the reachable set closed"),
     ("SL0407", "driver function-id macro disagrees with the HDL address decode"),
     ("SL0408", "driver address macros disagree with the bus register map"),

@@ -1,6 +1,6 @@
 //! Integration tests of the `splice-check` model checker.
 //!
-//! Five claims are pinned here:
+//! Seven claims are pinned here:
 //!
 //! 1. **Self-application**: every bundled example specification verifies
 //!    clean — no SL04xx findings, no counterexamples — under the default
@@ -11,10 +11,13 @@
 //!    exploration order fails loudly here.
 //! 3. **Detection**: deliberately corrupted designs (an uninitialized
 //!    state register, a dead acknowledge line, a disabled per-instance
-//!    FUNC_ID remap) each produce the right SL04xx finding with a
-//!    counterexample that **reproduces on two-state replay**. Two of them
-//!    pin every counterexample's trace and witness exactly, so a change of
-//!    script or exploration order fails here too.
+//!    FUNC_ID remap, a double acknowledge, a register that differs between
+//!    round ends, an unknown DATA_OUT) each produce the right SL04xx
+//!    finding with a counterexample that **reproduces on two-state
+//!    replay**. Two of them pin every counterexample's trace and witness
+//!    exactly, so a change of script or exploration order fails here too.
+//!    A module that does not flatten, or whose DATA_OUT is not an output
+//!    port, is refused.
 //! 4. **Driver agreement**: for every bus backend the generated C driver
 //!    cross-checks clean against the generated HDL, and injected
 //!    driver/hardware mismatches are flagged.
@@ -27,12 +30,15 @@
 //!    every other pair run of its arbiter, and the same outcome as a
 //!    reference search that steps and settles every edge. The work the
 //!    reuse saves is pinned as edge, step and settle counts per example.
+//! 7. **Golden reports**: the whole text and JSON check report of every
+//!    example and every corrupted design is pinned byte for byte under
+//!    `tests/golden/check/`.
 
 use splice::pipeline::{run_pipeline, PipelineError, PipelineOptions};
-use splice_check::explore::{explore, BfsOutcome, BfsViolation, ExploreSpec, MutexGroup, StepMemo};
+use splice_check::explore::{explore, BfsOutcome, ExploreSpec, MutexGroup, StepMemo};
 use splice_check::{
-    arbiter_explorations, check_modules, cross_check, env, stub_exploration, CheckOptions,
-    CheckOutcome, Witness,
+    arbiter_explorations, check_modules, cross_check, env, stub_exploration, CheckError,
+    CheckOptions, CheckOutcome, CompileError, Witness,
 };
 use splice_core::elaborate::elaborate;
 use splice_core::hdlgen::design_modules;
@@ -78,48 +84,63 @@ fn module_mut<'a>(modules: &'a mut [Module], name: &str) -> &'a mut Module {
     modules.iter_mut().find(|m| m.name == name).expect("module exists")
 }
 
-/// Replace the right-hand side of every assignment to `lhs` — in
-/// continuous assigns and recursively inside process bodies.
-fn rewrite_assigns(module: &mut Module, lhs: &str, rhs: &Expr) -> usize {
-    fn in_stmts(stmts: &mut [Stmt], lhs: &str, rhs: &Expr, hits: &mut usize) {
+/// Apply `edit` to every statement list in `module`'s processes, each
+/// list before the lists nested in it.
+fn edit_bodies(module: &mut Module, edit: &mut impl FnMut(&mut Vec<Stmt>)) {
+    fn walk(stmts: &mut Vec<Stmt>, edit: &mut impl FnMut(&mut Vec<Stmt>)) {
+        edit(stmts);
         for s in stmts {
             match s {
-                Stmt::Assign { lhs: l, rhs: r } if l == lhs => {
-                    *r = rhs.clone();
-                    *hits += 1;
-                }
                 Stmt::If { then, elifs, els, .. } => {
-                    in_stmts(then, lhs, rhs, hits);
+                    walk(then, edit);
                     for (_, body) in elifs {
-                        in_stmts(body, lhs, rhs, hits);
+                        walk(body, edit);
                     }
                     if let Some(body) = els {
-                        in_stmts(body, lhs, rhs, hits);
+                        walk(body, edit);
                     }
                 }
                 Stmt::Case { arms, default, .. } => {
                     for (_, body) in arms {
-                        in_stmts(body, lhs, rhs, hits);
+                        walk(body, edit);
                     }
                     if let Some(body) = default {
-                        in_stmts(body, lhs, rhs, hits);
+                        walk(body, edit);
                     }
                 }
                 _ => {}
             }
         }
     }
+    for item in &mut module.items {
+        if let Item::Process(p) = item {
+            walk(&mut p.body, edit);
+        }
+    }
+}
+
+/// Replace the right-hand side of every assignment to `lhs` — in
+/// continuous assigns and recursively inside process bodies.
+fn rewrite_assigns(module: &mut Module, lhs: &str, rhs: &Expr) -> usize {
     let mut hits = 0;
     for item in &mut module.items {
-        match item {
-            Item::Assign { lhs: l, rhs: r } if l == lhs => {
+        if let Item::Assign { lhs: l, rhs: r } = item {
+            if l == lhs {
                 *r = rhs.clone();
                 hits += 1;
             }
-            Item::Process(p) => in_stmts(&mut p.body, lhs, rhs, &mut hits),
-            _ => {}
         }
     }
+    edit_bodies(module, &mut |stmts| {
+        for s in stmts {
+            if let Stmt::Assign { lhs: l, rhs: r } = s {
+                if l == lhs {
+                    *r = rhs.clone();
+                    hits += 1;
+                }
+            }
+        }
+    });
     hits
 }
 
@@ -391,8 +412,7 @@ fn unreset_register_yields_confirmed_x_counterexample() {
 /// (both concretizations converge on the first reset edge). The finding
 /// is kept, marked unconfirmed — disagreements between the two engines
 /// stay visible.
-#[test]
-fn reset_covered_x_is_reported_but_marked_unconfirmed() {
+fn reset_covered_x_design() -> (DesignIr, Vec<Module>) {
     let (ir, mut modules) = generated(&example_spec("mac"));
     let stub = module_mut(&mut modules, "func_mac");
     let mut stripped = false;
@@ -405,7 +425,12 @@ fn reset_covered_x_is_reported_but_marked_unconfirmed() {
         }
     }
     assert!(stripped, "func_mac has a cur_state register");
+    (ir, modules)
+}
 
+#[test]
+fn reset_covered_x_is_reported_but_marked_unconfirmed() {
+    let (ir, modules) = reset_covered_x_design();
     let out = check_modules(&ir, &modules, &CheckOptions::default()).expect("check runs");
     let cex = out
         .counterexamples
@@ -415,13 +440,17 @@ fn reset_covered_x_is_reported_but_marked_unconfirmed() {
     assert!(!cex.confirmed, "reset masks the X dynamically");
 }
 
-#[test]
-fn dead_acknowledge_line_yields_confirmed_stall_counterexample() {
+fn dead_acknowledge_design() -> (DesignIr, Vec<Module>) {
     let (ir, mut modules) = generated(&example_spec("mac"));
     let stub = module_mut(&mut modules, "func_mac");
     let hits = rewrite_assigns(stub, "DATA_OUT_VALID", &Expr::lit(0, 1));
     assert!(hits > 0, "func_mac drives DATA_OUT_VALID somewhere");
+    (ir, modules)
+}
 
+#[test]
+fn dead_acknowledge_line_yields_confirmed_stall_counterexample() {
+    let (ir, modules) = dead_acknowledge_design();
     let out = check_modules(&ir, &modules, &CheckOptions::default()).expect("check runs");
     assert!(out.report.has("SL0402"), "{}", out.render_text());
     let cex = out
@@ -472,13 +501,14 @@ fn disabled_func_id_remap_yields_confirmed_mutex_counterexample() {
     // that first strobes a write to FUNC_ID 1, which both unremapped
     // instances now answer.
     let overlap = Witness::MutexOverlap {
+        line: "IO_DONE".into(),
         a: "f1_sample_IO_DONE".into(),
         b: "f2_sample_IO_DONE".into(),
         step: 2,
     };
     assert_pinned_counterexamples(
         &out.counterexamples,
-        &[("user_apb_sensor", "SL0403", overlap, &[RESET, RESET, [0, 0, 0, 1, 1, 1]])],
+        &[("user_apb_sensor", "SL0403", overlap.clone(), &[RESET, RESET, [0, 0, 0, 1, 1, 1]])],
     );
 
     // Explored again with the memo of a first run, every edge is composed
@@ -493,15 +523,160 @@ fn disabled_func_id_remap_yields_confirmed_mutex_counterexample() {
     assert_eq!(memo.stepped(), stepped, "the second run steps no edge");
     assert_eq!(first, second);
     let (violation, trace) = second.violation.expect("the overlap is found again");
-    assert_eq!(
-        violation,
-        BfsViolation::MutexOverlap {
-            line: "IO_DONE".into(),
-            a: "f1_sample_IO_DONE".into(),
-            b: "f2_sample_IO_DONE".into(),
-        }
-    );
+    assert_eq!(violation, overlap);
     assert_eq!(trace, [RESET, RESET, [0, 0, 0, 1, 1, 1]].map(|r| r.to_vec()));
+}
+
+/// `func_mac` with a second clocked process that raises IO_DONE whenever
+/// DATA_IN_VALID addresses it, without IO_ENABLE: it acknowledges a write
+/// beat again in the step the master holds the lines after the first
+/// acknowledge.
+fn double_acknowledge_design() -> (DesignIr, Vec<Module>) {
+    let (ir, mut modules) = generated(&example_spec("mac"));
+    let stub = module_mut(&mut modules, "func_mac");
+    let addressed = Expr::sig("DATA_IN_VALID")
+        .eq(Expr::lit(1, 1))
+        .and(Expr::sig("FUNC_ID").eq(Expr::sig("MY_FUNC_ID")));
+    stub.items.push(Item::Process(splice_hdl::ast::Process {
+        label: "echo".into(),
+        clocked: true,
+        body: vec![Stmt::if_then(addressed, vec![Stmt::assign("IO_DONE", Expr::lit(1, 1))])],
+    }));
+    (ir, modules)
+}
+
+/// `func_mac` with a register that toggles on every read request and is
+/// never cleared, so the register state differs between round ends.
+fn round_mismatch_design() -> (DesignIr, Vec<Module>) {
+    let (ir, mut modules) = generated(&example_spec("mac"));
+    let stub = module_mut(&mut modules, "func_mac");
+    stub.decls.push(Decl::Signal { name: "reads_odd".into(), width: 1, init: Some(0) });
+    let read = Expr::sig("IO_ENABLE")
+        .eq(Expr::lit(1, 1))
+        .and(Expr::sig("DATA_IN_VALID").eq(Expr::lit(0, 1)))
+        .and(Expr::sig("FUNC_ID").eq(Expr::sig("MY_FUNC_ID")));
+    stub.items.push(Item::Process(splice_hdl::ast::Process {
+        label: "count_reads".into(),
+        clocked: true,
+        body: vec![Stmt::if_then(
+            read,
+            vec![Stmt::assign("reads_odd", Expr::sig("reads_odd").not())],
+        )],
+    }));
+    (ir, modules)
+}
+
+/// `func_mac` driving DATA_OUT from a never-driven signal in the cycle it
+/// raises DATA_OUT_VALID.
+fn unknown_data_design() -> (DesignIr, Vec<Module>) {
+    let (ir, mut modules) = generated(&example_spec("mac"));
+    let stub = module_mut(&mut modules, "func_mac");
+    stub.decls.push(Decl::Signal { name: "no_result".into(), width: 32, init: None });
+    let valid = Stmt::assign("DATA_OUT_VALID", Expr::lit(1, 1));
+    let mut hits = 0;
+    edit_bodies(stub, &mut |stmts| {
+        if stmts.contains(&valid) {
+            stmts.push(Stmt::assign("DATA_OUT", Expr::sig("no_result")));
+            hits += 1;
+        }
+    });
+    assert_eq!(hits, 1, "func_mac raises DATA_OUT_VALID in one branch");
+    (ir, modules)
+}
+
+/// DATA_OUT is an output port of every module the checker explores, so
+/// an X on it while DATA_OUT_VALID is high is an unknown output: SL0404
+/// names DATA_OUT at the step DATA_OUT_VALID rises.
+#[test]
+fn unknown_data_under_data_out_valid_is_an_unknown_output() {
+    let (ir, modules) = unknown_data_design();
+    let out = check_modules(&ir, &modules, &CheckOptions::default()).expect("check runs");
+    let cex = out.counterexamples.first().expect("the X is reported");
+    let Witness::UnknownValue { signal, step } = &cex.witness else {
+        panic!("{:?}", cex.witness);
+    };
+    assert_eq!(
+        (cex.module.as_str(), cex.code, signal.as_str()),
+        ("func_mac", "SL0404", "DATA_OUT")
+    );
+    assert!(cex.confirmed, "the X reproduces on replay");
+    let d = CompiledDesign::compile(&modules, "func_mac").expect("compiles");
+    let dov = d.signal_id("DATA_OUT_VALID").expect("DATA_OUT_VALID");
+    let history = splice_check::replay::replay(&d, &cex.trace, false);
+    assert_eq!(history[*step][dov], 1, "DATA_OUT_VALID is high at step {step}");
+    assert!(out.counterexamples.iter().all(|c| c.code == "SL0404"), "{}", out.render_text());
+}
+
+/// The pin contract makes that argument a checked one: a module whose
+/// DATA_OUT is an internal signal has no pins to check.
+#[test]
+fn resolve_pins_requires_data_out_to_be_an_output_port() {
+    let (ir, mut modules) = generated(&example_spec("mac"));
+    let stub = module_mut(&mut modules, "func_mac");
+    stub.ports.retain(|p| p.name != "DATA_OUT");
+    stub.decls.push(Decl::Signal { name: "DATA_OUT".into(), width: 32, init: Some(0) });
+    let d = CompiledDesign::compile(&modules, "func_mac").expect("compiles");
+    let err = env::resolve_pins(&d).expect_err("DATA_OUT is not an output");
+    assert_eq!(err, "`func_mac` has no `DATA_OUT` output port");
+    let err = check_modules(&ir, &modules, &CheckOptions::default()).err();
+    assert!(matches!(err, Some(CheckError::Pins(_))), "{err:?}");
+}
+
+/// Lint reports a module that does not flatten (SL0500), and the pipeline
+/// checks only designs that lint accepts, so the checker refuses one.
+#[test]
+fn a_module_that_does_not_flatten_is_a_check_error() {
+    let (ir, mut modules) = generated(&example_spec("mac"));
+    let stub = module_mut(&mut modules, "func_mac");
+    stub.items.push(Item::Assign { lhs: "cur_state".into(), rhs: Expr::sig("next_state") });
+    let err = check_modules(&ir, &modules, &CheckOptions::default()).err();
+    assert!(
+        matches!(&err, Some(CheckError::Compile(CompileError::MixedDrivers { name })) if name == "cur_state"),
+        "{err:?}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Golden reports.
+// ---------------------------------------------------------------------------
+
+/// Compare `out`'s text and JSON reports with `tests/golden/check/<name>.*`;
+/// `SPLICE_BLESS=1 cargo test --test check` rewrites them.
+fn assert_golden(name: &str, out: &CheckOutcome) {
+    let dir = repo_path("tests/golden/check");
+    for (ext, got) in [("txt", out.render_text()), ("json", out.render_json())] {
+        let path = dir.join(format!("{name}.{ext}"));
+        if std::env::var_os("SPLICE_BLESS").is_some() {
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(&path, &got).unwrap();
+        }
+        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!("missing golden {name}.{ext}: {e}; bless with SPLICE_BLESS=1")
+        });
+        assert_eq!(got, want, "{name}.{ext}");
+    }
+}
+
+/// The whole check report, findings, counterexamples and statistics, of
+/// every example and of every corrupted design above, byte for byte. Each
+/// corrupted design's first counterexample is the rule it was built for.
+#[test]
+fn check_reports_match_goldens() {
+    for stem in ["apb_sensor", "dma_stream", "fir_filter", "hw_timer", "mac"] {
+        assert_golden(stem, &checked(&example_spec(stem)));
+    }
+    for (name, (ir, modules), code) in [
+        ("unreset_register", unreset_register_design(), "SL0404"),
+        ("reset_covered_x", reset_covered_x_design(), "SL0404"),
+        ("dead_acknowledge", dead_acknowledge_design(), "SL0402"),
+        ("disabled_remap", disabled_remap_design(), "SL0403"),
+        ("double_acknowledge", double_acknowledge_design(), "SL0402"),
+        ("round_mismatch", round_mismatch_design(), "SL0401"),
+    ] {
+        let out = check_modules(&ir, &modules, &CheckOptions::default()).expect("check runs");
+        assert_eq!(out.counterexamples.first().map(|c| c.code), Some(code), "{name}");
+        assert_golden(name, &out);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -601,23 +776,23 @@ fn reference_bfs(
         }
     }
     let name = |id: usize| d.signals[id].name.clone();
-    let observe = |interp: &mut Interp<TWord>, state: &[TWord], row: &[u64]| {
+    // The observation at trace row `step`: every register known, then
+    // every output known, then no two members of a mutex group high.
+    let observe = |interp: &mut Interp<TWord>, state: &[TWord], row: &[u64], step: usize| {
         if let Some(slot) = state.iter().position(|w| !w.is_known()) {
-            return Some(BfsViolation::UnknownValue { signal: name(d.registers[slot]) });
+            return Some(Witness::UnknownValue { signal: name(d.registers[slot]), step });
         }
         let obs = interp.settle(state, &words(row));
         if let Some(&id) = d.outputs.iter().find(|&&id| !obs[id].is_known()) {
-            return Some(BfsViolation::UnknownValue { signal: name(id) });
-        }
-        if obs[pins.dov].is(1) && !obs[pins.data_out].is_known() {
-            return Some(BfsViolation::UnknownData);
+            return Some(Witness::UnknownValue { signal: name(id), step });
         }
         mutex_groups.iter().find_map(|g| {
             let high: Vec<usize> = g.members.iter().copied().filter(|&m| obs[m].is(1)).collect();
-            (high.len() >= 2).then(|| BfsViolation::MutexOverlap {
+            (high.len() >= 2).then(|| Witness::MutexOverlap {
                 line: g.line.clone(),
                 a: name(high[0]),
                 b: name(high[1]),
+                step,
             })
         })
     };
@@ -650,7 +825,7 @@ fn reference_bfs(
         frontier_peak: 0,
         violation: None,
     };
-    if let Some(v) = observe(&mut interp, &state, &idle) {
+    if let Some(v) = observe(&mut interp, &state, &idle, 2) {
         outcome.violation = Some((v, trace(&found, 0, &idle)));
         return outcome;
     }
@@ -666,7 +841,7 @@ fn reference_bfs(
         }
         for (r, row) in rows.iter().enumerate() {
             interp.step(&cur, &words(row), &mut next);
-            if let Some(v) = observe(&mut interp, &next, row) {
+            if let Some(v) = observe(&mut interp, &next, row, depth as usize + 2) {
                 outcome.reachable = found.len();
                 outcome.budget_exhausted = false;
                 outcome.violation = Some((v, trace(&found, idx, row)));
@@ -807,7 +982,7 @@ fn explore_matches_a_reference_search_that_settles_every_edge() {
     let got = explore(&d, &pins, &spec, &groups, &mut StepMemo::new(&d));
     assert_eq!(got, reference_bfs(&d, &pins, &spec, &groups));
     let overlap =
-        BfsViolation::MutexOverlap { line: "IO_DONE".into(), a: "a".into(), b: "b".into() };
+        Witness::MutexOverlap { line: "IO_DONE".into(), a: "a".into(), b: "b".into(), step: 3 };
     assert_eq!(got.violation.map(|(v, trace)| (v, trace.len())), Some((overlap, 4)));
 }
 

@@ -468,7 +468,7 @@ fn c_size(ty: &str) -> usize {
     match ty {
         "char" => 1,
         "short" => 2,
-        "int" => 4,
+        "int" | "float" => 4,
         other => panic!("no host size for `{other}`"),
     }
 }
@@ -553,23 +553,35 @@ fn assert_data_moves_exactly(dir: &Path, tag: &str, spec: &str, counts: &[u64]) 
             let mut args = Vec::new();
             for (k, io) in f.inputs.iter().enumerate() {
                 let ty = &io.ty.name;
-                let elems: Vec<u64> = if io.is_pointer {
+                let values: Vec<u64> = if io.is_pointer {
                     let mask = (1u64 << (8 * c_size(ty) - 1)) - 1;
                     (0..n_of(io)).map(|j| (j * 37 + 11) & mask).collect()
                 } else {
                     vec![if io.used_as_index { count } else { 5 }]
                 };
+                // A float gets a fraction, so that its bits and its value
+                // converted to an integer differ; it crosses as its bits.
+                let (lits, elems): (Vec<String>, Vec<u64>) = values
+                    .iter()
+                    .map(|&v| match io.ty.float {
+                        true => {
+                            let x = v as f32 + 0.5;
+                            (format!("{x:?}"), u64::from(x.to_bits()))
+                        }
+                        false => (v.to_string(), v),
+                    })
+                    .unzip();
                 if io.is_pointer {
                     let _ = writeln!(
                         main_c,
                         "        {ty} *a{k} = ({ty} *)malloc(sizeof({ty}) * {});",
                         elems.len()
                     );
-                    for (j, v) in elems.iter().enumerate() {
-                        let _ = writeln!(main_c, "        a{k}[{j}] = ({ty}){v};");
+                    for (j, lit) in lits.iter().enumerate() {
+                        let _ = writeln!(main_c, "        a{k}[{j}] = ({ty}){lit};");
                     }
                 } else {
-                    let _ = writeln!(main_c, "        {ty} a{k} = ({ty}){};", elems[0]);
+                    let _ = writeln!(main_c, "        {ty} a{k} = ({ty}){};", lits[0]);
                 }
                 args.push(format!("a{k}"));
                 writes.extend(word_image(&m, io, &elems));
@@ -654,7 +666,8 @@ fn assert_data_moves_exactly(dir: &Path, tag: &str, spec: &str, counts: &[u64]) 
 /// DMA transfers alike: narrow elements travel one per word, and a packed
 /// count that ends inside a beat is padded with zeros, so no transfer reads
 /// or writes past an array's end. Arrays already in bus-word layout (bus-
-/// wide elements, whole packed beats) cross as they are. Every driver also
+/// wide elements, whole packed beats) cross as they are. A float narrower
+/// than the word, scalar or element, crosses as its bits. Every driver also
 /// compiles against the emitted header with warnings as errors.
 #[test]
 fn arrays_cross_the_bus_in_bus_word_layout() {
@@ -665,7 +678,8 @@ fn arrays_cross_the_bus_in_bus_word_layout() {
             "%device_name stage_ahb\n%bus_type ahb\n%bus_width 64\n%base_address 0x80000000\n\
              %burst_support true\nint fn0(char*:5 p0);\nint fp(char*:5+ p1);\n\
              int fw(char*:16+ p2);\nint fr(int n, short*:n+ xs);\nint fq(int m, char*:m ys);\n\
-             char*:3 g();\nshort*:3+ h();\nint*:n k(int n);\n",
+             char*:3 g();\nshort*:3+ h();\nint*:n k(int n);\nfloat fl(float a);\n\
+             int fm(float*:3 xs);\nfloat*:3 fz();\n",
         ),
         (
             "plb32",
