@@ -4,9 +4,10 @@
 use splice_sim::SimulatorBuilder;
 use splice_sis::protocol::EchoFunction;
 use splice_sis::waves;
-use splice_sis::{SisBus, SisMaster, SisMode, SisOp};
+use splice_sis::{SisBus, SisMaster, SisOp};
+use splice_spec::bus::SyncClass::{self, PseudoAsynchronous, StrictlySynchronous};
 
-fn run(mode: SisMode, title: &str) {
+fn run(sync: SyncClass, title: &str) {
     let mut b = SimulatorBuilder::new();
     let bus = SisBus::declare(&mut b, "", 32, 8);
     let script = vec![
@@ -17,7 +18,7 @@ fn run(mode: SisMode, title: &str) {
         SisOp::Idle(2),
         SisOp::Write { func_id: 1, data: 0x71 },
     ];
-    let midx = b.component(Box::new(SisMaster::new(bus, mode, script)));
+    let midx = b.component(Box::new(SisMaster::new(bus, sync, script)));
     b.component(Box::new(
         EchoFunction::new(
             1,
@@ -62,6 +63,6 @@ fn main() {
         );
     }
     println!();
-    run(SisMode::PseudoAsync, "Fig 4.3 — the SIS pseudo asynchronous transmission protocol");
-    run(SisMode::StrictSync, "Fig 4.4 — the SIS strictly synchronous transmission protocol");
+    run(PseudoAsynchronous, "Fig 4.3 — the SIS pseudo asynchronous transmission protocol");
+    run(StrictlySynchronous, "Fig 4.4 — the SIS strictly synchronous transmission protocol");
 }

@@ -4,9 +4,10 @@
 //! Wishbone, Avalon) share the request/acknowledge shape of the PLB —
 //! §4.3.2 observes that "the vast majority of interfaces in use today tend
 //! to employ protocols that are functionally equivalent to one another" —
-//! so they reuse the PLB master/adapter pair with their own
-//! [`BusTiming`] constants, bridge stalls, and (for the FCB) direct
-//! function-id addressing instead of memory-mapped decode.
+//! so they reuse the PLB master/adapter pair with their own bridge stalls
+//! and (for the FCB) direct function-id addressing instead of
+//! memory-mapped decode, both read from the bus's
+//! [`BusCaps`](splice_spec::bus::BusCaps).
 //!
 //! The strictly synchronous AMBA APB is genuinely different (§4.2.2): no
 //! per-beat acknowledge exists, so it gets its own [`ApbMaster`] /
@@ -14,10 +15,11 @@
 //! polling.
 
 use crate::plb::{channel, ChannelHandle, PlbCpuMaster, PlbSignals, PlbSisAdapter};
-use crate::timing::BusTiming;
+use crate::timing::{cpu_to_bus, REQUEST_CYCLES};
 use splice_driver::program::BusOp;
 use splice_sim::{Component, Sensitivity, SignalDecl, SignalId, SimulatorBuilder, TickCtx, Word};
 use splice_sis::SisBus;
+use splice_spec::validate::ModuleParams;
 
 /// The native APB signal bundle (AMBA 2 nomenclature).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +93,9 @@ enum AmState {
 /// polling the status register through [`BusOp::Poll`].
 pub struct ApbMaster {
     sig: ApbSignals,
-    timing: BusTiming,
+    /// Bus cycles each request and each response spends crossing the
+    /// AHB→APB bridge ([`BusCaps::bridge_latency`](splice_spec::bus::BusCaps)).
+    bridge_latency: u32,
     /// Interrupt vector + acknowledge strobe (`%irq_support`).
     irq: Option<(SignalId, SignalId)>,
     ops: Vec<BusOp>,
@@ -108,11 +112,12 @@ pub struct ApbMaster {
 }
 
 impl ApbMaster {
-    /// Create a master for one driver call.
-    pub fn new(sig: ApbSignals, timing: BusTiming, ops: Vec<BusOp>) -> Self {
+    /// Create a master for one driver call behind a bridge of
+    /// `bridge_latency` cycles each way.
+    pub fn new(sig: ApbSignals, bridge_latency: u32, ops: Vec<BusOp>) -> Self {
         ApbMaster {
             sig,
-            timing,
+            bridge_latency,
             irq: None,
             ops,
             pc: 0,
@@ -195,7 +200,7 @@ impl ApbMaster {
     /// Fixed read-return latency: request crosses the bridge, the SIS
     /// round-trip, and comes back.
     fn read_latency(&self) -> u32 {
-        3 + 2 * self.timing.bridge_latency
+        3 + 2 * self.bridge_latency
     }
 }
 
@@ -211,13 +216,9 @@ impl Component for ApbMaster {
                     }
                     return;
                 };
-                let issue = self.timing.issue_write + self.timing.bridge_latency;
-                if issue > 0 {
-                    self.idle(ctx);
-                    self.state = AmState::Issue { remaining: issue, op: Box::new(op) };
-                } else {
-                    self.dispatch(ctx, op);
-                }
+                self.idle(ctx);
+                let remaining = REQUEST_CYCLES + self.bridge_latency;
+                self.state = AmState::Issue { remaining, op: Box::new(op) };
             }
             AmState::Issue { remaining, op } => {
                 if remaining <= 1 {
@@ -380,7 +381,7 @@ impl ApbMaster {
             }
             BusOp::Compute { cpu_cycles } => {
                 self.idle(ctx);
-                let bus = BusTiming::cpu_to_bus(cpu_cycles);
+                let bus = cpu_to_bus(cpu_cycles);
                 if bus == 0 {
                     self.next_op(ctx.cycle());
                 } else {
@@ -492,8 +493,8 @@ impl Component for ApbAdapter {
 
 // ---------------------------------------------------------------------
 
-/// A pseudo-asynchronous system built from the PLB component pair with a
-/// different bus's timing personality (OPB, FCB, AHB, Wishbone, Avalon).
+/// A pseudo-asynchronous system built from the PLB component pair, with a
+/// bus's bridge stall and addressing (OPB, FCB, AHB, Wishbone, Avalon).
 pub struct PseudoAsyncSystem {
     /// Native signal bundle.
     pub signals: PlbSignals,
@@ -504,40 +505,37 @@ pub struct PseudoAsyncSystem {
 }
 
 impl PseudoAsyncSystem {
-    /// Instantiate adapter-side hardware for a pseudo-asynchronous bus.
-    ///
-    /// `bridge_stall` models bridge hops as adapter-side wait cycles; pass
-    /// `direct_addressing` for opcode-coupled interfaces (FCB) whose
-    /// "address" is the function id itself.
+    /// Instantiate adapter-side hardware for the pseudo-asynchronous bus of
+    /// `params`: its bridge hops become adapter-side wait cycles, and a bus
+    /// that is not memory-mapped (the opcode-coupled FCB) addresses the
+    /// function id itself.
     pub fn attach(
         b: &mut SimulatorBuilder,
         prefix: &str,
         sis: SisBus,
-        bus_width: u32,
-        base_addr: u64,
-        bridge_stall: u32,
-        direct_addressing: bool,
+        params: &ModuleParams,
     ) -> Self {
-        let signals = PlbSignals::declare(b, prefix, bus_width);
+        let signals = PlbSignals::declare(b, prefix, params.bus_width);
         let chan = channel();
+        let mapped = params.bus.memory_mapped;
         let mut adapter = PlbSisAdapter::new(
             signals,
             sis,
             std::rc::Rc::clone(&chan),
-            if direct_addressing { 0 } else { base_addr },
-            bus_width,
+            if mapped { params.base_address } else { 0 },
+            params.bus_width,
         );
-        if direct_addressing {
+        if !mapped {
             adapter = adapter.with_direct_addressing();
         }
-        adapter = adapter.with_stall(bridge_stall);
+        adapter = adapter.with_stall(params.bus.bridge_latency);
         let adapter_idx = b.component(Box::new(adapter));
         PseudoAsyncSystem { signals, chan, adapter: adapter_idx }
     }
 
     /// Create the matching CPU master for one driver call.
-    pub fn master(&self, timing: BusTiming, ops: Vec<BusOp>) -> PlbCpuMaster {
-        PlbCpuMaster::new(self.signals, timing, std::rc::Rc::clone(&self.chan), ops)
+    pub fn master(&self, ops: Vec<BusOp>) -> PlbCpuMaster {
+        PlbCpuMaster::new(self.signals, std::rc::Rc::clone(&self.chan), ops)
     }
 }
 
@@ -548,7 +546,6 @@ mod tests {
     use splice_core::simbuild::{build_peripheral, CalcLogic, CalcResult, FuncInputs};
     use splice_driver::lower::lower_call;
     use splice_driver::program::CallArgs;
-    use splice_spec::bus::BusKind;
     use splice_spec::parse_and_validate;
     use splice_spec::validate::ModuleSpec;
 
@@ -574,7 +571,7 @@ mod tests {
         b.component(Box::new(ApbAdapter::new(sig, handles.bus, 0x8000_0000, 32)));
         let midx = b.component(Box::new(ApbMaster::new(
             sig,
-            BusTiming::for_bus(BusKind::Apb),
+            m.params.bus.bridge_latency,
             prog.ops.clone(),
         )));
         let mut sim = b.build();
@@ -621,9 +618,8 @@ mod tests {
             .unwrap();
         let mut b = SimulatorBuilder::new();
         let handles = build_peripheral(&mut b, &ir, "sis.", |_, _| Box::new(SumCalc(2)));
-        let sys = PseudoAsyncSystem::attach(&mut b, "fcb.", handles.bus, 32, 0, 0, true);
-        let midx =
-            b.component(Box::new(sys.master(BusTiming::for_bus(BusKind::Fcb), prog.ops.clone())));
+        let sys = PseudoAsyncSystem::attach(&mut b, "fcb.", handles.bus, &m.params);
+        let midx = b.component(Box::new(sys.master(prog.ops.clone())));
         let mut sim = b.build();
         sim.run_until("fcb call", 100_000, |s| {
             s.component::<PlbCpuMaster>(midx).unwrap().is_finished()
@@ -635,7 +631,7 @@ mod tests {
     #[test]
     fn opb_is_slower_than_plb_for_the_same_call() {
         // The OPB pays bridge hops (§2.3.2's "intrinsic latency penalties").
-        let run = |bus: &str, stall: u32, timing: BusKind| {
+        let run = |bus: &str| {
             let m = module(bus, "long add2(int a, int b);");
             let ir = elaborate(&m);
             let prog =
@@ -643,10 +639,8 @@ mod tests {
                     .unwrap();
             let mut b = SimulatorBuilder::new();
             let handles = build_peripheral(&mut b, &ir, "sis.", |_, _| Box::new(SumCalc(2)));
-            let sys =
-                PseudoAsyncSystem::attach(&mut b, "n.", handles.bus, 32, 0x8000_0000, stall, false);
-            let midx =
-                b.component(Box::new(sys.master(BusTiming::for_bus(timing), prog.ops.clone())));
+            let sys = PseudoAsyncSystem::attach(&mut b, "n.", handles.bus, &m.params);
+            let midx = b.component(Box::new(sys.master(prog.ops.clone())));
             let mut sim = b.build();
             sim.run_until("call", 100_000, |s| {
                 s.component::<PlbCpuMaster>(midx).unwrap().is_finished()
@@ -654,8 +648,8 @@ mod tests {
             .unwrap();
             sim.component::<PlbCpuMaster>(midx).unwrap().finished_cycle.unwrap()
         };
-        let plb = run("plb", 0, BusKind::Plb);
-        let opb = run("opb", 2, BusKind::Opb);
+        let plb = run("plb");
+        let opb = run("opb");
         assert!(opb > plb, "plb={plb} opb={opb}");
     }
 }

@@ -10,10 +10,12 @@
 //! HDL adapter template, markers and capability description.
 //!
 //! The PLB is modelled signal-for-signal after Figs 4.5–4.8 ([`plb`]); the
-//! remaining pseudo-asynchronous buses share one parameterised model
-//! ([`generic`]) whose constants ([`timing`]) encode the per-bus
-//! differences the thesis describes (bridge hops for the OPB/APB, opcode
-//! coupling for the FCB, burst depths, DMA limits).
+//! remaining pseudo-asynchronous buses share one model ([`generic`]),
+//! parameterised by each bus's capability description
+//! ([`splice_spec::bus::BusCaps`]), which carries the per-bus differences
+//! the thesis describes (bridge hops for the OPB/APB, opcode coupling for
+//! the FCB, burst depths, DMA limits). [`timing`] holds the few cycle
+//! constants every bus shares.
 
 pub mod generic;
 pub mod libs;
@@ -23,4 +25,3 @@ pub mod timing;
 
 pub use libs::{builtin_libraries, library_for};
 pub use system::{CallOutcome, SplicedSystem, SystemError};
-pub use timing::BusTiming;

@@ -27,8 +27,7 @@ pub fn library_for(kind: BusKind) -> BuiltinBusLibrary {
 }
 
 /// Library implementation shared by the builtin buses (their behavioural
-/// differences live in [`BusCaps`], [`crate::timing::BusTiming`] and the
-/// per-bus template text below).
+/// differences live in [`BusCaps`] and the per-bus template text below).
 pub struct BuiltinBusLibrary {
     kind: BusKind,
 }

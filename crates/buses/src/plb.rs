@@ -21,7 +21,7 @@
 //! [`PlbChannel`] — the stand-in for the system memory the real DMA engine
 //! would read — while every control interaction remains signal-level.
 
-use crate::timing::BusTiming;
+use crate::timing::{cpu_to_bus, DMA_SETUP_TXNS, REQUEST_CYCLES};
 use splice_driver::program::BusOp;
 use splice_sim::{Component, Sensitivity, SignalDecl, SignalId, SimulatorBuilder, TickCtx, Word};
 use splice_sis::SisBus;
@@ -150,7 +150,6 @@ enum MState {
 /// The PPC405-flavoured master: executes one driver call's [`BusOp`] list.
 pub struct PlbCpuMaster {
     sig: PlbSignals,
-    timing: BusTiming,
     chan: ChannelHandle,
     /// The peripheral's sticky interrupt vector + acknowledge strobe, when
     /// the design was generated with `%irq_support`.
@@ -173,10 +172,9 @@ pub struct PlbCpuMaster {
 
 impl PlbCpuMaster {
     /// Create a master that will run `ops`.
-    pub fn new(sig: PlbSignals, timing: BusTiming, chan: ChannelHandle, ops: Vec<BusOp>) -> Self {
+    pub fn new(sig: PlbSignals, chan: ChannelHandle, ops: Vec<BusOp>) -> Self {
         PlbCpuMaster {
             sig,
-            timing,
             chan,
             irq: None,
             ops,
@@ -320,17 +318,17 @@ impl PlbCpuMaster {
                 self.pending_dma = Some((true, beats, addr));
                 // Program the controller: the thesis's "minimum of four
                 // bus transactions to setup and take down" (§9.2.1).
-                self.setup_writes_left = self.timing.dma_setup_txns.max(1);
+                self.setup_writes_left = DMA_SETUP_TXNS;
                 self.assert_write(ctx, DMA_CTRL_ADDR, beats as Word, 1);
             }
             BusOp::DmaRead { addr, beats } => {
                 self.pending_dma = Some((false, beats, addr));
-                self.setup_writes_left = self.timing.dma_setup_txns.max(1);
+                self.setup_writes_left = DMA_SETUP_TXNS;
                 self.assert_write(ctx, DMA_CTRL_ADDR, beats as Word, 1);
             }
             BusOp::Compute { cpu_cycles } => {
                 self.idle_lines(ctx);
-                let bus = BusTiming::cpu_to_bus(cpu_cycles);
+                let bus = cpu_to_bus(cpu_cycles);
                 if bus == 0 {
                     self.next_op(ctx.cycle());
                 } else {
@@ -361,13 +359,13 @@ impl Component for PlbCpuMaster {
                     return;
                 };
                 let issue = match op {
-                    BusOp::Read { .. } | BusOp::ReadBurst { .. } | BusOp::Poll { .. } => {
-                        self.timing.issue_read
-                    }
-                    BusOp::Write { .. }
+                    BusOp::Read { .. }
+                    | BusOp::ReadBurst { .. }
+                    | BusOp::Poll { .. }
+                    | BusOp::Write { .. }
                     | BusOp::WriteBurst { .. }
                     | BusOp::DmaWrite { .. }
-                    | BusOp::DmaRead { .. } => self.timing.issue_write,
+                    | BusOp::DmaRead { .. } => REQUEST_CYCLES,
                     _ => 0,
                 };
                 if issue == 0 {
@@ -959,7 +957,6 @@ mod tests {
     use splice_driver::lower::lower_call;
     use splice_driver::program::{CallArgs, CallValue};
     use splice_sim::{Simulator, SimulatorBuilder};
-    use splice_spec::bus::BusKind;
     use splice_spec::parse_and_validate;
     use splice_spec::validate::ModuleSpec;
 
@@ -996,12 +993,7 @@ mod tests {
         )
         .with_stall(stall);
         b.component(Box::new(adapter));
-        let midx = b.component(Box::new(PlbCpuMaster::new(
-            sig,
-            BusTiming::for_bus(BusKind::Plb),
-            chan,
-            prog.ops.clone(),
-        )));
+        let midx = b.component(Box::new(PlbCpuMaster::new(sig, chan, prog.ops.clone())));
         let mut sim: Simulator = b.build();
         sim.run_until("driver call", 1_000_000, |s| {
             s.component::<PlbCpuMaster>(midx).unwrap().is_finished()
@@ -1084,12 +1076,7 @@ mod tests {
             0x8000_0000,
             32,
         )));
-        let midx = b.component(Box::new(PlbCpuMaster::new(
-            sig,
-            BusTiming::for_bus(BusKind::Plb),
-            chan,
-            prog.ops.clone(),
-        )));
+        let midx = b.component(Box::new(PlbCpuMaster::new(sig, chan, prog.ops.clone())));
         let mut sim = b.build();
         sim.run_until("dma call", 1_000_000, |s| {
             s.component::<PlbCpuMaster>(midx).unwrap().is_finished()

@@ -8,9 +8,8 @@
 
 use crate::generic::{ApbAdapter, ApbMaster, ApbSignals, PseudoAsyncSystem};
 use crate::plb::PlbCpuMaster;
-use crate::timing::BusTiming;
 use splice_core::elaborate::elaborate;
-use splice_core::ir::{sis_mode_for, DesignIr};
+use splice_core::ir::DesignIr;
 use splice_core::simbuild::{build_peripheral, CalcLogic};
 use splice_driver::lower::{lower_call, LowerError};
 use splice_driver::program::{BusOp, CallArgs};
@@ -67,17 +66,13 @@ impl From<SimError> for SystemError {
     }
 }
 
-enum MasterKind {
-    PlbLike,
-    Apb,
-}
-
 /// A live, callable Splice system.
 pub struct SplicedSystem {
     sim: Simulator,
     module: ModuleSpec,
+    /// Index of the CPU master: an [`ApbMaster`] on a strictly synchronous
+    /// bus, a [`PlbCpuMaster`] on every other.
     master_idx: usize,
-    kind: MasterKind,
     /// Component indices of the generated stubs, in FUNC_ID order
     /// (harnesses downcast them to `GeneratedStub` for inspection).
     pub stub_components: Vec<usize>,
@@ -107,11 +102,10 @@ impl SplicedSystem {
     ) -> Self {
         let ir: DesignIr = elaborate(module);
         let p = &module.params;
-        let timing = BusTiming::for_bus(p.bus.kind);
         let mut b = SimulatorBuilder::new();
         let handles = build_peripheral(&mut b, &ir, "sis.", calc_factory);
 
-        let (master_idx, kind) = match p.bus.sync {
+        let master_idx = match p.bus.sync {
             SyncClass::StrictlySynchronous => {
                 let sig = ApbSignals::declare(&mut b, "apb.", p.bus_width);
                 b.component(Box::new(ApbAdapter::new(
@@ -120,29 +114,19 @@ impl SplicedSystem {
                     p.base_address,
                     p.bus_width,
                 )));
-                let mut master = ApbMaster::new(sig, timing, Vec::new());
+                let mut master = ApbMaster::new(sig, p.bus.bridge_latency, Vec::new());
                 if let (Some(v), Some(a)) = (handles.irq_vector, handles.irq_ack) {
                     master = master.with_irq(v, a);
                 }
-                let idx = b.component(Box::new(master));
-                (idx, MasterKind::Apb)
+                b.component(Box::new(master))
             }
             SyncClass::PseudoAsynchronous => {
-                let sys = PseudoAsyncSystem::attach(
-                    &mut b,
-                    "native.",
-                    handles.bus,
-                    p.bus_width,
-                    p.base_address,
-                    p.bus.bridge_latency,
-                    p.bus.opcode_coupled,
-                );
-                let mut master = sys.master(timing, Vec::new());
+                let sys = PseudoAsyncSystem::attach(&mut b, "native.", handles.bus, p);
+                let mut master = sys.master(Vec::new());
                 if let (Some(v), Some(a)) = (handles.irq_vector, handles.irq_ack) {
                     master = master.with_irq(v, a);
                 }
-                let idx = b.component(Box::new(master));
-                (idx, MasterKind::PlbLike)
+                b.component(Box::new(master))
             }
         };
 
@@ -151,7 +135,6 @@ impl SplicedSystem {
             sim: b.build(),
             module: module.clone(),
             master_idx,
-            kind,
             stub_components: handles.stub_components,
             checker: None,
             call_budget: 5_000_000,
@@ -165,10 +148,10 @@ impl SplicedSystem {
         module: &ModuleSpec,
         calc_factory: impl FnMut(&str, u32) -> Box<dyn CalcLogic>,
     ) -> Self {
-        let mode = sis_mode_for(module.params.bus.sync);
+        let sync = module.params.bus.sync;
         let mut checker = None;
         let mut sys = Self::build_full(module, calc_factory, |b, bus| {
-            checker = Some(b.component(Box::new(SisChecker::new(bus, mode))));
+            checker = Some(b.component(Box::new(SisChecker::new(bus, sync))));
         });
         sys.checker = checker;
         sys
@@ -205,8 +188,8 @@ impl SplicedSystem {
     /// that bypass driver generation).
     pub fn run_bus_ops(&mut self, ops: Vec<BusOp>) -> Result<(u64, Vec<Word>), SystemError> {
         let start = self.sim.cycle();
-        match self.kind {
-            MasterKind::PlbLike => {
+        match self.module.params.bus.sync {
+            SyncClass::PseudoAsynchronous => {
                 self.sim
                     .component_mut::<PlbCpuMaster>(self.master_idx)
                     .expect("master type")
@@ -218,7 +201,7 @@ impl SplicedSystem {
                 let m = self.sim.component::<PlbCpuMaster>(idx).unwrap();
                 Ok((m.finished_cycle.unwrap() - start, m.reads.clone()))
             }
-            MasterKind::Apb => {
+            SyncClass::StrictlySynchronous => {
                 self.sim
                     .component_mut::<ApbMaster>(self.master_idx)
                     .expect("master type")
@@ -359,6 +342,28 @@ mod tests {
         let opb = cycles("opb");
         assert!(fcb <= plb, "fcb={fcb} plb={plb}");
         assert!(plb < opb, "plb={plb} opb={opb}");
+    }
+
+    /// A bus library's own bridge latency is what the simulated masters
+    /// pay, on the strictly synchronous APB as on a pseudo-asynchronous
+    /// bus: an APB-class slave behind a slower or faster bridge than the
+    /// builtin's two cycles changes a call's cycle count.
+    #[test]
+    fn masters_pay_the_bridge_latency_the_caps_declare() {
+        for bus in ["apb", "opb"] {
+            let cycles = |bridge_latency: u32| {
+                let mut m = module(bus, "long add(int a, int b);");
+                m.params.bus.bridge_latency = bridge_latency;
+                let mut sys = SplicedSystem::build(&m, |_, _| Box::new(Sum(2)));
+                let out = sys.call("add", &CallArgs::scalars(&[1, 2])).unwrap();
+                assert_eq!(out.result, vec![3], "{bus}");
+                out.bus_cycles
+            };
+            // Both builtins cross a two-cycle bridge.
+            let builtin = cycles(2);
+            assert!(cycles(0) < builtin, "{bus}: no bridge must be faster");
+            assert!(cycles(5) > builtin, "{bus}: a slower bridge must be slower");
+        }
     }
 
     #[test]

@@ -317,18 +317,18 @@ pub fn cross_check(
         ));
     }
     let dma_defined = lib_h.contains("#define WRITE_DMA(");
-    if dma_defined != p.bus.dma {
+    if dma_defined != p.bus.dma() {
         report.push(err(
             "SL0410",
             Location::path("splice_lib.h"),
-            if p.bus.dma {
+            if p.bus.dma() {
                 format!("the `{}` bus offers DMA but the DMA macros are undefined", p.bus.kind)
             } else {
                 format!("DMA macros are defined but the `{}` bus has no DMA channels", p.bus.kind)
             },
         ));
     }
-    if p.bus.dma {
+    if p.bus.dma() {
         match define_value(lib_h, "SPLICE_DMA_MAX_BYTES") {
             Some(v) if v != p.bus.dma_max_bytes as u64 => report.push(err(
                 "SL0410",

@@ -1,7 +1,7 @@
 //! SIS environment models.
 //!
 //! The checker drives a compiled design exactly the way the scripted
-//! [`SisMaster`](splice_sis) and the generated C driver do. Two layers:
+//! `splice_sis::SisMaster` and the generated C driver do. Two layers:
 //!
 //! * [`stub_script`] derives the deterministic driver transaction sequence
 //!   for one function stub from its IR (write every input beat, poll the
@@ -23,7 +23,7 @@
 use crate::Witness;
 use splice_core::{BeatCount, FunctionStub, StubState};
 use splice_dataflow::{CompiledDesign, Interp, TWord};
-use splice_sis::SisMode;
+use splice_spec::bus::SyncClass;
 
 /// Resolved SIS pin positions of a compiled stub or arbiter module: input
 /// *slots* (indices into `CompiledDesign::inputs`) for the master-driven
@@ -98,7 +98,7 @@ pub enum Op {
 /// *driver* computes for the dynamic transfers it governs).
 pub fn stub_script(
     stub: &FunctionStub,
-    mode: SisMode,
+    sync: SyncClass,
     bound_choice: u64,
     rounds: usize,
 ) -> Vec<Op> {
@@ -131,7 +131,7 @@ pub fn stub_script(
                 }
                 StubState::Calc => {}
                 StubState::Output { beats, .. } => {
-                    if mode == SisMode::StrictSync {
+                    if sync == SyncClass::StrictlySynchronous {
                         ops.push(Op::Poll);
                     }
                     for _ in 0..beats_of(beats) {
@@ -139,7 +139,7 @@ pub fn stub_script(
                     }
                 }
                 StubState::PseudoOutput => {
-                    if mode == SisMode::StrictSync {
+                    if sync == SyncClass::StrictlySynchronous {
                         ops.push(Op::Poll);
                     }
                     ops.push(Op::Read);
@@ -163,8 +163,8 @@ pub struct ScriptOutcome {
 /// Script run configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ScriptConfig {
-    /// Which SIS protocol variant the master speaks.
-    pub mode: SisMode,
+    /// The synchronization class of the protocol the master speaks.
+    pub sync: SyncClass,
     /// Max steps a pseudo-async handshake (or a status poll) may take.
     pub response_bound: u32,
     /// Idle steps inserted between transactions (0..=2 exercised).
@@ -276,9 +276,9 @@ impl Runner<'_> {
         // Every wait is bounded, so the run terminates; the cap is a belt
         // against checker bugs, not a property.
         let cap = 64 + ops.len() * (self.cfg.response_bound as usize + 8);
-        let eff_write_bound = match self.cfg.mode {
-            SisMode::PseudoAsync => self.cfg.response_bound,
-            SisMode::StrictSync => 0,
+        let eff_write_bound = match self.cfg.sync {
+            SyncClass::PseudoAsynchronous => self.cfg.response_bound,
+            SyncClass::StrictlySynchronous => 0,
         };
         let eff_read_bound = eff_write_bound;
         for _ in 0..cap {
@@ -476,7 +476,7 @@ mod tests {
             StubState::Calc,
             StubState::Output { beats: BeatCount::Static(1), ignore_tail_bits: 0 },
         ]);
-        let ops = stub_script(&s, SisMode::PseudoAsync, 1, 2);
+        let ops = stub_script(&s, SyncClass::PseudoAsynchronous, 1, 2);
         assert_eq!(
             ops,
             vec![
@@ -499,7 +499,7 @@ mod tests {
             StubState::Calc,
             StubState::PseudoOutput,
         ]);
-        let ops = stub_script(&s, SisMode::StrictSync, 1, 1);
+        let ops = stub_script(&s, SyncClass::StrictlySynchronous, 1, 1);
         assert_eq!(ops, vec![Op::Write { data: 1 }, Op::Poll, Op::Read, Op::RoundEnd]);
     }
 
@@ -519,7 +519,7 @@ mod tests {
             StubState::Calc,
             StubState::PseudoOutput,
         ]);
-        let ops = stub_script(&s, SisMode::PseudoAsync, 6, 1);
+        let ops = stub_script(&s, SyncClass::PseudoAsynchronous, 6, 1);
         // n=6 is written for the index input, then ceil(6/4)=2 array beats —
         // exactly what the generated C driver's WRITE loop sends.
         assert_eq!(
@@ -541,7 +541,7 @@ mod tests {
             StubState::Calc,
         ]);
         s.nowait = true;
-        let ops = stub_script(&s, SisMode::PseudoAsync, 1, 1);
+        let ops = stub_script(&s, SyncClass::PseudoAsynchronous, 1, 1);
         assert_eq!(ops, vec![Op::Write { data: 1 }, Op::RoundEnd]);
     }
 }

@@ -460,12 +460,9 @@ fn run_scripts(
     let bounds: &[u64] = if dynamic { &[1, 2] } else { &[1] };
     for &bound in bounds {
         for pacing in 0..=2u32 {
-            let ops = env::stub_script(stub, ir.sis_mode, bound, 2);
-            let cfg = env::ScriptConfig {
-                mode: ir.sis_mode,
-                response_bound: opts.response_bound,
-                pacing,
-            };
+            let sync = ir.module.params.bus.sync;
+            let ops = env::stub_script(stub, sync, bound, 2);
+            let cfg = env::ScriptConfig { sync, response_bound: opts.response_bound, pacing };
             let run = env::run_script(d, pins, stub.first_func_id as u64, &ops, cfg);
             if let Some(witness) = run.violation {
                 let location =

@@ -525,7 +525,7 @@ fn generate(out: &PipelineOutput, opts: &Options) -> Result<ExitCode, CliError> 
         println!("pipeline trace written to {}", path.display());
     }
 
-    let module = &out.module;
+    let module = &out.ir.module;
     let ir = &out.ir;
     let hw = &out.hw;
     let sw = &out.sw;
@@ -650,7 +650,7 @@ fn synth_args(f: &ValidatedFunction) -> CallArgs {
 /// calculation logic, drive one call per function (times `--calls`), and
 /// print the kernel's per-component attribution.
 fn profile(out: &PipelineOutput, opts: &Options) -> Result<ExitCode, CliError> {
-    let module = &out.module;
+    let module = &out.ir.module;
 
     let _workload = trace::span("workload");
     let mut sys = SplicedSystem::build(module, |_, _| Box::new(DefaultCalc));

@@ -324,6 +324,12 @@ fn exit_codes_are_pinned() {
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
     }
 
+    // 2: a retired rule code is outside the catalogue, like any unknown one.
+    for code in ["SL0206", "SL0405", "SL0508"] {
+        let out = splice_bin().args(["lint", "--explain", code]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "`lint --explain {code}` must exit 2");
+    }
+
     // 2: a flag outside the modes that read it is refused, naming them,
     // not ignored; the checker budgets need a model-checking run.
     for (args, owner) in [

@@ -6,7 +6,7 @@
 //! prototype"), instantiate tracking registers for array transfers, size
 //! the state machine, and record the trailing-bit notes of §5.3.1.
 
-use crate::ir::{sis_mode_for, BeatCount, DesignIr, FunctionStub, StubState, Tracker};
+use crate::ir::{bits_for, BeatCount, DesignIr, FunctionStub, StubState, Tracker};
 use splice_driver::lower::{beats_for, transfer_shape, TransferShape};
 use splice_spec::validate::{IoBound, ModuleSpec, ValidatedFunction, ValidatedIo};
 
@@ -15,12 +15,7 @@ pub fn elaborate(module: &ModuleSpec) -> DesignIr {
     let mut notes = Vec::new();
     let stubs =
         module.functions.iter().map(|f| elaborate_function(module, f, &mut notes)).collect();
-    DesignIr {
-        module: module.clone(),
-        sis_mode: sis_mode_for(module.params.bus.sync),
-        stubs,
-        notes,
-    }
+    DesignIr { module: module.clone(), stubs, notes }
 }
 
 fn elaborate_function(
@@ -123,10 +118,6 @@ impl Tracker {
         self.comparator_bits = self.comparator_bits.min(bus_width);
         self
     }
-}
-
-fn bits_for(n: u64) -> u32 {
-    64 - n.max(1).leading_zeros()
 }
 
 /// Trailing bits of the final beat that carry no payload; logs the §5.3.1

@@ -12,7 +12,7 @@
 //!    ICOB + SMB pair of §5.3 with all bus interaction pre-written and a
 //!    blank calculation state for the user.
 
-use crate::ir::{BeatCount, DesignIr, FunctionStub, StubState};
+use crate::ir::{bits_for, BeatCount, DesignIr, FunctionStub, StubState};
 use crate::template::{expand, MarkerSet, TemplateError};
 use splice_driver::lower::TransferShape;
 use splice_hdl::{emit, Decl, Expr, Hdl, Instance, Item, Module, Port, Process, Stmt};
@@ -857,10 +857,6 @@ fn calc_done_encode(ir: &DesignIr) -> Item {
 // ---------------------------------------------------------------------
 // rendering helpers
 // ---------------------------------------------------------------------
-
-fn bits_for(n: u64) -> u32 {
-    64 - n.max(1).leading_zeros()
-}
 
 /// Render declarations alone (for the FUNC_CONSTS / FUNC_SIGNALS markers).
 fn render_decls(decls: &[Decl], hdl: Hdl) -> String {

@@ -7,8 +7,6 @@
 //! estimation all walk this structure.
 
 use splice_driver::lower::TransferShape;
-use splice_sis::SisMode;
-use splice_spec::bus::SyncClass;
 use splice_spec::validate::ModuleSpec;
 
 /// How many bus beats one ICOB state handles.
@@ -125,8 +123,6 @@ impl FunctionStub {
 pub struct DesignIr {
     /// The validated specification this design was elaborated from.
     pub module: ModuleSpec,
-    /// Which SIS protocol variant the native interface uses.
-    pub sis_mode: SisMode,
     /// One stub per declaration.
     pub stubs: Vec<FunctionStub>,
     /// Generation notes surfaced to the user (trailing-bit warnings etc.);
@@ -163,12 +159,9 @@ impl DesignIr {
     }
 }
 
-/// Map the bus's synchronization class to the SIS protocol variant.
-pub fn sis_mode_for(sync: SyncClass) -> SisMode {
-    match sync {
-        SyncClass::PseudoAsynchronous => SisMode::PseudoAsync,
-        SyncClass::StrictlySynchronous => SisMode::StrictSync,
-    }
+/// Bits needed to hold the value `n` (at least one).
+pub fn bits_for(n: u64) -> u32 {
+    64 - n.max(1).leading_zeros()
 }
 
 #[cfg(test)]
@@ -200,11 +193,5 @@ mod tests {
         assert_eq!(stub(5).state_bits(), 3);
         // Degenerate 1-state stubs still get a 1-bit register.
         assert_eq!(stub(1).state_bits(), 1);
-    }
-
-    #[test]
-    fn sis_mode_mapping() {
-        assert_eq!(sis_mode_for(SyncClass::PseudoAsynchronous), SisMode::PseudoAsync);
-        assert_eq!(sis_mode_for(SyncClass::StrictlySynchronous), SisMode::StrictSync);
     }
 }

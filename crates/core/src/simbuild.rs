@@ -654,7 +654,8 @@ mod tests {
     use super::*;
     use crate::elaborate::elaborate;
     use splice_sim::Simulator;
-    use splice_sis::{SisMaster, SisMode, SisOp};
+    use splice_sis::{SisMaster, SisOp};
+    use splice_spec::bus::SyncClass;
     use splice_spec::parse_and_validate;
 
     fn design(decls: &str, extra: &str) -> DesignIr {
@@ -676,13 +677,13 @@ mod tests {
 
     fn run_script(
         ir: &DesignIr,
-        mode: SisMode,
+        sync: SyncClass,
         script: Vec<SisOp>,
         cycles: u32,
     ) -> (Simulator, usize) {
         let mut b = SimulatorBuilder::new();
         let handles = build_peripheral(&mut b, ir, "", |_, _| Box::new(SumCalc { cycles }));
-        let midx = b.component(Box::new(SisMaster::new(handles.bus, mode, script)));
+        let midx = b.component(Box::new(SisMaster::new(handles.bus, sync, script)));
         let mut sim = b.build();
         sim.run_until("master finished", 100_000, |s| {
             s.component::<SisMaster>(midx).unwrap().is_finished()
@@ -699,7 +700,7 @@ mod tests {
             SisOp::Write { func_id: 1, data: 12 },
             SisOp::Read { func_id: 1 },
         ];
-        let (sim, midx) = run_script(&ir, SisMode::PseudoAsync, script, 2);
+        let (sim, midx) = run_script(&ir, SyncClass::PseudoAsynchronous, script, 2);
         let m = sim.component::<SisMaster>(midx).unwrap();
         assert_eq!(m.reads, vec![42]);
     }
@@ -710,7 +711,7 @@ mod tests {
         let mut script: Vec<SisOp> =
             (1..=4).map(|i| SisOp::Write { func_id: 1, data: i * 10 }).collect();
         script.push(SisOp::Read { func_id: 1 });
-        let (sim, midx) = run_script(&ir, SisMode::PseudoAsync, script, 1);
+        let (sim, midx) = run_script(&ir, SyncClass::PseudoAsynchronous, script, 1);
         assert_eq!(sim.component::<SisMaster>(midx).unwrap().reads, vec![100]);
     }
 
@@ -724,7 +725,7 @@ mod tests {
             SisOp::Write { func_id: 1, data: 7 },
             SisOp::Read { func_id: 1 },
         ];
-        let (sim, midx) = run_script(&ir, SisMode::PseudoAsync, script, 1);
+        let (sim, midx) = run_script(&ir, SyncClass::PseudoAsynchronous, script, 1);
         // 3 (the n input) + 5+6+7.
         assert_eq!(sim.component::<SisMaster>(midx).unwrap().reads, vec![21]);
     }
@@ -736,7 +737,7 @@ mod tests {
             SisOp::Write { func_id: 1, data: 0 }, // n = 0: no array beats
             SisOp::Read { func_id: 1 },
         ];
-        let (sim, midx) = run_script(&ir, SisMode::PseudoAsync, script, 1);
+        let (sim, midx) = run_script(&ir, SyncClass::PseudoAsynchronous, script, 1);
         assert_eq!(sim.component::<SisMaster>(midx).unwrap().reads, vec![0]);
     }
 
@@ -750,7 +751,7 @@ mod tests {
             SisOp::Read { func_id: 1 },
             SisOp::Read { func_id: 1 },
         ];
-        let (sim, midx) = run_script(&ir, SisMode::PseudoAsync, script, 1);
+        let (sim, midx) = run_script(&ir, SyncClass::PseudoAsynchronous, script, 1);
         let m = sim.component::<SisMaster>(midx).unwrap();
         assert_eq!(m.reads, vec![0xDEAD_BEEF, 0x1234_5678]);
     }
@@ -763,7 +764,7 @@ mod tests {
             SisOp::Write { func_id: 1, data: 0x0807_0605 },
             SisOp::Read { func_id: 1 },
         ];
-        let (sim, midx) = run_script(&ir, SisMode::PseudoAsync, script, 1);
+        let (sim, midx) = run_script(&ir, SyncClass::PseudoAsynchronous, script, 1);
         assert_eq!(sim.component::<SisMaster>(midx).unwrap().reads, vec![36]);
     }
 
@@ -774,7 +775,7 @@ mod tests {
             SisOp::Write { func_id: 1, data: 9 },
             SisOp::Read { func_id: 1 }, // blocks until pseudo output ready
         ];
-        let (sim, midx) = run_script(&ir, SisMode::PseudoAsync, script, 5);
+        let (sim, midx) = run_script(&ir, SyncClass::PseudoAsynchronous, script, 5);
         let m = sim.component::<SisMaster>(midx).unwrap();
         assert_eq!(m.reads, vec![0]);
     }
@@ -788,7 +789,7 @@ mod tests {
             SisOp::Read { func_id: 1 },
         ];
         // Strict-sync forces real polling through the arbiter's vector.
-        let (sim, midx) = run_script(&ir, SisMode::StrictSync, script, 10);
+        let (sim, midx) = run_script(&ir, SyncClass::StrictlySynchronous, script, 10);
         let m = sim.component::<SisMaster>(midx).unwrap();
         assert_eq!(m.reads, vec![1]);
     }
@@ -802,7 +803,7 @@ mod tests {
             SisOp::Read { func_id: 1 },
             SisOp::Read { func_id: 2 },
         ];
-        let (sim, midx) = run_script(&ir, SisMode::PseudoAsync, script, 1);
+        let (sim, midx) = run_script(&ir, SyncClass::PseudoAsynchronous, script, 1);
         let m = sim.component::<SisMaster>(midx).unwrap();
         assert_eq!(m.reads, vec![5, 7]);
     }
@@ -817,7 +818,7 @@ mod tests {
             SisOp::Read { func_id: 2 },
             SisOp::Read { func_id: 1 },
         ];
-        let (sim, midx) = run_script(&ir, SisMode::PseudoAsync, script, 1);
+        let (sim, midx) = run_script(&ir, SyncClass::PseudoAsynchronous, script, 1);
         let m = sim.component::<SisMaster>(midx).unwrap();
         assert_eq!(m.reads, vec![200, 100]);
     }
@@ -831,7 +832,7 @@ mod tests {
             SisOp::Write { func_id: 1, data: 2 },
             SisOp::Idle(10),
         ];
-        let (sim, _) = run_script(&ir, SisMode::PseudoAsync, script, 2);
+        let (sim, _) = run_script(&ir, SyncClass::PseudoAsynchronous, script, 2);
         let stub = sim.component::<GeneratedStub>(0).unwrap();
         assert_eq!(stub.rounds, 2);
     }
@@ -841,11 +842,11 @@ mod tests {
         let ir = design("long f(int x);", "");
         let script = vec![SisOp::Write { func_id: 1, data: 1 }, SisOp::Read { func_id: 1 }];
         let fast = {
-            let (sim, midx) = run_script(&ir, SisMode::PseudoAsync, script.clone(), 1);
+            let (sim, midx) = run_script(&ir, SyncClass::PseudoAsynchronous, script.clone(), 1);
             sim.component::<SisMaster>(midx).unwrap().finished_cycle.unwrap()
         };
         let slow = {
-            let (sim, midx) = run_script(&ir, SisMode::PseudoAsync, script, 40);
+            let (sim, midx) = run_script(&ir, SyncClass::PseudoAsynchronous, script, 40);
             sim.component::<SisMaster>(midx).unwrap().finished_cycle.unwrap()
         };
         assert!(slow >= fast + 35, "fast={fast} slow={slow}");
@@ -858,7 +859,7 @@ mod tests {
         let handles = build_peripheral(&mut b, &ir, "", |_, _| Box::new(DefaultCalc));
         let midx = b.component(Box::new(SisMaster::new(
             handles.bus,
-            SisMode::PseudoAsync,
+            SyncClass::PseudoAsynchronous,
             vec![SisOp::Write { func_id: 1, data: 77 }, SisOp::Read { func_id: 1 }],
         )));
         let mut sim = b.build();

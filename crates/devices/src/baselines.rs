@@ -19,12 +19,10 @@
 
 use crate::interp::{interpolate_flat, INTERP_CALC_CYCLES};
 use splice_buses::plb::{channel, ChannelHandle, PlbCpuMaster, PlbSignals};
-use splice_buses::timing::BusTiming;
 use splice_driver::lower::CALL_PROLOGUE_CPU_CYCLES;
 use splice_driver::program::BusOp;
 use splice_resources::{ResourceReport, Resources};
 use splice_sim::{Component, Sensitivity, Simulator, SimulatorBuilder, TickCtx, Word};
-use splice_spec::bus::BusKind;
 use std::rc::Rc;
 
 /// Extra acknowledge latency of the naive hand-coded PLB interface, in bus
@@ -244,9 +242,9 @@ impl BaselineSystem {
         let mut b = SimulatorBuilder::new();
         let sig = PlbSignals::declare(&mut b, "", 32);
         let chan = channel();
-        let (latency, streaming, timing) = match which {
-            Baseline::SimplePlb => (NAIVE_PLB_ACK_LATENCY, false, BusTiming::for_bus(BusKind::Plb)),
-            Baseline::OptimizedFcb => (0, true, BusTiming::for_bus(BusKind::Fcb)),
+        let (latency, streaming) = match which {
+            Baseline::SimplePlb => (NAIVE_PLB_ACK_LATENCY, false),
+            Baseline::OptimizedFcb => (0, true),
         };
         b.component(Box::new(HandCodedSlave::new(
             sig,
@@ -256,7 +254,7 @@ impl BaselineSystem {
             calc,
             calc_cycles,
         )));
-        let master_idx = b.component(Box::new(PlbCpuMaster::new(sig, timing, chan, Vec::new())));
+        let master_idx = b.component(Box::new(PlbCpuMaster::new(sig, chan, Vec::new())));
         BaselineSystem { sim: b.build(), master_idx, call_budget: 1_000_000 }
     }
 

@@ -22,6 +22,14 @@ pub fn driver_header(module: &ModuleSpec) -> String {
     let _ = writeln!(o, "/* {dev}_driver.h — generated by Splice */");
     let _ = writeln!(o, "#ifndef {guard}");
     let _ = writeln!(o, "#define {guard}\n");
+    // C99 spells `bool` through <stdbool.h>.
+    let bool_io = module.functions.iter().any(|f| {
+        let ret = f.output.iter().filter(|_| !f.nowait);
+        f.inputs.iter().chain(ret).any(|io| io.ty.name == "bool")
+    });
+    if bool_io || module.user_types.iter().any(|(_, definition, _)| definition == "bool") {
+        let _ = writeln!(o, "#include <stdbool.h>\n");
+    }
     for (name, definition, _bits) in &module.user_types {
         let _ = writeln!(o, "typedef {definition} {name};");
     }
@@ -60,6 +68,15 @@ pub fn id_macro(f: &ValidatedFunction) -> String {
     format!("{}_ID", f.name.to_ascii_uppercase())
 }
 
+/// The C spelling of an I/O's type: `single`, the Fig 3.1 alias, is C's
+/// `float`.
+fn c_type(io: &ValidatedIo) -> &str {
+    match io.ty.name.as_str() {
+        "single" => "float",
+        name => name,
+    }
+}
+
 /// The C prototype Splice preserves source compatibility with (§3.1.1).
 pub fn prototype(f: &ValidatedFunction) -> String {
     let ret = match (&f.output, f.nowait) {
@@ -67,9 +84,9 @@ pub fn prototype(f: &ValidatedFunction) -> String {
         (None, _) => "void".to_owned(),
         (Some(out), _) => {
             if out.is_pointer {
-                format!("{} *", out.ty.name)
+                format!("{} *", c_type(out))
             } else {
-                out.ty.name.clone()
+                c_type(out).to_owned()
             }
         }
     };
@@ -78,9 +95,9 @@ pub fn prototype(f: &ValidatedFunction) -> String {
         .iter()
         .map(|p| {
             if p.is_pointer {
-                format!("{} *{}", p.ty.name, p.name)
+                format!("{} *{}", c_type(p), p.name)
             } else {
-                format!("{} {}", p.ty.name, p.name)
+                format!("{} {}", c_type(p), p.name)
             }
         })
         .collect();
@@ -108,11 +125,11 @@ fn emit_function(o: &mut String, params: &ModuleParams, f: &ValidatedFunction) {
             let _ = writeln!(
                 o,
                 "    {ty} *result = ({ty} *)malloc(sizeof({ty}) * ({n}));",
-                ty = out.ty.name
+                ty = c_type(out)
             );
         }
         (Some(out), false) => {
-            let _ = writeln!(o, "    {} result;", out.ty.name);
+            let _ = writeln!(o, "    {} result;", c_type(out));
         }
         (None, false) => o.push_str("    splice_word_t splice_sync;\n"),
     }
@@ -202,7 +219,7 @@ fn emit_transfer(
     let (op, name) = if write { ("WRITE", t.io.name.as_str()) } else { ("READ", "result") };
     let scalar = matches!(t.io.bound, IoBound::Scalar);
     let staged = staged(params, t);
-    let ty = &t.io.ty.name;
+    let ty = c_type(t.io);
     // The unsigned integer a narrow float's bits cross through.
     let bits = narrow_float(params, t.io).then(|| word_type(t.io.elem_bits()));
     // Where the beats live: a scalar's address, an array's pointer, or the

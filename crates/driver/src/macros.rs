@@ -77,7 +77,7 @@ pub fn macro_header_with_irq(
     // Single-beat transfers. Memory-mapped buses use volatile stores/loads;
     // the FCB uses its dedicated co-processor opcodes (modelled as intrinsic
     // calls the cross-compiler lowers to the FCB instructions, §2.3.2).
-    if bus.opcode_coupled {
+    if !bus.memory_mapped {
         o.push_str("#define WRITE_SINGLE(a, p) __fcb_store((a), *(p))\n");
         o.push_str("#define READ_SINGLE(a, p)  (*(p) = __fcb_load(a))\n");
     } else {
@@ -92,7 +92,7 @@ pub fn macro_header_with_irq(
     // Burst transfers: native where the bus has them, sequential singles
     // otherwise.
     if bus.supports_burst(2) {
-        if bus.opcode_coupled {
+        if !bus.memory_mapped {
             o.push_str("#define WRITE_DOUBLE(a, p) __fcb_store2((a), (p))\n");
             o.push_str("#define READ_DOUBLE(a, p)  __fcb_load2((a), (p))\n");
         } else {
@@ -108,7 +108,7 @@ pub fn macro_header_with_irq(
         );
     }
     if bus.supports_burst(4) {
-        if bus.opcode_coupled {
+        if !bus.memory_mapped {
             o.push_str("#define WRITE_QUAD(a, p)   __fcb_store4((a), (p))\n");
             o.push_str("#define READ_QUAD(a, p)    __fcb_load4((a), (p))\n");
         } else {
@@ -143,7 +143,7 @@ pub fn macro_header_with_irq(
     o.push('\n');
 
     // Optional DMA macros.
-    if bus.dma {
+    if bus.dma() {
         let _ = writeln!(o, "#define SPLICE_DMA_MAX_BYTES {}", bus.dma_max_bytes);
         o.push_str("#define WRITE_DMA(a, p, n) __splice_dma_store((a), (p), (n))\n");
         o.push_str("#define READ_DMA(a, p, n)  __splice_dma_load((a), (p), (n))\n");
@@ -169,8 +169,8 @@ pub fn macro_header_with_irq(
 /// onwards). The target's board support package defines them.
 fn primitive_prototypes(o: &mut String, bus: &BusCaps, irq: bool) {
     let mut p = String::new();
-    let prefix = if bus.opcode_coupled { "__fcb" } else { "__splice_burst" };
-    if bus.opcode_coupled {
+    let prefix = if bus.memory_mapped { "__splice_burst" } else { "__fcb" };
+    if !bus.memory_mapped {
         p.push_str("void __fcb_store(unsigned long id, splice_word_t value);\n");
         p.push_str("splice_word_t __fcb_load(unsigned long id);\n");
     }
@@ -178,7 +178,7 @@ fn primitive_prototypes(o: &mut String, bus: &BusCaps, irq: bool) {
         let _ = writeln!(p, "void {prefix}_store{n}(unsigned long addr, const void *src);");
         let _ = writeln!(p, "void {prefix}_load{n}(unsigned long addr, void *dst);");
     }
-    if bus.dma {
+    if bus.dma() {
         p.push_str(
             "void __splice_dma_store(unsigned long addr, const void *src, unsigned long bytes);\n",
         );
@@ -231,7 +231,7 @@ pub fn linux_macro_header(bus: &BusCaps, bus_width: u32, base_address: u64) -> S
     \x20   return 0;\n}\n\n",
     );
     o.push_str("#define SET_ADDRESS(id) ((uintptr_t)(splice_virt_base + (id)))\n\n");
-    if bus.opcode_coupled {
+    if !bus.memory_mapped {
         o.push_str(
             "#error \"opcode-coupled interfaces (FCB) have no memory window to map on Linux\"\n",
         );

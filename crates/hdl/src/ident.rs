@@ -159,16 +159,6 @@ const VERILOG_KEYWORDS: &[&str] = &[
     "xor",
 ];
 
-/// The VHDL-93 reserved-word table (lowercased entries).
-pub fn vhdl_keywords() -> &'static [&'static str] {
-    VHDL_KEYWORDS
-}
-
-/// The Verilog-2001 reserved-word table.
-pub fn verilog_keywords() -> &'static [&'static str] {
-    VERILOG_KEYWORDS
-}
-
 /// True when `name` matches a VHDL reserved word (VHDL is case-insensitive).
 pub fn is_vhdl_keyword(name: &str) -> bool {
     let lower = name.to_ascii_lowercase();

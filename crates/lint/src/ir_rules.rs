@@ -1,16 +1,12 @@
 //! IR-layer rules (`SL02xx`): structural checks over the elaborated
 //! [`DesignIr`] — the ICOB state machines, the arbitration table and the
-//! protocol configuration. These are the static counterparts of the runtime
+//! transfer trackers. These are the static counterparts of the runtime
 //! `SisChecker` axioms: a design that violates them will misbehave on the
 //! bus no matter what the user fills into the calculation state.
 
 use crate::diag::{Diagnostic, Layer, LintReport, Location};
-use splice_core::ir::{sis_mode_for, BeatCount, DesignIr, FunctionStub, StubState, Tracker};
+use splice_core::ir::{bits_for, BeatCount, DesignIr, FunctionStub, StubState, Tracker};
 use splice_spec::validate::ValidatedFunction;
-
-fn bits_for(n: u64) -> u32 {
-    64 - n.max(1).leading_zeros()
-}
 
 fn state_path(stub: &FunctionStub, i: usize) -> Location {
     Location::path(format!("stub {}/state[{i}]", stub.name))
@@ -42,7 +38,6 @@ pub fn lint_ir(ir: &DesignIr, report: &mut LintReport) {
         }
     }
     func_id_space(ir, report); // SL0204
-    sis_contract(ir, report); // SL0206
 }
 
 /// SL0201 (unreachable states) + SL0202 (malformed ICOB state order).
@@ -418,27 +413,6 @@ fn tracker_widths(stub: &FunctionStub, f: &ValidatedFunction, report: &mut LintR
     }
 }
 
-/// SL0206: the design's SIS protocol variant must match the one the target
-/// bus's synchronization class demands — the static counterpart of the
-/// runtime `SisChecker` mode axioms.
-fn sis_contract(ir: &DesignIr, report: &mut LintReport) {
-    let expected = sis_mode_for(ir.module.params.bus.sync);
-    if ir.sis_mode != expected {
-        report.push(
-            Diagnostic::error(
-                "SL0206",
-                Layer::Ir,
-                Location::path("design"),
-                format!(
-                    "design uses SIS mode {:?} but bus `{}` is {} and requires {:?}",
-                    ir.sis_mode, ir.module.params.bus.kind, ir.module.params.bus.sync, expected
-                ),
-            )
-            .suggest("re-elaborate the design; the SIS mode is derived from the bus"),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,15 +588,6 @@ mod tests {
             "{}",
             r3.render_text()
         );
-    }
-
-    #[test]
-    fn sl0206_sis_mode_mismatch() {
-        let mut ir = ir_for(&format!("{HEADER}void f();")); // plb: pseudo-async
-        ir.sis_mode = sis_mode_for(splice_spec::bus::SyncClass::StrictlySynchronous);
-        let r = lint(&ir);
-        assert!(r.has("SL0206"), "{}", r.render_text());
-        assert!(r.diagnostics[0].message.contains("plb"));
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //!   directives the selected bus ignores.
 //! * **ir** (`SL02xx`): the elaborated [`splice_core::DesignIr`] — dead or
 //!   misordered ICOB states, stubs without backing functions, function-id
-//!   collisions, dangling dynamic bounds, SIS synchronization-contract
-//!   mismatches, truncating tracker widths.
+//!   collisions, dangling dynamic bounds, truncating tracker widths.
 //! * **hdl** (`SL03xx`): the generated module ASTs — multiple drivers,
 //!   undriven or unused signals, width mismatches, case-arm defects,
 //!   instantiation errors, combinational loops, inferred latches,
@@ -57,7 +56,6 @@ pub const CODES: &[(&str, &str)] = &[
     ("SL0203", "stub/function sets disagree"),
     ("SL0204", "function-id space is invalid"),
     ("SL0205", "dynamic beat count references a bad input"),
-    ("SL0206", "SIS mode contradicts the bus synchronization class"),
     ("SL0207", "transfer tracker is too narrow"),
     ("SL0301", "signal has conflicting drivers"),
     ("SL0302", "signal or output port is never driven"),

@@ -18,9 +18,9 @@
 //! The monitor is a passive [`Component`]: it drives nothing, so it can be
 //! dropped into any simulation without altering behaviour.
 
-use crate::protocol::SisMode;
 use crate::signals::SisBus;
 use splice_sim::{Component, TickCtx, Word};
+use splice_spec::bus::SyncClass;
 
 /// One recorded axiom violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,7 +61,7 @@ impl Axiom {
 /// Passive SIS conformance checker.
 pub struct SisChecker {
     bus: SisBus,
-    mode: SisMode,
+    sync: SyncClass,
     /// All violations observed so far.
     pub violations: Vec<Violation>,
     // latched write-beat state
@@ -71,11 +71,11 @@ pub struct SisChecker {
 }
 
 impl SisChecker {
-    /// Watch `bus` under protocol `mode`.
-    pub fn new(bus: SisBus, mode: SisMode) -> Self {
+    /// Watch `bus` under the protocol of synchronization class `sync`.
+    pub fn new(bus: SisBus, sync: SyncClass) -> Self {
         SisChecker {
             bus,
-            mode,
+            sync,
             violations: Vec::new(),
             latched: None,
             prev_io_done: false,
@@ -137,7 +137,7 @@ impl Component for SisChecker {
             self.latched = None;
         }
 
-        if self.mode == SisMode::PseudoAsync {
+        if self.sync == SyncClass::PseudoAsynchronous {
             // Axiom 2: IO_DONE one-shot.
             if io_done && self.prev_io_done {
                 self.violate(ctx, Axiom::IoDoneOneShot, "IO_DONE held >1 cycle".into());
@@ -208,7 +208,8 @@ mod tests {
         ];
         let mut b = SimulatorBuilder::new();
         let bus = SisBus::declare(&mut b, "", 32, 8);
-        let midx = b.component(Box::new(SisMaster::new(bus, SisMode::PseudoAsync, script)));
+        let midx =
+            b.component(Box::new(SisMaster::new(bus, SyncClass::PseudoAsynchronous, script)));
         b.component(Box::new(EchoFunction::new(
             1,
             bus,
@@ -220,7 +221,7 @@ mod tests {
             1,
             sum,
         )));
-        let cidx = b.component(Box::new(SisChecker::new(bus, SisMode::PseudoAsync)));
+        let cidx = b.component(Box::new(SisChecker::new(bus, SyncClass::PseudoAsynchronous)));
         let mut sim = b.build();
         sim.run_until("finish", 1000, |s| s.component::<SisMaster>(midx).unwrap().is_finished())
             .unwrap();
@@ -256,7 +257,7 @@ mod tests {
         let mut b = SimulatorBuilder::new();
         let bus = SisBus::declare(&mut b, "", 32, 8);
         b.component(Box::new(RogueMaster { bus, n: 0 }));
-        let cidx = b.component(Box::new(SisChecker::new(bus, SisMode::PseudoAsync)));
+        let cidx = b.component(Box::new(SisChecker::new(bus, SyncClass::PseudoAsynchronous)));
         let mut sim = b.build();
         sim.run(5).unwrap();
         let checker = sim.component::<SisChecker>(cidx).unwrap();
@@ -282,15 +283,17 @@ mod tests {
 
     #[test]
     fn sticky_io_done_flagged_in_pseudo_async_only() {
-        for (mode, expect_dirty) in [(SisMode::PseudoAsync, true), (SisMode::StrictSync, false)] {
+        for (sync, expect_dirty) in
+            [(SyncClass::PseudoAsynchronous, true), (SyncClass::StrictlySynchronous, false)]
+        {
             let mut b = SimulatorBuilder::new();
             let bus = SisBus::declare(&mut b, "", 32, 8);
             b.component(Box::new(StickyDoneSlave { io_done: bus.io_done }));
-            let cidx = b.component(Box::new(SisChecker::new(bus, mode)));
+            let cidx = b.component(Box::new(SisChecker::new(bus, sync)));
             let mut sim = b.build();
             sim.run(5).unwrap();
             let checker = sim.component::<SisChecker>(cidx).unwrap();
-            assert_eq!(!checker.clean(), expect_dirty, "mode {mode:?}");
+            assert_eq!(!checker.clean(), expect_dirty, "{sync}");
         }
     }
 
@@ -313,7 +316,7 @@ mod tests {
         let mut b = SimulatorBuilder::new();
         let bus = SisBus::declare(&mut b, "", 32, 8);
         b.component(Box::new(BadReader { dov: bus.data_out_valid }));
-        let cidx = b.component(Box::new(SisChecker::new(bus, SisMode::PseudoAsync)));
+        let cidx = b.component(Box::new(SisChecker::new(bus, SyncClass::PseudoAsynchronous)));
         let mut sim = b.build();
         sim.run(6).unwrap();
         let checker = sim.component::<SisChecker>(cidx).unwrap();
@@ -327,7 +330,7 @@ mod tests {
         let mut b = SimulatorBuilder::new();
         let bus = SisBus::declare(&mut b, "", 32, 8);
         b.component(Box::new(RogueMaster { bus, n: 0 }));
-        let cidx = b.component(Box::new(SisChecker::new(bus, SisMode::PseudoAsync)));
+        let cidx = b.component(Box::new(SisChecker::new(bus, SyncClass::PseudoAsynchronous)));
         let mut sim = b.build();
         sim.metrics_mut().enable();
         sim.run(5).unwrap();
@@ -355,7 +358,7 @@ mod tests {
         let mut b = SimulatorBuilder::new();
         let bus = SisBus::declare(&mut b, "", 32, 8);
         b.component(Box::new(RogueMaster { bus, n: 0 }));
-        let cidx = b.component(Box::new(SisChecker::new(bus, SisMode::PseudoAsync)));
+        let cidx = b.component(Box::new(SisChecker::new(bus, SyncClass::PseudoAsynchronous)));
         let mut sim = b.build();
         if sim.metrics().is_enabled() {
             return; // SPLICE_TRACE set in the environment
@@ -387,7 +390,7 @@ mod tests {
         let mut b = SimulatorBuilder::new();
         let bus = SisBus::declare(&mut b, "", 32, 8);
         b.component(Box::new(PulseRst { rst: bus.rst }));
-        let cidx = b.component(Box::new(SisChecker::new(bus, SisMode::PseudoAsync)));
+        let cidx = b.component(Box::new(SisChecker::new(bus, SyncClass::PseudoAsynchronous)));
         let mut sim = b.build();
         sim.run(6).unwrap();
         assert!(sim.component::<SisChecker>(cidx).unwrap().clean());

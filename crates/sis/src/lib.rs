@@ -23,5 +23,5 @@ pub mod protocol;
 pub mod signals;
 pub mod waves;
 
-pub use protocol::{SisMaster, SisMode, SisOp};
+pub use protocol::{SisMaster, SisOp};
 pub use signals::{SisBus, SisFuncPort, SisSignal, STATUS_FUNC_ID};

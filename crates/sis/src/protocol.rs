@@ -27,15 +27,7 @@
 
 use crate::signals::{SisBus, STATUS_FUNC_ID};
 use splice_sim::{Component, Sensitivity, SignalId, TickCtx, Word};
-
-/// Which SIS protocol variant is in effect (a property of the native bus).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SisMode {
-    /// Handshaked transfers (PLB, OPB, FCB, AHB, ...).
-    PseudoAsync,
-    /// Single-cycle transfers with status polling (APB).
-    StrictSync,
-}
+use splice_spec::bus::SyncClass;
 
 /// One scripted SIS operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +63,7 @@ enum MState {
 /// both protocol variants.
 pub struct SisMaster {
     bus: SisBus,
-    mode: SisMode,
+    sync: SyncClass,
     script: Vec<SisOp>,
     pc: usize,
     state: MState,
@@ -84,11 +76,12 @@ pub struct SisMaster {
 }
 
 impl SisMaster {
-    /// Create a master that will run `script` in `mode` against `bus`.
-    pub fn new(bus: SisBus, mode: SisMode, script: Vec<SisOp>) -> Self {
+    /// Create a master that will run `script` against `bus` under the
+    /// protocol of synchronization class `sync`.
+    pub fn new(bus: SisBus, sync: SyncClass, script: Vec<SisOp>) -> Self {
         SisMaster {
             bus,
-            mode,
+            sync,
             script,
             pc: 0,
             state: MState::Fetch,
@@ -148,13 +141,13 @@ impl Component for SisMaster {
                         ctx.set_bool(self.bus.io_enable, true);
                         self.state = MState::ReadWait { waited: false };
                     }
-                    SisOp::PollStatus { func_id } => match self.mode {
-                        SisMode::PseudoAsync => {
+                    SisOp::PollStatus { func_id } => match self.sync {
+                        SyncClass::PseudoAsynchronous => {
                             // IO_DONE handshakes already order transactions.
                             self.idle_lines(ctx);
                             self.complete_op(cycle);
                         }
-                        SisMode::StrictSync => {
+                        SyncClass::StrictlySynchronous => {
                             ctx.set_bool(self.bus.data_in_valid, false);
                             ctx.set(self.bus.func_id, STATUS_FUNC_ID as Word);
                             ctx.set_bool(self.bus.io_enable, true);
@@ -174,11 +167,11 @@ impl Component for SisMaster {
             MState::WriteWait => {
                 // IO_ENABLE is a one-cycle strobe; data/valid/func stay.
                 ctx.set_bool(self.bus.io_enable, false);
-                let done = match self.mode {
-                    SisMode::PseudoAsync => ctx.get_bool(self.bus.io_done),
+                let done = match self.sync {
+                    SyncClass::PseudoAsynchronous => ctx.get_bool(self.bus.io_done),
                     // Strictly synchronous writes complete in the cycle
                     // they are enacted (§4.2.2).
-                    SisMode::StrictSync => true,
+                    SyncClass::StrictlySynchronous => true,
                 };
                 if done {
                     ctx.set_bool(self.bus.data_in_valid, false);
@@ -188,15 +181,15 @@ impl Component for SisMaster {
             }
             MState::ReadWait { waited } => {
                 ctx.set_bool(self.bus.io_enable, false);
-                let ready = match self.mode {
-                    SisMode::PseudoAsync => {
+                let ready = match self.sync {
+                    SyncClass::PseudoAsynchronous => {
                         ctx.get_bool(self.bus.data_out_valid) && ctx.get_bool(self.bus.io_done)
                     }
                     // A strictly synchronous slave answers on the edge after
                     // it samples the request: capture on the second wait
                     // tick (the registered-kernel equivalent of the APB's
                     // same-cycle combinational response).
-                    SisMode::StrictSync => {
+                    SyncClass::StrictlySynchronous => {
                         if !waited {
                             self.state = MState::ReadWait { waited: true };
                             false
@@ -435,7 +428,7 @@ mod tests {
     /// Wire one master + one echo function directly (no arbiter: the
     /// function's return lines *are* the bus return lines).
     fn harness(
-        mode: SisMode,
+        sync: SyncClass,
         script: Vec<SisOp>,
         n_inputs: usize,
         calc_cycles: u32,
@@ -455,7 +448,7 @@ mod tests {
             compute,
         )
         .with_calc_done_bit(1);
-        let midx = b.component(Box::new(SisMaster::new(bus, mode, script)));
+        let midx = b.component(Box::new(SisMaster::new(bus, sync, script)));
         b.component(Box::new(func));
         (b.build(), midx)
     }
@@ -480,7 +473,7 @@ mod tests {
             SisOp::PollStatus { func_id: 1 }, // no-op in pseudo-async
             SisOp::Read { func_id: 1 },
         ];
-        let (mut sim, midx) = harness(SisMode::PseudoAsync, script, 2, 1, sum);
+        let (mut sim, midx) = harness(SyncClass::PseudoAsynchronous, script, 2, 1, sum);
         run_to_finish(&mut sim, midx);
         let m = sim.component::<SisMaster>(midx).unwrap();
         assert_eq!(m.reads, vec![42]);
@@ -491,7 +484,7 @@ mod tests {
         // Single write to a 1-input function with no calc: assert at 0,
         // slave acks at 1, master observes at 2.
         let script = vec![SisOp::Write { func_id: 1, data: 7 }];
-        let (mut sim, midx) = harness(SisMode::PseudoAsync, script, 1, 0, sum);
+        let (mut sim, midx) = harness(SyncClass::PseudoAsynchronous, script, 1, 0, sum);
         let finished = run_to_finish(&mut sim, midx);
         assert_eq!(finished, 2);
     }
@@ -505,7 +498,7 @@ mod tests {
             SisOp::Read { func_id: 1 },
         ];
         // Long calculation: polling must actually wait for it.
-        let (mut sim, midx) = harness(SisMode::StrictSync, script, 2, 20, sum);
+        let (mut sim, midx) = harness(SyncClass::StrictlySynchronous, script, 2, 20, sum);
         // The echo function drives calc_done directly onto the shared
         // vector's bit 1 here (single-function harness).
         let finished = run_to_finish(&mut sim, midx);
@@ -517,7 +510,7 @@ mod tests {
     #[test]
     fn strict_sync_write_is_single_cycle_plus_issue() {
         let script = vec![SisOp::Write { func_id: 1, data: 7 }];
-        let (mut sim, midx) = harness(SisMode::StrictSync, script, 1, 0, sum);
+        let (mut sim, midx) = harness(SyncClass::StrictlySynchronous, script, 1, 0, sum);
         let finished = run_to_finish(&mut sim, midx);
         // Assert at cycle 0; completes on the following edge.
         assert_eq!(finished, 1);
@@ -529,7 +522,7 @@ mod tests {
             SisOp::Write { func_id: 2, data: 99 }, // someone else's data
             SisOp::Idle(3),
         ];
-        let (mut sim, midx) = harness(SisMode::StrictSync, script, 1, 0, sum);
+        let (mut sim, midx) = harness(SyncClass::StrictlySynchronous, script, 1, 0, sum);
         run_to_finish(&mut sim, midx);
         // The function must still be waiting for its first input: force a
         // real write and check 99 never got in.
@@ -545,7 +538,7 @@ mod tests {
             script.push(SisOp::Write { func_id: 1, data: i });
             script.push(SisOp::Read { func_id: 1 });
         }
-        let (mut sim, midx) = harness(SisMode::PseudoAsync, script, 1, 2, |x| x[0] * 2);
+        let (mut sim, midx) = harness(SyncClass::PseudoAsynchronous, script, 1, 2, |x| x[0] * 2);
         run_to_finish(&mut sim, midx);
         let m = sim.component::<SisMaster>(midx).unwrap();
         assert_eq!(m.reads, vec![0, 2, 4]);
@@ -556,7 +549,7 @@ mod tests {
     #[test]
     fn reset_clears_in_flight_state() {
         let script = vec![SisOp::Write { func_id: 1, data: 1 }, SisOp::Idle(5)];
-        let (mut sim, midx) = harness(SisMode::PseudoAsync, script, 2, 0, sum);
+        let (mut sim, midx) = harness(SyncClass::PseudoAsynchronous, script, 2, 0, sum);
         run_to_finish(&mut sim, midx);
         // One of two inputs received; now pulse RST via direct poke: the
         // signal is undriven by any component so we drive it through a
@@ -605,7 +598,8 @@ mod tests {
         let script = vec![SisOp::Write { func_id: 1, data: 5 }];
         let mut b = SimulatorBuilder::new();
         let bus = SisBus::declare(&mut b, "", 32, 8);
-        let midx = b.component(Box::new(SisMaster::new(bus, SisMode::PseudoAsync, script)));
+        let midx =
+            b.component(Box::new(SisMaster::new(bus, SyncClass::PseudoAsynchronous, script)));
         b.component(Box::new(EchoFunction::new(
             1,
             bus,

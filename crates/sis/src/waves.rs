@@ -75,16 +75,18 @@ pub fn render_window(trace: &Trace, from: u64, to: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{EchoFunction, SisMaster, SisMode, SisOp};
+    use crate::protocol::{EchoFunction, SisMaster, SisOp};
     use crate::signals::SisBus;
     use splice_sim::SimulatorBuilder;
+    use splice_spec::bus::SyncClass;
 
     #[test]
     fn renders_levels_and_values() {
         let script = vec![SisOp::Write { func_id: 1, data: 0xBEEF }, SisOp::Read { func_id: 1 }];
         let mut b = SimulatorBuilder::new();
         let bus = SisBus::declare(&mut b, "", 32, 8);
-        let midx = b.component(Box::new(SisMaster::new(bus, SisMode::PseudoAsync, script)));
+        let midx =
+            b.component(Box::new(SisMaster::new(bus, SyncClass::PseudoAsynchronous, script)));
         b.component(Box::new(EchoFunction::new(
             1,
             bus,
@@ -125,7 +127,7 @@ mod tests {
         let mut sim = {
             b.component(Box::new(SisMaster::new(
                 bus,
-                SisMode::StrictSync,
+                SyncClass::StrictlySynchronous,
                 vec![SisOp::Write { func_id: 1, data: 5 }],
             )));
             b.build()
@@ -144,7 +146,7 @@ mod tests {
         let bus = SisBus::declare(&mut b, "", 32, 8);
         b.component(Box::new(SisMaster::new(
             bus,
-            SisMode::PseudoAsync,
+            SyncClass::PseudoAsynchronous,
             vec![SisOp::Write { func_id: 1, data: 7 }, SisOp::Idle(4)],
         )));
         // No slave: the write never completes, so DATA_IN holds 7 forever.

@@ -14,7 +14,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Transfer-protocol class of a bus (§4.2).
+/// Transfer-protocol class of a bus (§4.2), which is also the SIS protocol
+/// variant its generated designs, drivers and simulated masters speak.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyncClass {
     /// Handshaked: the peripheral may pause the bus; completion is signalled
@@ -114,29 +115,30 @@ pub struct BusCaps {
     /// Data widths the bus can be configured at (`%bus_width`).
     pub widths: Vec<u32>,
     /// Whether peripherals are reached through memory mappings
-    /// (`%base_address` required). The FCB is opcode-addressed instead.
+    /// (`%base_address` required). The FCB is opcode-addressed instead: it
+    /// couples to the CPU through dedicated opcodes, not loads and stores.
     pub memory_mapped: bool,
-    /// Whether the physical bus offers DMA channels. Splice "is not capable
-    /// of providing DMA support to a bus that does not already have such
-    /// capabilities" (§3.1.5).
-    pub dma: bool,
     /// Burst beat counts natively supported beyond single transfers
     /// (e.g. `[2, 4]` for FCB double/quad-word ops).
     pub burst_beats: Vec<u32>,
     /// Maximum bytes movable in one DMA transaction (PLB: 256, §2.3.2;
-    /// AHB: 1024, §2.3.1). Zero when `dma` is false.
+    /// AHB: 1024, §2.3.1); zero on a bus without DMA ([`BusCaps::dma`]).
     pub dma_max_bytes: u32,
     /// Transfer protocol class.
     pub sync: SyncClass,
     /// Extra bus-clock latency a slave access pays for bridge/arbiter hops
     /// (OPB and APB sit behind a bridge; §2.3). Used by the simulator.
     pub bridge_latency: u32,
-    /// Whether the interface couples to the CPU through dedicated opcodes
-    /// (FCB) rather than load/store instructions.
-    pub opcode_coupled: bool,
 }
 
 impl BusCaps {
+    /// Whether the physical bus offers DMA channels. Splice "is not capable
+    /// of providing DMA support to a bus that does not already have such
+    /// capabilities" (§3.1.5).
+    pub fn dma(&self) -> bool {
+        self.dma_max_bytes > 0
+    }
+
     /// True if `width` is a legal `%bus_width` for this bus.
     pub fn supports_width(&self, width: u32) -> bool {
         self.widths.contains(&width)
@@ -154,12 +156,10 @@ impl BusCaps {
                 kind,
                 widths: vec![32, 64],
                 memory_mapped: true,
-                dma: true,
                 burst_beats: vec![2, 4],
                 dma_max_bytes: 256,
                 sync: SyncClass::PseudoAsynchronous,
                 bridge_latency: 0,
-                opcode_coupled: false,
             },
             BusKind::Opb => BusCaps {
                 kind,
@@ -168,67 +168,55 @@ impl BusCaps {
                 // The physical OPB supports DMA/burst, but Splice's OPB
                 // adapter deliberately handles only simple reads and writes
                 // (§2.3.2): feature directives are rejected for it.
-                dma: false,
                 burst_beats: vec![],
                 dma_max_bytes: 0,
                 sync: SyncClass::PseudoAsynchronous,
                 bridge_latency: 2,
-                opcode_coupled: false,
             },
             BusKind::Fcb => BusCaps {
                 kind,
                 widths: vec![32],
                 memory_mapped: false,
-                dma: false,
                 burst_beats: vec![2, 4],
                 dma_max_bytes: 0,
                 sync: SyncClass::PseudoAsynchronous,
                 bridge_latency: 0,
-                opcode_coupled: true,
             },
             BusKind::Apb => BusCaps {
                 kind,
                 widths: vec![32],
                 memory_mapped: true,
-                dma: false,
                 burst_beats: vec![],
                 dma_max_bytes: 0,
                 sync: SyncClass::StrictlySynchronous,
                 bridge_latency: 2,
-                opcode_coupled: false,
             },
             BusKind::Ahb => BusCaps {
                 kind,
                 widths: vec![32, 64],
                 memory_mapped: true,
-                dma: true,
                 burst_beats: vec![2, 4, 8, 16],
                 dma_max_bytes: 1024,
                 sync: SyncClass::PseudoAsynchronous,
                 bridge_latency: 0,
-                opcode_coupled: false,
             },
             BusKind::Wishbone => BusCaps {
                 kind,
                 widths: vec![8, 16, 32, 64],
                 memory_mapped: true,
-                dma: false,
                 burst_beats: vec![2, 4],
                 dma_max_bytes: 0,
                 sync: SyncClass::PseudoAsynchronous,
                 bridge_latency: 0,
-                opcode_coupled: false,
             },
             BusKind::Avalon => BusCaps {
                 kind,
                 widths: vec![32, 64],
                 memory_mapped: true,
-                dma: true,
                 burst_beats: vec![2, 4, 8],
                 dma_max_bytes: 4096,
                 sync: SyncClass::PseudoAsynchronous,
                 bridge_latency: 1,
-                opcode_coupled: false,
             },
         }
     }
@@ -291,7 +279,7 @@ mod tests {
     fn plb_caps_match_thesis() {
         let c = BusCaps::builtin(BusKind::Plb);
         assert!(c.supports_width(32) && c.supports_width(64) && !c.supports_width(16));
-        assert!(c.dma);
+        assert!(c.dma());
         assert_eq!(c.dma_max_bytes, 256);
         assert!(c.memory_mapped);
         assert_eq!(c.sync, SyncClass::PseudoAsynchronous);
@@ -301,8 +289,8 @@ mod tests {
     fn fcb_is_opcode_coupled_without_dma() {
         let c = BusCaps::builtin(BusKind::Fcb);
         assert!(!c.memory_mapped);
-        assert!(!c.dma);
-        assert!(c.opcode_coupled);
+        assert!(!c.dma());
+        assert_eq!(c.bridge_latency, 0, "FCB opcodes cross no bridge");
         assert!(c.supports_burst(2) && c.supports_burst(4) && !c.supports_burst(8));
         assert!(c.supports_burst(1), "single transfers always work");
     }
@@ -315,9 +303,31 @@ mod tests {
     }
 
     #[test]
+    fn apb_is_the_only_strict_sync_builtin() {
+        for k in BusKind::all() {
+            let strict = BusCaps::builtin(k).sync == SyncClass::StrictlySynchronous;
+            assert_eq!(strict, k == BusKind::Apb, "{k}");
+        }
+    }
+
+    #[test]
+    fn bridged_buses_pay_latency() {
+        assert!(BusCaps::builtin(BusKind::Opb).bridge_latency > 0);
+        assert!(BusCaps::builtin(BusKind::Apb).bridge_latency > 0);
+        assert_eq!(BusCaps::builtin(BusKind::Plb).bridge_latency, 0);
+    }
+
+    #[test]
+    fn dma_is_offered_exactly_where_a_transaction_can_move_bytes() {
+        let dma: Vec<BusKind> =
+            BusKind::all().into_iter().filter(|&k| BusCaps::builtin(k).dma()).collect();
+        assert_eq!(dma, [BusKind::Plb, BusKind::Ahb, BusKind::Avalon]);
+    }
+
+    #[test]
     fn opb_restricted_to_simple_rw() {
         let c = BusCaps::builtin(BusKind::Opb);
-        assert!(!c.dma);
+        assert!(!c.dma());
         assert!(c.burst_beats.is_empty());
         assert!(c.bridge_latency > 0, "OPB sits behind a PLB bridge");
     }

@@ -562,7 +562,7 @@ impl<'a> Validator<'a> {
 
         // DMA legality (§3.1.5, §3.2.2).
         if ext.dma {
-            if !params.bus.dma {
+            if !params.bus.dma() {
                 return Err(SpecError::new(
                     SpecErrorKind::DmaNotAvailable {
                         func,

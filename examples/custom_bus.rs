@@ -34,12 +34,10 @@ impl BusLibrary for RingBusLibrary {
             kind: BusKind::Wishbone, // closest builtin personality
             widths: vec![32, 128],
             memory_mapped: true,
-            dma: false,
             burst_beats: vec![2],
-            dma_max_bytes: 0,
+            dma_max_bytes: 0, // no DMA
             sync: SyncClass::PseudoAsynchronous,
             bridge_latency: 1, // one ring hop
-            opcode_coupled: false,
         }
     }
 
@@ -112,28 +110,18 @@ fn main() {
     println!("{}", files[0].text);
 
     // 4. Simulate: peripheral + a pseudo-asynchronous adapter with the
-    //    ring's latency + CPU master.
+    //    ring hop the library's caps declare + CPU master.
     let mut b = SimulatorBuilder::new();
     let handles =
         splice_core::simbuild::build_peripheral(&mut b, &ir, "sis.", |_, _| Box::new(Xor));
-    let sys = PseudoAsyncSystem::attach(
-        &mut b,
-        "ring.",
-        handles.bus,
-        module.params.bus_width,
-        module.params.base_address,
-        1, // the ring hop the library's caps declare
-        false,
-    );
+    let sys = PseudoAsyncSystem::attach(&mut b, "ring.", handles.bus, &module.params);
     let prog = splice_driver::lower::lower_call(
         &module.params,
         module.function("xorsum").unwrap(),
         &CallArgs::new(vec![CallValue::Scalar(3), CallValue::Array(vec![0xFF, 0x0F, 0xF0])]),
     )
     .unwrap();
-    let midx = b.component(Box::new(
-        sys.master(splice_buses::timing::BusTiming::for_bus(BusKind::Wishbone), prog.ops.clone()),
-    ));
+    let midx = b.component(Box::new(sys.master(prog.ops.clone())));
     let mut sim = b.build();
     sim.run_until("ringbus call", 100_000, |s| {
         s.component::<splice_buses::plb::PlbCpuMaster>(midx).unwrap().is_finished()

@@ -26,7 +26,6 @@ use splice_driver::cgen::{driver_header, driver_source};
 use splice_hdl::ast::Module;
 use splice_lint::LintReport;
 use splice_obs::trace;
-use splice_spec::validate::ModuleSpec;
 use splice_spec::{SpecError, SpecErrorKind};
 
 /// What to run and how, beyond the always-on phases.
@@ -55,9 +54,8 @@ impl Default for PipelineOptions {
 
 /// Everything a successful pipeline run produced.
 pub struct PipelineOutput {
-    /// The validated device module.
-    pub module: ModuleSpec,
-    /// The elaborated design.
+    /// The elaborated design, holding the validated device module
+    /// (`ir.module`).
     pub ir: DesignIr,
     /// Generated HDL files, rendered from `modules`.
     pub hw: Vec<GeneratedFile>,
@@ -264,7 +262,7 @@ pub fn run_pipeline(
         sw
     };
 
-    Ok(PipelineOutput { module, ir, hw, modules, sw, lint, check })
+    Ok(PipelineOutput { ir, hw, modules, sw, lint, check })
 }
 
 #[cfg(test)]
@@ -277,7 +275,7 @@ mod tests {
     #[test]
     fn pipeline_produces_hw_sw_and_a_clean_lint() {
         let out = run_pipeline(SPEC, "test.spec", &PipelineOptions::default()).unwrap();
-        assert_eq!(out.module.params.device_name, "pipedev");
+        assert_eq!(out.ir.module.params.device_name, "pipedev");
         assert!(!out.hw.is_empty());
         assert!(out.sw.iter().any(|(n, _)| n == "pipedev_driver.c"));
         assert!(out.lint.is_clean(), "{}", out.lint.render_text());

@@ -3,15 +3,13 @@
 //! through a native bus adapter, and must observe zero axiom violations.
 
 use splice_buses::generic::PseudoAsyncSystem;
-use splice_buses::timing::BusTiming;
 use splice_core::elaborate::elaborate;
 use splice_core::simbuild::{build_peripheral, CalcLogic, CalcResult, FuncInputs};
 use splice_driver::lower::lower_call;
 use splice_driver::program::{CallArgs, CallValue};
 use splice_sim::SimulatorBuilder;
 use splice_sis::checker::SisChecker;
-use splice_sis::SisMode;
-use splice_spec::bus::BusKind;
+use splice_spec::bus::SyncClass;
 
 struct Sum(u32);
 impl CalcLogic for Sum {
@@ -30,8 +28,9 @@ fn plb_system_traffic_is_sis_conformant() {
 
     let mut b = SimulatorBuilder::new();
     let handles = build_peripheral(&mut b, &ir, "sis.", |_, _| Box::new(Sum(3)));
-    let checker_idx = b.component(Box::new(SisChecker::new(handles.bus, SisMode::PseudoAsync)));
-    let sys = PseudoAsyncSystem::attach(&mut b, "plb.", handles.bus, 32, 0x8000_0000, 0, false);
+    let checker_idx =
+        b.component(Box::new(SisChecker::new(handles.bus, SyncClass::PseudoAsynchronous)));
+    let sys = PseudoAsyncSystem::attach(&mut b, "plb.", handles.bus, &module.params);
 
     // Several driver programs back to back through one master.
     let calls: Vec<(&str, CallArgs)> = vec![
@@ -45,7 +44,7 @@ fn plb_system_traffic_is_sis_conformant() {
         let f = module.function(func).unwrap();
         all_ops.extend(lower_call(&module.params, f, args).unwrap().ops);
     }
-    let midx = b.component(Box::new(sys.master(BusTiming::for_bus(BusKind::Plb), all_ops)));
+    let midx = b.component(Box::new(sys.master(all_ops)));
 
     let mut sim = b.build();
     sim.run_until("all calls", 1_000_000, |s| {
@@ -73,8 +72,9 @@ fn burst_and_dma_traffic_is_sis_conformant() {
 
     let mut b = SimulatorBuilder::new();
     let handles = build_peripheral(&mut b, &ir, "sis.", |_, _| Box::new(Sum(2)));
-    let checker_idx = b.component(Box::new(SisChecker::new(handles.bus, SisMode::PseudoAsync)));
-    let sys = PseudoAsyncSystem::attach(&mut b, "plb.", handles.bus, 32, 0x8000_0000, 0, false);
+    let checker_idx =
+        b.component(Box::new(SisChecker::new(handles.bus, SyncClass::PseudoAsynchronous)));
+    let sys = PseudoAsyncSystem::attach(&mut b, "plb.", handles.bus, &module.params);
 
     let mut ops = Vec::new();
     let f = module.function("big").unwrap();
@@ -89,7 +89,7 @@ fn burst_and_dma_traffic_is_sis_conformant() {
             .unwrap()
             .ops,
     );
-    let midx = b.component(Box::new(sys.master(BusTiming::for_bus(BusKind::Plb), ops)));
+    let midx = b.component(Box::new(sys.master(ops)));
 
     let mut sim = b.build();
     sim.run_until("burst+dma calls", 1_000_000, |s| {
@@ -115,7 +115,7 @@ fn fig_4_3_timing_is_pinned() {
     let bus = SisBus::declare(&mut b, "", 32, 8);
     let midx = b.component(Box::new(SisMaster::new(
         bus,
-        SisMode::PseudoAsync,
+        SyncClass::PseudoAsynchronous,
         vec![SisOp::Write { func_id: 1, data: 0xBEEF }, SisOp::Read { func_id: 1 }],
     )));
     b.component(Box::new(EchoFunction::new(

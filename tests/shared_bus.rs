@@ -5,13 +5,11 @@
 //! other peripherals" (§5.2).
 
 use splice_buses::plb::{channel, PlbCpuMaster, PlbSignals, PlbSisAdapter};
-use splice_buses::timing::BusTiming;
 use splice_core::elaborate::elaborate;
 use splice_core::simbuild::{build_peripheral, CalcLogic, CalcResult, FuncInputs};
 use splice_driver::lower::lower_call;
 use splice_driver::program::CallArgs;
 use splice_sim::SimulatorBuilder;
-use splice_spec::bus::BusKind;
 
 struct Mul(u64);
 impl CalcLogic for Mul {
@@ -57,8 +55,7 @@ fn two_devices_share_one_plb() {
     ops.extend(lower_call(&mod_b.params, f_tri, &CallArgs::scalars(&[14])).unwrap().ops);
     ops.extend(lower_call(&mod_a.params, f_dbl, &CallArgs::scalars(&[50])).unwrap().ops);
     ops.extend(lower_call(&mod_b.params, f_nine, &CallArgs::scalars(&[11])).unwrap().ops);
-    let midx =
-        b.component(Box::new(PlbCpuMaster::new(sig, BusTiming::for_bus(BusKind::Plb), chan, ops)));
+    let midx = b.component(Box::new(PlbCpuMaster::new(sig, chan, ops)));
 
     let mut sim = b.build();
     sim.run_until("interleaved calls", 1_000_000, |s| {
@@ -87,7 +84,6 @@ fn out_of_window_requests_are_ignored_not_answered() {
     ));
     let midx = b.component(Box::new(PlbCpuMaster::new(
         sig,
-        BusTiming::for_bus(BusKind::Plb),
         chan,
         vec![splice_driver::program::BusOp::Write { addr: 0xA000_0000, data: 1 }],
     )));
