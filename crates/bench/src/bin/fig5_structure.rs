@@ -43,8 +43,8 @@ fn main() {
     }
 
     println!("\nFig 5.2 — layout of a typical user-logic stub (func_set_threshold)\n");
-    let stub = ir.stub("set_threshold").expect("timer function");
-    let f = ir.module.function("set_threshold").unwrap();
+    let (f, stub) =
+        ir.functions().find(|(f, _)| f.name == "set_threshold").expect("timer function");
     println!("  SMB: {}-bit state register, {} states", stub.state_bits(), stub.state_count());
     println!("  ICOB state progression:");
     for (i, st) in stub.states.iter().enumerate() {
@@ -77,13 +77,14 @@ fn main() {
         }
     }
     println!("  trackers:");
-    for t in &stub.trackers {
+    for st in &stub.states {
+        let (Some(io), Some(beats)) = (st.io(f), st.beats()) else { continue };
+        let Some(bits) = beats.counter_bits(p.bus_width) else { continue };
+        let storage = matches!(beats, BeatCount::Dynamic { .. });
         println!(
-            "    `{}`: {}-bit counter{}, {}-bit comparator",
-            t.for_io,
-            t.counter_bits,
-            if t.has_storage { " + bound storage register" } else { "" },
-            t.comparator_bits
+            "    `{}`: {bits}-bit counter{}, {bits}-bit comparator",
+            io.name,
+            if storage { " + bound storage register" } else { "" },
         );
     }
 }

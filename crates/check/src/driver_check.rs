@@ -144,14 +144,10 @@ fn loop_bound(line: &str) -> Option<Option<u64>> {
 /// Whether a transfer state can move by DMA: its I/O is declared `^` and
 /// its beat count is runtime or reaches [`DMA_MIN_BEATS`].
 fn reaches_dma(f: &ValidatedFunction, state: &StubState) -> bool {
-    let (io, beats) = match state {
-        StubState::Input { io, beats, .. } => (f.inputs.get(*io), beats),
-        StubState::Output { beats, .. } => (f.output.as_ref(), beats),
-        StubState::Calc | StubState::PseudoOutput => return false,
-    };
-    io.is_some_and(|io| io.dma)
+    let (Some(io), Some(beats)) = (state.io(f), state.beats()) else { return false };
+    io.dma
         && match beats {
-            BeatCount::Static(n) => *n >= DMA_MIN_BEATS,
+            BeatCount::Static(n) => n >= DMA_MIN_BEATS,
             BeatCount::Dynamic { .. } => true,
         }
 }
@@ -344,18 +340,18 @@ pub fn cross_check(
 
     // --- per-function checks --------------------------------------------
     let arbiter = modules.iter().find(|m| m.name == format!("user_{dev}"));
-    for stub in &ir.stubs {
-        let floc = |detail: &str| Location::path(format!("{}_driver.c {}{detail}", dev, stub.name));
-        let id_macro = format!("{}_ID", stub.name.to_ascii_uppercase());
+    for (f, stub) in ir.functions() {
+        let floc = |detail: &str| Location::path(format!("{}_driver.c {}{detail}", dev, f.name));
+        let id_macro = format!("{}_ID", f.name.to_ascii_uppercase());
 
         // SL0407: the C id macro vs the IR id.
         match define_value(driver_c, &id_macro) {
-            Some(v) if v != stub.first_func_id as u64 => report.push(err(
+            Some(v) if v != f.first_func_id as u64 => report.push(err(
                 "SL0407",
                 floc(""),
                 format!(
                     "#define {id_macro} is {v} but the hardware decodes function id {}",
-                    stub.first_func_id
+                    f.first_func_id
                 ),
             )),
             Some(_) => {}
@@ -367,13 +363,13 @@ pub fn cross_check(
         }
 
         // SL0407: the stub module's MY_FUNC_ID constant.
-        let mod_name = format!("func_{}", stub.name);
+        let mod_name = format!("func_{}", f.name);
         let stub_mod = modules.iter().find(|m| m.name == mod_name);
         match stub_mod.and_then(|m| module_constant(m, "MY_FUNC_ID")) {
-            Some(v) if v != stub.first_func_id as u64 => report.push(err(
+            Some(v) if v != f.first_func_id as u64 => report.push(err(
                 "SL0407",
                 Location::signal(&mod_name, "MY_FUNC_ID"),
-                format!("MY_FUNC_ID is {v} but the driver targets id {}", stub.first_func_id),
+                format!("MY_FUNC_ID is {v} but the driver targets id {}", f.first_func_id),
             )),
             Some(_) => {}
             None => report.push(err(
@@ -390,25 +386,25 @@ pub fn cross_check(
                 .iter()
                 .filter(|i| matches!(i, Item::Instance(inst) if inst.module == mod_name))
                 .count();
-            if count != stub.instances as usize {
+            if count != f.instances as usize {
                 report.push(err(
                     "SL0407",
                     Location::path(format!("user_{dev}")),
                     format!(
                         "the arbiter instantiates `{mod_name}` {count} time(s) but the driver \
                          expects {} instance(s)",
-                        stub.instances
+                        f.instances
                     ),
                 ));
             }
         }
 
         // SL0409 / SL0410: the body's transfer footprint.
-        let Some(body) = function_body(driver_c, &stub.name) else {
+        let Some(body) = function_body(driver_c, &f.name) else {
             report.push(err(
                 "SL0409",
                 floc(""),
-                format!("the driver source has no body for `{}`", stub.name),
+                format!("the driver source has no body for `{}`", f.name),
             ));
             continue;
         };
@@ -441,26 +437,25 @@ pub fn cross_check(
                 ),
             ));
         }
-        if want.pseudo && !stub.nowait && !c.sync_read {
+        if want.pseudo && !f.nowait && !c.sync_read {
             report.push(err(
                 "SL0409",
                 floc(""),
                 "the FSM has a pseudo-output state but the driver never reads the sync word".into(),
             ));
         }
-        if c.waits == stub.nowait {
+        if c.waits == f.nowait {
             report.push(err(
                 "SL0410",
                 floc(""),
-                if stub.nowait {
+                if f.nowait {
                     "a `nowait` driver must not call WAIT_FOR_RESULTS".to_owned()
                 } else {
                     "the driver never calls WAIT_FOR_RESULTS before reading results".to_owned()
                 },
             ));
         }
-        let f = ir.module.function(&stub.name);
-        let want_dma = f.is_some_and(|f| stub.states.iter().any(|st| reaches_dma(f, st)));
+        let want_dma = stub.states.iter().any(|st| reaches_dma(f, st));
         if (c.dma_write || c.dma_read) != want_dma {
             report.push(err(
                 "SL0410",
@@ -481,16 +476,13 @@ pub fn cross_check(
             for st in &stub.states {
                 let (name, n) = match st {
                     StubState::Input { io, beats: BeatCount::Static(n), .. } if *n > 1 => {
-                        match f.and_then(|f| f.inputs.get(*io)) {
-                            Some(input) => (input.name.clone(), *n),
-                            None => continue,
-                        }
+                        (f.inputs[*io].name.clone(), *n)
                     }
                     StubState::Output { beats: BeatCount::Static(n), .. } if *n > 1 => {
                         ("result".to_owned(), *n)
                     }
                     StubState::Input { beats: BeatCount::Dynamic { .. }, io, .. } => {
-                        let Some(input) = f.and_then(|f| f.inputs.get(*io)) else { continue };
+                        let input = &f.inputs[*io];
                         if !has_signal(m, &format!("{}_bound", input.name)) {
                             report.push(err(
                                 "SL0409",

@@ -106,11 +106,8 @@ pub fn stub_script(
     let index_inputs: Vec<usize> = stub
         .states
         .iter()
-        .filter_map(|s| match s {
-            StubState::Input { beats: BeatCount::Dynamic { index_input, .. }, .. }
-            | StubState::Output { beats: BeatCount::Dynamic { index_input, .. }, .. } => {
-                Some(*index_input)
-            }
+        .filter_map(|s| match s.beats() {
+            Some(BeatCount::Dynamic { index_input, .. }) => Some(index_input),
             _ => None,
         })
         .collect();
@@ -459,14 +456,7 @@ mod tests {
     use splice_driver::lower::TransferShape;
 
     fn stub(states: Vec<StubState>) -> FunctionStub {
-        FunctionStub {
-            name: "f".into(),
-            first_func_id: 1,
-            instances: 1,
-            states,
-            trackers: vec![],
-            nowait: false,
-        }
+        FunctionStub { states }
     }
 
     #[test]
@@ -536,11 +526,11 @@ mod tests {
 
     #[test]
     fn nowait_scripts_have_no_reads() {
-        let mut s = stub(vec![
+        // A `nowait` stub ends in its Calc state.
+        let s = stub(vec![
             StubState::Input { io: 0, beats: BeatCount::Static(1), ignore_tail_bits: 0 },
             StubState::Calc,
         ]);
-        s.nowait = true;
         let ops = stub_script(&s, SyncClass::PseudoAsynchronous, 1, 1);
         assert_eq!(ops, vec![Op::Write { data: 1 }, Op::RoundEnd]);
     }

@@ -38,10 +38,11 @@ pub use splice_dataflow::{CompileError, CompiledDesign};
 
 use env::EnvPins;
 use explore::{BfsOutcome, ExploreSpec, MutexGroup, StepMemo};
-use splice_core::{BeatCount, DesignIr, FunctionStub, StubState};
+use splice_core::{BeatCount, DesignIr, FunctionStub};
 use splice_dataflow::TWord;
 use splice_hdl::Module;
 use splice_lint::{Diagnostic, Layer, LintReport, Location};
+use splice_spec::validate::ValidatedFunction;
 use std::fmt;
 
 /// How hard to check.
@@ -355,12 +356,12 @@ impl fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
-/// The free exploration [`check_modules`] runs on `func_<stub>` compiled
+/// The free exploration [`check_modules`] runs on the stub of `f` compiled
 /// alone: the environment drives the stub's own FUNC_ID, the status id and
 /// one foreign id, and two data values.
-pub fn stub_exploration(ir: &DesignIr, stub: &FunctionStub, opts: &CheckOptions) -> ExploreSpec {
+pub fn stub_exploration(ir: &DesignIr, f: &ValidatedFunction, opts: &CheckOptions) -> ExploreSpec {
     let id_mask = (1u64 << ir.func_id_width().min(63)) - 1;
-    let my_id = stub.first_func_id as u64;
+    let my_id = f.first_func_id as u64;
     let mut func_ids = vec![my_id, env::STATUS_ID, (my_id + 1) & id_mask];
     func_ids.sort_unstable();
     func_ids.dedup();
@@ -396,7 +397,9 @@ pub fn arbiter_explorations(
         let members: Vec<usize> = ir
             .arbiter_entries()
             .iter()
-            .filter_map(|&(si, _, id)| d.signal_id(&format!("f{id}_{}_{line}", ir.stubs[si].name)))
+            .filter_map(|&(si, _, id)| {
+                d.signal_id(&format!("f{id}_{}_{line}", ir.module.functions[si].name))
+            })
             .collect();
         if members.len() >= 2 {
             groups.push(MutexGroup { line: line.to_owned(), members });
@@ -439,31 +442,26 @@ fn compile(modules: &[Module], top: &str) -> Result<(CompiledDesign, EnvPins), C
     Ok((d, pins))
 }
 
-/// Directed liveness: run the driver's own transaction scripts for `stub`
-/// on its module `d`, across pacings (and element counts for
+/// Directed liveness: run the driver's own transaction scripts for `f`'s
+/// `stub` on its module `d`, across pacings (and element counts for
 /// runtime-bounded transfers), and report the first violation.
 fn run_scripts(
     ir: &DesignIr,
+    f: &ValidatedFunction,
     stub: &FunctionStub,
     d: &CompiledDesign,
     pins: &EnvPins,
     opts: &CheckOptions,
     out: &mut CheckOutcome,
 ) {
-    let dynamic = stub.states.iter().any(|s| {
-        matches!(
-            s,
-            StubState::Input { beats: BeatCount::Dynamic { .. }, .. }
-                | StubState::Output { beats: BeatCount::Dynamic { .. }, .. }
-        )
-    });
+    let dynamic = stub.states.iter().any(|s| matches!(s.beats(), Some(BeatCount::Dynamic { .. })));
     let bounds: &[u64] = if dynamic { &[1, 2] } else { &[1] };
     for &bound in bounds {
         for pacing in 0..=2u32 {
             let sync = ir.module.params.bus.sync;
             let ops = env::stub_script(stub, sync, bound, 2);
             let cfg = env::ScriptConfig { sync, response_bound: opts.response_bound, pacing };
-            let run = env::run_script(d, pins, stub.first_func_id as u64, &ops, cfg);
+            let run = env::run_script(d, pins, f.first_func_id as u64, &ops, cfg);
             if let Some(witness) = run.violation {
                 let location =
                     Location::path(format!("{} (pacing {pacing}, bound {bound})", d.name));
@@ -564,10 +562,10 @@ pub fn check_modules(
 ) -> Result<CheckOutcome, CheckError> {
     let mut out =
         CheckOutcome { report: LintReport::new(), counterexamples: Vec::new(), stats: Vec::new() };
-    for stub in &ir.stubs {
-        let (d, pins) = compile(modules, &format!("func_{}", stub.name))?;
-        run_scripts(ir, stub, &d, &pins, opts, &mut out);
-        if explore_module(&d, &pins, &[], &[stub_exploration(ir, stub, opts)], opts, &mut out) {
+    for (f, stub) in ir.functions() {
+        let (d, pins) = compile(modules, &format!("func_{}", f.name))?;
+        run_scripts(ir, f, stub, &d, &pins, opts, &mut out);
+        if explore_module(&d, &pins, &[], &[stub_exploration(ir, f, opts)], opts, &mut out) {
             // SIGINT: skip the remaining per-stub explorations (each would
             // observe the same flag immediately anyway) and fall through so
             // the partial report still renders.

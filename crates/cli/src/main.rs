@@ -531,7 +531,8 @@ fn generate(out: &PipelineOutput, opts: &Options) -> Result<ExitCode, CliError> 
     let sw = &out.sw;
     let dev = module.params.device_name.clone();
 
-    for note in &ir.notes {
+    let notes = ir.notes();
+    for note in &notes {
         println!("note: {note}");
     }
 
@@ -541,8 +542,8 @@ fn generate(out: &PipelineOutput, opts: &Options) -> Result<ExitCode, CliError> 
         let mut reg = splice_obs::metrics::MetricsRegistry::new();
         reg.enable();
         reg.gauge_set("gen.functions", module.functions.len() as u64);
-        reg.gauge_set("gen.instances", ir.total_instances() as u64);
-        reg.gauge_set("gen.notes", ir.notes.len() as u64);
+        reg.gauge_set("gen.instances", module.total_instances() as u64);
+        reg.gauge_set("gen.notes", notes.len() as u64);
         reg.gauge_set("gen.hw_files", hw.len() as u64);
         reg.gauge_set("gen.sw_files", sw.len() as u64);
         reg.gauge_set("gen.resource_slices", design_cost(ir).total().slices() as u64);

@@ -325,7 +325,9 @@ fn exit_codes_are_pinned() {
     }
 
     // 2: a retired rule code is outside the catalogue, like any unknown one.
-    for code in ["SL0206", "SL0405", "SL0508"] {
+    for code in
+        ["SL0201", "SL0202", "SL0203", "SL0204", "SL0205", "SL0206", "SL0207", "SL0405", "SL0508"]
+    {
         let out = splice_bin().args(["lint", "--explain", code]).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "`lint --explain {code}` must exit 2");
     }
@@ -373,6 +375,17 @@ const TWO_BEAT_SPEC: &str = "%device_name d\n%bus_type plb\n%bus_width 32\n\
 const HUGE_BOUND_SPEC: &str = "%device_name d\n%bus_type plb\n%bus_width 32\n\
                                %base_address 0x80000000\nvoid f(int*:65536 xs);\n";
 
+/// Runtime bounds the stub cannot convert to beats by a shift: three beats
+/// per 24-bit element on an 8-bit bus, five 12-bit elements per 64-bit
+/// beat.
+const ODD_SPLIT_BOUND_SPEC: &str = "%device_name d\n%bus_type wishbone\n%bus_width 8\n\
+                                    %base_address 0x80000000\n%user_type odd, unsigned int, 24\n\
+                                    void g(char n, odd*:n xs);\n";
+const ODD_PACKED_BOUND_SPEC: &str = "%device_name d\n%bus_type plb\n%bus_width 64\n\
+                                     %base_address 0x80000000\n%packing_support true\n\
+                                     %user_type tw, unsigned short, 12\n\
+                                     void g(int n, tw*:n+ xs);\n";
+
 /// 33 functions on the strictly synchronous APB: one more than its 32-bit
 /// status word has completion bits for.
 fn apb_33_functions_spec() -> String {
@@ -381,10 +394,10 @@ fn apb_33_functions_spec() -> String {
 }
 
 /// Every mode gives one verdict on a spec: a design lint refuses, a spec
-/// its bus library refuses, a bound past the beat counters, more functions
-/// than the bus can poll, and warnings under `--deny-warnings` exit 1 from
-/// all five modes; warnings alone, a two-beat output and the bundled
-/// examples exit 0.
+/// its bus library refuses, a bound past the beat counters, runtime bounds
+/// the stub cannot convert to beats, more functions than the bus can poll,
+/// and warnings under `--deny-warnings` exit 1 from all five modes;
+/// warnings alone, a two-beat output and the bundled examples exit 0.
 #[test]
 fn every_mode_gives_the_same_verdict() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -402,6 +415,8 @@ fn every_mode_gives_the_same_verdict() {
         (fcb.clone(), false, 1),
         (plb.clone(), false, 1),
         (write("huge.splice", HUGE_BOUND_SPEC), false, 1),
+        (write("odd_split.splice", ODD_SPLIT_BOUND_SPEC), false, 1),
+        (write("odd_packed.splice", ODD_PACKED_BOUND_SPEC), false, 1),
         (write("apb33.splice", &apb_33_functions_spec()), false, 1),
         (warn.clone(), true, 1),
         (warn, false, 0),

@@ -16,7 +16,7 @@ use crate::ir::{bits_for, BeatCount, DesignIr, FunctionStub, StubState};
 use crate::template::{expand, MarkerSet, TemplateError};
 use splice_driver::lower::TransferShape;
 use splice_hdl::{emit, Decl, Expr, Hdl, Instance, Item, Module, Port, Process, Stmt};
-use splice_spec::validate::TargetHdl;
+use splice_spec::validate::{TargetHdl, ValidatedFunction};
 
 /// A generated source file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,38 +27,18 @@ pub struct GeneratedFile {
     pub text: String,
 }
 
-/// Why structural HDL generation failed. Generation is driven by an
-/// elaborated [`DesignIr`]; these errors flag an IR whose stub table and
-/// validated function list disagree (a pipeline bug or a hand-built IR),
-/// reported structurally instead of panicking mid-generation.
+/// Why HDL generation failed: only the bus library's interface template
+/// can refuse, when its marker expansion fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HdlGenError {
     /// Marker expansion of the bus interface template failed.
     Template(TemplateError),
-    /// A stub names a function absent from the validated module.
-    MissingFunction {
-        /// The stub's function name.
-        stub: String,
-    },
-    /// A stub state references an input index the function does not have.
-    MissingInput {
-        /// The stub's function name.
-        stub: String,
-        /// The out-of-range input index.
-        index: usize,
-    },
 }
 
 impl std::fmt::Display for HdlGenError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HdlGenError::Template(e) => write!(f, "template expansion failed: {e}"),
-            HdlGenError::MissingFunction { stub } => {
-                write!(f, "stub `{stub}` has no matching function in the validated module")
-            }
-            HdlGenError::MissingInput { stub, index } => {
-                write!(f, "stub `{stub}` references input #{index}, which does not exist")
-            }
         }
     }
 }
@@ -136,22 +116,20 @@ pub fn standard_markers(ir: &DesignIr, gen_date: &str) -> MarkerSet {
     m
 }
 
-/// The per-function markers of Fig 7.1 for one stub.
-pub fn function_markers(
-    ir: &DesignIr,
-    stub: &FunctionStub,
-    gen_date: &str,
-) -> Result<MarkerSet, HdlGenError> {
+/// The per-function markers of Fig 7.1 for the stub of
+/// `ir.module.functions[index]`.
+pub fn function_markers(ir: &DesignIr, index: usize, gen_date: &str) -> MarkerSet {
+    let (f, stub) = (&ir.module.functions[index], &ir.stubs[index]);
     let hdl = hdl_of(ir);
     let mut m = standard_markers(ir, gen_date);
-    m.set("FUNC_NAME", stub.name.clone());
-    m.set("MY_FUNC_ID", stub.first_func_id.to_string());
-    m.set("FUNC_INSTS", stub.instances.to_string());
-    m.set("FUNC_CONSTS", render_decls(&stub_constants(ir, stub)?, hdl));
-    m.set("FUNC_SIGNALS", render_decls(&stub_signals(ir, stub), hdl));
+    m.set("FUNC_NAME", f.name.clone());
+    m.set("MY_FUNC_ID", f.first_func_id.to_string());
+    m.set("FUNC_INSTS", f.instances.to_string());
+    m.set("FUNC_CONSTS", render_decls(&stub_constants(ir, f, stub), hdl));
+    m.set("FUNC_SIGNALS", render_decls(&stub_signals(f, stub, ir.module.params.bus_width), hdl));
     m.set("FUNC_FSM", render_items(&[Item::Process(smb_process(stub))], hdl));
-    m.set("FUNC_STUB", render_items(&[Item::Process(icob_process(ir, stub)?)], hdl));
-    Ok(m)
+    m.set("FUNC_STUB", render_items(&[Item::Process(icob_process(ir, f, stub))], hdl));
+    m
 }
 
 // ---------------------------------------------------------------------
@@ -180,98 +158,59 @@ fn sis_ports(bus_width: u32, func_id_width: u32, irq: bool) -> Vec<Port> {
     ports
 }
 
-/// Look up the function a stub was elaborated from, or report the IR as
-/// inconsistent.
-fn stub_function<'a>(
-    ir: &'a DesignIr,
-    stub: &FunctionStub,
-) -> Result<&'a splice_spec::validate::ValidatedFunction, HdlGenError> {
-    ir.module
-        .function(&stub.name)
-        .ok_or_else(|| HdlGenError::MissingFunction { stub: stub.name.clone() })
-}
-
-/// Look up a stub input by ICOB state index, or report the IR as
-/// inconsistent.
-fn stub_input<'a>(
-    f: &'a splice_spec::validate::ValidatedFunction,
-    stub: &FunctionStub,
-    io: usize,
-) -> Result<&'a splice_spec::validate::ValidatedIo, HdlGenError> {
-    f.inputs.get(io).ok_or_else(|| HdlGenError::MissingInput { stub: stub.name.clone(), index: io })
-}
-
-fn state_const_name(stub: &FunctionStub, ir: &DesignIr, idx: usize) -> Result<String, HdlGenError> {
-    let f = stub_function(ir, stub)?;
-    Ok(match &stub.states[idx] {
-        StubState::Input { io, .. } => format!("IN_{}", stub_input(f, stub, *io)?.name),
+fn state_const_name(f: &ValidatedFunction, st: &StubState) -> String {
+    match st {
+        StubState::Input { io, .. } => format!("IN_{}", f.inputs[*io].name),
         StubState::Calc => "CALC_STATE".into(),
         StubState::Output { .. } => "OUT_RESULT".into(),
         StubState::PseudoOutput => "OUT_SYNC".into(),
-    })
+    }
 }
 
-fn stub_constants(ir: &DesignIr, stub: &FunctionStub) -> Result<Vec<Decl>, HdlGenError> {
+fn stub_constants(ir: &DesignIr, f: &ValidatedFunction, stub: &FunctionStub) -> Vec<Decl> {
     let mut decls = Vec::new();
     decls.push(Decl::Comment(format!(
         "Function identifier assigned to `{}` (instances {})",
-        stub.name, stub.instances
+        f.name, f.instances
     )));
     decls.push(Decl::Constant {
         name: "MY_FUNC_ID".into(),
         width: ir.func_id_width(),
-        value: stub.first_func_id as u64,
+        value: f.first_func_id as u64,
     });
     let sb = stub.state_bits();
-    for (i, _) in stub.states.iter().enumerate() {
-        decls.push(Decl::Constant {
-            name: state_const_name(stub, ir, i)?,
-            width: sb,
-            value: i as u64,
-        });
+    for (i, st) in stub.states.iter().enumerate() {
+        decls.push(Decl::Constant { name: state_const_name(f, st), width: sb, value: i as u64 });
     }
-    // Tracker bound constants for statically bounded multi-beat transfers
+    // Counter bound constants for statically bounded multi-beat transfers
     // (inputs and the `result` output alike).
-    let f = stub_function(ir, stub)?;
     for st in &stub.states {
-        let (name, n) = match st {
-            StubState::Input { io, beats: BeatCount::Static(n), .. } if *n > 1 => {
-                (stub_input(f, stub, *io)?.name.as_str(), *n)
-            }
-            StubState::Output { beats: BeatCount::Static(n), .. } if *n > 1 => ("result", *n),
-            _ => continue,
-        };
-        decls.push(Decl::Constant {
-            name: format!("{name}_max_value"),
-            width: bits_for(n),
-            value: n - 1,
-        });
+        let (Some(io), Some(BeatCount::Static(n))) = (st.io(f), st.beats()) else { continue };
+        if n > 1 {
+            decls.push(Decl::Constant {
+                name: format!("{}_max_value", io.name),
+                width: bits_for(n),
+                value: n - 1,
+            });
+        }
     }
-    Ok(decls)
+    decls
 }
 
-fn stub_signals(ir: &DesignIr, stub: &FunctionStub) -> Vec<Decl> {
+fn stub_signals(f: &ValidatedFunction, stub: &FunctionStub, bus_width: u32) -> Vec<Decl> {
     let sb = stub.state_bits();
     let mut decls = vec![
         Decl::Signal { name: "cur_state".into(), width: sb, init: Some(0) },
         Decl::Signal { name: "next_state".into(), width: sb, init: Some(0) },
     ];
-    for t in &stub.trackers {
-        decls.push(Decl::Comment(format!(
-            "Tracking register for `{}` transfers (§5.3.1)",
-            t.for_io
-        )));
-        decls.push(Decl::Signal {
-            name: format!("{}_counter", t.for_io),
-            width: t.counter_bits,
-            init: Some(0),
-        });
-        if t.has_storage {
-            decls.push(Decl::Signal {
-                name: format!("{}_bound", t.for_io),
-                width: t.comparator_bits,
-                init: Some(0),
-            });
+    for st in &stub.states {
+        let (Some(io), Some(beats)) = (st.io(f), st.beats()) else { continue };
+        let Some(width) = beats.counter_bits(bus_width) else { continue };
+        decls
+            .push(Decl::Comment(format!("Tracking register for `{}` transfers (§5.3.1)", io.name)));
+        decls.push(Decl::Signal { name: format!("{}_counter", io.name), width, init: Some(0) });
+        if let BeatCount::Dynamic { .. } = beats {
+            decls.push(Decl::Signal { name: format!("{}_bound", io.name), width, init: Some(0) });
         }
     }
     if has_read_state(stub) {
@@ -282,7 +221,6 @@ fn stub_signals(ir: &DesignIr, stub: &FunctionStub) -> Vec<Decl> {
         ));
         decls.push(Decl::Signal { name: "pending_read".into(), width: 1, init: Some(0) });
     }
-    let _ = ir;
     decls
 }
 
@@ -312,58 +250,29 @@ fn smb_process(stub: &FunctionStub) -> Process {
 
 /// Counter bookkeeping shared by multi-beat input and output states: on the
 /// final beat reset the counter and run `on_final`; otherwise increment.
-fn counted_advance(
-    stub: &FunctionStub,
-    name: &str,
-    beats: &BeatCount,
-    on_final: Vec<Stmt>,
-) -> Vec<Stmt> {
+fn counted_advance(name: &str, beats: BeatCount, bus_width: u32, on_final: Vec<Stmt>) -> Vec<Stmt> {
+    let Some(w) = beats.counter_bits(bus_width) else { return on_final };
     let ctr = format!("{name}_counter");
-    match beats {
-        BeatCount::Static(1) => on_final,
-        BeatCount::Static(n) => {
-            let w = bits_for(*n);
-            let mut done = vec![Stmt::assign(&ctr, Expr::lit(0, w))];
-            done.extend(on_final);
-            vec![Stmt::if_else(
-                Expr::sig(&ctr).eq(Expr::sig(format!("{name}_max_value"))),
-                done,
-                vec![Stmt::assign(&ctr, Expr::sig(&ctr).add(Expr::lit(1, w)))],
-            )]
-        }
+    let last = match beats {
+        BeatCount::Static(_) => Expr::sig(&ctr).eq(Expr::sig(format!("{name}_max_value"))),
         BeatCount::Dynamic { .. } => {
-            let bound = format!("{name}_bound");
-            let w = stub
-                .trackers
-                .iter()
-                .find(|t| t.for_io == *name)
-                .map(|t| t.counter_bits)
-                .unwrap_or(32);
-            let mut done = vec![Stmt::assign(&ctr, Expr::lit(0, w))];
-            done.extend(on_final);
-            vec![Stmt::if_else(
-                Expr::sig(&ctr).add(Expr::lit(1, w)).eq(Expr::sig(&bound)),
-                done,
-                vec![Stmt::assign(&ctr, Expr::sig(&ctr).add(Expr::lit(1, w)))],
-            )]
+            Expr::sig(&ctr).add(Expr::lit(1, w)).eq(Expr::sig(format!("{name}_bound")))
         }
-    }
+    };
+    let mut done = vec![Stmt::assign(&ctr, Expr::lit(0, w))];
+    done.extend(on_final);
+    vec![Stmt::if_else(last, done, vec![Stmt::assign(&ctr, Expr::sig(&ctr).add(Expr::lit(1, w)))])]
 }
 
-/// The latch of a dynamic transfer's element count: `<array>_bound` takes
-/// the *beat* count derived from `DATA_IN` while the index parameter's beat
-/// is accepted. The tracker counts bus beats, so the element count on the
-/// wire must be mapped through the transfer shape: packed transfers carry
-/// `per_beat` elements per beat (round up), split transfers need
-/// `beats_per_elem` beats per element. Both factors are powers of two, so
-/// the mapping is a shift built from slices and concatenation.
-fn bound_latch(stub: &FunctionStub, array: &str, shape: TransferShape, bus_width: u32) -> Stmt {
-    let w = stub
-        .trackers
-        .iter()
-        .find(|t| t.for_io == array)
-        .map(|t| t.comparator_bits)
-        .unwrap_or(bus_width);
+/// The latch of a dynamic transfer's element count: `<array>_bound`, `w`
+/// bits wide, takes the *beat* count derived from `DATA_IN` while the index
+/// parameter's beat is accepted. The tracker counts bus beats, so the
+/// element count on the wire must be mapped through the transfer shape:
+/// packed transfers carry `per_beat` elements per beat (round up), split
+/// transfers need `beats_per_elem` beats per element. Validation refuses a
+/// runtime bound whose factor is not a power of two, so the mapping is a
+/// shift built from slices and concatenation.
+fn bound_latch(array: &str, shape: TransferShape, w: u32, bus_width: u32) -> Stmt {
     let take = |e: Expr, avail: u32| {
         // Resize `e` (of `avail` bits) to exactly `w` bits.
         match avail.cmp(&w) {
@@ -374,14 +283,6 @@ fn bound_latch(stub: &FunctionStub, array: &str, shape: TransferShape, bus_width
     };
     let rhs = match shape {
         TransferShape::Direct => take(Expr::sig("DATA_IN"), bus_width),
-        // Non-power-of-two factors would need a divider/multiplier; keep the
-        // raw element count as before (the lint layer flags such trackers).
-        TransferShape::Packed { per_beat } if !per_beat.is_power_of_two() => {
-            take(Expr::sig("DATA_IN"), bus_width)
-        }
-        TransferShape::Split { beats_per_elem } if !beats_per_elem.is_power_of_two() => {
-            take(Expr::sig("DATA_IN"), bus_width)
-        }
         TransferShape::Packed { per_beat } => {
             // beats = ceil(elems / per_beat) = (elems + per_beat - 1) >> s.
             let s = per_beat.trailing_zeros();
@@ -390,19 +291,10 @@ fn bound_latch(stub: &FunctionStub, array: &str, shape: TransferShape, bus_width
             take(Expr::Slice { base: Box::new(sum), hi, lo: s }, hi - s + 1)
         }
         TransferShape::Split { beats_per_elem } => {
-            // beats = elems << s.
+            // beats = elems << s, and `w` leaves room for all of the word.
             let s = beats_per_elem.trailing_zeros();
-            if s == 0 || s >= w {
-                take(Expr::sig("DATA_IN"), bus_width)
-            } else {
-                let kept = Expr::Slice {
-                    base: Box::new(Expr::sig("DATA_IN")),
-                    hi: (w - s - 1).min(bus_width - 1),
-                    lo: 0,
-                };
-                let avail = (w - s).min(bus_width) + s;
-                take(Expr::Concat(vec![kept, Expr::lit(0, s)]), avail)
-            }
+            let kept = Expr::Slice { base: Box::new(Expr::sig("DATA_IN")), hi: w - s - 1, lo: 0 };
+            Expr::Concat(vec![kept, Expr::lit(0, s)])
         }
     };
     Stmt::assign(format!("{array}_bound"), rhs)
@@ -410,8 +302,7 @@ fn bound_latch(stub: &FunctionStub, array: &str, shape: TransferShape, bus_width
 
 /// The Input-Calculation-Output Block (§5.3.1): all bus interaction for the
 /// function, with a blank calculation state.
-fn icob_process(ir: &DesignIr, stub: &FunctionStub) -> Result<Process, HdlGenError> {
-    let f = stub_function(ir, stub)?;
+fn icob_process(ir: &DesignIr, f: &ValidatedFunction, stub: &FunctionStub) -> Process {
     let p = &ir.module.params;
     let sb = stub.state_bits();
     let n_states = stub.states.len();
@@ -436,7 +327,7 @@ fn icob_process(ir: &DesignIr, stub: &FunctionStub) -> Result<Process, HdlGenErr
         let next = ((i + 1) % n_states) as u64;
         let body = match st {
             StubState::Input { io, beats, ignore_tail_bits } => {
-                let name = &stub_input(f, stub, *io)?.name;
+                let name = &f.inputs[*io].name;
                 let mut b = vec![Stmt::Comment(format!(
                     "Handling input `{name}`{}",
                     if *ignore_tail_bits > 0 {
@@ -458,7 +349,7 @@ fn icob_process(ir: &DesignIr, stub: &FunctionStub) -> Result<Process, HdlGenErr
                     Stmt::assign("IO_DONE", Expr::lit(1, 1)),
                 ];
                 if let BeatCount::Dynamic { index_input, .. } = beats {
-                    let idx_name = &stub_input(f, stub, *index_input)?.name;
+                    let idx_name = &f.inputs[*index_input].name;
                     on_accept.insert(
                         0,
                         Stmt::Comment(format!(
@@ -470,26 +361,20 @@ fn icob_process(ir: &DesignIr, stub: &FunctionStub) -> Result<Process, HdlGenErr
                 // transfers: latch its value into their `<array>_bound`
                 // storage registers (§5.3.1's storage register).
                 for st2 in &stub.states {
-                    let (array, shape) = match st2 {
-                        StubState::Input {
-                            io: a,
-                            beats: BeatCount::Dynamic { index_input, shape },
-                            ..
-                        } if *index_input == *io => {
-                            (stub_input(f, stub, *a)?.name.as_str(), *shape)
-                        }
-                        StubState::Output {
-                            beats: BeatCount::Dynamic { index_input, shape },
-                            ..
-                        } if *index_input == *io => ("result", *shape),
-                        _ => continue,
+                    let (Some(array), Some(b @ BeatCount::Dynamic { index_input, shape })) =
+                        (st2.io(f), st2.beats())
+                    else {
+                        continue;
                     };
-                    on_accept.push(bound_latch(stub, array, shape, p.bus_width));
+                    if index_input == *io {
+                        let w = b.counter_bits(p.bus_width).expect("a runtime count is counted");
+                        on_accept.push(bound_latch(&array.name, shape, w, p.bus_width));
+                    }
                 }
                 on_accept.extend(counted_advance(
-                    stub,
                     name,
-                    beats,
+                    *beats,
+                    p.bus_width,
                     vec![Stmt::assign("next_state", Expr::lit(next, sb))],
                 ));
                 b.push(Stmt::if_then(accept, on_accept));
@@ -509,7 +394,7 @@ fn icob_process(ir: &DesignIr, stub: &FunctionStub) -> Result<Process, HdlGenErr
                         vec![Stmt::assign("pending_read", Expr::lit(1, 1))],
                     ));
                 }
-                if p.irq && stub.nowait {
+                if p.irq && f.nowait {
                     // Fire-and-forget functions signal completion with a
                     // one-cycle IRQ pulse instead of an output transfer.
                     b.push(Stmt::assign("IRQ", Expr::lit(1, 1)));
@@ -530,7 +415,7 @@ fn icob_process(ir: &DesignIr, stub: &FunctionStub) -> Result<Process, HdlGenErr
                     Stmt::assign("IO_DONE", Expr::lit(1, 1)),
                     Stmt::assign("pending_read", Expr::lit(0, 1)),
                 ];
-                on_read.extend(counted_advance(stub, "result", beats, on_final));
+                on_read.extend(counted_advance("result", *beats, p.bus_width, on_final));
                 vec![
                     Stmt::Comment("Output state: hold CALC_DONE until read (§5.3.1)".into()),
                     Stmt::assign("CALC_DONE", Expr::lit(1, 1)),
@@ -576,43 +461,35 @@ fn icob_process(ir: &DesignIr, stub: &FunctionStub) -> Result<Process, HdlGenErr
         arms,
         default: Some(vec![Stmt::assign("next_state", Expr::lit(0, sb))]),
     });
-    Ok(Process { label: "icob".into(), clocked: true, body })
+    Process { label: "icob".into(), clocked: true, body }
 }
 
-/// Build the complete `func_<name>` module.
-pub fn stub_module(
-    ir: &DesignIr,
-    stub: &FunctionStub,
-    gen_date: &str,
-) -> Result<Module, HdlGenError> {
+/// Build the complete `func_<name>` module of `ir.module.functions[index]`.
+pub fn stub_module(ir: &DesignIr, index: usize, gen_date: &str) -> Module {
+    let (f, stub) = (&ir.module.functions[index], &ir.stubs[index]);
     let p = &ir.module.params;
-    let mut m = Module::new(format!("func_{}", stub.name));
+    let mut m = Module::new(format!("func_{}", f.name));
     m.header = vec![
-        format!(
-            "func_{}.{} — user-logic stub generated by Splice",
-            stub.name,
-            hdl_of(ir).extension()
-        ),
+        format!("func_{}.{} — user-logic stub generated by Splice", f.name, hdl_of(ir).extension()),
         format!("device: {}   bus: {}   generated: {}", p.device_name, p.bus.kind, gen_date),
         "Fill in the TODO(user) calculation sections; all bus handshaking is complete.".into(),
     ];
     m.ports = sis_ports(p.bus_width, p.func_id_width, p.irq && stub.fires_irq());
-    m.decls = stub_constants(ir, stub)?;
-    m.decls.extend(stub_signals(ir, stub));
+    m.decls = stub_constants(ir, f, stub);
+    m.decls.extend(stub_signals(f, stub, p.bus_width));
     m.items.push(Item::Process(smb_process(stub)));
-    m.items.push(Item::Process(icob_process(ir, stub)?));
-    Ok(m)
+    m.items.push(Item::Process(icob_process(ir, f, stub)));
+    m
 }
 
 /// Every structurally generated module of a design — the arbiter plus one
 /// stub per declaration. This is exactly the set the HDL-level lint rules
 /// analyze (the native bus interface is template text, not a [`Module`]).
+/// It cannot fail; the `Result` keeps the signature its callers match on.
 pub fn design_modules(ir: &DesignIr, gen_date: &str) -> Result<Vec<Module>, HdlGenError> {
     let mut out = Vec::with_capacity(ir.stubs.len() + 1);
     out.push(arbiter_module(ir, gen_date));
-    for stub in &ir.stubs {
-        out.push(stub_module(ir, stub, gen_date)?);
-    }
+    out.extend((0..ir.stubs.len()).map(|i| stub_module(ir, i, gen_date)));
     Ok(out)
 }
 
@@ -623,7 +500,7 @@ pub fn design_modules(ir: &DesignIr, gen_date: &str) -> Result<Vec<Module>, HdlG
 /// Build the `user_<device>` arbitration module.
 pub fn arbiter_module(ir: &DesignIr, gen_date: &str) -> Module {
     let p = &ir.module.params;
-    let total = ir.total_instances();
+    let total = ir.module.total_instances();
     let mut m = Module::new(format!("user_{}", p.device_name));
     m.header = vec![
         format!(
@@ -659,8 +536,8 @@ pub fn arbiter_module(ir: &DesignIr, gen_date: &str) -> Module {
 
     // Per-instance internal nets + instantiations.
     for (si, inst, id) in ir.arbiter_entries() {
-        let stub = &ir.stubs[si];
-        let base = format!("f{id}_{}", stub.name);
+        let (f, stub) = (&ir.module.functions[si], &ir.stubs[si]);
+        let base = format!("f{id}_{}", f.name);
         for (suffix, width) in
             [("DATA_OUT", p.bus_width), ("DATA_OUT_VALID", 1), ("IO_DONE", 1), ("CALC_DONE", 1)]
         {
@@ -675,7 +552,7 @@ pub fn arbiter_module(ir: &DesignIr, gen_date: &str) -> Module {
         // translated to the stub's constant, every other id to the reserved
         // status id (which a stub never answers). Without this every copy
         // would answer instance 1's id and ignore its own.
-        let func_id_net = if stub.instances > 1 {
+        let func_id_net = if f.instances > 1 {
             let net = format!("{base}_FUNC_ID");
             m.decls.push(Decl::Signal { name: net.clone(), width: p.func_id_width, init: None });
             m.items.push(Item::Process(Process {
@@ -683,7 +560,7 @@ pub fn arbiter_module(ir: &DesignIr, gen_date: &str) -> Module {
                 clocked: false,
                 body: vec![Stmt::if_else(
                     Expr::sig("FUNC_ID").eq(Expr::lit(u64::from(id), p.func_id_width)),
-                    vec![Stmt::assign(&net, Expr::lit(stub.first_func_id as u64, p.func_id_width))],
+                    vec![Stmt::assign(&net, Expr::lit(f.first_func_id as u64, p.func_id_width))],
                     vec![Stmt::assign(&net, Expr::lit(0, p.func_id_width))],
                 )],
             }));
@@ -693,11 +570,11 @@ pub fn arbiter_module(ir: &DesignIr, gen_date: &str) -> Module {
         };
         m.items.push(Item::Comment(format!(
             "instance {inst} of `{}` answering to FUNC_ID {id}",
-            stub.name
+            f.name
         )));
         m.items.push(Item::Instance(Instance {
             label: format!("u_{base}"),
-            module: format!("func_{}", stub.name),
+            module: format!("func_{}", f.name),
             connections: vec![
                 ("CLK".into(), "CLK".into()),
                 ("RST".into(), "RST".into()),
@@ -767,20 +644,19 @@ fn one_hot(bit: u32, width: u32) -> Expr {
 /// function's one-cycle IRQ pulse sets its FUNC_ID bit in `irq_vector_i`;
 /// the CPU's IRQ_ACK clears the whole vector.
 fn irq_latch_process(ir: &DesignIr) -> Process {
-    let w = ir.total_instances() + 1;
+    let w = ir.module.total_instances() + 1;
     let mut on_run = vec![Stmt::if_then(
         Expr::sig("IRQ_ACK"),
         vec![Stmt::assign("irq_vector_i", Expr::lit(0, w))],
     )];
     for (si, _inst, id) in ir.arbiter_entries() {
-        let stub = &ir.stubs[si];
-        if !stub.fires_irq() {
+        if !ir.stubs[si].fires_irq() {
             // Blocking `void` functions never pulse (no IRQ net exists for
             // them); latching would be provably dead logic.
             continue;
         }
         on_run.push(Stmt::if_then(
-            Expr::sig(format!("f{id}_{}_IRQ", stub.name)),
+            Expr::sig(format!("f{id}_{}_IRQ", ir.module.functions[si].name)),
             vec![Stmt::assign("irq_vector_i", Expr::sig("irq_vector_i").or(one_hot(id, w)))],
         ));
     }
@@ -798,7 +674,7 @@ fn irq_latch_process(ir: &DesignIr) -> Process {
 /// The id-0 status read: `calc_done_vec_i` adapted to the bus width (§4.2.2
 /// returns the CALC_DONE vector on DATA_OUT, zero-extended or truncated).
 fn status_read_expr(ir: &DesignIr) -> Expr {
-    let vec_width = ir.total_instances() + 1;
+    let vec_width = ir.module.total_instances() + 1;
     let bus_width = ir.module.params.bus_width;
     let v = Expr::sig("calc_done_vec_i");
     match vec_width.cmp(&bus_width) {
@@ -819,8 +695,7 @@ fn mux_items(ir: &DesignIr, line: &str) -> Vec<Item> {
         arms.push((0, vec![Stmt::assign(line, status_read_expr(ir))]));
     }
     for (si, _inst, id) in ir.arbiter_entries() {
-        let stub = &ir.stubs[si];
-        let src = format!("f{id}_{}_{line}", stub.name);
+        let src = format!("f{id}_{}_{line}", ir.module.functions[si].name);
         arms.push((id as u64, vec![Stmt::assign(line, Expr::sig(src))]));
     }
     let default = vec![Stmt::assign(line, Expr::lit(0, width))];
@@ -847,8 +722,7 @@ fn calc_done_encode(ir: &DesignIr) -> Item {
     let mut entries = ir.arbiter_entries();
     entries.sort_by_key(|&(_, _, id)| std::cmp::Reverse(id));
     for (si, _inst, id) in entries {
-        let stub = &ir.stubs[si];
-        parts.push(Expr::sig(format!("f{id}_{}_CALC_DONE", stub.name)));
+        parts.push(Expr::sig(format!("f{id}_{}_CALC_DONE", ir.module.functions[si].name)));
     }
     parts.push(Expr::lit(0, 1)); // id 0 is the status register itself
     Item::Assign { lhs: "calc_done_vec_i".into(), rhs: Expr::Concat(parts) }
@@ -954,8 +828,7 @@ mod tests {
     #[test]
     fn stub_module_has_sis_ports_and_states() {
         let ir = timer_design();
-        let stub = ir.stub("set_threshold").unwrap();
-        let m = stub_module(&ir, stub, "today").unwrap();
+        let m = stub_module(&ir, 2, "today");
         let port_names: Vec<&str> = m.ports.iter().map(|p| p.name.as_str()).collect();
         for want in [
             "CLK",
@@ -982,8 +855,7 @@ mod tests {
     #[test]
     fn stub_emits_in_both_hdls() {
         let ir = timer_design();
-        let stub = ir.stub("get_status").unwrap();
-        let m = stub_module(&ir, stub, "today").unwrap();
+        let m = stub_module(&ir, 6, "today");
         let vhdl = emit(&m, Hdl::Vhdl);
         let verilog = emit(&m, Hdl::Verilog);
         assert!(vhdl.contains("entity func_get_status is"));
@@ -1052,8 +924,7 @@ mod tests {
     #[test]
     fn function_markers_cover_fig_7_1() {
         let ir = timer_design();
-        let stub = ir.stub("set_threshold").unwrap();
-        let m = function_markers(&ir, stub, "now").unwrap();
+        let m = function_markers(&ir, 2, "now");
         assert_eq!(m.get("FUNC_NAME"), Some("set_threshold"));
         assert_eq!(m.get("MY_FUNC_ID"), Some("3"));
         assert_eq!(m.get("FUNC_INSTS"), Some("1"));
@@ -1083,27 +954,12 @@ mod tests {
     }
 
     #[test]
-    fn inconsistent_ir_is_reported_not_panicked() {
-        let mut ir = design("long f();", "");
-        // Sever the stub from its function: generation must fail cleanly.
-        ir.stubs[0].name = "ghost".into();
-        let err = stub_module(&ir, &ir.stubs[0], "d").unwrap_err();
-        assert!(matches!(err, HdlGenError::MissingFunction { ref stub } if stub == "ghost"));
-        assert!(design_modules(&ir, "d").is_err());
-        let msg = err.to_string();
-        assert!(msg.contains("ghost"), "{msg}");
-    }
-
-    #[test]
     fn stub_accept_requires_live_strobe_and_read_latch_exists() {
         let ir = timer_design();
-        let stub = ir.stub("get_clock").unwrap();
-        let m = stub_module(&ir, stub, "today").unwrap();
-        let text = emit(&m, Hdl::Vhdl);
+        let text = emit(&stub_module(&ir, 5, "today"), Hdl::Vhdl);
         // Bug guard: write acceptance must include the live IO_ENABLE strobe
         // so the master's hold cycle is not double-counted...
-        let set = ir.stub("set_threshold").unwrap();
-        let wtext = emit(&stub_module(&ir, set, "today").unwrap(), Hdl::Vhdl);
+        let wtext = emit(&stub_module(&ir, 2, "today"), Hdl::Vhdl);
         assert!(
             wtext.contains("IO_ENABLE = '1' and DATA_IN_VALID = '1'"),
             "write accept must check IO_ENABLE:\n{wtext}"

@@ -1,13 +1,13 @@
 //! The design intermediate representation.
 //!
 //! One [`DesignIr`] captures everything chapter 5 says the tool generates:
-//! the per-function user-logic stubs with their ICOB state sequences and
-//! tracking registers (§5.3), the arbitration entries (§5.2), and the
-//! interface configuration (§5.1). HDL emission, simulation and resource
-//! estimation all walk this structure.
+//! the per-function user-logic stubs with their ICOB state sequences,
+//! whose beat counts size the tracking registers (§5.3), the arbitration
+//! entries (§5.2), and the interface configuration (§5.1). HDL emission,
+//! simulation and resource estimation all walk this structure.
 
 use splice_driver::lower::TransferShape;
-use splice_spec::validate::ModuleSpec;
+use splice_spec::validate::{ModuleSpec, ValidatedFunction, ValidatedIo};
 
 /// How many bus beats one ICOB state handles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,40 +54,58 @@ pub enum StubState {
     PseudoOutput,
 }
 
-/// A tracking-register/comparator group instantiated for array transfers
-/// (§5.3.1: "a tracking register and comparator are instantiated ...; for
-/// implicit array transfers, both tracking and storage registers are
-/// defined along with a comparator").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tracker {
-    /// The I/O this tracker counts beats for.
-    pub for_io: String,
-    /// Width of the beat counter.
-    pub counter_bits: u32,
-    /// Whether a storage register for the dynamic bound is present
-    /// (implicit transfers only).
-    pub has_storage: bool,
-    /// Width of the bound comparator.
-    pub comparator_bits: u32,
+impl BeatCount {
+    /// The width of the beat counter a transfer of this count needs on a
+    /// `bus_width`-bit bus (§5.3.1's tracking register), or `None` for a
+    /// single beat, which needs no counter. Split scalars are counted too:
+    /// the user reassembles them by beat index (§3.1.4). A runtime count
+    /// also latches its bound, in beats, into a storage register of the
+    /// same width. That bound is read from one bus word, so the transfer
+    /// moves at most 2^`bus_width` − 1 elements, and at most 65,535 beats.
+    pub fn counter_bits(self, bus_width: u32) -> Option<u32> {
+        match self {
+            BeatCount::Static(n) => (n > 1).then(|| bits_for(n)),
+            BeatCount::Dynamic { shape, .. } => {
+                let per_elem = match shape {
+                    TransferShape::Split { beats_per_elem } => beats_per_elem.trailing_zeros(),
+                    TransferShape::Direct | TransferShape::Packed { .. } => 0,
+                };
+                Some((bus_width + per_elem).min(16))
+            }
+        }
+    }
+}
+
+impl StubState {
+    /// The beats an input or output state moves; `None` for the
+    /// calculation and pseudo-output states.
+    pub fn beats(&self) -> Option<BeatCount> {
+        match self {
+            StubState::Input { beats, .. } | StubState::Output { beats, .. } => Some(*beats),
+            StubState::Calc | StubState::PseudoOutput => None,
+        }
+    }
+
+    /// The declared input or output of `f` (the stub's own function) that
+    /// this state moves; `None` for the calculation and pseudo-output
+    /// states.
+    pub fn io<'a>(&self, f: &'a ValidatedFunction) -> Option<&'a ValidatedIo> {
+        match self {
+            StubState::Input { io, .. } => Some(&f.inputs[*io]),
+            StubState::Output { .. } => f.output.as_ref(),
+            StubState::Calc | StubState::PseudoOutput => None,
+        }
+    }
 }
 
 /// One generated user-logic stub (one per declaration; instances share the
-/// stub entity and are replicated by the arbiter, §5.2).
+/// stub entity and are replicated by the arbiter, §5.2). Its name, FUNC_ID
+/// range, instance count and `nowait` flag belong to its function.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionStub {
-    /// Function name (`func_<name>` file, Fig 8.3).
-    pub name: String,
-    /// First FUNC_ID; instance `k` answers to `first_func_id + k`.
-    pub first_func_id: u32,
-    /// Hardware copies to instantiate.
-    pub instances: u32,
     /// ICOB state sequence: inputs in declaration order, then Calc, then
-    /// the output (or pseudo-output) state.
+    /// the output or pseudo-output state (none for `nowait`).
     pub states: Vec<StubState>,
-    /// Tracking registers.
-    pub trackers: Vec<Tracker>,
-    /// Whether the function is `nowait` (no output state at all).
-    pub nowait: bool,
 }
 
 impl FunctionStub {
@@ -114,7 +132,7 @@ impl FunctionStub {
     /// giving it an IRQ port (and latching its line) would be provably
     /// dead logic.
     pub fn fires_irq(&self) -> bool {
-        self.nowait || self.states.iter().any(|s| matches!(s, StubState::Output { .. }))
+        !matches!(self.states.last(), Some(StubState::PseudoOutput))
     }
 }
 
@@ -123,36 +141,52 @@ impl FunctionStub {
 pub struct DesignIr {
     /// The validated specification this design was elaborated from.
     pub module: ModuleSpec,
-    /// One stub per declaration.
+    /// One stub per declaration: `stubs[i]` is the stub of
+    /// `module.functions[i]`.
     pub stubs: Vec<FunctionStub>,
-    /// Generation notes surfaced to the user (trailing-bit warnings etc.);
-    /// also embedded as comments in the generated HDL.
-    pub notes: Vec<String>,
 }
 
 impl DesignIr {
-    /// Total function instances (the arbiter's fan-in; id 0 excluded).
-    pub fn total_instances(&self) -> u32 {
-        self.stubs.iter().map(|s| s.instances).sum()
-    }
-
     /// Width of the FUNC_ID field.
     pub fn func_id_width(&self) -> u32 {
         self.module.params.func_id_width
     }
 
-    /// Find a stub by function name.
-    pub fn stub(&self, name: &str) -> Option<&FunctionStub> {
-        self.stubs.iter().find(|s| s.name == name)
+    /// Each validated function with its stub, in declaration order.
+    pub fn functions(&self) -> impl Iterator<Item = (&ValidatedFunction, &FunctionStub)> {
+        self.module.functions.iter().zip(&self.stubs)
     }
 
-    /// All (stub index, instance, func_id) triples in id order — the
+    /// The generation notes surfaced to the user: one per transfer whose
+    /// final beat carries padding the hardware can ignore (§5.3.1).
+    pub fn notes(&self) -> Vec<String> {
+        let mut notes = Vec::new();
+        for (f, stub) in self.functions() {
+            for st in &stub.states {
+                let tail = match st {
+                    StubState::Input { ignore_tail_bits, .. }
+                    | StubState::Output { ignore_tail_bits, .. } => *ignore_tail_bits,
+                    StubState::Calc | StubState::PseudoOutput => 0,
+                };
+                if let Some(io) = st.io(f).filter(|_| tail > 0) {
+                    notes.push(format!(
+                        "`{}`: the final beat of `{}` carries {tail} bit(s) of padding that \
+                         the hardware can safely ignore",
+                        f.name, io.name
+                    ));
+                }
+            }
+        }
+        notes
+    }
+
+    /// All (function index, instance, func_id) triples in id order — the
     /// arbiter's connection table (§5.2).
     pub fn arbiter_entries(&self) -> Vec<(usize, u32, u32)> {
         let mut out = Vec::new();
-        for (si, stub) in self.stubs.iter().enumerate() {
-            for k in 0..stub.instances {
-                out.push((si, k, stub.first_func_id + k));
+        for (si, f) in self.module.functions.iter().enumerate() {
+            for k in 0..f.instances {
+                out.push((si, k, f.first_func_id + k));
             }
         }
         out
@@ -170,9 +204,6 @@ mod tests {
 
     fn stub(n_states: usize) -> FunctionStub {
         FunctionStub {
-            name: "f".into(),
-            first_func_id: 1,
-            instances: 1,
             states: (0..n_states)
                 .map(|i| StubState::Input {
                     io: i,
@@ -180,8 +211,6 @@ mod tests {
                     ignore_tail_bits: 0,
                 })
                 .collect(),
-            trackers: vec![],
-            nowait: false,
         }
     }
 

@@ -28,5 +28,5 @@ pub mod simbuild;
 pub mod template;
 
 pub use elaborate::elaborate;
-pub use ir::{BeatCount, DesignIr, FunctionStub, StubState, Tracker};
+pub use ir::{BeatCount, DesignIr, FunctionStub, StubState};
 pub use simbuild::{CalcLogic, CalcResult, FuncInputs};

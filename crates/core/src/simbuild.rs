@@ -278,11 +278,11 @@ impl GeneratedStub {
         self.inputs = FuncInputs::default();
         self.pulse_irq = true;
         if ctx.metrics_enabled() {
-            ctx.metric_add(&format!("stub.{}.rounds", self.stub.name), 1);
+            ctx.metric_add(&format!("stub.{}.rounds", self.func.name), 1);
             ctx.protocol_event(
                 "generated-stub",
                 "round_done",
-                format!("func={} round={}", self.stub.name, self.rounds),
+                format!("func={} round={}", self.func.name, self.rounds),
             );
         }
         self.enter_state(0);
@@ -395,7 +395,7 @@ impl Component for GeneratedStub {
                 };
                 if ctx.cycle() >= until {
                     self.calc_until = None;
-                    if self.stub.nowait {
+                    if self.func.nowait {
                         // nowait: pulse CALC_DONE and return to inputs.
                         ctx.set(self.calc_done_line, 1);
                         self.finish_round(ctx);
@@ -459,7 +459,7 @@ impl Component for GeneratedStub {
     }
 
     fn name(&self) -> &str {
-        &self.stub.name
+        &self.func.name
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -598,7 +598,7 @@ pub fn build_peripheral(
     mut calc_factory: impl FnMut(&str, u32) -> Box<dyn CalcLogic>,
 ) -> PeripheralHandles {
     let p = &ir.module.params;
-    let total = ir.total_instances();
+    let total = ir.module.total_instances();
     assert!(total < 64, "simulation status vector holds at most 63 instances (design has {total})");
     // FUNC_ID as declared may be narrow; use at least enough bits.
     let bus = SisBus::declare(b, prefix, p.bus_width, p.func_id_width.max(1));
@@ -617,21 +617,20 @@ pub fn build_peripheral(
     let mut calc_lines = Vec::new();
     let mut irq_lines = Vec::new();
     for (si, inst, id) in ir.arbiter_entries() {
-        let stub = &ir.stubs[si];
-        let func = ir.module.function(&stub.name).expect("stub function exists").clone();
-        let line = b.signal(SignalDecl::new(format!("{prefix}{}.{inst}.CALC_DONE", stub.name), 1));
+        let (func, stub) = (&ir.module.functions[si], &ir.stubs[si]);
+        let line = b.signal(SignalDecl::new(format!("{prefix}{}.{inst}.CALC_DONE", func.name), 1));
         calc_lines.push((id, line));
         let mut comp = GeneratedStub::new(
             id,
             bus,
             line,
             stub.clone(),
-            func,
+            func.clone(),
             p.bus_width,
-            calc_factory(&stub.name, inst),
+            calc_factory(&func.name, inst),
         );
         if irq_enabled && stub.fires_irq() {
-            let irq = b.signal(SignalDecl::new(format!("{prefix}{}.{inst}.IRQ", stub.name), 1));
+            let irq = b.signal(SignalDecl::new(format!("{prefix}{}.{inst}.IRQ", func.name), 1));
             irq_lines.push((id, irq));
             comp = comp.with_irq(irq);
         }

@@ -11,6 +11,7 @@
 
 use crate::program::{concrete_func_id, BusOp, CallArgs, CallValue, DriverProgram, ResultLayout};
 use splice_spec::bus::SyncClass;
+pub use splice_spec::validate::{transfer_shape, TransferShape};
 use splice_spec::validate::{IoBound, ModuleParams, ValidatedFunction, ValidatedIo};
 use std::fmt;
 
@@ -65,40 +66,6 @@ impl fmt::Display for LowerError {
 }
 
 impl std::error::Error for LowerError {}
-
-/// The transfer shape of one I/O under the module's bus configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransferShape {
-    /// One element per beat.
-    Direct,
-    /// Several elements per beat.
-    Packed { per_beat: u32 },
-    /// Several beats per element (MSW first).
-    Split { beats_per_elem: u32 },
-}
-
-impl TransferShape {
-    /// Beats needed to move `elems` elements in this shape.
-    pub fn beats(self, elems: u64) -> u64 {
-        match self {
-            TransferShape::Direct => elems,
-            TransferShape::Packed { per_beat } => elems.div_ceil(per_beat as u64),
-            TransferShape::Split { beats_per_elem } => elems * beats_per_elem as u64,
-        }
-    }
-}
-
-/// Determine how `io` moves over a `bus_width`-bit bus.
-pub fn transfer_shape(io: &ValidatedIo, bus_width: u32) -> TransferShape {
-    let bits = io.ty.bits.max(1);
-    if io.packed && bits < bus_width {
-        TransferShape::Packed { per_beat: bus_width / bits }
-    } else if bits > bus_width {
-        TransferShape::Split { beats_per_elem: bits.div_ceil(bus_width) }
-    } else {
-        TransferShape::Direct
-    }
-}
 
 /// Beats needed to move `elems` elements of `io`.
 pub fn beats_for(io: &ValidatedIo, bus_width: u32, elems: u64) -> u64 {

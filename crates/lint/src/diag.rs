@@ -32,8 +32,6 @@ impl fmt::Display for Severity {
 pub enum Layer {
     /// The specification text / AST.
     Spec,
-    /// The elaborated [`splice_core::ir::DesignIr`].
-    Ir,
     /// The generated HDL module ASTs.
     Hdl,
     /// The generated C driver sources cross-checked against the hardware.
@@ -44,7 +42,6 @@ impl fmt::Display for Layer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Layer::Spec => "spec",
-            Layer::Ir => "ir",
             Layer::Hdl => "hdl",
             Layer::Driver => "driver",
         })

@@ -1,14 +1,11 @@
 //! `splice-lint` — static semantic analysis for the Splice pipeline.
 //!
-//! The linter inspects three layers and reports structured
-//! [`Diagnostic`] values with stable `SLxxxx` codes:
+//! The linter inspects the spec, HDL, dataflow and timing layers and
+//! reports structured [`Diagnostic`] values with stable `SLxxxx` codes:
 //!
 //! * **spec** (`SL01xx`): the parsed specification — address-window
 //!   overflow, unused or shadowing user types, implicit-bound ordering,
 //!   directives the selected bus ignores.
-//! * **ir** (`SL02xx`): the elaborated [`splice_core::DesignIr`] — dead or
-//!   misordered ICOB states, stubs without backing functions, function-id
-//!   collisions, dangling dynamic bounds, truncating tracker widths.
 //! * **hdl** (`SL03xx`): the generated module ASTs — multiple drivers,
 //!   undriven or unused signals, width mismatches, case-arm defects,
 //!   instantiation errors, combinational loops, inferred latches,
@@ -22,25 +19,30 @@
 //!   input→output paths, width blowups, and netlist-vs-estimate
 //!   resource divergence.
 //!
-//! The crate exports one pass per layer ([`lint_spec`], [`lint_ir`],
-//! [`lint_modules`], [`lint_dataflow`], [`lint_timing`],
-//! [`lint_estimate`]). `splice::run_pipeline` runs them all in that order
-//! over the design it generates, and `splice lint` prints its report. The
-//! full catalogue with triggering examples lives in `docs/lint.md`.
+//! The crate exports one pass per layer ([`lint_spec`], [`lint_modules`],
+//! [`lint_dataflow`], [`lint_timing`], [`lint_estimate`]).
+//! `splice::run_pipeline` runs them all in that order over the design it
+//! generates, and `splice lint` prints its report. The full catalogue with
+//! triggering examples lives in `docs/lint.md`; its retired entries
+//! include the whole IR layer (`SL02xx`).
 
 pub mod dataflow_rules;
 pub mod diag;
 pub mod hdl_rules;
-pub mod ir_rules;
 pub mod spec_rules;
 pub mod timing_rules;
 
 pub use dataflow_rules::lint_dataflow;
 pub use diag::{Diagnostic, Layer, LintReport, Location, Severity};
 pub use hdl_rules::lint_modules;
-pub use ir_rules::lint_ir;
 pub use spec_rules::lint_spec;
 pub use timing_rules::{lint_estimate, lint_timing};
+
+/// The retired IR layer's pass: it reports nothing. Each `SL02xx` rule
+/// compared a stub with a copy of its function's facts, and the design IR
+/// holds no such copy any more (docs/lint.md). It stays for callers that
+/// run the passes one by one.
+pub fn lint_ir(_ir: &splice_core::DesignIr, _report: &mut LintReport) {}
 
 /// Every rule code the linter can emit, with a one-line summary. Kept in
 /// sync with `docs/lint.md` (a test enforces it).
@@ -51,12 +53,6 @@ pub const CODES: &[(&str, &str)] = &[
     ("SL0103", "user type shadows a builtin type"),
     ("SL0104", "implicit array bound does not resolve to an earlier scalar"),
     ("SL0105", "directive has no effect under the selected configuration"),
-    ("SL0201", "ICOB state is unreachable"),
-    ("SL0202", "ICOB state sequence is malformed"),
-    ("SL0203", "stub/function sets disagree"),
-    ("SL0204", "function-id space is invalid"),
-    ("SL0205", "dynamic beat count references a bad input"),
-    ("SL0207", "transfer tracker is too narrow"),
     ("SL0301", "signal has conflicting drivers"),
     ("SL0302", "signal or output port is never driven"),
     ("SL0303", "signal is never read"),

@@ -10,7 +10,7 @@
 //! cost of the PLB DMA engine (§9.3.2).
 
 use crate::cost::Resources;
-use splice_core::ir::{DesignIr, FunctionStub, StubState};
+use splice_core::ir::{BeatCount, DesignIr, FunctionStub, StubState};
 use splice_spec::bus::BusKind;
 
 /// Per-file resource report for a generated design.
@@ -40,19 +40,17 @@ pub fn stub_cost(ir: &DesignIr, stub: &FunctionStub) -> Resources {
     // Registers: cur/next state, the DATA_OUT hold register, the three
     // handshake strobes, plus every tracking/storage register.
     let mut ffs = 2 * sb + p.bus_width + 3;
-    for t in &stub.trackers {
-        ffs += t.counter_bits;
-        if t.has_storage {
-            ffs += t.comparator_bits;
-        }
-    }
-
     // LUTs: FUNC_ID equality compare, state decode (≈3 LUTs/state),
     // tracker comparators and increments, handshake gating.
     let mut luts = p.func_id_width.div_ceil(2) + 3 * stub.state_count() as u32 + 4;
-    for t in &stub.trackers {
-        luts += t.comparator_bits.div_ceil(2); // equality compare
-        luts += t.counter_bits; // increment chain
+    for beats in stub.states.iter().filter_map(StubState::beats) {
+        let Some(w) = beats.counter_bits(p.bus_width) else { continue };
+        ffs += w;
+        if let BeatCount::Dynamic { .. } = beats {
+            ffs += w; // the latched bound
+        }
+        luts += w.div_ceil(2); // equality compare
+        luts += w; // increment chain
     }
     // Packed/split assembly muxing on the data path.
     for st in &stub.states {
@@ -71,9 +69,9 @@ pub fn stub_cost(ir: &DesignIr, stub: &FunctionStub) -> Resources {
 /// the CALC_DONE concatenation.
 pub fn arbiter_cost(ir: &DesignIr) -> Resources {
     let p = &ir.module.params;
-    let n = ir.total_instances() + 1; // + status arm
-                                      // DATA_OUT mux: bus_width bits × ⌈n/2⌉ 4-LUT layers worth of select
-                                      // logic; the 1-bit muxes (valid / done) add ⌈n/2⌉ each.
+    let n = ir.module.total_instances() + 1; // + status arm
+                                             // DATA_OUT mux: bus_width bits × ⌈n/2⌉ 4-LUT layers worth of select
+                                             // logic; the 1-bit muxes (valid / done) add ⌈n/2⌉ each.
     let data_mux = p.bus_width * n.div_ceil(2) / 2;
     let bit_muxes = 2 * n.div_ceil(2);
     let concat = n; // OR/route of calc_done bits
@@ -122,9 +120,8 @@ pub fn design_cost(ir: &DesignIr) -> ResourceReport {
     let bus = ir.module.params.bus.kind.name();
     items.push((format!("{bus}_interface"), interface_cost(ir)));
     items.push((format!("user_{}", ir.module.params.device_name), arbiter_cost(ir)));
-    for stub in &ir.stubs {
-        let per_instance = stub_cost(ir, stub);
-        items.push((format!("func_{}", stub.name), per_instance * stub.instances));
+    for (f, stub) in ir.functions() {
+        items.push((format!("func_{}", f.name), stub_cost(ir, stub) * f.instances));
     }
     ResourceReport { items }
 }
@@ -211,7 +208,7 @@ mod tests {
         let names: Vec<&str> = rep.items.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["plb_interface", "user_demo", "func_f", "func_g"]);
         // func_g is two instances: it must cost exactly twice one instance.
-        let per = stub_cost(&ir, ir.stub("g").unwrap());
+        let per = stub_cost(&ir, &ir.stubs[1]);
         assert_eq!(rep.item("func_g").unwrap(), per * 2);
         assert_eq!(rep.total(), rep.items.iter().map(|(_, c)| *c).sum::<Resources>());
     }
@@ -222,7 +219,7 @@ mod tests {
         // (replicated hardware, §3.1.6). Across designs the FUNC_ID field
         // widens, so compare within the 4-instance design itself.
         let ir4 = design("void f(int x):4;", "");
-        let per = stub_cost(&ir4, ir4.stub("f").unwrap());
+        let per = stub_cost(&ir4, &ir4.stubs[0]);
         let four = design_cost(&ir4).item("func_f").unwrap();
         assert_eq!(four, per * 4);
         // And more instances always cost more overall.

@@ -124,6 +124,40 @@ impl ValidatedIo {
     }
 }
 
+/// The transfer shape of one I/O under the module's bus configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TransferShape {
+    /// One element per beat.
+    Direct,
+    /// Several elements per beat.
+    Packed { per_beat: u32 },
+    /// Several beats per element (MSW first).
+    Split { beats_per_elem: u32 },
+}
+
+impl TransferShape {
+    /// Beats needed to move `elems` elements in this shape.
+    pub fn beats(self, elems: u64) -> u64 {
+        match self {
+            TransferShape::Direct => elems,
+            TransferShape::Packed { per_beat } => elems.div_ceil(per_beat as u64),
+            TransferShape::Split { beats_per_elem } => elems * beats_per_elem as u64,
+        }
+    }
+}
+
+/// Determine how `io` moves over a `bus_width`-bit bus.
+pub fn transfer_shape(io: &ValidatedIo, bus_width: u32) -> TransferShape {
+    let bits = io.ty.bits.max(1);
+    if io.packed && bits < bus_width {
+        TransferShape::Packed { per_beat: bus_width / bits }
+    } else if bits > bus_width {
+        TransferShape::Split { beats_per_elem: bits.div_ceil(bus_width) }
+    } else {
+        TransferShape::Direct
+    }
+}
+
 /// One validated interface declaration. Mirrors `s_func_params` of Fig 7.3.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValidatedFunction {
@@ -584,7 +618,7 @@ impl<'a> Validator<'a> {
             }
         }
 
-        Ok(ValidatedIo {
+        let io = ValidatedIo {
             name: name.to_owned(),
             ty: ty.clone(),
             is_pointer: ext.pointer,
@@ -592,7 +626,36 @@ impl<'a> Validator<'a> {
             packed,
             dma: ext.dma,
             used_as_index: false,
-        })
+        };
+        // The stub latches a runtime element count as a beat count with a
+        // shift, so the elements per beat or the beats per element must be
+        // a power of two. An explicit bound's beats are counted at
+        // generation time, whatever the shape.
+        if let IoBound::Implicit { index_param, .. } = bound {
+            let width = params.bus_width;
+            let detail = match transfer_shape(&io, width) {
+                TransferShape::Packed { per_beat } if !per_beat.is_power_of_two() => {
+                    format!("{per_beat} {}-bit elements share each {width}-bit beat", ty.bits)
+                }
+                TransferShape::Split { beats_per_elem } if !beats_per_elem.is_power_of_two() => {
+                    format!("each {}-bit element takes {beats_per_elem} {width}-bit beats", ty.bits)
+                }
+                _ => return Ok(io),
+            };
+            return Err(SpecError::new(
+                SpecErrorKind::BadImplicitIndex {
+                    func,
+                    param: name.into(),
+                    index: earlier[index_param].name.clone(),
+                    detail: format!(
+                        "{detail}, and the hardware converts a runtime count to beats only by a \
+                         power of two; give `{name}` an explicit bound"
+                    ),
+                },
+                span,
+            ));
+        }
+        Ok(io)
     }
 
     fn finish_params(
@@ -708,6 +771,33 @@ mod tests {
         assert!(
             matches!(e.kind, SpecErrorKind::BadImplicitIndex { ref detail, .. } if detail.contains("scalar"))
         );
+    }
+
+    #[test]
+    fn runtime_bounds_need_a_power_of_two_beat_factor() {
+        let wb8 = "%device_name d\n%bus_type wishbone\n%bus_width 8\n%base_address 0x80000000\n\
+                   %user_type odd, unsigned int, 24\n";
+        let plb64 = "%device_name d\n%bus_type plb\n%bus_width 64\n%base_address 0x80000000\n\
+                     %packing_support true\n%user_type tw, unsigned short, 12\n";
+        for (head, array, detail) in [
+            (wb8, "odd*:n xs", "each 24-bit element takes 3 8-bit beats"),
+            (plb64, "tw*:n+ xs", "5 12-bit elements share each 64-bit beat"),
+        ] {
+            let decl = format!("void g(int n, {array});");
+            let src = format!("{head}{decl}");
+            let e = check(&src).unwrap_err();
+            let SpecErrorKind::BadImplicitIndex { param, index, detail: got, .. } = &e.kind else {
+                panic!("{decl}: {e:?}");
+            };
+            assert_eq!((param.as_str(), index.as_str()), ("xs", "n"), "{decl}");
+            assert!(got.starts_with(detail), "{decl}: {got}");
+            assert!(src[e.span.start..].starts_with(array), "{decl}: located at the array");
+            // An explicit bound of the same shape is accepted.
+            let explicit = decl.replace(":n", ":9");
+            assert!(check(&format!("{head}{explicit}")).is_ok(), "{explicit}");
+        }
+        // Power-of-two factors keep their runtime bounds.
+        assert!(check(&format!("{wb8}int g(char n, int*:n xs);")).is_ok());
     }
 
     #[test]

@@ -166,8 +166,8 @@ pub fn run_pipeline(
     let ir = {
         let _sp = trace::span("elaborate");
         let ir = elaborate(&module);
-        trace::attr("instances", ir.total_instances() as u64);
-        trace::attr("notes", ir.notes.len() as u64);
+        trace::attr("instances", module.total_instances() as u64);
+        trace::attr("notes", ir.notes().len() as u64);
         ir
     };
 
@@ -190,7 +190,6 @@ pub fn run_pipeline(
     // hand-written design would.
     let lint = {
         let _sp = trace::span("lint");
-        splice_lint::lint_ir(&ir, &mut lint);
         splice_lint::lint_modules(&modules, &mut lint);
         splice_lint::lint_dataflow(&modules, &mut lint);
         splice_lint::lint_timing(&modules, &mut lint);

@@ -237,6 +237,28 @@ fn clean_spec_checks_clean_end_to_end() {
     assert!(out.stats.iter().all(|s| s.reachable > 0), "{:?}", out.stats);
 }
 
+/// A runtime bound on an 8-bit bus is latched from the whole bus word: the
+/// driver's script moves 64, 65 and 255 four-beat `int`s clean. A bound cut
+/// to the word's low six bits took 65 elements for 4 beats and stalled the
+/// fifth write.
+#[test]
+fn an_eight_bit_runtime_bound_latches_the_whole_word() {
+    let spec = "%device_name d\n%bus_type wishbone\n%bus_width 8\n\
+                %base_address 0x80000000\nvoid g(char n, int*:n xs);\n";
+    let (ir, modules) = generated(spec);
+    let d = CompiledDesign::compile(&modules, "func_g").expect("compiles");
+    let pins = env::resolve_pins(&d).expect("SIS pins");
+    let sync = ir.module.params.bus.sync;
+    let response_bound = CheckOptions::default().response_bound;
+    for bound in [64, 65, 255] {
+        let ops = env::stub_script(&ir.stubs[0], sync, bound, 2);
+        let cfg = env::ScriptConfig { sync, response_bound, pacing: 0 };
+        let run =
+            env::run_script(&d, &pins, ir.module.functions[0].first_func_id.into(), &ops, cfg);
+        assert!(run.violation.is_none(), "bound {bound}: {:?}", run.violation);
+    }
+}
+
 #[test]
 fn checking_is_deterministic() {
     let a = checked(CLEAN);
@@ -691,9 +713,9 @@ type Explorations = (CompiledDesign, Vec<MutexGroup>, Vec<ExploreSpec>);
 /// `func_*` module alone, then the composed arbiter's pair runs.
 fn explorations(ir: &DesignIr, modules: &[Module], opts: &CheckOptions) -> Vec<Explorations> {
     let mut designs = Vec::new();
-    for stub in &ir.stubs {
-        let d = CompiledDesign::compile(modules, &format!("func_{}", stub.name)).expect("compiles");
-        designs.push((d, Vec::new(), vec![stub_exploration(ir, stub, opts)]));
+    for f in &ir.module.functions {
+        let d = CompiledDesign::compile(modules, &format!("func_{}", f.name)).expect("compiles");
+        designs.push((d, Vec::new(), vec![stub_exploration(ir, f, opts)]));
     }
     let arb = format!("user_{}", ir.module.params.device_name);
     if modules.iter().any(|m| m.name == arb) {

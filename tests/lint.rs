@@ -13,6 +13,7 @@
 //!    multiple drivers).
 
 use splice::pipeline::{run_pipeline, PipelineOptions};
+use splice_check::CheckOptions;
 use splice_core::elaborate::elaborate;
 use splice_core::hdlgen::design_modules;
 use splice_hdl::ast::{Decl, Item, Port, Process};
@@ -74,6 +75,44 @@ fn the_widest_valid_device_lints_clean() {
     assert_eq!(out.hw.len(), 65);
     // The driver source, its header and `splice_lib.h`.
     assert_eq!(out.sw.len(), 3);
+}
+
+/// A `%bus_width`-bit Wishbone device declaring `decls`.
+fn wishbone(width: u32, decls: &str) -> String {
+    format!(
+        "%device_name narrow\n%bus_type wishbone\n%bus_width {width}\n\
+         %base_address 0x80000000\n{decls}\n"
+    )
+}
+
+/// Long transfers on narrow buses: a static count of at least
+/// 2^`%bus_width` beats gets a counter as wide as its count, and a runtime
+/// bound on an 8-bit bus is latched from its whole word. The 8-bit device
+/// lints and model-checks clean.
+#[test]
+fn long_transfers_on_narrow_buses_lint_and_check_clean() {
+    let source = wishbone(8, "void f(char*:300 x);\nint g(char n, int*:n xs);");
+    let opts =
+        PipelineOptions { check: Some(CheckOptions::default()), ..PipelineOptions::default() };
+    let out = run_pipeline(&source, "narrow8.splice", &opts).expect("spec validates");
+    assert!(out.lint.is_clean(), "{}", out.lint.render_text());
+    let check = out.check.expect("lint passed, so the checker ran");
+    assert!(check.report.is_clean(), "{}", check.report.render_text());
+
+    // Static shapes of at least 2^width beats, as inputs and results.
+    // These are linted only: the checker's scripts would run every beat.
+    for (width, decls) in [
+        (8, "void f(char*:256 x);"),
+        (8, "char*:256 f();"),
+        (8, "void f(short*:128 x);\nint*:100 g(long long*:40 x);"),
+        (8, "long long*:65535 f(int*:65535 x);"),
+        (16, "void f(int*:32768 x);"),
+        (16, "void f(int*:65535 x);"),
+        (16, "long long*:16384 f(long long*:65535 x);"),
+    ] {
+        let report = lint(&wishbone(width, decls));
+        assert!(report.is_clean(), "{width}-bit `{decls}`:\n{}", report.render_text());
+    }
 }
 
 #[test]
