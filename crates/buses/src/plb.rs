@@ -4,10 +4,9 @@
 //!
 //! Three components cooperate:
 //!
-//! * [`PlbCpuMaster`] — the PPC405 side: executes a driver's
-//!   [`BusOp`] sequence, paying instruction-issue and arbitration costs in
-//!   bus cycles, and drives the native request signals (`WR_CE`/`RD_CE`,
-//!   `BE`, `WR_REQ`/`RD_REQ`, address and data).
+//! * [`CpuMaster`](crate::master::CpuMaster) on its request/acknowledge
+//!   port — the PPC405 side: drives the native request signals
+//!   (`WR_CE`/`RD_CE`, `BE`, `WR_REQ`/`RD_REQ`, address and data).
 //! * [`PlbSisAdapter`] — the generated native interface adapter: translates
 //!   PLB requests into SIS transactions exactly as §4.3.2 describes
 //!   (RD_REQ ↔ IO_ENABLE, RD_ACK ↔ IO_DONE/DATA_OUT_VALID, one-hot CE ↔
@@ -21,8 +20,6 @@
 //! [`PlbChannel`] — the stand-in for the system memory the real DMA engine
 //! would read — while every control interaction remains signal-level.
 
-use crate::timing::{cpu_to_bus, DMA_SETUP_TXNS, REQUEST_CYCLES};
-use splice_driver::program::BusOp;
 use splice_sim::{Component, Sensitivity, SignalDecl, SignalId, SimulatorBuilder, TickCtx, Word};
 use splice_sis::SisBus;
 use std::cell::RefCell;
@@ -106,439 +103,6 @@ pub const DMA_CTRL_ADDR: u64 = 0xFFFF_F000;
 /// Bus cycles the DMA controller takes to acknowledge one register write
 /// (its slave port pays the normal PLB round trip).
 pub const DMA_CTRL_ACK_DELAY: u32 = 5;
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum MState {
-    Fetch,
-    /// Pay issue cycles before driving the request; `until` is the absolute
-    /// cycle the request goes out (so a sleeping master can jump straight
-    /// to it).
-    Issue {
-        until: u64,
-        op: Box<BusOp>,
-    },
-    /// Write request asserted, waiting for WR_ACK.
-    WaitWrAck,
-    /// Read request asserted, waiting for RD_ACK (burst reads collect
-    /// `beats` from the channel on acknowledge).
-    WaitRdAck {
-        beats: u32,
-    },
-    /// Polling loop: re-issue status reads until `bit` of the result rises.
-    PollWait {
-        addr: u64,
-        bit: u32,
-    },
-    /// DMA programmed; waiting for DMA_DONE since the given cycle.
-    WaitDma {
-        is_read: bool,
-        since: u64,
-    },
-    /// Sleeping until a completion interrupt (the CPU's wait-for-interrupt
-    /// state; no bus traffic).
-    WaitIrq {
-        bit: u32,
-        ack_pending: bool,
-    },
-    /// CPU-side compute; busy until the given absolute bus cycle.
-    Busy {
-        until: u64,
-    },
-    Done,
-}
-
-/// The PPC405-flavoured master: executes one driver call's [`BusOp`] list.
-pub struct PlbCpuMaster {
-    sig: PlbSignals,
-    chan: ChannelHandle,
-    /// The peripheral's sticky interrupt vector + acknowledge strobe, when
-    /// the design was generated with `%irq_support`.
-    irq: Option<(splice_sim::SignalId, splice_sim::SignalId)>,
-    ops: Vec<BusOp>,
-    pc: usize,
-    state: MState,
-    setup_writes_left: u32,
-    /// Armed DMA request, handed to the channel after the final setup write.
-    pending_dma: Option<(bool, u32, u64)>,
-    /// Data captured by read operations, in op order.
-    pub reads: Vec<Word>,
-    /// Cycle at which the whole op list finished.
-    pub finished_cycle: Option<u64>,
-    /// Total native bus transactions issued (for diagnostics).
-    pub bus_txns: u64,
-    /// Cycle the outstanding request was asserted (for latency histograms).
-    req_start: Option<u64>,
-}
-
-impl PlbCpuMaster {
-    /// Create a master that will run `ops`.
-    pub fn new(sig: PlbSignals, chan: ChannelHandle, ops: Vec<BusOp>) -> Self {
-        PlbCpuMaster {
-            sig,
-            chan,
-            irq: None,
-            ops,
-            pc: 0,
-            state: MState::Fetch,
-            setup_writes_left: 0,
-            pending_dma: None,
-            reads: Vec::new(),
-            finished_cycle: None,
-            bus_txns: 0,
-            req_start: None,
-        }
-    }
-
-    /// True once every op has completed.
-    pub fn is_finished(&self) -> bool {
-        self.finished_cycle.is_some()
-    }
-
-    /// Connect the completion-interrupt vector and acknowledge strobe.
-    pub fn with_irq(mut self, vector: splice_sim::SignalId, ack: splice_sim::SignalId) -> Self {
-        self.irq = Some((vector, ack));
-        self
-    }
-
-    /// Reset the master with a fresh op list (the next driver call): the
-    /// simulation keeps running on the same hardware, exactly like calling
-    /// the next generated driver function from application code.
-    pub fn reload(&mut self, ops: Vec<BusOp>) {
-        self.ops = ops;
-        self.pc = 0;
-        self.state = MState::Fetch;
-        self.setup_writes_left = 0;
-        self.pending_dma = None;
-        self.reads.clear();
-        self.finished_cycle = None;
-        self.req_start = None;
-    }
-
-    /// A native request just completed: record its request→ack latency,
-    /// and credit the `latency − 1` cycles strictly between request and
-    /// acknowledge as master wait cycles.
-    fn observe_ack(&mut self, ctx: &mut TickCtx<'_>, which: &str) {
-        if let Some(start) = self.req_start.take() {
-            let latency = ctx.cycle() - start;
-            ctx.metric_observe("plb.master.req_ack_latency", latency);
-            ctx.metric_add("plb.master.wait_cycles", latency - 1);
-        }
-        if ctx.metrics_enabled() {
-            ctx.protocol_event("plb-cpu-master", which, "");
-        }
-    }
-
-    fn idle_lines(&self, ctx: &mut TickCtx<'_>) {
-        ctx.set_bool(self.sig.wr_ce, false);
-        ctx.set_bool(self.sig.rd_ce, false);
-        ctx.set_bool(self.sig.wr_req, false);
-        ctx.set_bool(self.sig.rd_req, false);
-        ctx.set(self.sig.be, 0);
-        ctx.set(self.sig.burst_len, 1);
-    }
-
-    fn next_op(&mut self, cycle: u64) {
-        self.pc += 1;
-        if self.pc >= self.ops.len() {
-            self.finished_cycle = Some(cycle);
-            self.state = MState::Done;
-        } else {
-            self.state = MState::Fetch;
-        }
-    }
-
-    /// Drive a native write request (Fig 4.6: data + WR_CE + BE, WR_REQ
-    /// strobed for one cycle).
-    fn assert_write(&mut self, ctx: &mut TickCtx<'_>, addr: u64, data: Word, beats: u32) {
-        ctx.set(self.sig.addr, addr);
-        ctx.set(self.sig.m_data, data);
-        ctx.set_bool(self.sig.wr_ce, true);
-        ctx.set(self.sig.be, 0xF);
-        ctx.set_bool(self.sig.wr_req, true);
-        ctx.set(self.sig.burst_len, beats as Word);
-        self.bus_txns += 1;
-        self.req_start = Some(ctx.cycle());
-        ctx.metric_add("plb.master.txns", 1);
-        if ctx.metrics_enabled() {
-            ctx.metric_observe("plb.master.burst_beats", beats as u64);
-            ctx.protocol_event(
-                "plb-cpu-master",
-                "wr_req",
-                format!("addr=0x{addr:x} beats={beats}"),
-            );
-        }
-        self.state = MState::WaitWrAck;
-    }
-
-    /// Drive a native read request (Fig 4.5).
-    fn assert_read(&mut self, ctx: &mut TickCtx<'_>, addr: u64, beats: u32) {
-        ctx.set(self.sig.addr, addr);
-        ctx.set_bool(self.sig.rd_ce, true);
-        ctx.set(self.sig.be, 0xF);
-        ctx.set_bool(self.sig.rd_req, true);
-        ctx.set(self.sig.burst_len, beats as Word);
-        self.bus_txns += 1;
-        self.req_start = Some(ctx.cycle());
-        ctx.metric_add("plb.master.txns", 1);
-        if ctx.metrics_enabled() {
-            ctx.metric_observe("plb.master.burst_beats", beats as u64);
-            ctx.protocol_event(
-                "plb-cpu-master",
-                "rd_req",
-                format!("addr=0x{addr:x} beats={beats}"),
-            );
-        }
-        self.state = MState::WaitRdAck { beats };
-    }
-
-    fn begin_op(&mut self, ctx: &mut TickCtx<'_>, op: BusOp) {
-        match op {
-            BusOp::Write { addr, data } => self.assert_write(ctx, addr, data, 1),
-            BusOp::WriteBurst { addr, data } => {
-                let n = data.len() as u32;
-                let first = data[0];
-                self.chan.borrow_mut().to_slave.extend(data.iter().copied());
-                self.assert_write(ctx, addr, first, n);
-            }
-            BusOp::Read { addr } => self.assert_read(ctx, addr, 1),
-            BusOp::ReadBurst { addr, beats } => self.assert_read(ctx, addr, beats),
-            BusOp::Poll { addr, bit } => {
-                self.assert_read(ctx, addr, 1);
-                self.state = MState::PollWait { addr, bit };
-            }
-            BusOp::WaitHandshake => {
-                // Pseudo-asynchronous: the per-beat handshakes already
-                // ordered everything (§6.1.1).
-                self.idle_lines(ctx);
-                self.next_op(ctx.cycle());
-            }
-            BusOp::DmaWrite { addr, data } => {
-                let beats = data.len() as u32;
-                self.chan.borrow_mut().to_slave.extend(data.iter().copied());
-                self.pending_dma = Some((true, beats, addr));
-                // Program the controller: the thesis's "minimum of four
-                // bus transactions to setup and take down" (§9.2.1).
-                self.setup_writes_left = DMA_SETUP_TXNS;
-                self.assert_write(ctx, DMA_CTRL_ADDR, beats as Word, 1);
-            }
-            BusOp::DmaRead { addr, beats } => {
-                self.pending_dma = Some((false, beats, addr));
-                self.setup_writes_left = DMA_SETUP_TXNS;
-                self.assert_write(ctx, DMA_CTRL_ADDR, beats as Word, 1);
-            }
-            BusOp::Compute { cpu_cycles } => {
-                self.idle_lines(ctx);
-                let bus = cpu_to_bus(cpu_cycles);
-                if bus == 0 {
-                    self.next_op(ctx.cycle());
-                } else {
-                    ctx.metric_add("plb.master.busy_cycles", bus as u64);
-                    self.state = MState::Busy { until: ctx.cycle() + bus as u64 };
-                }
-            }
-            BusOp::WaitIrq { bit } => {
-                self.idle_lines(ctx);
-                assert!(self.irq.is_some(), "WaitIrq op on a system without %irq_support");
-                self.state = MState::WaitIrq { bit, ack_pending: false };
-            }
-        }
-    }
-}
-
-impl Component for PlbCpuMaster {
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
-        let cycle = ctx.cycle();
-        match std::mem::replace(&mut self.state, MState::Done) {
-            MState::Fetch => {
-                let Some(op) = self.ops.get(self.pc).cloned() else {
-                    self.idle_lines(ctx);
-                    if self.finished_cycle.is_none() {
-                        self.finished_cycle = Some(cycle);
-                    }
-                    self.state = MState::Done;
-                    return;
-                };
-                let issue = match op {
-                    BusOp::Read { .. }
-                    | BusOp::ReadBurst { .. }
-                    | BusOp::Poll { .. }
-                    | BusOp::Write { .. }
-                    | BusOp::WriteBurst { .. }
-                    | BusOp::DmaWrite { .. }
-                    | BusOp::DmaRead { .. } => REQUEST_CYCLES,
-                    _ => 0,
-                };
-                if issue == 0 {
-                    self.begin_op(ctx, op);
-                } else {
-                    self.idle_lines(ctx);
-                    self.state = MState::Issue { until: cycle + issue as u64, op: Box::new(op) };
-                }
-            }
-            MState::Issue { until, op } => {
-                if cycle >= until {
-                    self.begin_op(ctx, *op);
-                } else {
-                    self.state = MState::Issue { until, op };
-                }
-            }
-            MState::WaitWrAck => {
-                ctx.set_bool(self.sig.wr_req, false);
-                if ctx.get_bool(self.sig.wr_ack) {
-                    self.observe_ack(ctx, "wr_ack");
-                    ctx.set_bool(self.sig.wr_ce, false);
-                    ctx.set(self.sig.be, 0);
-                    // DMA setup sequence: more controller writes to go?
-                    if self.setup_writes_left > 1 {
-                        self.setup_writes_left -= 1;
-                        self.assert_write(ctx, DMA_CTRL_ADDR, 0, 1);
-                    } else if self.setup_writes_left == 1 {
-                        self.setup_writes_left = 0;
-                        // Controller fully programmed: arm the engine.
-                        let armed = self.pending_dma.take().expect("DMA op armed");
-                        let is_read = !armed.0;
-                        self.chan.borrow_mut().dma_pending = Some(armed);
-                        self.state = MState::WaitDma { is_read, since: cycle };
-                    } else {
-                        self.next_op(cycle);
-                    }
-                } else {
-                    self.state = MState::WaitWrAck;
-                }
-            }
-            MState::WaitRdAck { beats } => {
-                ctx.set_bool(self.sig.rd_req, false);
-                if ctx.get_bool(self.sig.rd_ack) {
-                    self.observe_ack(ctx, "rd_ack");
-                    ctx.set_bool(self.sig.rd_ce, false);
-                    ctx.set(self.sig.be, 0);
-                    if beats == 1 {
-                        self.reads.push(ctx.get(self.sig.s_data));
-                    } else {
-                        // Burst beats were collected by the adapter.
-                        let mut ch = self.chan.borrow_mut();
-                        for _ in 0..beats {
-                            if let Some(v) = ch.from_slave.pop_front() {
-                                self.reads.push(v);
-                            }
-                        }
-                    }
-                    self.next_op(cycle);
-                } else {
-                    self.state = MState::WaitRdAck { beats };
-                }
-            }
-            MState::PollWait { addr, bit } => {
-                ctx.set_bool(self.sig.rd_req, false);
-                if ctx.get_bool(self.sig.rd_ack) {
-                    self.observe_ack(ctx, "rd_ack");
-                    let status = ctx.get(self.sig.s_data);
-                    ctx.set_bool(self.sig.rd_ce, false);
-                    if (status >> bit) & 1 == 1 {
-                        self.next_op(cycle);
-                    } else {
-                        // Poll again: a fresh read transaction.
-                        ctx.metric_add("plb.master.poll_reads", 1);
-                        self.assert_read(ctx, addr, 1);
-                        self.state = MState::PollWait { addr, bit };
-                    }
-                } else {
-                    self.state = MState::PollWait { addr, bit };
-                }
-            }
-            MState::WaitDma { is_read, since } => {
-                self.idle_lines(ctx);
-                if ctx.get_bool(self.sig.dma_done) {
-                    ctx.metric_add("plb.master.dma_wait_cycles", cycle - since);
-                    if is_read {
-                        let mut ch = self.chan.borrow_mut();
-                        while let Some(v) = ch.from_slave.pop_front() {
-                            self.reads.push(v);
-                        }
-                    }
-                    self.next_op(cycle);
-                } else {
-                    self.state = MState::WaitDma { is_read, since };
-                }
-            }
-            MState::Busy { until } => {
-                if cycle >= until {
-                    self.next_op(cycle);
-                } else {
-                    self.state = MState::Busy { until };
-                }
-            }
-            MState::WaitIrq { bit, ack_pending } => {
-                let (vector, ack) = self.irq.expect("irq wired");
-                if ack_pending {
-                    ctx.set_bool(ack, false);
-                    self.next_op(cycle);
-                } else if (ctx.get(vector) >> bit) & 1 == 1 {
-                    // Acknowledge (clears the peripheral's sticky vector)
-                    // and finish next cycle.
-                    ctx.set_bool(ack, true);
-                    self.state = MState::WaitIrq { bit, ack_pending: true };
-                } else {
-                    self.state = MState::WaitIrq { bit, ack_pending: false };
-                }
-            }
-            MState::Done => {
-                self.idle_lines(ctx);
-                self.state = MState::Done;
-            }
-        }
-        // Timed wakes for the states that advance without any watched-signal
-        // edge (no-op under eager scheduling).
-        match &self.state {
-            MState::Fetch => ctx.wake_after(1),
-            MState::Issue { until, .. } | MState::Busy { until } => {
-                ctx.wake_after(until.saturating_sub(cycle).max(1));
-            }
-            MState::WaitIrq { ack_pending: true, .. } => ctx.wake_after(1),
-            MState::WaitIrq { bit, ack_pending: false } => {
-                // Edges on the vector only arrive for *future* completions;
-                // an already-latched bit must be consumed by ticking again.
-                if let Some((vector, _)) = self.irq {
-                    if (ctx.get(vector) >> bit) & 1 == 1 {
-                        ctx.wake_after(1);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn sensitivity(&self) -> Sensitivity {
-        // Own request strobes are watched so the raise-edge wakes the
-        // master for the cycle that lowers them; timed states (Fetch /
-        // Issue / Busy) re-arm via `wake_after` at the end of every tick.
-        let mut sigs = vec![
-            self.sig.wr_ack,
-            self.sig.rd_ack,
-            self.sig.dma_done,
-            self.sig.wr_req,
-            self.sig.rd_req,
-        ];
-        if let Some((vector, _)) = self.irq {
-            sigs.push(vector);
-        }
-        Sensitivity::Signals(sigs)
-    }
-
-    fn name(&self) -> &str {
-        "plb-cpu-master"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-// ---------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AState {
@@ -952,11 +516,12 @@ impl PlbSisAdapter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::master::CpuMaster;
     use splice_core::elaborate::elaborate;
     use splice_core::simbuild::{build_peripheral, CalcLogic, CalcResult, FuncInputs};
     use splice_driver::lower::lower_call;
-    use splice_driver::program::{CallArgs, CallValue};
-    use splice_sim::{Simulator, SimulatorBuilder};
+    use splice_driver::program::{BusOp, CallArgs, CallValue};
+    use splice_sim::Simulator;
     use splice_spec::parse_and_validate;
     use splice_spec::validate::ModuleSpec;
 
@@ -974,12 +539,10 @@ mod tests {
         parse_and_validate(&src).unwrap().module
     }
 
-    /// Full system: CPU master → PLB → adapter → SIS → generated stubs.
-    fn run_call(m: &ModuleSpec, func: &str, args: CallArgs, stall: u32) -> (Vec<Word>, u64) {
+    /// Full system: CPU master → PLB → adapter → SIS → generated stubs;
+    /// returns the simulator and the master's index.
+    fn system(m: &ModuleSpec, stall: u32) -> (Simulator, usize) {
         let ir = elaborate(m);
-        let f = m.function(func).unwrap();
-        let prog = lower_call(&m.params, f, &args).unwrap();
-
         let mut b = SimulatorBuilder::new();
         let handles = build_peripheral(&mut b, &ir, "sis.", |_, _| Box::new(SumCalc));
         let sig = PlbSignals::declare(&mut b, "", m.params.bus_width);
@@ -993,14 +556,15 @@ mod tests {
         )
         .with_stall(stall);
         b.component(Box::new(adapter));
-        let midx = b.component(Box::new(PlbCpuMaster::new(sig, chan, prog.ops.clone())));
-        let mut sim: Simulator = b.build();
-        sim.run_until("driver call", 1_000_000, |s| {
-            s.component::<PlbCpuMaster>(midx).unwrap().is_finished()
-        })
-        .unwrap();
-        let master = sim.component::<PlbCpuMaster>(midx).unwrap();
-        (master.reads.clone(), master.finished_cycle.unwrap())
+        let midx = b.component(Box::new(CpuMaster::req_ack(sig, chan)));
+        (b.build(), midx)
+    }
+
+    fn run_call(m: &ModuleSpec, func: &str, args: CallArgs, stall: u32) -> (Vec<Word>, u64) {
+        let prog = lower_call(&m.params, m.function(func).unwrap(), &args).unwrap();
+        let (mut sim, midx) = system(m, stall);
+        let (cycles, reads) = CpuMaster::run(&mut sim, midx, prog.ops, 1_000_000).unwrap();
+        (reads, cycles)
     }
 
     #[test]
@@ -1057,32 +621,12 @@ mod tests {
     fn dma_write_streams_without_cpu_beats() {
         let m = module("void f(int*:16^ x);", "%dma_support true");
         let args = CallArgs::new(vec![CallValue::Array((0..16).collect())]);
-        let (_, _cycles) = run_call(&m, "f", args, 0);
+        let prog = lower_call(&m.params, m.function("f").unwrap(), &args).unwrap();
+        let (mut sim, midx) = system(&m, 0);
+        CpuMaster::run(&mut sim, midx, prog.ops.clone(), 1_000_000).unwrap();
         // Compare bus transaction counts: DMA issues only the setup writes
         // plus the completion read, not 16 data stores.
-        let ir = elaborate(&m);
-        let f = m.function("f").unwrap();
-        let prog =
-            lower_call(&m.params, f, &CallArgs::new(vec![CallValue::Array((0..16).collect())]))
-                .unwrap();
-        let mut b = SimulatorBuilder::new();
-        let handles = build_peripheral(&mut b, &ir, "sis.", |_, _| Box::new(SumCalc));
-        let sig = PlbSignals::declare(&mut b, "", 32);
-        let chan = channel();
-        b.component(Box::new(PlbSisAdapter::new(
-            sig,
-            handles.bus,
-            Rc::clone(&chan),
-            0x8000_0000,
-            32,
-        )));
-        let midx = b.component(Box::new(PlbCpuMaster::new(sig, chan, prog.ops.clone())));
-        let mut sim = b.build();
-        sim.run_until("dma call", 1_000_000, |s| {
-            s.component::<PlbCpuMaster>(midx).unwrap().is_finished()
-        })
-        .unwrap();
-        let master = sim.component::<PlbCpuMaster>(midx).unwrap();
+        let master = sim.component::<CpuMaster>(midx).unwrap();
         // 4 setup writes + 1 pseudo-output read = 5 native transactions.
         assert_eq!(master.bus_txns, 5, "ops: {:?}", prog.ops);
     }

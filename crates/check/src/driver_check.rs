@@ -23,6 +23,7 @@
 //!   can reach [`DMA_MIN_BEATS`] (a runtime count, or a static one of at
 //!   least that many beats).
 
+use splice_core::hdlgen::{arbiter_module_name, mux_label, stub_module_name};
 use splice_core::{BeatCount, DesignIr, FunctionStub, StubState};
 use splice_driver::lower::DMA_MIN_BEATS;
 use splice_hdl::{Decl, Item, Module, Stmt};
@@ -219,7 +220,7 @@ fn has_signal(m: &Module, name: &str) -> bool {
 
 /// The case-arm selector values of the arbiter mux process for `line`.
 fn mux_arm_ids(arbiter: &Module, line: &str) -> Option<Vec<u64>> {
-    let label = format!("mux_{}", line.to_ascii_lowercase());
+    let label = mux_label(line);
     for item in &arbiter.items {
         if let Item::Process(p) = item {
             if p.label == label {
@@ -339,7 +340,8 @@ pub fn cross_check(
     }
 
     // --- per-function checks --------------------------------------------
-    let arbiter = modules.iter().find(|m| m.name == format!("user_{dev}"));
+    let arbiter_name = arbiter_module_name(dev);
+    let arbiter = modules.iter().find(|m| m.name == arbiter_name);
     for (f, stub) in ir.functions() {
         let floc = |detail: &str| Location::path(format!("{}_driver.c {}{detail}", dev, f.name));
         let id_macro = format!("{}_ID", f.name.to_ascii_uppercase());
@@ -363,7 +365,7 @@ pub fn cross_check(
         }
 
         // SL0407: the stub module's MY_FUNC_ID constant.
-        let mod_name = format!("func_{}", f.name);
+        let mod_name = stub_module_name(&f.name);
         let stub_mod = modules.iter().find(|m| m.name == mod_name);
         match stub_mod.and_then(|m| module_constant(m, "MY_FUNC_ID")) {
             Some(v) if v != f.first_func_id as u64 => report.push(err(
@@ -389,7 +391,7 @@ pub fn cross_check(
             if count != f.instances as usize {
                 report.push(err(
                     "SL0407",
-                    Location::path(format!("user_{dev}")),
+                    Location::path(&arbiter_name),
                     format!(
                         "the arbiter instantiates `{mod_name}` {count} time(s) but the driver \
                          expects {} instance(s)",
@@ -528,13 +530,13 @@ pub fn cross_check(
             match mux_arm_ids(arb, line) {
                 Some(got) if got != want => report.push(err(
                     "SL0407",
-                    Location::signal(&format!("user_{dev}"), line),
+                    Location::signal(&arbiter_name, line),
                     format!("the {line} mux decodes ids {got:?} but the driver encodes {want:?}"),
                 )),
                 Some(_) => {}
                 None => report.push(err(
                     "SL0407",
-                    Location::signal(&format!("user_{dev}"), line),
+                    Location::signal(&arbiter_name, line),
                     format!("the arbiter has no {line} mux process"),
                 )),
             }

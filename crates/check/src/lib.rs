@@ -38,6 +38,7 @@ pub use splice_dataflow::{CompileError, CompiledDesign};
 
 use env::EnvPins;
 use explore::{BfsOutcome, ExploreSpec, MutexGroup, StepMemo};
+use splice_core::hdlgen::{arbiter_module_name, instance_net, stub_module_name};
 use splice_core::{BeatCount, DesignIr, FunctionStub};
 use splice_dataflow::TWord;
 use splice_hdl::Module;
@@ -398,7 +399,7 @@ pub fn arbiter_explorations(
             .arbiter_entries()
             .iter()
             .filter_map(|&(si, _, id)| {
-                d.signal_id(&format!("f{id}_{}_{line}", ir.module.functions[si].name))
+                d.signal_id(&instance_net(id, &ir.module.functions[si].name, line))
             })
             .collect();
         if members.len() >= 2 {
@@ -563,7 +564,7 @@ pub fn check_modules(
     let mut out =
         CheckOutcome { report: LintReport::new(), counterexamples: Vec::new(), stats: Vec::new() };
     for (f, stub) in ir.functions() {
-        let (d, pins) = compile(modules, &format!("func_{}", f.name))?;
+        let (d, pins) = compile(modules, &stub_module_name(&f.name))?;
         run_scripts(ir, f, stub, &d, &pins, opts, &mut out);
         if explore_module(&d, &pins, &[], &[stub_exploration(ir, f, opts)], opts, &mut out) {
             // SIGINT: skip the remaining per-stub explorations (each would
@@ -575,7 +576,7 @@ pub fn check_modules(
 
     // Composed design: the arbiter with every instance, checking that the
     // shared return lines are driven by at most one function per cycle.
-    let arb_name = format!("user_{}", ir.module.params.device_name);
+    let arb_name = arbiter_module_name(&ir.module.params.device_name);
     if modules.iter().any(|m| m.name == arb_name) {
         let (d, pins) = compile(modules, &arb_name)?;
         let (groups, specs) = arbiter_explorations(ir, &d, opts);

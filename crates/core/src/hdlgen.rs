@@ -51,6 +51,34 @@ impl From<TemplateError> for HdlGenError {
     }
 }
 
+/// `func_<func>`: the stub module of function `func`.
+pub fn stub_module_name(func: &str) -> String {
+    format!("func_{func}")
+}
+
+/// `user_<device>`: the arbitration module of device `device`.
+pub fn arbiter_module_name(device: &str) -> String {
+    format!("user_{device}")
+}
+
+/// `f<id>_<func>`: the arbiter's prefix for the copy of `func` answering
+/// to FUNC_ID `id`.
+fn instance_prefix(id: u32, func: &str) -> String {
+    format!("f{id}_{func}")
+}
+
+/// `f<id>_<func>_<line>`: the arbiter's net carrying `line` of the copy of
+/// `func` answering to FUNC_ID `id`.
+pub fn instance_net(id: u32, func: &str, line: &str) -> String {
+    format!("{}_{line}", instance_prefix(id, func))
+}
+
+/// `mux_<line>`: the label of the arbiter's FUNC_ID-keyed return mux of
+/// the shared SIS line `line`.
+pub fn mux_label(line: &str) -> String {
+    format!("mux_{}", line.to_ascii_lowercase())
+}
+
 /// The target HDL of a design, as a `splice-hdl` selector.
 pub fn hdl_of(ir: &DesignIr) -> Hdl {
     match ir.module.params.hdl {
@@ -285,9 +313,16 @@ fn bound_latch(array: &str, shape: TransferShape, w: u32, bus_width: u32) -> Stm
         TransferShape::Direct => take(Expr::sig("DATA_IN"), bus_width),
         TransferShape::Packed { per_beat } => {
             // beats = ceil(elems / per_beat) = (elems + per_beat - 1) >> s.
+            // Where the kept slice reaches the sum's carry (8- and 16-bit
+            // buses), the sum is one bit wider so the top bound cannot wrap.
             let s = per_beat.trailing_zeros();
-            let sum = Expr::sig("DATA_IN").add(Expr::lit(u64::from(per_beat) - 1, bus_width));
-            let hi = (s + w - 1).min(bus_width - 1);
+            let (word, sum_width) = if s + w > bus_width {
+                (Expr::Concat(vec![Expr::lit(0, 1), Expr::sig("DATA_IN")]), bus_width + 1)
+            } else {
+                (Expr::sig("DATA_IN"), bus_width)
+            };
+            let sum = word.add(Expr::lit(u64::from(per_beat) - 1, sum_width));
+            let hi = (s + w - 1).min(sum_width - 1);
             take(Expr::Slice { base: Box::new(sum), hi, lo: s }, hi - s + 1)
         }
         TransferShape::Split { beats_per_elem } => {
@@ -468,9 +503,9 @@ fn icob_process(ir: &DesignIr, f: &ValidatedFunction, stub: &FunctionStub) -> Pr
 pub fn stub_module(ir: &DesignIr, index: usize, gen_date: &str) -> Module {
     let (f, stub) = (&ir.module.functions[index], &ir.stubs[index]);
     let p = &ir.module.params;
-    let mut m = Module::new(format!("func_{}", f.name));
+    let mut m = Module::new(stub_module_name(&f.name));
     m.header = vec![
-        format!("func_{}.{} — user-logic stub generated by Splice", f.name, hdl_of(ir).extension()),
+        format!("{}.{} — user-logic stub generated by Splice", m.name, hdl_of(ir).extension()),
         format!("device: {}   bus: {}   generated: {}", p.device_name, p.bus.kind, gen_date),
         "Fill in the TODO(user) calculation sections; all bus handshaking is complete.".into(),
     ];
@@ -501,13 +536,9 @@ pub fn design_modules(ir: &DesignIr, gen_date: &str) -> Result<Vec<Module>, HdlG
 pub fn arbiter_module(ir: &DesignIr, gen_date: &str) -> Module {
     let p = &ir.module.params;
     let total = ir.module.total_instances();
-    let mut m = Module::new(format!("user_{}", p.device_name));
+    let mut m = Module::new(arbiter_module_name(&p.device_name));
     m.header = vec![
-        format!(
-            "user_{}.{} — bus arbiter generated by Splice (§5.2)",
-            p.device_name,
-            hdl_of(ir).extension()
-        ),
+        format!("{}.{} — bus arbiter generated by Splice (§5.2)", m.name, hdl_of(ir).extension()),
         format!("functions: {}   instances: {}   generated: {}", ir.stubs.len(), total, gen_date),
     ];
     m.ports = vec![
@@ -537,14 +568,15 @@ pub fn arbiter_module(ir: &DesignIr, gen_date: &str) -> Module {
     // Per-instance internal nets + instantiations.
     for (si, inst, id) in ir.arbiter_entries() {
         let (f, stub) = (&ir.module.functions[si], &ir.stubs[si]);
-        let base = format!("f{id}_{}", f.name);
-        for (suffix, width) in
+        let base = instance_prefix(id, &f.name);
+        let net = |line: &str| instance_net(id, &f.name, line);
+        for (line, width) in
             [("DATA_OUT", p.bus_width), ("DATA_OUT_VALID", 1), ("IO_DONE", 1), ("CALC_DONE", 1)]
         {
-            m.decls.push(Decl::Signal { name: format!("{base}_{suffix}"), width, init: None });
+            m.decls.push(Decl::Signal { name: net(line), width, init: None });
         }
         if p.irq && stub.fires_irq() {
-            m.decls.push(Decl::Signal { name: format!("{base}_IRQ"), width: 1, init: None });
+            m.decls.push(Decl::Signal { name: net("IRQ"), width: 1, init: None });
         }
         // Replicated functions share one stub module, whose internal
         // address decode compares against the *first* instance's id. Each
@@ -553,18 +585,25 @@ pub fn arbiter_module(ir: &DesignIr, gen_date: &str) -> Module {
         // status id (which a stub never answers). Without this every copy
         // would answer instance 1's id and ignore its own.
         let func_id_net = if f.instances > 1 {
-            let net = format!("{base}_FUNC_ID");
-            m.decls.push(Decl::Signal { name: net.clone(), width: p.func_id_width, init: None });
+            let remapped = net("FUNC_ID");
+            m.decls.push(Decl::Signal {
+                name: remapped.clone(),
+                width: p.func_id_width,
+                init: None,
+            });
             m.items.push(Item::Process(Process {
                 label: format!("remap_{base}"),
                 clocked: false,
                 body: vec![Stmt::if_else(
                     Expr::sig("FUNC_ID").eq(Expr::lit(u64::from(id), p.func_id_width)),
-                    vec![Stmt::assign(&net, Expr::lit(f.first_func_id as u64, p.func_id_width))],
-                    vec![Stmt::assign(&net, Expr::lit(0, p.func_id_width))],
+                    vec![Stmt::assign(
+                        &remapped,
+                        Expr::lit(f.first_func_id as u64, p.func_id_width),
+                    )],
+                    vec![Stmt::assign(&remapped, Expr::lit(0, p.func_id_width))],
                 )],
             }));
-            net
+            remapped
         } else {
             "FUNC_ID".into()
         };
@@ -574,7 +613,7 @@ pub fn arbiter_module(ir: &DesignIr, gen_date: &str) -> Module {
         )));
         m.items.push(Item::Instance(Instance {
             label: format!("u_{base}"),
-            module: format!("func_{}", f.name),
+            module: stub_module_name(&f.name),
             connections: vec![
                 ("CLK".into(), "CLK".into()),
                 ("RST".into(), "RST".into()),
@@ -582,15 +621,15 @@ pub fn arbiter_module(ir: &DesignIr, gen_date: &str) -> Module {
                 ("DATA_IN_VALID".into(), "DATA_IN_VALID".into()),
                 ("IO_ENABLE".into(), "IO_ENABLE".into()),
                 ("FUNC_ID".into(), func_id_net),
-                ("DATA_OUT".into(), format!("{base}_DATA_OUT")),
-                ("DATA_OUT_VALID".into(), format!("{base}_DATA_OUT_VALID")),
-                ("IO_DONE".into(), format!("{base}_IO_DONE")),
-                ("CALC_DONE".into(), format!("{base}_CALC_DONE")),
+                ("DATA_OUT".into(), net("DATA_OUT")),
+                ("DATA_OUT_VALID".into(), net("DATA_OUT_VALID")),
+                ("IO_DONE".into(), net("IO_DONE")),
+                ("CALC_DONE".into(), net("CALC_DONE")),
             ],
         }));
         if p.irq && stub.fires_irq() {
             if let Some(Item::Instance(inst)) = m.items.last_mut() {
-                inst.connections.push(("IRQ".into(), format!("{base}_IRQ")));
+                inst.connections.push(("IRQ".into(), net("IRQ")));
             }
         }
     }
@@ -656,7 +695,7 @@ fn irq_latch_process(ir: &DesignIr) -> Process {
             continue;
         }
         on_run.push(Stmt::if_then(
-            Expr::sig(format!("f{id}_{}_IRQ", ir.module.functions[si].name)),
+            Expr::sig(instance_net(id, &ir.module.functions[si].name, "IRQ")),
             vec![Stmt::assign("irq_vector_i", Expr::sig("irq_vector_i").or(one_hot(id, w)))],
         ));
     }
@@ -695,12 +734,12 @@ fn mux_items(ir: &DesignIr, line: &str) -> Vec<Item> {
         arms.push((0, vec![Stmt::assign(line, status_read_expr(ir))]));
     }
     for (si, _inst, id) in ir.arbiter_entries() {
-        let src = format!("f{id}_{}_{line}", ir.module.functions[si].name);
+        let src = instance_net(id, &ir.module.functions[si].name, line);
         arms.push((id as u64, vec![Stmt::assign(line, Expr::sig(src))]));
     }
     let default = vec![Stmt::assign(line, Expr::lit(0, width))];
     vec![Item::Process(Process {
-        label: format!("mux_{}", line.to_ascii_lowercase()),
+        label: mux_label(line),
         clocked: false,
         body: vec![Stmt::Case {
             expr: Expr::Slice {
@@ -722,7 +761,7 @@ fn calc_done_encode(ir: &DesignIr) -> Item {
     let mut entries = ir.arbiter_entries();
     entries.sort_by_key(|&(_, _, id)| std::cmp::Reverse(id));
     for (si, _inst, id) in entries {
-        parts.push(Expr::sig(format!("f{id}_{}_CALC_DONE", ir.module.functions[si].name)));
+        parts.push(Expr::sig(instance_net(id, &ir.module.functions[si].name, "CALC_DONE")));
     }
     parts.push(Expr::lit(0, 1)); // id 0 is the status register itself
     Item::Assign { lhs: "calc_done_vec_i".into(), rhs: Expr::Concat(parts) }

@@ -13,7 +13,6 @@
 //! the kernel's multi-driver detection enforces the discipline here).
 
 use crate::ir::{BeatCount, DesignIr, FunctionStub, StubState};
-use splice_driver::lower::TransferShape;
 use splice_driver::program::{decode_with, ResultLayout};
 use splice_sim::{Component, Sensitivity, SignalDecl, SignalId, SimulatorBuilder, TickCtx, Word};
 use splice_sis::{SisBus, STATUS_FUNC_ID};
@@ -242,9 +241,9 @@ impl GeneratedStub {
     fn finish_input_state(&mut self) {
         // Decode the collected beats into elements.
         if let StubState::Input { io, .. } = &self.stub.states[self.state_idx] {
-            let io_ref = self.func.inputs[*io].clone();
-            let elems = self.elems_for(&io_ref);
-            let layout = layout_for(&io_ref, self.bus_width, elems);
+            let io_ref = &self.func.inputs[*io];
+            let elems = self.elems_for(io_ref);
+            let layout = ResultLayout::of(io_ref, self.bus_width, elems as u32);
             let decoded = decode_with(layout, &self.beats_buf);
             while self.inputs.values.len() <= *io {
                 self.inputs.values.push(Vec::new());
@@ -292,18 +291,6 @@ impl GeneratedStub {
     pub fn with_irq(mut self, line: SignalId) -> Self {
         self.irq_line = Some(line);
         self
-    }
-}
-
-fn layout_for(io: &ValidatedIo, bus_width: u32, elems: u64) -> ResultLayout {
-    match splice_driver::lower::transfer_shape(io, bus_width) {
-        TransferShape::Direct => ResultLayout::Direct { elems: elems as u32 },
-        TransferShape::Packed { per_beat } => {
-            ResultLayout::Packed { elems: elems as u32, elem_bits: io.ty.bits, per_beat }
-        }
-        TransferShape::Split { beats_per_elem } => {
-            ResultLayout::Split { elems: elems as u32, beats_per_elem, bus_width }
-        }
     }
 }
 

@@ -18,7 +18,8 @@
 //! native signal bundle, exactly as a hand rolled interface would.
 
 use crate::interp::{interpolate_flat, INTERP_CALC_CYCLES};
-use splice_buses::plb::{channel, ChannelHandle, PlbCpuMaster, PlbSignals};
+use splice_buses::plb::{channel, ChannelHandle, PlbSignals};
+use splice_buses::CpuMaster;
 use splice_driver::lower::CALL_PROLOGUE_CPU_CYCLES;
 use splice_driver::program::BusOp;
 use splice_resources::{ResourceReport, Resources};
@@ -254,22 +255,14 @@ impl BaselineSystem {
             calc,
             calc_cycles,
         )));
-        let master_idx = b.component(Box::new(PlbCpuMaster::new(sig, chan, Vec::new())));
+        let master_idx = b.component(Box::new(CpuMaster::req_ack(sig, chan)));
         BaselineSystem { sim: b.build(), master_idx, call_budget: 1_000_000 }
     }
 
     /// Run one driver call (a raw op list) and return (cycles, reads).
     pub fn run_bus_ops(&mut self, ops: Vec<BusOp>) -> (u64, Vec<Word>) {
-        let start = self.sim.cycle();
-        self.sim.component_mut::<PlbCpuMaster>(self.master_idx).expect("master").reload(ops);
-        let idx = self.master_idx;
-        self.sim
-            .run_until("baseline call", self.call_budget, |s| {
-                s.component::<PlbCpuMaster>(idx).unwrap().is_finished()
-            })
-            .expect("baseline call completes");
-        let m = self.sim.component::<PlbCpuMaster>(idx).unwrap();
-        (m.finished_cycle.unwrap() - start, m.reads.clone())
+        CpuMaster::run(&mut self.sim, self.master_idx, ops, self.call_budget)
+            .expect("baseline call completes")
     }
 
     /// The underlying simulator (metrics, trace access).

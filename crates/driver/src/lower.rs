@@ -268,16 +268,7 @@ pub fn lower_call(
                         (false, _) => BusOp::ReadBurst { addr, beats: n as u32 },
                     }
                 });
-                let elems = elems as u32;
-                result_layout = match t.shape {
-                    TransferShape::Direct => ResultLayout::Direct { elems },
-                    TransferShape::Packed { per_beat } => {
-                        ResultLayout::Packed { elems, elem_bits: t.io.ty.bits, per_beat }
-                    }
-                    TransferShape::Split { beats_per_elem } => {
-                        ResultLayout::Split { elems, beats_per_elem, bus_width: params.bus_width }
-                    }
-                };
+                result_layout = ResultLayout::of(t.io, params.bus_width, elems as u32);
             }
             Step::SyncRead => ops.push(BusOp::Read { addr }),
         }

@@ -5,7 +5,7 @@
 //! bound to concrete argument values. The simulated CPU master executes
 //! these ops against a native bus model with PPC405-flavoured issue costs.
 
-use splice_spec::validate::ValidatedFunction;
+use splice_spec::validate::{transfer_shape, TransferShape, ValidatedFunction, ValidatedIo};
 
 /// One bus-level operation, corresponding 1:1 to a driver macro invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,6 +161,23 @@ pub enum ResultLayout {
     /// Each element split across `beats_per_elem` beats, most-significant
     /// word first.
     Split { elems: u32, beats_per_elem: u32, bus_width: u32 },
+}
+
+impl ResultLayout {
+    /// How `elems` elements of `io` lie in the beats of a `bus_width`-bit
+    /// bus, per its transfer shape (the driver's result read-back and the
+    /// stub's input decode share it).
+    pub fn of(io: &ValidatedIo, bus_width: u32, elems: u32) -> ResultLayout {
+        match transfer_shape(io, bus_width) {
+            TransferShape::Direct => ResultLayout::Direct { elems },
+            TransferShape::Packed { per_beat } => {
+                ResultLayout::Packed { elems, elem_bits: io.ty.bits, per_beat }
+            }
+            TransferShape::Split { beats_per_elem } => {
+                ResultLayout::Split { elems, beats_per_elem, bus_width }
+            }
+        }
+    }
 }
 
 impl DriverProgram {

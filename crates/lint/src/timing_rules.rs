@@ -15,11 +15,12 @@
 //! are skipped — the child's own run covers them.
 
 use crate::diag::{Diagnostic, Layer, LintReport, Location};
+use splice_core::hdlgen::arbiter_module_name;
 use splice_core::DesignIr;
 use splice_dataflow::timing::{analyze_timing, expr_leaf_width, expr_peak_width, Timing};
 use splice_dataflow::{CompiledDesign, Kind};
 use splice_hdl::Module;
-use splice_resources::{design_cost, netlist_cost, pct_str, Resources};
+use splice_resources::{logic_cost, netlist_cost, pct_str};
 use std::collections::HashMap;
 
 // Budgets for the structural timing rules, calibrated against the
@@ -226,17 +227,12 @@ fn scan_width_blowup(
 /// that exists as module ASTs. The bus interface adapter is template text
 /// with no AST, so its estimate item is excluded from the baseline.
 pub fn lint_estimate(ir: &DesignIr, modules: &[Module], report: &mut LintReport) {
-    let top = format!("user_{}", ir.module.params.device_name);
+    let top = arbiter_module_name(&ir.module.params.device_name);
     let Ok(d) = CompiledDesign::compile(modules, &top) else {
         return; // SL0500 covers uncompilable designs.
     };
     let actual = netlist_cost(&d).total();
-    let estimate: Resources = design_cost(ir)
-        .items
-        .iter()
-        .filter(|(name, _)| !name.ends_with("_interface"))
-        .map(|(_, c)| *c)
-        .sum();
+    let estimate = logic_cost(ir);
 
     let (a, b) = (actual.slices() as f64, estimate.slices() as f64);
     let diverged = if a == 0.0 && b == 0.0 {

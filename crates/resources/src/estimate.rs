@@ -10,6 +10,7 @@
 //! cost of the PLB DMA engine (§9.3.2).
 
 use crate::cost::Resources;
+use splice_core::hdlgen::{arbiter_module_name, stub_module_name};
 use splice_core::ir::{BeatCount, DesignIr, FunctionStub, StubState};
 use splice_spec::bus::BusKind;
 
@@ -119,11 +120,19 @@ pub fn design_cost(ir: &DesignIr) -> ResourceReport {
     let mut items = Vec::new();
     let bus = ir.module.params.bus.kind.name();
     items.push((format!("{bus}_interface"), interface_cost(ir)));
-    items.push((format!("user_{}", ir.module.params.device_name), arbiter_cost(ir)));
+    items.push((arbiter_module_name(&ir.module.params.device_name), arbiter_cost(ir)));
     for (f, stub) in ir.functions() {
-        items.push((format!("func_{}", f.name), stub_cost(ir, stub) * f.instances));
+        items.push((stub_module_name(&f.name), stub_cost(ir, stub) * f.instances));
     }
     ResourceReport { items }
+}
+
+/// The estimate of the logic that exists as module ASTs: the arbiter and
+/// every stub instance, without the bus interface adapter, which is
+/// template text.
+pub fn logic_cost(ir: &DesignIr) -> Resources {
+    arbiter_cost(ir)
+        + ir.functions().map(|(f, stub)| stub_cost(ir, stub) * f.instances).sum::<Resources>()
 }
 
 #[cfg(test)]
@@ -211,6 +220,15 @@ mod tests {
         let per = stub_cost(&ir, &ir.stubs[1]);
         assert_eq!(rep.item("func_g").unwrap(), per * 2);
         assert_eq!(rep.total(), rep.items.iter().map(|(_, c)| *c).sum::<Resources>());
+    }
+
+    #[test]
+    fn logic_cost_is_every_item_but_the_interface() {
+        // A function whose name ends like the interface item still counts.
+        let ir = design("long f_interface(int x);\nvoid g():2;", "");
+        let rep = design_cost(&ir);
+        assert_eq!(logic_cost(&ir) + interface_cost(&ir), rep.total());
+        assert_eq!(rep.items.len(), 4);
     }
 
     #[test]

@@ -18,5 +18,7 @@ pub mod estimate;
 pub mod netlist;
 
 pub use cost::{pct_str, Resources};
-pub use estimate::{arbiter_cost, design_cost, interface_cost, stub_cost, ResourceReport};
+pub use estimate::{
+    arbiter_cost, design_cost, interface_cost, logic_cost, stub_cost, ResourceReport,
+};
 pub use netlist::{netlist_cost, NetlistBill};

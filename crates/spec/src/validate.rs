@@ -362,7 +362,9 @@ impl<'a> Validator<'a> {
             }
         };
         let (burst, burst_span) = flag("burst_support").unwrap_or((false, whole));
-        if burst && bus.burst_beats.is_empty() {
+        // A strictly synchronous bus carries single transfers only (§4.2.2),
+        // whatever burst depths its library declares.
+        if burst && (bus.burst_beats.is_empty() || bus.sync == SyncClass::StrictlySynchronous) {
             return Err(SpecError::new(
                 SpecErrorKind::BurstNotAvailable { bus: bus_name.clone() },
                 burst_span,
@@ -596,13 +598,14 @@ impl<'a> Validator<'a> {
 
         // DMA legality (§3.1.5, §3.2.2).
         if ext.dma {
-            if !params.bus.dma() {
+            if !params.bus.dma() || params.bus.sync == SyncClass::StrictlySynchronous {
+                let reason = if params.bus.dma() {
+                    "a strictly synchronous bus carries single transfers only".into()
+                } else {
+                    format!("bus `{}` has no physical DMA support", params.bus.kind)
+                };
                 return Err(SpecError::new(
-                    SpecErrorKind::DmaNotAvailable {
-                        func,
-                        param: name.into(),
-                        reason: format!("bus `{}` has no physical DMA support", params.bus.kind),
-                    },
+                    SpecErrorKind::DmaNotAvailable { func, param: name.into(), reason },
                     span,
                 ));
             }
@@ -833,6 +836,38 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(e.kind, SpecErrorKind::BurstNotAvailable { .. }));
+    }
+
+    /// A third-party strictly synchronous bus that declares burst depths
+    /// and a DMA size still carries single transfers only; the same caps on
+    /// a pseudo-asynchronous bus validate.
+    #[test]
+    fn strictly_synchronous_buses_refuse_bursts_and_dma() {
+        let head = "%device_name d\n%bus_type custom\n%bus_width 32\n%base_address 0x80000000\n";
+        let burst = format!("{head}%burst_support true\nvoid f(int*:4 x);");
+        let dma = format!("{head}%dma_support true\nvoid f(int*:8^ x);");
+        for sync in [SyncClass::StrictlySynchronous, SyncClass::PseudoAsynchronous] {
+            let mut registry = BusRegistry::builtin();
+            let caps = BusCaps {
+                burst_beats: vec![2, 4],
+                dma_max_bytes: 256,
+                sync,
+                ..BusCaps::builtin(crate::bus::BusKind::Apb)
+            };
+            registry.register("custom", caps);
+            let run = |src: &str| validate(&crate::parser::parse(src).unwrap(), &registry);
+            if sync == SyncClass::PseudoAsynchronous {
+                assert!(run(&burst).is_ok() && run(&dma).is_ok());
+                continue;
+            }
+            let e = run(&burst).unwrap_err();
+            assert!(matches!(e.kind, SpecErrorKind::BurstNotAvailable { .. }), "{e}");
+            let e = run(&dma).unwrap_err();
+            assert!(
+                matches!(e.kind, SpecErrorKind::DmaNotAvailable { ref reason, .. } if reason.contains("strictly synchronous")),
+                "{e}"
+            );
+        }
     }
 
     #[test]

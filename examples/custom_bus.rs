@@ -12,6 +12,7 @@
 
 use splice::prelude::*;
 use splice_buses::generic::PseudoAsyncSystem;
+use splice_buses::CpuMaster;
 use splice_core::api::{BusLibrary, BusLibraryRegistry};
 use splice_core::hdlgen::generate_hardware;
 use splice_core::ir::DesignIr;
@@ -121,19 +122,14 @@ fn main() {
         &CallArgs::new(vec![CallValue::Scalar(3), CallValue::Array(vec![0xFF, 0x0F, 0xF0])]),
     )
     .unwrap();
-    let midx = b.component(Box::new(sys.master(prog.ops.clone())));
+    let midx = b.component(Box::new(sys.master()));
     let mut sim = b.build();
-    sim.run_until("ringbus call", 100_000, |s| {
-        s.component::<splice_buses::plb::PlbCpuMaster>(midx).unwrap().is_finished()
-    })
-    .unwrap();
-    let master = sim.component::<splice_buses::plb::PlbCpuMaster>(midx).unwrap();
+    let (cycles, reads) = CpuMaster::run(&mut sim, midx, prog.ops, 100_000).unwrap();
     println!(
-        "xorsum(0xff ^ 0x0f ^ 0xf0) over the ringbus = {:#x} in {} bus cycles",
-        master.reads[0],
-        master.finished_cycle.unwrap()
+        "xorsum(0xff ^ 0x0f ^ 0xf0) over the ringbus = {:#x} in {cycles} bus cycles",
+        reads[0]
     );
-    assert_eq!(master.reads, vec![0x00]);
+    assert_eq!(reads, vec![0x00]);
 
     // 5. The checker rejects bad configurations, as §7.1.2 requires.
     let bad = "

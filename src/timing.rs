@@ -9,12 +9,13 @@
 //! Rendering is deterministic — no dates, no machine facts — so the text
 //! and JSON forms are pinned as goldens under `tests/golden/timing/`.
 
+use splice_core::hdlgen::arbiter_module_name;
 use splice_core::DesignIr;
 use splice_dataflow::timing::{analyze_timing, EndpointKind};
 use splice_dataflow::CompiledDesign;
 use splice_hdl::Module;
 use splice_obs::json::quote as json_str;
-use splice_resources::{design_cost, netlist_cost, pct_str, Resources};
+use splice_resources::{logic_cost, netlist_cost, pct_str, Resources};
 
 /// One named critical path.
 #[derive(Debug, Clone)]
@@ -82,16 +83,11 @@ pub fn timing_report(
         out.push(module_timing(&d, top_paths));
     }
 
-    let top = format!("user_{}", ir.module.params.device_name);
+    let top = arbiter_module_name(&ir.module.params.device_name);
     let flat = CompiledDesign::compile(modules, &top)
         .map_err(|e| format!("cannot flatten `{top}`: {e}"))?;
     let netlist = netlist_cost(&flat).total();
-    let estimate: Resources = design_cost(ir)
-        .items
-        .iter()
-        .filter(|(name, _)| !name.ends_with("_interface"))
-        .map(|(_, c)| *c)
-        .sum();
+    let estimate = logic_cost(ir);
 
     Ok(TimingReport {
         device: ir.module.params.device_name.clone(),

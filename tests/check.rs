@@ -259,6 +259,37 @@ fn an_eight_bit_runtime_bound_latches_the_whole_word() {
     }
 }
 
+/// A packed runtime bound rounds its element count up to whole beats one
+/// bit wider than the bus on 8- and 16-bit buses, so the top of the range
+/// does not wrap to zero beats: a 16-bit bound of 65,535 two-per-beat
+/// `char`s and an 8-bit bound of 255 two-per-beat `nib`s run clean. The
+/// sum formed at the bus width stalled at both.
+#[test]
+fn a_packed_runtime_bound_reaches_the_top_of_its_range() {
+    let cases = [
+        ("%bus_width 16\n%packing_support true\nvoid g(short n, char*:n+ xs);\n", 65_533..=65_535),
+        (
+            "%bus_width 8\n%user_type nib, unsigned char, 4\nvoid g(char n, nib*:n+ xs);\n",
+            253..=255,
+        ),
+    ];
+    for (decls, bounds) in cases {
+        let spec = format!("%device_name d\n%bus_type wishbone\n%base_address 0x80000000\n{decls}");
+        let (ir, modules) = generated(&spec);
+        let d = CompiledDesign::compile(&modules, "func_g").expect("compiles");
+        let pins = env::resolve_pins(&d).expect("SIS pins");
+        let sync = ir.module.params.bus.sync;
+        let response_bound = CheckOptions::default().response_bound;
+        for bound in bounds {
+            let ops = env::stub_script(&ir.stubs[0], sync, bound, 2);
+            let cfg = env::ScriptConfig { sync, response_bound, pacing: 0 };
+            let run =
+                env::run_script(&d, &pins, ir.module.functions[0].first_func_id.into(), &ops, cfg);
+            assert!(run.violation.is_none(), "{decls}bound {bound}: {:?}", run.violation);
+        }
+    }
+}
+
 #[test]
 fn checking_is_deterministic() {
     let a = checked(CLEAN);

@@ -3,6 +3,7 @@
 //! through a native bus adapter, and must observe zero axiom violations.
 
 use splice_buses::generic::PseudoAsyncSystem;
+use splice_buses::CpuMaster;
 use splice_core::elaborate::elaborate;
 use splice_core::simbuild::{build_peripheral, CalcLogic, CalcResult, FuncInputs};
 use splice_driver::lower::lower_call;
@@ -44,21 +45,17 @@ fn plb_system_traffic_is_sis_conformant() {
         let f = module.function(func).unwrap();
         all_ops.extend(lower_call(&module.params, f, args).unwrap().ops);
     }
-    let midx = b.component(Box::new(sys.master(all_ops)));
+    let midx = b.component(Box::new(sys.master()));
 
     let mut sim = b.build();
-    sim.run_until("all calls", 1_000_000, |s| {
-        s.component::<splice_buses::plb::PlbCpuMaster>(midx).unwrap().is_finished()
-    })
-    .unwrap();
+    let (_, reads) = CpuMaster::run(&mut sim, midx, all_ops, 1_000_000).unwrap();
     sim.run(4).unwrap();
 
     let checker = sim.component::<SisChecker>(checker_idx).unwrap();
     assert!(checker.clean(), "violations: {:#?}", checker.violations);
 
     // Results: acc(5,6,7)+n=3 → 21; dup → 42; acc(9)+1 → 10.
-    let master = sim.component::<splice_buses::plb::PlbCpuMaster>(midx).unwrap();
-    assert_eq!(master.reads, vec![21, 42, 0, 10]);
+    assert_eq!(reads, vec![21, 42, 0, 10]);
 }
 
 /// Burst and DMA traffic must also stay conformant.
@@ -89,19 +86,15 @@ fn burst_and_dma_traffic_is_sis_conformant() {
             .unwrap()
             .ops,
     );
-    let midx = b.component(Box::new(sys.master(ops)));
+    let midx = b.component(Box::new(sys.master()));
 
     let mut sim = b.build();
-    sim.run_until("burst+dma calls", 1_000_000, |s| {
-        s.component::<splice_buses::plb::PlbCpuMaster>(midx).unwrap().is_finished()
-    })
-    .unwrap();
+    let (_, reads) = CpuMaster::run(&mut sim, midx, ops, 1_000_000).unwrap();
     sim.run(4).unwrap();
 
     let checker = sim.component::<SisChecker>(checker_idx).unwrap();
     assert!(checker.clean(), "violations: {:#?}", checker.violations);
-    let master = sim.component::<splice_buses::plb::PlbCpuMaster>(midx).unwrap();
-    assert_eq!(master.reads, vec![(1..=24u64).sum(), (1..=8u64).sum()]);
+    assert_eq!(reads, vec![(1..=24u64).sum(), (1..=8u64).sum()]);
 }
 
 /// Regression pin on the SIS protocol timing itself: the exact cycles of

@@ -4,7 +4,8 @@
 //! additional connection points on the bus will be available for use by
 //! other peripherals" (§5.2).
 
-use splice_buses::plb::{channel, PlbCpuMaster, PlbSignals, PlbSisAdapter};
+use splice_buses::plb::{channel, PlbSignals, PlbSisAdapter};
+use splice_buses::CpuMaster;
 use splice_core::elaborate::elaborate;
 use splice_core::simbuild::{build_peripheral, CalcLogic, CalcResult, FuncInputs};
 use splice_driver::lower::lower_call;
@@ -55,15 +56,11 @@ fn two_devices_share_one_plb() {
     ops.extend(lower_call(&mod_b.params, f_tri, &CallArgs::scalars(&[14])).unwrap().ops);
     ops.extend(lower_call(&mod_a.params, f_dbl, &CallArgs::scalars(&[50])).unwrap().ops);
     ops.extend(lower_call(&mod_b.params, f_nine, &CallArgs::scalars(&[11])).unwrap().ops);
-    let midx = b.component(Box::new(PlbCpuMaster::new(sig, chan, ops)));
+    let midx = b.component(Box::new(CpuMaster::req_ack(sig, chan)));
 
     let mut sim = b.build();
-    sim.run_until("interleaved calls", 1_000_000, |s| {
-        s.component::<PlbCpuMaster>(midx).unwrap().is_finished()
-    })
-    .unwrap();
-    let master = sim.component::<PlbCpuMaster>(midx).unwrap();
-    assert_eq!(master.reads, vec![42, 42, 100, 33]);
+    let (_, reads) = CpuMaster::run(&mut sim, midx, ops, 1_000_000).unwrap();
+    assert_eq!(reads, vec![42, 42, 100, 33]);
 }
 
 #[test]
@@ -82,14 +79,9 @@ fn out_of_window_requests_are_ignored_not_answered() {
         PlbSisAdapter::new(sig, per.bus, std::rc::Rc::clone(&chan), 0x8000_0000, 32)
             .with_addr_window(0x1000),
     ));
-    let midx = b.component(Box::new(PlbCpuMaster::new(
-        sig,
-        chan,
-        vec![splice_driver::program::BusOp::Write { addr: 0xA000_0000, data: 1 }],
-    )));
+    let midx = b.component(Box::new(CpuMaster::req_ack(sig, chan)));
     let mut sim = b.build();
-    let err = sim.run_until("foreign write", 500, |s| {
-        s.component::<PlbCpuMaster>(midx).unwrap().is_finished()
-    });
+    let foreign = vec![splice_driver::program::BusOp::Write { addr: 0xA000_0000, data: 1 }];
+    let err = CpuMaster::run(&mut sim, midx, foreign, 500);
     assert!(err.is_err(), "a write to unmapped space must hang, not be acked");
 }
